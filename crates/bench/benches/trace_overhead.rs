@@ -2,12 +2,12 @@
 //! batch of spans, counters, gauges and explicit histogram records — per
 //! [`TraceMode`](nephele::TraceMode).
 //!
-//! The streaming-aggregation promise is that Aggregate mode buys its
-//! bounded memory (fold-at-close instead of retain-everything) without
-//! making the hot path meaningfully more expensive than Full mode, and
-//! that a disabled sink stays near-free. verify.sh gates the Aggregate /
-//! Off ratio against a loose budget; the general bench gate tracks all
-//! three medians against the seeded baselines.
+//! Both enabled modes fold every observation through the same path, and
+//! Full additionally retains the raw records, so Aggregate's bounded
+//! memory must not make its tick meaningfully dearer than Full's, and a
+//! disabled sink must stay near-free. verify.sh gates the Aggregate / Off
+//! and Aggregate / Full ratios; the general bench gate tracks all three
+//! medians against the seeded baselines.
 
 use nephele::sim_core::{Clock, DomId};
 use nephele::{TraceConfig, TraceMode, TraceSink};
@@ -23,7 +23,7 @@ const GAUGES: u64 = 128;
 const RECORDS: u64 = 128;
 
 /// Builds a sink in `mode` with a two-member clone family registered, so
-/// the Aggregate path exercises family attribution like a real platform.
+/// the fold exercises family attribution like a real platform.
 fn sink(mode: TraceMode) -> TraceSink {
     let s = TraceSink::new(Clock::new(), &TraceConfig::with_mode(mode));
     s.family_root_created(DomId(1), "bench-root");

@@ -10,8 +10,6 @@ use fuzz::{run_campaign, FuzzConfig, FuzzMode, FuzzReport, FuzzTarget};
 use nephele::sim_core::SimDuration;
 use sim_core::stats::Series;
 
-use crate::support::trace_config_from_env;
-
 /// The labelled curves of the figure.
 pub const CURVES: &[(&str, FuzzMode, FuzzTarget)] = &[
     ("unikraft_baseline", FuzzMode::UnikraftBootEach, FuzzTarget::Getppid),
@@ -33,7 +31,7 @@ pub fn run(secs: u64) -> (Series, Vec<(&'static str, FuzzReport)>) {
             target: *target,
             duration: SimDuration::from_secs(secs),
             seed: 0xF19,
-            tracing: trace_config_from_env(),
+            ..Default::default()
         });
         reports.push((*label, report));
     }

@@ -4,35 +4,21 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{Platform, PlatformConfig, TraceConfig, TraceSink};
+use nephele::{Platform, PlatformConfig, TraceSink};
 
 /// The service IP every UDP-server family shares.
 pub const UDP_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
-/// The tracing knob for the figure experiments: opt in by setting the
-/// `NEPHELE_TRACE` environment variable to anything but `0` or the empty
-/// string. Off by default so the benchmark numbers stay untouched.
-pub fn trace_config_from_env() -> TraceConfig {
-    match std::env::var("NEPHELE_TRACE") {
-        Ok(v) if !v.is_empty() && v != "0" => TraceConfig::enabled(),
-        _ => TraceConfig::default(),
-    }
-}
-
 /// Builds the paper's Fig. 4/5 machine: 12 GiB guest pool, 4 cores.
-/// Tracing follows `NEPHELE_TRACE` (see [`trace_config_from_env`]).
+/// Tracing is off unless `NEPHELE_TRACE` turns it on, as for every
+/// platform.
 pub fn paper_platform() -> Platform {
-    Platform::new(PlatformConfig::builder().tracing(trace_config_from_env()).build())
+    Platform::new(PlatformConfig::default())
 }
 
 /// Builds a platform with a custom guest pool (MiB).
 pub fn platform_with_pool(pool_mib: u64) -> Platform {
-    Platform::new(
-        PlatformConfig::builder()
-            .guest_pool_mib(pool_mib)
-            .tracing(trace_config_from_env())
-            .build(),
-    )
+    Platform::new(PlatformConfig::builder().guest_pool_mib(pool_mib).build())
 }
 
 /// Exports a figure run's trace: chrome-trace JSON (loadable in

@@ -227,10 +227,8 @@ pub struct CloneOutcome {
 /// A device registered on the bus.
 ///
 /// Implementations are cheap identity objects — the actual backend state
-/// stays inside [`DeviceManager`]; `clone_into` dispatches back into it so
-/// the bus path and the deprecated direct entry points share one
-/// implementation (and therefore identical virtual-time charges and trace
-/// spans).
+/// stays inside [`DeviceManager`], and `clone_into` dispatches back into
+/// it.
 pub trait CloneDevice: fmt::Debug {
     /// The owning domain.
     fn owner(&self) -> DomId;

@@ -279,27 +279,10 @@ impl DeviceManager {
         Ok(())
     }
 
-    /// Clone-path console setup: only the Xenstore entries are cloned; the
-    /// managing process picks the change up via its watch and creates the
-    /// child state with a fresh ring (§4.2, §5.2.1).
-    #[deprecated(
-        since = "0.3.0",
-        note = "dispatch through the device bus (DeviceManager::bus_devices + CloneDevice::clone_into)"
-    )]
-    pub fn clone_console(
-        &mut self,
-        hv: &mut Hypervisor,
-        xs: &mut Xenstore,
-        parent: DomId,
-        child: DomId,
-        deep_copy: bool,
-    ) -> Result<()> {
-        self.clone_console_impl(hv, xs, parent, child, deep_copy)
-    }
-
-    /// The console clone implementation; [`bus::ConsoleDev::clone_into`]
-    /// and the deprecated direct entry point both land here, so the two
-    /// paths charge identical virtual time and record identical spans.
+    /// Clone-path console setup, reached through
+    /// [`bus::ConsoleDev::clone_into`]: only the Xenstore entries are
+    /// cloned; the managing process picks the change up via its watch and
+    /// creates the child state with a fresh ring (§4.2, §5.2.1).
     pub(crate) fn clone_console_impl(
         &mut self,
         hv: &mut Hypervisor,
@@ -418,30 +401,11 @@ impl DeviceManager {
         Ok(iface)
     }
 
-    /// Clone-path vif setup: Xenstore state is cloned (via `xs_clone` or a
-    /// deep per-entry copy), the backend shortcuts the negotiation and the
-    /// rings are copied. Emits the udev event that prompts userspace to
-    /// enslave the new interface.
-    #[deprecated(
-        since = "0.3.0",
-        note = "dispatch through the device bus (DeviceManager::bus_devices + CloneDevice::clone_into)"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn clone_vif(
-        &mut self,
-        hv: &mut Hypervisor,
-        xs: &mut Xenstore,
-        udev: &mut UdevBus,
-        parent: DomId,
-        child: DomId,
-        devid: u32,
-        deep_copy: bool,
-    ) -> Result<IfaceId> {
-        self.clone_vif_impl(hv, xs, udev, parent, child, devid, deep_copy)
-    }
-
-    /// The vif clone implementation shared by [`bus::VifDev::clone_into`]
-    /// and the deprecated direct entry point.
+    /// Clone-path vif setup, reached through [`bus::VifDev::clone_into`]:
+    /// Xenstore state is cloned (via `xs_clone` or a deep per-entry copy),
+    /// the backend shortcuts the negotiation and the rings are copied.
+    /// Emits the udev event that prompts userspace to enslave the new
+    /// interface.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn clone_vif_impl(
         &mut self,
@@ -626,25 +590,10 @@ impl DeviceManager {
         Ok(())
     }
 
-    /// Clone-path 9pfs setup: Xenstore state cloned, then a QMP request to
-    /// the *parent's existing* backend process duplicates the fid table —
-    /// no new process is launched (§5.2.1).
-    #[deprecated(
-        since = "0.3.0",
-        note = "dispatch through the device bus (DeviceManager::bus_devices + CloneDevice::clone_into)"
-    )]
-    pub fn clone_9pfs(
-        &mut self,
-        xs: &mut Xenstore,
-        parent: DomId,
-        child: DomId,
-        deep_copy: bool,
-    ) -> Result<usize> {
-        self.clone_9pfs_impl(xs, parent, child, deep_copy)
-    }
-
-    /// The 9pfs clone implementation shared by [`bus::P9fsDev::clone_into`]
-    /// and the deprecated direct entry point.
+    /// Clone-path 9pfs setup, reached through [`bus::P9fsDev::clone_into`]:
+    /// Xenstore state cloned, then a QMP request to the *parent's existing*
+    /// backend process duplicates the fid table — no new process is
+    /// launched (§5.2.1).
     pub(crate) fn clone_9pfs_impl(
         &mut self,
         xs: &mut Xenstore,
@@ -1321,23 +1270,6 @@ mod tests {
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
         dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
         assert!(dm.dom0_backend_bytes() > before);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_bus_implementations() {
-        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
-        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export").unwrap();
-        let child = hv.create_domain("child", 4, 1).unwrap();
-        dm.clone_console(&mut hv, &mut xs, dom, child, false).unwrap();
-        dm.clone_vif(&mut hv, &mut xs, &mut udev, dom, child, 0, false).unwrap();
-        dm.clone_9pfs(&mut xs, dom, child, false).unwrap();
-        assert!(dm.console_attached(child));
-        assert!(dm.vif(child, 0).is_some());
-        assert!(dm.p9_served(child));
-        assert_eq!(dm.bus_devices(child).len(), 3, "shims register bus entries too");
     }
 
     #[test]

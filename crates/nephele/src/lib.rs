@@ -38,11 +38,12 @@
 //!
 //! To observe what a run did, enable tracing and export the recorded
 //! spans ([`TraceConfig`], [`Platform::trace`], chrome-trace JSON and CSV
-//! exporters in [`sim_core::trace`]). Long or wide runs should switch the
-//! sink to streaming aggregation ([`TraceMode::Aggregate`], or
-//! `NEPHELE_TRACE_MODE=aggregate` at runtime): raw records are folded into
-//! histograms, virtual-time timeline slices and per-clone-family rollups
-//! as they close, so sink memory stays bounded by distinct metric keys
+//! exporters in [`sim_core::trace`]). Every enabled sink folds each
+//! observation into histograms, virtual-time timeline slices and
+//! per-clone-family rollups as it is recorded; Full mode additionally keeps
+//! the raw records for the chrome-trace export. Long or wide runs should
+//! use [`TraceMode::Aggregate`] (or `NEPHELE_TRACE=aggregate` at runtime),
+//! which drops them, so sink memory stays bounded by distinct metric keys
 //! rather than events. [`Platform::timeline_csv`],
 //! [`Platform::metrics_text`] and [`Platform::family_rollup_csv`] export
 //! identical bytes in either mode.
@@ -95,7 +96,6 @@ pub use hypervisor::error::HvError;
 pub use sim_core::{
     FamilyRow,
     SinkOverhead,
-    TimelineConfig,
     TraceConfig,
     TraceMode,
     TraceSink, //

@@ -185,8 +185,9 @@ pub struct PlatformConfig {
     pub mux: MuxKind,
     /// Master PRNG seed.
     pub seed: u64,
-    /// Observability knobs (tracing is off by default; when off, the
-    /// instrumentation throughout the platform does near-zero work).
+    /// Trace mode (off by default; when off, the instrumentation
+    /// throughout the platform does near-zero work). Overridable at
+    /// runtime with `NEPHELE_TRACE`.
     pub tracing: TraceConfig,
     /// Capacity of the always-on flight recorder ring (events kept).
     /// Overridable at runtime with a numeric `NEPHELE_FLIGHTREC` value.
@@ -234,15 +235,15 @@ impl PlatformConfig {
     /// Starts a builder from the default (paper-calibrated) configuration.
     ///
     /// ```
-    /// use nephele::{MuxKind, PlatformConfig, TraceConfig};
+    /// use nephele::{MuxKind, PlatformConfig, TraceConfig, TraceMode};
     ///
     /// let cfg = PlatformConfig::builder()
     ///     .cores(4)
     ///     .mux(MuxKind::Ovs)
-    ///     .tracing(TraceConfig::enabled())
+    ///     .tracing(TraceConfig::aggregate())
     ///     .build();
     /// assert_eq!(cfg.mux, MuxKind::Ovs);
-    /// assert!(cfg.tracing.enabled);
+    /// assert_eq!(cfg.tracing.mode, TraceMode::Aggregate);
     /// ```
     pub fn builder() -> PlatformConfigBuilder {
         PlatformConfigBuilder {
@@ -310,34 +311,10 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets the observability knobs (see [`TraceConfig`]).
+    /// Sets the trace mode (see [`TraceConfig`]). `NEPHELE_TRACE`
+    /// overrides it at runtime.
     pub fn tracing(mut self, tracing: TraceConfig) -> Self {
         self.config.tracing = tracing;
-        self
-    }
-
-    /// Sets the trace retention mode, flipping the master switch to match
-    /// ([`TraceMode::Off`] disables the sink). Other tracing knobs are
-    /// preserved. `NEPHELE_TRACE_MODE` overrides this at runtime.
-    ///
-    /// ```
-    /// use nephele::{PlatformConfig, TraceMode};
-    ///
-    /// let cfg = PlatformConfig::builder().trace_mode(TraceMode::Aggregate).build();
-    /// assert!(cfg.tracing.enabled);
-    /// assert_eq!(cfg.tracing.effective_mode(), TraceMode::Aggregate);
-    /// ```
-    pub fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.config.tracing.mode = mode;
-        self.config.tracing.enabled = mode != TraceMode::Off;
-        self
-    }
-
-    /// Caps the raw counter samples a Full-mode sink retains; the oldest
-    /// samples are dropped past the cap (totals, timelines and streaming
-    /// aggregates are unaffected).
-    pub fn counter_sample_cap(mut self, cap: usize) -> Self {
-        self.config.tracing.counter_sample_cap = Some(cap);
         self
     }
 
@@ -494,17 +471,12 @@ impl Platform {
     pub fn new(config: PlatformConfig) -> Self {
         let clock = Clock::new();
         let costs = Rc::new(config.costs);
-        // `NEPHELE_TRACE_MODE=off|full|aggregate` overrides the configured
-        // retention mode (and the master switch with it); the remaining
-        // tracing knobs are kept as configured.
-        let mut tracing = config.tracing.clone();
-        if let Some(mode) = std::env::var("NEPHELE_TRACE_MODE")
+        // `NEPHELE_TRACE=off|full|aggregate` (or `0`/`1`) overrides the
+        // configured trace mode.
+        let tracing = std::env::var("NEPHELE_TRACE")
             .ok()
             .and_then(|v| TraceMode::parse(v.trim()))
-        {
-            tracing.mode = mode;
-            tracing.enabled = mode != TraceMode::Off;
-        }
+            .map_or_else(|| config.tracing.clone(), TraceConfig::with_mode);
         let trace = TraceSink::new(clock.clone(), &tracing);
         let mut hv = Hypervisor::new(clock.clone(), costs.clone(), &config.machine);
         let mut xs = Xenstore::new(clock.clone(), costs.clone());
@@ -1317,8 +1289,7 @@ impl Platform {
     // ------------------------------------------------------------------
 
     /// Takes a point-in-time snapshot of the platform's introspection
-    /// metrics. This is the one-stop replacement for the individual
-    /// deprecated getters.
+    /// metrics.
     pub fn snapshot(&self) -> PlatformSnapshot {
         let mem = self.hv.memory_stats();
         let xs_sharing = self.xs.sharing();
@@ -1342,33 +1313,9 @@ impl Platform {
         }
     }
 
-    /// Free hypervisor-pool memory in bytes (Fig. 5 "Hyp free").
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().hyp_free_bytes")]
-    pub fn hyp_free_bytes(&self) -> u64 {
-        self.snapshot().hyp_free_bytes
-    }
-
-    /// Free Dom0 memory in bytes (Fig. 5 "Dom0 free").
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().dom0_free_bytes")]
-    pub fn dom0_free_bytes(&self) -> u64 {
-        self.snapshot().dom0_free_bytes
-    }
-
-    /// Packets the fabric has routed.
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().packets_routed")]
-    pub fn packets_routed(&self) -> u64 {
-        self.snapshot().packets_routed
-    }
-
     /// Whether a guest slot exists for `dom`.
     pub fn has_guest(&self, dom: DomId) -> bool {
         self.guests.contains_key(&dom.0)
-    }
-
-    /// Number of members in the clone mux.
-    #[deprecated(since = "0.2.0", note = "use Platform::snapshot().mux_members")]
-    pub fn mux_members(&self) -> usize {
-        self.snapshot().mux_members
     }
 }
 

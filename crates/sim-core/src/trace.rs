@@ -14,24 +14,24 @@
 //!
 //! # Trace modes
 //!
-//! An enabled sink runs in one of two [`TraceMode`]s:
-//!
-//! * [`TraceMode::Full`] retains every span, counter sample and gauge
-//!   sample — O(events) memory — for post-hoc analysis and the Chrome
-//!   trace exporter.
-//! * [`TraceMode::Aggregate`] folds each span into per-name aggregates and
-//!   log-bucketed [`Histogram`]s *at close time* and drops the raw record;
-//!   counter and gauge samples are never retained. Memory stays at
-//!   O(distinct metric keys × timeline slices) no matter how many events a
-//!   run produces — the mode that scales to 10^5-domain experiments.
-//!
-//! Both modes additionally stream every observation into a bounded
-//! virtual-time [`Timeline`] and resolve dom-attributed metrics to their
-//! clone family via the [`FamilyRegistry`] fed by the hypervisor, so
+//! Every enabled sink aggregates one way: each span is folded into a
+//! per-name log-bucketed [`Histogram`] *when it closes*, and every
+//! observation is folded into the counter totals, the last gauge values,
+//! a bounded virtual-time [`Timeline`] and the clone-family rollups of the
+//! [`FamilyRegistry`] fed by the hypervisor. Every aggregate export
+//! ([`span_aggregates_csv`](TraceSink::span_aggregates_csv),
 //! [`timeline_csv`](TraceSink::timeline_csv),
-//! [`metrics_text`](TraceSink::metrics_text) and
-//! [`family_rollup_csv`](TraceSink::family_rollup_csv) are byte-identical
-//! across modes, seeds and `NEPHELE_THREADS` widths.
+//! [`metrics_text`](TraceSink::metrics_text),
+//! [`family_rollup_csv`](TraceSink::family_rollup_csv)) reads those folds,
+//! so it is byte-identical across modes, seeds and `NEPHELE_THREADS`
+//! widths. The two enabled [`TraceMode`]s differ only in retention:
+//!
+//! * [`TraceMode::Full`] also keeps every raw span, counter sample and
+//!   gauge sample — O(events) memory — for the Chrome trace exporter.
+//! * [`TraceMode::Aggregate`] drops each raw record once it is folded, so
+//!   memory stays at O(distinct metric keys × timeline slices) no matter
+//!   how many events a run produces — the mode that scales to
+//!   10^5-domain experiments.
 //!
 //! Exporters:
 //!
@@ -47,7 +47,7 @@
 //! * [`TraceSink::family_rollup_csv`] — per-clone-family rollups.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::rc::Rc;
@@ -57,22 +57,22 @@ use crate::hist::Histogram;
 use crate::ids::DomId;
 use crate::rollup::{render_family_csv, FamilyRegistry, FamilyRow};
 use crate::time::SimTime;
-use crate::timeline::{Timeline, TimelineConfig};
+use crate::timeline::Timeline;
 
 /// How much raw data an enabled sink retains; see the [module docs](self).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceMode {
     /// No tracing at all (the sink is disabled).
-    Off,
-    /// Retain every raw record — O(events) memory.
     #[default]
+    Off,
+    /// Also retain every raw record — O(events) memory.
     Full,
-    /// Fold at record time, drop raw records — O(keys) memory.
+    /// Drop raw records once folded — O(keys) memory.
     Aggregate,
 }
 
 impl TraceMode {
-    /// Parses the `NEPHELE_TRACE_MODE` spellings (case-insensitive):
+    /// Parses the `NEPHELE_TRACE` spellings (case-insensitive):
     /// `off`/`0`/`none`, `full`/`1`/`on`, `aggregate`/`agg`.
     pub fn parse(s: &str) -> Option<TraceMode> {
         match s.to_ascii_lowercase().as_str() {
@@ -94,28 +94,18 @@ impl fmt::Display for TraceMode {
     }
 }
 
-/// Tracing knobs for a platform (off by default).
+/// Tracing knob for a platform (off by default).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch. When `false` the platform keeps a disabled sink and
-    /// instrumentation does near-zero work.
-    pub enabled: bool,
-    /// Retention mode of an enabled sink ([`TraceMode::Full`] by default;
-    /// [`TraceMode::Off`] here disables the sink like `enabled: false`).
+    /// Retention mode; [`TraceMode::Off`] (the default) keeps a disabled
+    /// sink, whose instrumentation does near-zero work.
     pub mode: TraceMode,
-    /// Retention cap for raw counter samples in Full mode (`None` =
-    /// unbounded). When the cap is hit the *oldest* samples are dropped
-    /// (counted in [`SinkOverhead::counter_samples_dropped`]); totals,
-    /// timelines and streaming aggregates are unaffected.
-    pub counter_sample_cap: Option<usize>,
-    /// Virtual-time slicing of the [`Timeline`].
-    pub timeline: TimelineConfig,
 }
 
 impl TraceConfig {
     /// A config with tracing switched on (Full mode).
     pub fn enabled() -> Self {
-        TraceConfig { enabled: true, ..Default::default() }
+        TraceConfig::with_mode(TraceMode::Full)
     }
 
     /// A config with Aggregate-mode tracing switched on.
@@ -126,16 +116,7 @@ impl TraceConfig {
     /// A config for the given mode ([`TraceMode::Off`] yields a disabled
     /// config).
     pub fn with_mode(mode: TraceMode) -> Self {
-        TraceConfig { enabled: mode != TraceMode::Off, mode, ..Default::default() }
-    }
-
-    /// The mode an enabled sink built from this config would run in.
-    pub fn effective_mode(&self) -> TraceMode {
-        if self.enabled {
-            self.mode
-        } else {
-            TraceMode::Off
-        }
+        TraceConfig { mode }
     }
 }
 
@@ -222,10 +203,6 @@ pub struct SpanRecord {
     pub end: Option<SimTime>,
     /// Typed attributes attached via [`SpanGuard::attr`].
     pub attrs: Vec<(&'static str, AttrValue)>,
-    /// Clone-family root this span was attributed to at close time, via
-    /// its first `dom`/`parent`/`child` attribute (`None` when the span
-    /// carries none, or the domain is outside any registered family).
-    pub family: Option<u32>,
 }
 
 impl SpanRecord {
@@ -246,9 +223,6 @@ pub struct CounterSample {
     pub delta: u64,
     /// Running total after the bump.
     pub total: u64,
-    /// Clone-family root the bump was attributed to at record time (set
-    /// by [`TraceSink::count_dom`] for domains in a registered family).
-    pub family: Option<u32>,
 }
 
 /// One timestamped per-domain gauge observation.
@@ -306,30 +280,30 @@ pub struct SinkOverhead {
     pub retained_gauge_samples: u64,
     /// High-water mark of `retained_gauge_samples`.
     pub peak_retained_gauge_samples: u64,
-    /// Counter samples evicted by [`TraceConfig::counter_sample_cap`].
-    pub counter_samples_dropped: u64,
 }
 
 #[derive(Debug)]
 struct TraceBuf {
     clock: Clock,
     mode: TraceMode,
-    counter_cap: Option<usize>,
     spans: Vec<SpanRecord>,
     /// Free slots of the span slab (Aggregate mode reuses closed slots so
     /// open-span indices stay stable while memory stays bounded).
     free: Vec<usize>,
     stack: Vec<usize>,
+    /// Spans closed while a span opened after them was still open, and
+    /// the name of the first one — the nesting violations
+    /// [`TraceSink::validate_well_nested`] reports.
+    misnested: (u64, Option<&'static str>),
     counters: BTreeMap<&'static str, u64>,
-    counter_samples: VecDeque<CounterSample>,
+    counter_samples: Vec<CounterSample>,
     gauges: Vec<GaugeSample>,
     /// Last value per `(gauge, domain)` — the end-of-run state
-    /// [`TraceSink::metrics_text`] exposes; maintained in both modes.
+    /// [`TraceSink::metrics_text`] exposes.
     gauge_last: BTreeMap<(&'static str, u32), u64>,
     hists: BTreeMap<&'static str, Histogram>,
-    /// Streaming per-name span aggregates `(count, total_ns)` (Aggregate).
-    span_agg: BTreeMap<&'static str, (u64, u64)>,
-    /// Streaming per-name span duration histograms (Aggregate).
+    /// Per-name span duration histograms; their exact count and sum are
+    /// also the [`SpanAggregate`]s.
     span_hists: BTreeMap<&'static str, Histogram>,
     timeline: Timeline,
     families: FamilyRegistry,
@@ -389,23 +363,28 @@ impl Drop for SpanGuard {
         if let Some((buf, idx)) = self.inner.take() {
             let mut b = buf.borrow_mut();
             let end = b.clock.now();
+            let family = b.family_of_attrs(&b.spans[idx].attrs);
             let rec = &mut b.spans[idx];
             rec.end = Some(end);
             let name = rec.name;
             let dur = end.since(rec.start).as_ns();
-            let family = b.family_of_attrs(&b.spans[idx].attrs);
-            b.spans[idx].family = family;
-            b.stack.retain(|&i| i != idx);
+            // Parents are fixed at open and the clock never runs back, so
+            // a child escapes its parent exactly when the parent closes
+            // first, i.e. when a span closes while not on top of the stack.
+            if b.stack.last() == Some(&idx) {
+                b.stack.pop();
+            } else {
+                b.stack.retain(|&i| i != idx);
+                b.misnested.0 += 1;
+                b.misnested.1.get_or_insert(name);
+            }
             b.overhead.span_closes += 1;
             b.timeline.fold_span(end, name, dur);
+            b.span_hists.entry(name).or_default().record(dur);
+            if let Some(root) = family {
+                b.families.record_span(root, name, dur);
+            }
             if b.mode == TraceMode::Aggregate {
-                let e = b.span_agg.entry(name).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += dur;
-                b.span_hists.entry(name).or_default().record(dur);
-                if let Some(root) = family {
-                    b.families.record_span(root, name, dur);
-                }
                 // Tombstone the slot and hand it back to the slab: the
                 // raw record (and its attr allocations) die here.
                 b.spans[idx] = SpanRecord {
@@ -415,7 +394,6 @@ impl Drop for SpanGuard {
                     start: end,
                     end: Some(end),
                     attrs: Vec::new(),
-                    family: None,
                 };
                 b.free.push(idx);
                 b.note_span_retention();
@@ -431,10 +409,9 @@ impl TraceSink {
     }
 
     /// Builds a sink from the shared clock and a config; returns a disabled
-    /// sink when the config's [effective mode](TraceConfig::effective_mode)
-    /// is [`TraceMode::Off`].
+    /// sink when the config's mode is [`TraceMode::Off`].
     pub fn new(clock: Clock, config: &TraceConfig) -> Self {
-        let mode = config.effective_mode();
+        let mode = config.mode;
         if mode == TraceMode::Off {
             return TraceSink::disabled();
         }
@@ -442,18 +419,17 @@ impl TraceSink {
             inner: Some(Rc::new(RefCell::new(TraceBuf {
                 clock,
                 mode,
-                counter_cap: config.counter_sample_cap,
                 spans: Vec::new(),
                 free: Vec::new(),
                 stack: Vec::new(),
+                misnested: (0, None),
                 counters: BTreeMap::new(),
-                counter_samples: VecDeque::new(),
+                counter_samples: Vec::new(),
                 gauges: Vec::new(),
                 gauge_last: BTreeMap::new(),
                 hists: BTreeMap::new(),
-                span_agg: BTreeMap::new(),
                 span_hists: BTreeMap::new(),
-                timeline: Timeline::new(config.timeline),
+                timeline: Timeline::default(),
                 families: FamilyRegistry::default(),
                 overhead: SinkOverhead::default(),
             }))),
@@ -488,7 +464,6 @@ impl TraceSink {
             start,
             end: None,
             attrs: Vec::new(),
-            family: None,
         };
         let idx = match b.free.pop() {
             Some(i) => {
@@ -509,8 +484,7 @@ impl TraceSink {
     }
 
     /// Bumps the named monotonic counter by `delta`; in Full mode a
-    /// timestamped sample of the new total is retained (subject to
-    /// [`TraceConfig::counter_sample_cap`]).
+    /// timestamped sample of the new total is retained.
     pub fn count(&self, name: &'static str, delta: u64) {
         self.count_inner(name, None, delta);
     }
@@ -532,34 +506,22 @@ impl TraceSink {
         };
         b.overhead.counter_bumps += 1;
         b.timeline.fold_count(at, name, delta, total);
-        let family = dom.and_then(|d| b.families.root_of(d));
-        match b.mode {
-            TraceMode::Full => {
-                b.counter_samples.push_back(CounterSample { name, at, delta, total, family });
-                if let Some(cap) = b.counter_cap {
-                    while b.counter_samples.len() > cap {
-                        b.counter_samples.pop_front();
-                        b.overhead.counter_samples_dropped += 1;
-                    }
-                }
-                let retained = b.counter_samples.len() as u64;
-                b.overhead.retained_counter_samples = retained;
-                b.overhead.peak_retained_counter_samples =
-                    b.overhead.peak_retained_counter_samples.max(retained);
-            }
-            TraceMode::Aggregate => {
-                if let Some(root) = family {
-                    b.families.record_counter(root, name, delta);
-                }
-            }
-            TraceMode::Off => unreachable!("an enabled sink is never Off"),
+        if let Some(root) = dom.and_then(|d| b.families.root_of(d)) {
+            b.families.record_counter(root, name, delta);
+        }
+        if b.mode == TraceMode::Full {
+            b.counter_samples.push(CounterSample { name, at, delta, total });
+            let retained = b.counter_samples.len() as u64;
+            b.overhead.retained_counter_samples = retained;
+            b.overhead.peak_retained_counter_samples =
+                b.overhead.peak_retained_counter_samples.max(retained);
         }
     }
 
     /// Records a timestamped per-domain gauge observation. The last value
-    /// per `(name, dom)` is kept in both modes; Full mode retains every
-    /// sample. Gauges of domains in a registered clone family also update
-    /// the family rollup (last value per member, dying with the member).
+    /// per `(name, dom)` is kept; Full mode also retains every sample.
+    /// Gauges of domains in a registered clone family also update the
+    /// family rollup (last value per member, dying with the member).
     pub fn gauge(&self, name: &'static str, dom: DomId, value: u64) {
         let Some(buf) = &self.inner else { return };
         let mut b = buf.borrow_mut();
@@ -607,26 +569,12 @@ impl TraceSink {
             .unwrap_or_default()
     }
 
-    /// Per-name histograms of span durations: streamed at close time in
-    /// Aggregate mode, computed from the retained records in Full mode —
-    /// identical either way.
+    /// Per-name histograms of span durations, folded at close time.
     pub fn span_hists(&self) -> BTreeMap<&'static str, Histogram> {
-        let Some(buf) = &self.inner else {
-            return BTreeMap::new();
-        };
-        let b = buf.borrow();
-        match b.mode {
-            TraceMode::Aggregate => b.span_hists.clone(),
-            _ => {
-                let mut out: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-                for s in &b.spans {
-                    if s.end.is_some() {
-                        out.entry(s.name).or_default().record(s.duration_ns());
-                    }
-                }
-                out
-            }
-        }
+        self.inner
+            .as_ref()
+            .map(|b| b.borrow().span_hists.clone())
+            .unwrap_or_default()
     }
 
     /// The latency histograms as
@@ -687,12 +635,11 @@ impl TraceSink {
     }
 
     /// Snapshot of the retained raw counter samples, in record order
-    /// (empty in Aggregate mode; the oldest may have been evicted by
-    /// [`TraceConfig::counter_sample_cap`]).
+    /// (empty in Aggregate mode).
     pub fn counter_samples(&self) -> Vec<CounterSample> {
         self.inner
             .as_ref()
-            .map(|b| b.borrow().counter_samples.iter().cloned().collect())
+            .map(|b| b.borrow().counter_samples.clone())
             .unwrap_or_default()
     }
 
@@ -705,8 +652,7 @@ impl TraceSink {
             .unwrap_or_default()
     }
 
-    /// Last observed value per `(gauge, domain id)` — maintained in both
-    /// modes.
+    /// Last observed value per `(gauge, domain id)`.
     pub fn gauge_last(&self) -> BTreeMap<(&'static str, u32), u64> {
         self.inner
             .as_ref()
@@ -733,12 +679,12 @@ impl TraceSink {
             b.spans.clear();
             b.free.clear();
             b.stack.clear();
+            b.misnested = (0, None);
             b.counters.clear();
             b.counter_samples.clear();
             b.gauges.clear();
             b.gauge_last.clear();
             b.hists.clear();
-            b.span_agg.clear();
             b.span_hists.clear();
             b.timeline.clear();
             b.families.clear_stats();
@@ -746,69 +692,38 @@ impl TraceSink {
         }
     }
 
-    /// Checks the structural invariants of the recorded spans: every span
-    /// is finished, ends at or after its start, and lies within its parent's
-    /// interval. Returns a description of the first violation. In Aggregate
-    /// mode only the open/closed invariant remains checkable (closed spans
-    /// are gone).
+    /// Checks that the recorded spans nest: every span is finished, and
+    /// none closed before a span opened inside it (which would escape its
+    /// parent's interval). Returns a description of the first violation.
+    /// The check is the same in both modes: it is made as spans close.
     pub fn validate_well_nested(&self) -> Result<(), String> {
-        if let Some(buf) = &self.inner {
-            let b = buf.borrow();
-            if b.mode == TraceMode::Aggregate {
-                if !b.stack.is_empty() {
-                    return Err(format!("{} span(s) still open", b.stack.len()));
-                }
-                return Ok(());
-            }
+        let Some(buf) = &self.inner else { return Ok(()) };
+        let b = buf.borrow();
+        if let Some(&top) = b.stack.last() {
+            return Err(format!(
+                "{} span(s) still open, innermost {:?}",
+                b.stack.len(),
+                b.spans[top].name
+            ));
         }
-        let spans = self.spans();
-        for (i, s) in spans.iter().enumerate() {
-            let Some(end) = s.end else {
-                return Err(format!("span #{i} {:?} is still open", s.name));
-            };
-            if end < s.start {
-                return Err(format!("span #{i} {:?} ends before it starts", s.name));
-            }
-            if let Some(p) = s.parent {
-                let parent = &spans[p];
-                let pend = parent.end.unwrap_or(SimTime::from_ns(u64::MAX));
-                if s.start < parent.start || end > pend {
-                    return Err(format!(
-                        "span #{i} {:?} escapes its parent {:?}",
-                        s.name, parent.name
-                    ));
-                }
-            }
+        if let (n, Some(first)) = b.misnested {
+            return Err(format!(
+                "{n} span(s) closed before a span nested inside them, first {first:?}"
+            ));
         }
         Ok(())
     }
 
-    /// Per-name aggregates over finished spans, sorted by name: streamed
-    /// at close time in Aggregate mode, computed post-hoc in Full mode —
-    /// identical either way.
+    /// Per-name aggregates over finished spans, sorted by name: the count
+    /// and exact sum of each span-duration histogram.
     pub fn span_aggregates(&self) -> Vec<SpanAggregate> {
-        let agg: BTreeMap<&'static str, (u64, u64)> = match &self.inner {
-            Some(buf) if buf.borrow().mode == TraceMode::Aggregate => {
-                buf.borrow().span_agg.clone()
-            }
-            _ => {
-                let mut agg: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-                for s in self.spans() {
-                    if s.end.is_some() {
-                        let e = agg.entry(s.name).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 += s.duration_ns();
-                    }
-                }
-                agg
-            }
-        };
-        agg.into_iter()
-            .map(|(name, (count, total_ns))| SpanAggregate {
-                name,
-                count,
-                total_ns,
-                mean_ns: total_ns / count.max(1),
+        let Some(buf) = &self.inner else { return Vec::new() };
+        let b = buf.borrow();
+        b.span_hists
+            .iter()
+            .map(|(&name, h)| {
+                let (count, total_ns) = (h.count(), h.sum() as u64);
+                SpanAggregate { name, count, total_ns, mean_ns: total_ns / count.max(1) }
             })
             .collect()
     }
@@ -859,35 +774,13 @@ impl TraceSink {
         self.inner.as_ref().and_then(|b| b.borrow().families.root_of(dom))
     }
 
-    /// Per-family rollup rows. Membership and gauges always come from the
-    /// streaming registry; span and counter attributions are streamed in
-    /// Aggregate mode and recomputed from the retained (family-stamped)
-    /// records in Full mode — identical either way (Full's counter rows
-    /// can undercount only if [`TraceConfig::counter_sample_cap`] evicted
-    /// attributed samples).
+    /// Per-family rollup rows: membership, gauges, and the span and
+    /// counter attributions folded as they were recorded.
     pub fn family_rows(&self) -> Vec<FamilyRow> {
-        let Some(buf) = &self.inner else {
-            return Vec::new();
-        };
-        let b = buf.borrow();
-        match b.mode {
-            TraceMode::Aggregate => b.families.rows(),
-            _ => {
-                let mut reg = b.families.clone();
-                reg.clear_flow_stats();
-                for s in &b.spans {
-                    if let (Some(root), Some(_)) = (s.family, s.end) {
-                        reg.record_span(root, s.name, s.duration_ns());
-                    }
-                }
-                for c in &b.counter_samples {
-                    if let Some(root) = c.family {
-                        reg.record_counter(root, c.name, c.delta);
-                    }
-                }
-                reg.rows()
-            }
-        }
+        self.inner
+            .as_ref()
+            .map(|b| b.borrow().families.rows())
+            .unwrap_or_default()
     }
 
     /// The family rollups as `family,root,metric,value` CSV, sorted by
@@ -1146,9 +1039,9 @@ mod tests {
         let clock = Clock::new();
         let sink = TraceSink::new(clock, &TraceConfig::with_mode(TraceMode::Off));
         assert!(!sink.is_enabled());
-        assert_eq!(TraceConfig::enabled().effective_mode(), TraceMode::Full);
-        assert_eq!(TraceConfig::aggregate().effective_mode(), TraceMode::Aggregate);
-        assert_eq!(TraceConfig::default().effective_mode(), TraceMode::Off);
+        assert_eq!(TraceConfig::enabled().mode, TraceMode::Full);
+        assert_eq!(TraceConfig::aggregate().mode, TraceMode::Aggregate);
+        assert_eq!(TraceConfig::default().mode, TraceMode::Off);
     }
 
     #[test]
@@ -1221,28 +1114,6 @@ mod tests {
         assert_eq!(samples.len(), 3);
         assert_eq!(samples[1].delta, 2);
         assert_eq!(samples[1].total, 3);
-    }
-
-    #[test]
-    fn counter_sample_cap_drops_oldest_only() {
-        let clock = Clock::new();
-        let sink = TraceSink::new(
-            clock.clone(),
-            &TraceConfig {
-                counter_sample_cap: Some(2),
-                ..TraceConfig::enabled()
-            },
-        );
-        for _ in 0..5 {
-            sink.count("c", 1);
-        }
-        assert_eq!(sink.counter_total("c"), 5, "totals never lose bumps");
-        let samples = sink.counter_samples();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].total, 4, "oldest samples were evicted");
-        let o = sink.overhead();
-        assert_eq!(o.counter_samples_dropped, 3);
-        assert_eq!(o.peak_retained_counter_samples, 2);
     }
 
     #[test]
@@ -1322,7 +1193,7 @@ mod tests {
                  1,web,span.clone.child.count,1\n\
                  1,web,span.clone.child.total_ns,3000\n",
                 "mode {:?}",
-                cfg.effective_mode()
+                cfg.mode
             );
             sink.family_destroyed(DomId(2));
             assert!(
@@ -1467,6 +1338,22 @@ mod tests {
         assert!(agg.validate_well_nested().is_err());
         drop(g2);
         agg.validate_well_nested().unwrap();
+    }
+
+    #[test]
+    fn validate_catches_parent_closed_before_child_in_both_modes() {
+        for (clock, sink) in [enabled_sink(), aggregate_sink()] {
+            let parent = sink.span("parent");
+            let child = sink.span("child");
+            clock.advance(SimDuration::from_us(1));
+            drop(parent);
+            clock.advance(SimDuration::from_us(1));
+            drop(child);
+            let err = sink.validate_well_nested().unwrap_err();
+            assert!(err.contains("\"parent\""), "mode {:?}: {err}", sink.mode());
+            sink.clear();
+            sink.validate_well_nested().unwrap();
+        }
     }
 
     #[test]

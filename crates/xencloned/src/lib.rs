@@ -26,7 +26,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-use devices::bus::{CloneCtx, ClonePolicy, DeviceClass};
+use devices::bus::{CloneCtx, ClonePolicy};
 use devices::udev::{UdevBus, UdevEvent};
 use devices::{DevError, DeviceManager};
 use hypervisor::cloneop::CloneOp;
@@ -98,15 +98,6 @@ pub struct XenclonedConfig {
     /// disables the network class: "the I/O cloning is optimized to clone
     /// only the devices that are needed by the clones").
     pub policy: ClonePolicy,
-    /// Clone console devices.
-    #[deprecated(since = "0.3.0", note = "set `policy` (ClonePolicy) instead")]
-    pub clone_console: bool,
-    /// Clone network devices.
-    #[deprecated(since = "0.3.0", note = "set `policy` (ClonePolicy) instead")]
-    pub clone_network: bool,
-    /// Clone 9pfs devices.
-    #[deprecated(since = "0.3.0", note = "set `policy` (ClonePolicy) instead")]
-    pub clone_9pfs: bool,
     /// Restrict the second stage to the mandatory operations only
     /// (toolstack introduction and naming) — the configuration used for
     /// the memory-scaling experiment of §6.2 / Fig. 6.
@@ -114,32 +105,12 @@ pub struct XenclonedConfig {
 }
 
 impl Default for XenclonedConfig {
-    #[allow(deprecated)]
     fn default() -> Self {
         XenclonedConfig {
             use_xs_clone: true,
             policy: ClonePolicy::all(),
-            clone_console: true,
-            clone_network: true,
-            clone_9pfs: true,
             minimal: false,
         }
-    }
-}
-
-impl XenclonedConfig {
-    /// Whether the second stage clones devices of `class`: the typed
-    /// [`ClonePolicy`] merged with the deprecated per-class booleans (a
-    /// class is cloned only if neither disables it).
-    #[allow(deprecated)]
-    pub fn device_enabled(&self, class: DeviceClass) -> bool {
-        let legacy = match class {
-            DeviceClass::Console => self.clone_console,
-            DeviceClass::Vif => self.clone_network,
-            DeviceClass::P9fs => self.clone_9pfs,
-            _ => true,
-        };
-        legacy && self.policy.clones(class)
     }
 }
 
@@ -407,7 +378,7 @@ impl Xencloned {
             // the legacy hand-enumerated stage used.
             let deep_copy = !self.config.use_xs_clone;
             for dev in dm.bus_devices(parent) {
-                if !self.config.device_enabled(dev.id().class) {
+                if !self.config.policy.clones(dev.id().class) {
                     continue;
                 }
                 let mut ctx = CloneCtx {
@@ -461,6 +432,7 @@ impl Xencloned {
 mod tests {
     use std::net::Ipv4Addr;
 
+    use devices::bus::DeviceClass;
     use devices::udev::UdevBus;
     use hypervisor::domain::DomainState;
     use hypervisor::MachineConfig;
@@ -637,19 +609,6 @@ mod tests {
         let c = fork(&mut w, parent, None);
         assert!(w.dm.vif(c.child, 0).is_none());
         assert!(w.dm.console_attached(c.child), "console still cloned");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_class_booleans_still_disable_classes() {
-        let mut w = world();
-        let parent = boot_parent(&mut w);
-        w.daemon.config.clone_network = false;
-        assert!(!w.daemon.config.device_enabled(DeviceClass::Vif));
-        assert!(w.daemon.config.device_enabled(DeviceClass::Console));
-        let c = fork(&mut w, parent, None);
-        assert!(w.dm.vif(c.child, 0).is_none(), "legacy boolean still honoured");
-        assert!(w.dm.console_attached(c.child));
     }
 
     #[test]

@@ -27,7 +27,7 @@ cargo test -q -p hypervisor --offline --test prop_clone_batch
 echo "== cargo test -q --offline --test prop_parallel_equiv (MT-vs-ST bit-identical platforms)"
 cargo test -q --offline --test prop_parallel_equiv
 
-echo "== cargo test -q --offline --test prop_trace_modes (streaming vs post-hoc aggregation equivalence)"
+echo "== cargo test -q --offline --test prop_trace_modes (trace modes differ only in retention)"
 cargo test -q --offline --test prop_trace_modes
 
 echo "== cargo test -q -p faas --offline scale (10^4-domain bounded-memory observability)"
@@ -77,11 +77,11 @@ awk -v d100="$(density_median 100)" -v d10k="$(density_median 10000)" 'BEGIN {
 }'
 
 echo "== trace overhead budget gate (Aggregate vs Off / Full)"
-# Streaming aggregation buys bounded memory; this gate asserts it stays
-# within its host-cost budget: an Aggregate-mode instrumentation tick
-# must cost at most 60x a disabled sink's (the mixed batch is ~1k ops,
-# so that is a generous per-op budget) and at most 2x Full mode's
-# retain-everything path.
+# Every enabled sink folds each observation the same way; Aggregate only
+# drops the raw records. This gate holds that one path to its host-cost
+# budget: an Aggregate-mode instrumentation tick must cost at most 30x a
+# disabled sink's (the mixed batch is ~1k ops) and at most 2x Full
+# mode's, which adds retention on top.
 trace_median() {
     sed -n 's/.*"group": "trace_overhead", "name": "'"$1"'".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
         results/BENCH_trace_overhead.json
@@ -95,8 +95,8 @@ awk -v off="$(trace_median mixed_off)" \
     }
     printf "   mixed tick medians: off %.0f ns, full %.0f ns, aggregate %.0f ns (agg/off %.1fx, agg/full %.2fx)\n", \
         off, full, agg, agg / off, agg / full
-    if (agg > 60.0 * off) {
-        print "verify.sh: Aggregate tick exceeds the 60x budget over a disabled sink"
+    if (agg > 30.0 * off) {
+        print "verify.sh: Aggregate tick exceeds the 30x budget over a disabled sink"
         exit 1
     }
     if (agg > 2.0 * full) {
@@ -154,9 +154,6 @@ awk -v base="$(reset_median scripts/bench_baselines/BENCH_clone_reset.json)" \
         exit 1
     }
 }'
-
-echo "== cargo check with deprecated APIs denied (no internal callers of deprecated getters or clone shims)"
-RUSTFLAGS="-D deprecated" cargo check -q --workspace --all-targets --offline
 
 echo "== scripts/bench_gate.sh (medians vs checked-in baselines)"
 scripts/bench_gate.sh

@@ -1,14 +1,12 @@
-//! Property suite for the device bus (§4.2).
+//! Property suite for the device bus (§4.2), at platform level (the
+//! audit runs on every op).
 //!
-//! 1. **Bus dispatch ≡ legacy hand-enumeration.** For random mixes of the
-//!    legacy device trio (console + 0..=2 vifs + optional 9pfs) and a
-//!    random number of clones, a world whose second stage runs through
-//!    `xencloned`'s bus loop must be indistinguishable — identical
-//!    virtual-clock advance, identical Xenstore tree, identical device
-//!    state — from a world whose second stage is replayed by hand with
-//!    the deprecated per-class entry points in the historical order. The
-//!    new devices (vbd/vsock/usb) have no legacy entry points by design,
-//!    so they are covered by their own properties below.
+//! 1. **Stage 2 clones every class like its parent.** For random mixes of
+//!    a console, 0..=2 vifs and an optional 9pfs, and a random number of
+//!    clones, every child comes up with its console attached, the
+//!    parent's vif devids connected, its 9pfs served by the parent's QEMU
+//!    process, and device Xenstore subtrees equal to the parent's with the
+//!    domid rewritten.
 //! 2. **COW block overlays.** Clone families share one base image;
 //!    writes diverge per clone and never leak across members.
 //! 3. **Vsock reconnect.** Every clone comes up on its own
@@ -19,59 +17,23 @@
 //!    a clean audit throughout.
 
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use nephele::devices::block::SECTOR_SIZE;
-use nephele::devices::udev::{UdevBus, UdevEvent};
-use nephele::devices::DeviceManager;
-use nephele::hypervisor::cloneop::CloneOp;
-use nephele::hypervisor::{Hypervisor, MachineConfig};
-use nephele::sim_core::{Clock, CostModel, DomId};
-use nephele::toolstack::{DomainConfig, KernelImage, Xl};
-use nephele::xencloned::Xencloned;
-use nephele::xenstore::{XsCloneOp, Xenstore};
+use nephele::devices::p9fs::{P9Request, P9Response};
+use nephele::sim_core::DomId;
+use nephele::toolstack::{DomainConfig, KernelImage};
+use nephele::xenstore::Xenstore;
 use nephele::{AuditMode, Platform, PlatformConfig};
 use testkit::prop::{check, ranges};
 
-// ---------------------------------------------------------------------
-// Raw world: the same component wiring xencloned's own tests use, so the
-// second stage can be driven either through the daemon or by hand.
-// ---------------------------------------------------------------------
-
-struct World {
-    clock: Clock,
-    costs: Rc<CostModel>,
-    hv: Hypervisor,
-    xs: Xenstore,
-    dm: DeviceManager,
-    udev: UdevBus,
-    xl: Xl,
-    daemon: Xencloned,
-}
-
-fn world() -> World {
-    let clock = Clock::new();
-    let costs = Rc::new(CostModel::calibrated());
-    let mut w = World {
-        clock: clock.clone(),
-        costs: costs.clone(),
-        hv: Hypervisor::new(
-            clock.clone(),
-            costs.clone(),
-            &MachineConfig {
-                guest_pool_mib: 512,
-                cores: 4,
-                notification_ring_capacity: 128,
-            },
-        ),
-        xs: Xenstore::new(clock.clone(), costs.clone()),
-        dm: DeviceManager::new(clock.clone(), costs.clone()),
-        udev: UdevBus::new(),
-        xl: Xl::new(clock.clone(), costs.clone()),
-        daemon: Xencloned::new(clock, costs),
-    };
-    w.daemon.start(&mut w.hv).unwrap();
-    w
+fn audited(dir: &str) -> Platform {
+    Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .audit(AuditMode::EveryOp)
+            .flightrec_dir(dir)
+            .build(),
+    )
 }
 
 fn mixed_cfg(nvifs: u64, p9: bool) -> DomainConfig {
@@ -85,153 +47,93 @@ fn mixed_cfg(nvifs: u64, p9: bool) -> DomainConfig {
     b.build()
 }
 
-fn boot(w: &mut World, cfg: &DomainConfig) -> DomId {
-    w.dm.fs.mkdir_p("/export").ok();
-    let img = KernelImage::minios("mix");
-    w.xl
-        .create(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, cfg, &img)
-        .unwrap()
-        .id
+/// Rewrites `from`'s domid to `to` the way the paper's `xs_clone` device
+/// heuristic does (Fig. 3): a bare domid value, the `/local/domain/<id>`
+/// component, and the frontend-domid component of a backend path.
+fn rewrite(s: &str, from: DomId, to: DomId) -> String {
+    if s == from.0.to_string() {
+        return to.0.to_string();
+    }
+    let mut parts: Vec<String> = s.split('/').map(str::to_string).collect();
+    let at = if s.starts_with("/local/domain/0/backend/") { 6 } else { 3 };
+    if s.starts_with("/local/domain/") && parts.get(at) == Some(&from.0.to_string()) {
+        parts[at] = to.0.to_string();
+    }
+    parts.join("/")
 }
 
-/// Replays the legacy hand-enumerated second stage for one pending
-/// notification: the exact op-for-op sequence `xencloned` ran before the
-/// bus existed, using the deprecated per-class entry points.
-fn legacy_stage2(w: &mut World, first_clone: bool, seq: u32, nvifs: u64, p9: bool) -> DomId {
-    let n = w.hv.clone_ring_pop().expect("pending notification");
-    let (parent, child) = (n.parent, n.child);
-    w.clock.advance(w.costs.xencloned_dispatch);
-    let parent_name = if first_clone {
-        w.clock.advance(w.costs.xencloned_parent_scan);
-        w.xs
-            .read(DomId::DOM0, &format!("/local/domain/{}/name", parent.0))
-            .unwrap()
-    } else {
-        w.xs.peek(&format!("/local/domain/{}/name", parent.0)).unwrap()
-    };
-    w.xs.introduce_domain(child, Some(parent)).unwrap();
-    let name = format!("{parent_name}-c{seq}");
-    let home = format!("/local/domain/{}", child.0);
-    w.xs.write(DomId::DOM0, &format!("{home}/name"), &name).unwrap();
-    w.xs.write(DomId::DOM0, &format!("{home}/domid"), &child.0.to_string()).unwrap();
-
-    let pm = format!("/local/domain/{}/memory", parent.0);
-    if w.xs.exists(&pm) {
-        w.xs
-            .xs_clone(DomId::DOM0, XsCloneOp::Basic, parent, child, &pm, &format!("{home}/memory"))
-            .unwrap();
-    }
-
-    // The historical order: console, then vifs by devid, then 9pfs.
-    #[allow(deprecated)]
-    {
-        w.dm.clone_console(&mut w.hv, &mut w.xs, parent, child, false).unwrap();
-    }
-    let mut ifaces = Vec::new();
-    for devid in 0..nvifs as u32 {
-        #[allow(deprecated)]
-        let iface = w
-            .dm
-            .clone_vif(&mut w.hv, &mut w.xs, &mut w.udev, parent, child, devid, false)
-            .unwrap();
-        ifaces.push(iface);
-    }
-    if p9 {
-        #[allow(deprecated)]
-        {
-            w.dm.clone_9pfs(&mut w.xs, parent, child, false).unwrap();
+/// Every (path, value) pair of `dom`'s device subtrees — console,
+/// frontends and the vif/9pfs backends — with `dom` rewritten to `as_dom`.
+fn device_nodes(xs: &Xenstore, dom: DomId, as_dom: DomId) -> Vec<(String, Option<String>)> {
+    fn walk(xs: &Xenstore, path: &str, out: &mut Vec<(String, Option<String>)>) {
+        out.push((path.to_string(), xs.peek(path)));
+        for child in xs.peek_directory(path) {
+            walk(xs, &format!("{path}/{child}"), out);
         }
     }
-
-    for e in w.udev.drain() {
-        if let UdevEvent::VifCreated { .. } = e {
-            w.clock.advance(w.costs.bridge_add);
-        }
+    let mut out = Vec::new();
+    for root in [
+        format!("/local/domain/{}/console", dom.0),
+        format!("/local/domain/{}/device", dom.0),
+        format!("/local/domain/0/backend/vif/{}", dom.0),
+        format!("/local/domain/0/backend/9pfs/{}", dom.0),
+    ] {
+        walk(xs, &root, &mut out);
     }
-    w.xl.register_clone(parent, child, &name, ifaces);
-    w.hv.cloneop(DomId::DOM0, CloneOp::Completion { child }).unwrap();
-    child
-}
-
-/// Dumps every (path, value) pair under `path`, depth-first. Uses the
-/// uncharged directory peek for traversal; value reads happen in both
-/// worlds symmetrically.
-fn dump(xs: &Xenstore, path: &str, out: &mut Vec<(String, Option<String>)>) {
-    out.push((path.to_string(), xs.peek(path)));
-    for child in xs.peek_directory(path) {
-        dump(xs, &format!("{path}/{child}"), out);
-    }
+    out.into_iter()
+        .map(|(path, value)| {
+            let value = value.map(|v| rewrite(&v, dom, as_dom));
+            (rewrite(&path, dom, as_dom), value)
+        })
+        .collect()
 }
 
 #[test]
-fn bus_dispatch_matches_legacy_hand_enumeration() {
+fn stage2_clones_every_class_like_its_parent() {
     check(16, |g| {
         let nvifs = g.draw(&ranges(0u64..3));
         let p9 = g.draw(&ranges(0u64..2)) == 1;
         let nclones = g.draw(&ranges(1u64..4));
-        let cfg = mixed_cfg(nvifs, p9);
-
-        // World A: second stage through the daemon's bus loop.
-        let mut a = world();
-        let pa = boot(&mut a, &cfg);
-        for _ in 0..nclones {
-            a.hv.cloneop(pa, CloneOp::Clone { target: None, nr_clones: 1 }).unwrap();
-            a.daemon
-                .handle_pending(&mut a.hv, &mut a.xs, &mut a.dm, &mut a.udev, &mut a.xl, None)
+        let mut p = audited("target/test-prop-bus-mix");
+        let parent = p
+            .launch_plain(&mixed_cfg(nvifs, p9), &KernelImage::minios("mix"))
+            .unwrap();
+        if p9 {
+            // An open fid the clones must inherit through the shared
+            // backend process.
+            p.dm.p9_request(parent, P9Request::Attach { fid: 0 }).unwrap();
+            p.dm.p9_request(parent, P9Request::Create { fid: 0, name: "db".into() })
+                .unwrap();
+            p.dm.p9_request(parent, P9Request::Write { fid: 0, offset: 0, data: b"v1".to_vec() })
                 .unwrap();
         }
+        let children: Vec<DomId> =
+            (0..nclones).map(|_| p.clone_domain(parent, 1).unwrap()[0]).collect();
 
-        // World B: identical boot, second stage replayed by hand.
-        let mut b = world();
-        let pb = boot(&mut b, &cfg);
-        assert_eq!(pa, pb, "identical worlds must allocate the same domids");
-        let mut children = Vec::new();
-        for i in 0..nclones {
-            b.hv.cloneop(pb, CloneOp::Clone { target: None, nr_clones: 1 }).unwrap();
-            children.push(legacy_stage2(&mut b, i == 0, i as u32 + 1, nvifs, p9));
-        }
-
-        // Byte-identical virtual time: the bus charges exactly what the
-        // hand-enumerated path charged.
-        assert_eq!(
-            a.clock.now(),
-            b.clock.now(),
-            "virtual clock diverged (vifs={nvifs}, p9={p9}, clones={nclones})"
-        );
-
-        // Identical Xenstore trees.
-        let (mut ta, mut tb) = (Vec::new(), Vec::new());
-        dump(&a.xs, "/local/domain", &mut ta);
-        dump(&b.xs, "/local/domain", &mut tb);
-        assert_eq!(ta, tb, "xenstore trees diverged");
-
-        // Identical device state for every clone.
-        for c in children {
-            assert!(a.dm.console_attached(c) && b.dm.console_attached(c));
+        let case = format!("vifs={nvifs}, p9={p9}, clones={nclones}");
+        for &c in &children {
+            assert!(p.dm.console_attached(c), "console not attached ({case})");
             for devid in 0..nvifs as u32 {
-                let (va, vb) = (a.dm.vif(c, devid).unwrap(), b.dm.vif(c, devid).unwrap());
-                assert_eq!(va.mac, vb.mac);
-                assert_eq!(va.is_connected(), vb.is_connected());
+                let vif = p.dm.vif(c, devid).unwrap_or_else(|| panic!("vif {devid} missing ({case})"));
+                assert!(vif.is_connected(), "vif {devid} not connected ({case})");
             }
-            assert_eq!(a.dm.p9_served(c), b.dm.p9_served(c));
-            // Both paths registered the child's devices on the bus.
-            assert_eq!(a.dm.bus_devices(c).len(), b.dm.bus_devices(c).len());
+            assert!(p.dm.vif(c, nvifs as u32).is_none(), "extra vif ({case})");
+            assert_eq!(p.dm.p9_served(c), p9, "9pfs service ({case})");
+            if p9 {
+                let r = p.dm.p9_request(c, P9Request::Read { fid: 0, offset: 0, count: 10 });
+                assert_eq!(r.unwrap(), P9Response::Data(b"v1".to_vec()), "inherited fid ({case})");
+            }
+            assert_eq!(
+                device_nodes(&p.xs, c, c),
+                device_nodes(&p.xs, parent, c),
+                "device subtrees differ from the parent's ({case})"
+            );
         }
+        // The parent's QEMU process serves the whole family: one process
+        // however many clones, so every served child is served by it.
+        assert_eq!(p.dm.qemu_count(), usize::from(p9), "backend processes ({case})");
+        assert!(p.audit().is_clean(), "audit after stage 2 ({case})");
     });
-}
-
-// ---------------------------------------------------------------------
-// New-device properties, at platform level (audit runs on every op).
-// ---------------------------------------------------------------------
-
-fn audited(dir: &str) -> Platform {
-    Platform::new(
-        PlatformConfig::builder()
-            .guest_pool_mib(256)
-            .audit(AuditMode::EveryOp)
-            .flightrec_dir(dir)
-            .build(),
-    )
 }
 
 #[test]

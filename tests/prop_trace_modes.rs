@@ -1,10 +1,10 @@
-//! Streaming-aggregation equivalence: for any random clone-family tape,
-//! [`TraceMode::Aggregate`](nephele::TraceMode) — which folds each span
-//! into histograms and per-key aggregates at close time and drops the
-//! raw record — must report exactly what Full mode computes post hoc
-//! from its retained O(events) record set: the same span aggregates,
-//! the same histograms, the same family rollups, and byte-identical
-//! `timeline_csv()` / `metrics_text()` exports.
+//! Trace-mode retention: both enabled [`TraceMode`](nephele::TraceMode)s
+//! fold every observation through one aggregation path, so for any random
+//! clone-family tape they export identical span aggregates, histograms,
+//! family rollups, `timeline_csv()` and `metrics_text()`. They differ only
+//! in what they keep: Full retains every raw span, counter sample and
+//! gauge sample; Aggregate retains none, and holds at most the spans open
+//! at once.
 //!
 //! The same exports must also be invariant under the fork/join pool
 //! width and under a same-seed rerun — the determinism contract every
@@ -13,7 +13,7 @@
 use nephele::hypervisor::cloneop::CloneOp;
 use nephele::sim_core::{DomId, Pfn, TraceConfig, TraceMode, PAGE_SIZE};
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{AuditMode, Platform, PlatformConfig};
+use nephele::{AuditMode, Platform, PlatformConfig, SinkOverhead};
 use testkit::prop::{check, ranges, vecs, Gen};
 
 /// One step of a random clone-family tape. Domain indices select from
@@ -52,13 +52,20 @@ fn ops_gen() -> impl Gen<Value = Vec<Op>> {
     )
 }
 
-/// Everything the two modes (and every thread width) must agree on.
+/// Everything the two modes (and every thread width) must agree on,
+/// plus what the run retained.
 struct Exports {
     span_aggregates: String,
     histograms: String,
     timeline: String,
     metrics: String,
     families: String,
+    /// Raw spans, counter samples and gauge samples held at the end.
+    retained: [usize; 3],
+    /// Most spans ever open at once, from the retained spans' depths
+    /// (0 when none are retained).
+    nesting: u64,
+    overhead: SinkOverhead,
 }
 
 fn run_tape(threads: usize, mode: TraceMode, ops: &[Op]) -> Exports {
@@ -67,9 +74,6 @@ fn run_tape(threads: usize, mode: TraceMode, ops: &[Op]) -> Exports {
         PlatformConfig::builder()
             .guest_pool_mib(64)
             .threads(threads)
-            // No counter-sample cap: Full must retain every raw sample so
-            // its post-hoc aggregation covers the same events Aggregate
-            // folded in streaming.
             .tracing(TraceConfig::with_mode(mode))
             .audit(AuditMode::Off)
             .flightrec_dir("target/test-prop-trace")
@@ -115,55 +119,60 @@ fn run_tape(threads: usize, mode: TraceMode, ops: &[Op]) -> Exports {
         }
     }
 
+    let sink = p.trace();
+    sink.validate_well_nested().expect("spans nest");
+    let spans = sink.spans();
     Exports {
-        span_aggregates: p.trace().span_aggregates_csv(),
-        histograms: p.trace().histograms_csv(),
+        span_aggregates: sink.span_aggregates_csv(),
+        histograms: sink.histograms_csv(),
         timeline: p.timeline_csv(),
         metrics: p.metrics_text(),
         families: p.family_rollup_csv(),
+        retained: [spans.len(), sink.counter_samples().len(), sink.gauges().len()],
+        nesting: spans.iter().map(|s| s.depth as u64 + 1).max().unwrap_or(0),
+        overhead: sink.overhead(),
     }
 }
 
-/// Aggregate's streaming fold must equal Full's retain-then-aggregate on
-/// every export, at every thread width, reproducibly.
+/// Full keeps every raw record and Aggregate none, while every aggregate
+/// export agrees across modes, thread widths and a same-seed rerun.
 #[test]
-fn streaming_aggregation_matches_full_mode_post_hoc() {
+fn modes_differ_only_in_retention() {
     check(10, |g| {
         let ops = g.draw(&ops_gen());
         let full = run_tape(1, TraceMode::Full, &ops);
         let agg = run_tape(1, TraceMode::Aggregate, &ops);
+
+        let o = full.overhead;
         assert_eq!(
-            full.span_aggregates, agg.span_aggregates,
-            "span aggregates diverge between modes for {ops:?}"
+            full.retained,
+            [o.span_opens as usize, o.counter_bumps as usize, o.gauge_records as usize],
+            "Full must retain every raw record for {ops:?}"
         );
-        assert_eq!(
-            full.histograms, agg.histograms,
-            "histograms diverge between modes for {ops:?}"
-        );
-        assert_eq!(full.timeline, agg.timeline, "timelines diverge between modes for {ops:?}");
-        assert_eq!(full.metrics, agg.metrics, "metrics text diverges between modes for {ops:?}");
-        assert_eq!(
-            full.families, agg.families,
-            "family rollups diverge between modes for {ops:?}"
+        assert_eq!(agg.retained, [0, 0, 0], "Aggregate must retain no raw record for {ops:?}");
+        assert!(
+            agg.overhead.peak_retained_spans <= full.nesting,
+            "Aggregate held {} spans at once, nesting depth is {} for {ops:?}",
+            agg.overhead.peak_retained_spans,
+            full.nesting
         );
 
+        for (what, a, b) in [
+            ("span aggregates", &full.span_aggregates, &agg.span_aggregates),
+            ("histograms", &full.histograms, &agg.histograms),
+            ("timeline", &full.timeline, &agg.timeline),
+            ("metrics text", &full.metrics, &agg.metrics),
+            ("family rollups", &full.families, &agg.families),
+        ] {
+            assert_eq!(a, b, "{what} diverge between modes for {ops:?}");
+        }
+
         // Thread width and a same-seed rerun must both be invisible.
-        for threads in [4usize] {
-            for mode in [TraceMode::Full, TraceMode::Aggregate] {
-                let wide = run_tape(threads, mode, &ops);
-                assert_eq!(
-                    agg.timeline, wide.timeline,
-                    "timeline diverges at threads={threads} mode={mode:?} for {ops:?}"
-                );
-                assert_eq!(
-                    agg.metrics, wide.metrics,
-                    "metrics diverge at threads={threads} mode={mode:?} for {ops:?}"
-                );
-                assert_eq!(
-                    agg.families, wide.families,
-                    "families diverge at threads={threads} mode={mode:?} for {ops:?}"
-                );
-            }
+        for mode in [TraceMode::Full, TraceMode::Aggregate] {
+            let wide = run_tape(4, mode, &ops);
+            assert_eq!(agg.timeline, wide.timeline, "timeline diverges at 4 threads, {mode:?}");
+            assert_eq!(agg.metrics, wide.metrics, "metrics diverge at 4 threads, {mode:?}");
+            assert_eq!(agg.families, wide.families, "families diverge at 4 threads, {mode:?}");
         }
         let rerun = run_tape(1, TraceMode::Aggregate, &ops);
         assert_eq!(agg.timeline, rerun.timeline, "same-seed rerun drifted for {ops:?}");
