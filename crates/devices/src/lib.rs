@@ -22,6 +22,13 @@
 //! [`bus::CloneDevice`], declaring its clone heuristic as a typed
 //! [`bus::CloneSemantics`] value; the `xencloned` second stage dispatches
 //! through the bus rather than enumerating device classes by hand.
+//!
+//! The network side is event-driven, as netback is in Xen: the manager
+//! keeps the set of vifs with queued TX packets and the set with queued
+//! RX packets, updated at every ring transition, so the platform's event
+//! loop visits only vifs with work instead of walking every live vif. It
+//! also owns each vif's host-side attachments (the clone mux and the
+//! bridge's MAC table), so every destroy path detaches them.
 
 pub mod block;
 pub mod bus;
@@ -36,7 +43,7 @@ pub mod usb;
 pub mod vsock;
 pub mod xenbus;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -44,7 +51,7 @@ use std::rc::Rc;
 use hypervisor::domain::PrivatePolicy;
 use hypervisor::error::HvError;
 use hypervisor::Hypervisor;
-use netmux::{IfaceId, MacAddr, Packet};
+use netmux::{CloneMux, IfaceId, MacAddr, Packet};
 use sim_core::{Clock, CostModel, DomId, Pfn, TraceSink};
 use xenstore::{XsCloneOp, XsError, Xenstore};
 
@@ -186,6 +193,22 @@ pub struct DeviceManager {
     /// retaining over every live domain's devices.
     vifs: BTreeMap<(u32, u32), Vif>,
     iface_map: HashMap<IfaceId, (DomId, u32)>,
+    /// Vifs whose TX ring holds packets, in key order: the backend kicks
+    /// still to be serviced. Maintained at every ring transition, so a
+    /// pump round costs O(queued vifs · log vifs), not O(live vifs).
+    tx_pending: BTreeSet<(u32, u32)>,
+    /// Vifs whose RX ring holds packets, in key order.
+    rx_pending: BTreeSet<(u32, u32)>,
+    /// IP → the vifs carrying it, in key order. A clone family shares one
+    /// IP, so resolving a host send is one lookup instead of a vif scan.
+    ip_vifs: BTreeMap<Ipv4Addr, BTreeSet<(u32, u32)>>,
+    /// The clone mux (bond or OVS select group) clone vifs are enslaved
+    /// to, when the host runs one.
+    mux: Option<Box<dyn CloneMux>>,
+    /// The bridge's MAC table: MAC → the first registered interface
+    /// carrying it (clones share their parent's MAC, so only booted
+    /// domains register).
+    mac_first: HashMap<MacAddr, IfaceId>,
     next_iface: u32,
     console: ConsoleBackend,
     /// QEMU processes by pid; resolved through [`Self::served_by`], never
@@ -213,6 +236,11 @@ impl DeviceManager {
             fs: MemFs::new(),
             vifs: BTreeMap::new(),
             iface_map: HashMap::new(),
+            tx_pending: BTreeSet::new(),
+            rx_pending: BTreeSet::new(),
+            ip_vifs: BTreeMap::new(),
+            mux: None,
+            mac_first: HashMap::new(),
             next_iface: 1,
             console: ConsoleBackend::new(),
             qemus: BTreeMap::new(),
@@ -393,8 +421,7 @@ impl DeviceManager {
             guest_port,
             back_port,
         };
-        self.vifs.insert((dom.0, cfg.devid), vif);
-        self.iface_map.insert(iface, (dom, cfg.devid));
+        self.insert_vif(vif);
         self.bus.register(Rc::new(VifDev { dom, devid: cfg.devid }));
         self.clock.advance(self.costs.udev_event);
         udev.emit(UdevEvent::VifCreated { dom, devid: cfg.devid });
@@ -443,8 +470,7 @@ impl DeviceManager {
         let (guest_port, back_port) = hv.evtchn_connect_pair(child, DomId::DOM0)?;
         let iface = self.alloc_iface();
         let vif = parent_vif.clone_for_child(child, iface, guest_port, back_port);
-        self.vifs.insert((child.0, devid), vif);
-        self.iface_map.insert(iface, (child, devid));
+        self.insert_vif(vif);
         self.bus.register(Rc::new(VifDev { dom: child, devid }));
         self.clock.advance(self.costs.udev_event);
         udev.emit(UdevEvent::VifCreated { dom: child, devid });
@@ -470,22 +496,130 @@ impl DeviceManager {
         self.vifs.len()
     }
 
-    /// All `(domain, devid)` vif keys, sorted (the map's key order).
+    /// All `(domain, devid)` vif keys, sorted (the map's key order). For
+    /// full walks such as the auditor's; the event loop visits only the
+    /// pending sets ([`tx_pending`](Self::tx_pending),
+    /// [`rx_pending`](Self::rx_pending)).
     pub fn all_vif_keys(&self) -> Vec<(DomId, u32)> {
         self.vifs.keys().map(|(d, i)| (DomId(*d), *i)).collect()
     }
 
-    /// Whether a vif has pending TX entries.
-    pub fn has_pending_tx(&self, dom: DomId, devid: u32) -> bool {
-        self.vifs
-            .get(&(dom.0, devid))
-            .map(|v| !v.tx.is_empty())
-            .unwrap_or(false)
+    /// The vifs with queued TX packets, in key order: a snapshot the
+    /// event loop iterates while draining them.
+    pub fn tx_pending(&self) -> Vec<(DomId, u32)> {
+        self.tx_pending.iter().map(|(d, i)| (DomId(*d), *i)).collect()
+    }
+
+    /// The vifs with queued RX packets, in key order (a snapshot).
+    pub fn rx_pending(&self) -> Vec<(DomId, u32)> {
+        self.rx_pending.iter().map(|(d, i)| (DomId(*d), *i)).collect()
+    }
+
+    /// The first vif, in `(domain, devid)` order, carrying `ip`.
+    /// O(log vifs).
+    pub fn vif_for_ip(&self, ip: Ipv4Addr) -> Option<&Vif> {
+        let key = self.ip_vifs.get(&ip)?.first()?;
+        self.vifs.get(key)
     }
 
     /// Resolves a host interface to its (domain, devid).
     pub fn iface_target(&self, iface: IfaceId) -> Option<(DomId, u32)> {
         self.iface_map.get(&iface).copied()
+    }
+
+    /// Registers a vif, indexing its interface, its IP and whatever its
+    /// rings already hold: a clone copies its parent's rings (§4.2), so a
+    /// child born with queued packets is pending from birth.
+    fn insert_vif(&mut self, vif: Vif) {
+        let key = (vif.dom.0, vif.devid);
+        if !vif.tx.is_empty() {
+            self.tx_pending.insert(key);
+        }
+        if !vif.rx.is_empty() {
+            self.rx_pending.insert(key);
+        }
+        self.ip_vifs.entry(vif.ip).or_default().insert(key);
+        self.iface_map.insert(vif.iface, (vif.dom, vif.devid));
+        self.vifs.insert(key, vif);
+    }
+
+    /// Unregisters a vif and everything that names it: its interface,
+    /// pending-set and IP-index entries, its mux membership and its
+    /// bridge MAC-table entry (dropped only when it names this vif's
+    /// interface; found by the vif's MAC, O(1)). Like the hotplug
+    /// script's offline action, this charges no virtual time.
+    fn remove_vif(&mut self, key: (u32, u32)) -> Option<Vif> {
+        let v = self.vifs.remove(&key)?;
+        self.iface_map.remove(&v.iface);
+        self.tx_pending.remove(&key);
+        self.rx_pending.remove(&key);
+        if let Some(keys) = self.ip_vifs.get_mut(&v.ip) {
+            keys.remove(&key);
+            if keys.is_empty() {
+                self.ip_vifs.remove(&v.ip);
+            }
+        }
+        if let Some(m) = self.mux.as_deref_mut() {
+            m.remove_member(v.iface);
+        }
+        if self.mac_first.get(&v.mac) == Some(&v.iface) {
+            self.mac_first.remove(&v.mac);
+        }
+        Some(v)
+    }
+
+    /// Installs the host's clone mux. Clone vifs are enslaved to it, and
+    /// each vif leaves it when its domain is destroyed.
+    pub fn set_mux(&mut self, mux: Box<dyn CloneMux>) {
+        self.mux = Some(mux);
+    }
+
+    /// The clone mux, when the host runs one.
+    pub fn mux(&self) -> Option<&dyn CloneMux> {
+        self.mux.as_deref()
+    }
+
+    /// Enslaves `iface` to the clone mux; `false` when there is none.
+    pub fn enslave(&mut self, iface: IfaceId) -> bool {
+        match self.mux.as_deref_mut() {
+            Some(m) => {
+                m.add_member(iface);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The mux member that should receive `pkt`; `None` without a mux or
+    /// with an empty one.
+    pub fn mux_select(&mut self, pkt: &Packet) -> Option<IfaceId> {
+        self.mux.as_deref_mut()?.select(pkt)
+    }
+
+    /// Enters `iface` in the bridge's MAC table under its vif's MAC,
+    /// unless another interface already holds that MAC.
+    pub fn register_mac(&mut self, iface: IfaceId) {
+        let Some(mac) = self
+            .iface_map
+            .get(&iface)
+            .and_then(|(d, i)| self.vifs.get(&(d.0, *i)))
+            .map(|v| v.mac)
+        else {
+            return;
+        };
+        self.mac_first.entry(mac).or_insert(iface);
+    }
+
+    /// The interface the bridge's MAC table names for `mac`.
+    pub fn mac_target(&self, mac: &MacAddr) -> Option<IfaceId> {
+        self.mac_first.get(mac).copied()
+    }
+
+    /// Every MAC-table entry, sorted by MAC.
+    pub fn mac_table(&self) -> Vec<(MacAddr, IfaceId)> {
+        let mut entries: Vec<_> = self.mac_first.iter().map(|(m, i)| (*m, *i)).collect();
+        entries.sort_unstable();
+        entries
     }
 
     /// Guest transmits a packet: pushed onto the TX ring (dropped if full).
@@ -501,6 +635,9 @@ impl DeviceManager {
             .get_mut(&(dom.0, devid))
             .ok_or(DevError::NoSuchDevice(dom, devid))?;
         let pushed = vif.tx.push(pkt);
+        if pushed {
+            self.tx_pending.insert((dom.0, devid));
+        }
         self.trace
             .count_dom(if pushed { "dev.ring.tx" } else { "dev.ring.tx_drop" }, dom, 1);
         self.trace
@@ -513,6 +650,7 @@ impl DeviceManager {
         let Some(vif) = self.vifs.get_mut(&(dom.0, devid)) else {
             return Vec::new();
         };
+        self.tx_pending.remove(&(dom.0, devid));
         std::iter::from_fn(|| vif.tx.pop()).collect()
     }
 
@@ -531,6 +669,9 @@ impl DeviceManager {
             Some(vif) => vif.rx.push(pkt),
             None => false,
         };
+        if pushed {
+            self.rx_pending.insert((dom.0, devid));
+        }
         self.trace
             .count_dom(if pushed { "dev.ring.rx" } else { "dev.ring.rx_drop" }, dom, 1);
         self.trace
@@ -543,7 +684,54 @@ impl DeviceManager {
         let Some(vif) = self.vifs.get_mut(&(dom.0, devid)) else {
             return Vec::new();
         };
+        self.rx_pending.remove(&(dom.0, devid));
         std::iter::from_fn(|| vif.rx.pop()).collect()
+    }
+
+    /// The vif indices checked against the scans they replace: each
+    /// pending set must equal the vifs whose ring is non-empty, and the
+    /// IP index must equal the vifs grouped by IP. Returns one line per
+    /// divergence, naming the vif (audit invariant 13).
+    pub fn audit_vif_indices(&self) -> Vec<String> {
+        let mut bad = Vec::new();
+        let rings = [("TX", &self.tx_pending), ("RX", &self.rx_pending)];
+        let mut by_ip: BTreeMap<Ipv4Addr, BTreeSet<(u32, u32)>> = BTreeMap::new();
+        for (key, v) in &self.vifs {
+            by_ip.entry(v.ip).or_default().insert(*key);
+            for ((ring, set), queued) in rings.iter().zip([v.tx.len(), v.rx.len()]) {
+                if (queued > 0) != set.contains(key) {
+                    let (dom, devid) = key;
+                    let status = if queued > 0 { "missing from" } else { "listed in" };
+                    bad.push(format!(
+                        "vif {dom}/{devid} holds {queued} queued {ring} packet(s) but is {status} \
+                         the {ring} pending set"
+                    ));
+                }
+            }
+        }
+        for (ring, set) in rings {
+            for (dom, devid) in set.iter().filter(|k| !self.vifs.contains_key(k)) {
+                bad.push(format!("{ring} pending set names vif {dom}/{devid}, which is not registered"));
+            }
+        }
+        for ip in by_ip.keys().chain(self.ip_vifs.keys()).collect::<BTreeSet<_>>() {
+            let (want, got) = (by_ip.get(ip), self.ip_vifs.get(ip));
+            if want != got {
+                bad.push(format!("IP index maps {ip} to vifs {got:?}, a scan finds {want:?}"));
+            }
+        }
+        bad
+    }
+
+    /// Test-only: plants (`insert`) or removes a TX-pending entry for a
+    /// vif without touching its ring, so the index-consistency audit can
+    /// prove it detects drift between the set and the scan it replaced.
+    pub fn corrupt_vif_index_for_test(&mut self, dom: DomId, devid: u32, insert: bool) {
+        if insert {
+            self.tx_pending.insert((dom.0, devid));
+        } else {
+            self.tx_pending.remove(&(dom.0, devid));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1017,11 +1205,14 @@ impl DeviceManager {
     /// O(devices the domain owns), never O(devices on the host): the
     /// `(owner, devid)` BTreeMap keys make each domain's devices one
     /// contiguous range, and the `served_by` index names the one QEMU
-    /// process whose serve set mentions the domain.
+    /// process whose serve set mentions the domain. The one exception is
+    /// leaving the clone mux, which is O(mux members) to keep the
+    /// survivors' enslavement order. Every destroy path (`xl destroy`,
+    /// `xl save`, the platform's) ends here, so no mux member or MAC-table
+    /// entry outlives its vif.
     pub fn forget_domain(&mut self, udev: &mut UdevBus, dom: DomId) {
         for key in Self::owned_range(&self.vifs, dom) {
-            if let Some(v) = self.vifs.remove(&key) {
-                self.iface_map.remove(&v.iface);
+            if self.remove_vif(key).is_some() {
                 udev.emit(UdevEvent::VifRemoved { dom, devid: key.1 });
             }
         }
@@ -1207,6 +1398,98 @@ mod tests {
         let b2 = xs.read(DomId::DOM0, &format!("{}/backend", vif_front_dir(c2, 0))).unwrap();
         assert_eq!(b1, vif_back_dir(c1, 0));
         assert_eq!(b2, vif_back_dir(c2, 0));
+    }
+
+    #[test]
+    fn ring_transitions_maintain_the_pending_sets() {
+        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
+        let iface = dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
+        assert!(dm.tx_pending().is_empty() && dm.rx_pending().is_empty());
+
+        dm.guest_tx(dom, 0, pkt()).unwrap();
+        assert!(dm.deliver_rx(iface, pkt()));
+        assert_eq!(dm.tx_pending(), vec![(dom, 0)]);
+        assert_eq!(dm.rx_pending(), vec![(dom, 0)]);
+        assert!(dm.audit_vif_indices().is_empty());
+
+        dm.take_tx(dom, 0);
+        assert!(dm.tx_pending().is_empty());
+        dm.take_rx(dom, 0);
+        assert!(dm.rx_pending().is_empty());
+        assert!(dm.audit_vif_indices().is_empty());
+    }
+
+    #[test]
+    fn vif_cloned_with_queued_tx_is_pending_from_birth() {
+        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
+        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
+        dm.guest_tx(dom, 0, pkt()).unwrap();
+        let child = hv.create_domain("child", 4, 1).unwrap();
+        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, child, 0, false).unwrap();
+
+        // The copied ring (§4.2) holds the parent's in-flight packet, so
+        // the child needs servicing without ever having transmitted.
+        assert_eq!(dm.tx_pending(), vec![(dom, 0), (child, 0)]);
+        assert!(dm.rx_pending().is_empty());
+        assert!(dm.audit_vif_indices().is_empty());
+        assert_eq!(dm.take_tx(child, 0).len(), 1);
+        assert_eq!(dm.tx_pending(), vec![(dom, 0)]);
+    }
+
+    #[test]
+    fn forget_domain_drops_a_pending_vif_from_every_index() {
+        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
+        let iface = dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
+        let ip = vif_cfg().ip;
+        dm.guest_tx(dom, 0, pkt()).unwrap();
+        assert!(dm.deliver_rx(iface, pkt()));
+        assert_eq!(dm.vif_for_ip(ip).map(|v| v.iface), Some(iface));
+
+        dm.forget_domain(&mut udev, dom);
+        assert!(dm.tx_pending().is_empty(), "dead vif left in the TX set");
+        assert!(dm.rx_pending().is_empty(), "dead vif left in the RX set");
+        assert!(dm.vif_for_ip(ip).is_none(), "dead vif left in the IP index");
+        assert!(dm.audit_vif_indices().is_empty());
+    }
+
+    #[test]
+    fn ip_index_resolves_the_first_vif_in_key_order() {
+        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
+        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
+        let child = hv.create_domain("child", 4, 1).unwrap();
+        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, child, 0, false).unwrap();
+        let ip = vif_cfg().ip;
+        assert_eq!(dm.vif_for_ip(ip).map(|v| v.dom), Some(dom));
+        udev.drain();
+        dm.forget_domain(&mut udev, dom);
+        assert_eq!(dm.vif_for_ip(ip).map(|v| v.dom), Some(child), "the survivor carries the IP");
+        assert!(dm.vif_for_ip(Ipv4Addr::new(10, 9, 9, 9)).is_none());
+    }
+
+    #[test]
+    fn destroy_detaches_the_vif_from_the_mux_and_the_mac_table() {
+        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
+        dm.set_mux(Box::new(netmux::Bond::new(netmux::XmitHashPolicy::Layer34)));
+        let parent_iface = dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
+        dm.register_mac(parent_iface);
+        assert!(dm.enslave(parent_iface));
+        let mac = dm.vif(dom, 0).unwrap().mac;
+        let child = hv.create_domain("child", 4, 1).unwrap();
+        let child_iface = dm
+            .clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, child, 0, false)
+            .unwrap();
+        dm.enslave(child_iface);
+        // The child shares the parent's MAC but does not displace it.
+        dm.register_mac(child_iface);
+        assert_eq!(dm.mac_target(&mac), Some(parent_iface));
+
+        udev.drain();
+        dm.forget_domain(&mut udev, child);
+        assert_eq!(dm.mux().unwrap().members(), [parent_iface]);
+        assert_eq!(dm.mac_target(&mac), Some(parent_iface), "entry names another iface");
+        dm.forget_domain(&mut udev, dom);
+        assert!(dm.mux().unwrap().members().is_empty());
+        assert_eq!(dm.mac_target(&mac), None);
     }
 
     #[test]

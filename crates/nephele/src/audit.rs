@@ -27,7 +27,10 @@
 //!    have a backing domain, and every running domain an `xl` record.
 //! 8. **Xenstore tree vs registered devices.** Every running domain has
 //!    its `/local/domain/<id>` home, and every vif the device manager
-//!    knows about has both its frontend and backend directories.
+//!    knows about has both its frontend and backend directories. Every
+//!    clone-mux member and every bridge MAC-table entry resolves to a
+//!    registered vif of a live domain: a dead interface left in either
+//!    silently drops the flows that hash or switch to it.
 //! 9. **P2m overlays vs the family template.** Each domain's overlay must
 //!    be canonical (no entry storing the same value as the shared base
 //!    slot), in-range, and every mapped overlay slot must point at a
@@ -51,11 +54,13 @@
 //!     paths look up maintained indices instead of scanning: the
 //!     per-table event-channel peer and grant grantee indices, the
 //!     hypervisor's referrer index (which domains' tables name which),
-//!     the `DOMID_CHILD` fan-out registry's reverse indices, and the
-//!     toolstack's name index. Each must agree exactly with a fresh
-//!     recount over the ground-truth state — any divergence means a
-//!     destroy or create would tear down the wrong (or miss the right)
-//!     references.
+//!     the `DOMID_CHILD` fan-out registry's reverse indices, the
+//!     toolstack's name index, and the device manager's vif indices (the
+//!     TX/RX pending sets the event loop visits instead of every vif, and
+//!     the IP index host sends resolve through). Each must agree exactly
+//!     with a fresh recount over the ground-truth state — any divergence
+//!     means a destroy or create would tear down the wrong (or miss the
+//!     right) references, or a packet would wait in a ring nobody drains.
 //!
 //! The checks are read-only and O(total frames + domains + devices); they
 //! run on demand, after every clone/destroy in debug builds, and after
@@ -529,6 +534,33 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         }
     }
 
+    // 8d. Host attachments vs live vifs: every clone-mux member and every
+    // bridge MAC-table entry must name the interface of a registered vif
+    // whose domain is alive.
+    let members = p.dm.mux().map_or(&[][..], |m| m.members());
+    let attachments = members
+        .iter()
+        .map(|i| (format!("clone-mux member iface {}", i.0), *i))
+        .chain(
+            p.dm.mac_table()
+                .into_iter()
+                .map(|(mac, i)| (format!("MAC-table entry {mac} -> iface {}", i.0), i)),
+        );
+    for (what, iface) in attachments {
+        report.checks += 1;
+        let detail = match p.dm.iface_target(iface) {
+            None => format!("{what} names no registered vif"),
+            Some((dom, devid)) if p.dm.vif(dom, devid).is_none() => {
+                format!("{what} names vif {}/{devid}, which is not registered", dom.0)
+            }
+            Some((dom, devid)) if !hv.domain_exists(dom) => {
+                format!("{what} names vif {}/{devid} of dead {dom}", dom.0)
+            }
+            Some(_) => continue,
+        };
+        report.violations.push(AuditViolation { invariant: "device-liveness", detail });
+    }
+
     // 11. Device bus vs the Xenstore device tree. First pass: every
     // registered device has a live owner, its nodes exist, and its own
     // invariants hold; each node is claimed by exactly one device.
@@ -636,13 +668,18 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
 
     // 13. Scan-replacing indices vs the scans they replaced: the
     // hypervisor's per-table and referrer indices, the fan-out
-    // registry's reverse indices, and the toolstack's name index.
+    // registry's reverse indices, the toolstack's name index, and the
+    // device manager's pending sets and IP index.
     report.checks += 1;
     for detail in hv.audit_ref_indices() {
         report.violations.push(AuditViolation { invariant: "index-consistency", detail });
     }
     report.checks += 1;
     for detail in p.xl.audit_name_index() {
+        report.violations.push(AuditViolation { invariant: "index-consistency", detail });
+    }
+    report.checks += 1;
+    for detail in p.dm.audit_vif_indices() {
         report.violations.push(AuditViolation { invariant: "index-consistency", detail });
     }
 

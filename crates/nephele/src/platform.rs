@@ -17,9 +17,7 @@ use hypervisor::event::Virq;
 use hypervisor::{Hypervisor, MachineConfig, PendingEvent};
 use netmux::{
     Bond,
-    CloneMux,
     ConnId,
-    IfaceId,
     MacAddr,
     NetStack,
     Packet,
@@ -448,11 +446,9 @@ pub struct Platform {
     pub dom0: Dom0Model,
     /// Deterministic PRNG for workloads.
     pub rng: SplitMix64,
-    mux: Option<Box<dyn CloneMux>>,
     mux_ip: Option<Ipv4Addr>,
     host_stack: NetStack,
     host_events: Vec<SockEvent>,
-    mac_first: HashMap<MacAddr, IfaceId>,
     guests: HashMap<u32, GuestSlot>,
     timers: EventQueue<(u32, u64)>,
     packets_routed: u64,
@@ -505,11 +501,11 @@ impl Platform {
         daemon.start(&mut hv).expect("daemon start on fresh hypervisor");
         daemon.config.policy = config.clone_policy.clone();
 
-        let mux: Option<Box<dyn CloneMux>> = match config.mux {
-            MuxKind::None => None,
-            MuxKind::Bond => Some(Box::new(Bond::new(XmitHashPolicy::Layer34))),
-            MuxKind::Ovs => Some(Box::new(SelectGroup::hashed())),
-        };
+        match config.mux {
+            MuxKind::None => {}
+            MuxKind::Bond => dm.set_mux(Box::new(Bond::new(XmitHashPolicy::Layer34))),
+            MuxKind::Ovs => dm.set_mux(Box::new(SelectGroup::hashed())),
+        }
 
         // `NEPHELE_FLIGHTREC=0`/`off` disables dump files; a numeric value
         // overrides the ring capacity. The ring itself is always on.
@@ -541,11 +537,9 @@ impl Platform {
             daemon,
             dom0: Dom0Model::default(),
             rng: SplitMix64::new(config.seed),
-            mux,
             mux_ip: None,
             host_stack: NetStack::new(HOST_MAC, HOST_IP),
             host_events: Vec::new(),
-            mac_first: HashMap::new(),
             guests: HashMap::new(),
             timers: EventQueue::new(),
             packets_routed: 0,
@@ -838,9 +832,7 @@ impl Platform {
             .create(&mut self.hv, &mut self.xs, &mut self.dm, &mut self.udev, cfg, image)?;
         let dom = created.id;
         for iface in &created.ifaces {
-            if let Some(v) = self.dm.iface_target(*iface).and_then(|(d, i)| self.dm.vif(d, i)) {
-                self.mac_first.entry(v.mac).or_insert(*iface);
-            }
+            self.dm.register_mac(*iface);
         }
         if let Some(app) = app {
             let ip = cfg.vifs.first().map(|v| v.ip).unwrap_or(Ipv4Addr::UNSPECIFIED);
@@ -856,7 +848,9 @@ impl Platform {
         Ok(created)
     }
 
-    /// Destroys a domain (guest slot included).
+    /// Destroys a domain (guest slot included). The toolstack's device
+    /// teardown also takes its vifs out of the clone mux and the bridge's
+    /// MAC table.
     pub fn destroy(&mut self, dom: DomId) -> Result<()> {
         let r = self.destroy_impl(dom);
         self.note_op("platform.destroy", dom, 0, r)
@@ -901,8 +895,7 @@ impl Platform {
     pub fn enlist_in_mux(&mut self, dom: DomId) {
         let Some(v) = self.dm.vif(dom, 0) else { return };
         let (iface, ip) = (v.iface, v.ip);
-        if let Some(m) = self.mux.as_deref_mut() {
-            m.add_member(iface);
+        if self.dm.enslave(iface) {
             self.mux_ip = Some(ip);
         }
     }
@@ -935,9 +928,8 @@ impl Platform {
             &mut self.dm,
             &mut self.udev,
             &mut self.xl,
-            self.mux.as_deref_mut(),
         )?;
-        if self.mux.is_some() && !completed.is_empty() {
+        if self.dm.mux().is_some() && !completed.is_empty() {
             if let Some(v) = self.dm.vif(parent, 0) {
                 self.mux_ip = Some(v.ip);
             }
@@ -1085,12 +1077,11 @@ impl Platform {
         self.packets_routed += 1;
         self.trace.count("net.packets_routed", 1);
         let iface = if self.mux_ip == Some(pkt.dst_ip) {
-            match self.mux.as_deref_mut().and_then(|m| m.select(&pkt)) {
-                Some(i) => Some(i),
-                None => self.mac_first.get(&pkt.dst_mac).copied(),
-            }
+            self.dm
+                .mux_select(&pkt)
+                .or_else(|| self.dm.mac_target(&pkt.dst_mac))
         } else {
-            self.mac_first.get(&pkt.dst_mac).copied()
+            self.dm.mac_target(&pkt.dst_mac)
         };
         if let Some(iface) = iface {
             self.dm.deliver_rx(iface, pkt);
@@ -1116,12 +1107,22 @@ impl Platform {
     /// packets into guest stacks, fires guest network callbacks, routes
     /// hypervisor events (IDC notifications, `VIRQ_CLONED`) — until no
     /// component makes progress.
+    ///
+    /// Each network phase visits only the vifs the device manager lists
+    /// as pending, iterating a snapshot of that set taken when the phase
+    /// starts. That snapshot holds exactly the vifs a walk over every
+    /// live vif would find non-empty, in the same key order: routing in
+    /// the TX phase can queue RX packets but never TX, guests in the RX
+    /// phase can queue TX packets (`GuestEnv::transmit`) but never RX,
+    /// and a nested pump from a guest fork drains everything before it
+    /// returns. A round therefore costs O(vifs with queued packets ·
+    /// log vifs), and virtual time is what the full walk produced.
     pub fn pump(&mut self) {
         for _round in 0..10_000 {
             let mut progress = false;
 
             // Guest → fabric.
-            for (dom, devid) in self.dm.all_vif_keys() {
+            for (dom, devid) in self.dm.tx_pending() {
                 for pkt in self.dm.take_tx(dom, devid) {
                     progress = true;
                     self.route_from_guest(pkt);
@@ -1129,8 +1130,7 @@ impl Platform {
             }
 
             // Fabric → guest stacks → app callbacks.
-            let keys = self.dm.all_vif_keys();
-            for (dom, devid) in keys {
+            for (dom, devid) in self.dm.rx_pending() {
                 let pkts = self.dm.take_rx(dom, devid);
                 if pkts.is_empty() {
                     continue;
@@ -1149,7 +1149,7 @@ impl Platform {
                     let _ = self.dm.guest_tx(dom, devid, r);
                 }
                 for e in events {
-                    self.dispatch(dom, |app, env| app.on_net_event(env, e.clone()));
+                    self.dispatch(dom, |app, env| app.on_net_event(env, e));
                 }
             }
 
@@ -1178,7 +1178,6 @@ impl Platform {
                     &mut self.dm,
                     &mut self.udev,
                     &mut self.xl,
-                    self.mux.as_deref_mut(),
                 );
             }
             _ => {
@@ -1269,19 +1268,10 @@ impl Platform {
         std::mem::take(&mut self.host_events)
     }
 
+    /// The MAC of the first vif, in `(domain, devid)` order, carrying
+    /// `ip` (a clone family's members all share one). One index lookup.
     fn mac_for_ip(&self, ip: Ipv4Addr) -> Option<MacAddr> {
-        if self.mux_ip == Some(ip) {
-            // Any family member's MAC (they are identical by design).
-            return self
-                .dm
-                .all_vif_keys()
-                .iter()
-                .find_map(|(d, i)| self.dm.vif(*d, *i).filter(|v| v.ip == ip).map(|v| v.mac));
-        }
-        self.dm
-            .all_vif_keys()
-            .iter()
-            .find_map(|(d, i)| self.dm.vif(*d, *i).filter(|v| v.ip == ip).map(|v| v.mac))
+        self.dm.vif_for_ip(ip).map(|v| v.mac)
     }
 
     // ------------------------------------------------------------------
@@ -1301,7 +1291,7 @@ impl Platform {
             cow_shared_frames: mem.cow_shared,
             xen_frames: mem.xen,
             packets_routed: self.packets_routed,
-            mux_members: self.mux.as_deref().map(|m| m.member_count()).unwrap_or(0),
+            mux_members: self.dm.mux().map_or(0, |m| m.member_count()),
             domains: self.hv.domain_count(),
             clones_completed: self.daemon.clones_completed(),
             xs_shared_entry_bytes: xs_sharing.shared_entry_bytes,

@@ -67,11 +67,6 @@ impl Bond {
     pub fn policy(&self) -> XmitHashPolicy {
         self.policy
     }
-
-    /// Current slaves, in enslavement order.
-    pub fn slaves(&self) -> &[IfaceId] {
-        &self.slaves
-    }
 }
 
 impl CloneMux for Bond {
@@ -93,8 +88,8 @@ impl CloneMux for Bond {
         Some(self.slaves[idx])
     }
 
-    fn member_count(&self) -> usize {
-        self.slaves.len()
+    fn members(&self) -> &[IfaceId] {
+        &self.slaves
     }
 }
 
@@ -187,6 +182,7 @@ mod tests {
         assert_eq!(b.member_count(), 2, "duplicate enslave ignored");
         b.remove_member(IfaceId(0));
         assert_eq!(b.member_count(), 1);
+        assert_eq!(b.members(), [IfaceId(1)]);
         assert_eq!(b.select(&pkt(5)).unwrap(), IfaceId(1));
     }
 

@@ -32,14 +32,19 @@ pub struct IfaceId(pub u32);
 
 /// A clone-interface multiplexer: given a packet destined to the shared
 /// MAC/IP, pick the member interface that should receive it.
-pub trait CloneMux {
+pub trait CloneMux: std::fmt::Debug {
     /// Adds a member interface (e.g. when `xencloned` enslaves a new clone
     /// vif).
     fn add_member(&mut self, iface: IfaceId);
-    /// Removes a member interface (clone destroyed).
+    /// Removes a member interface (clone destroyed), keeping the
+    /// survivors' enslavement order.
     fn remove_member(&mut self, iface: IfaceId);
     /// Selects the member for `pkt`, or `None` when the mux is empty.
     fn select(&mut self, pkt: &Packet) -> Option<IfaceId>;
+    /// Current members, in enslavement order.
+    fn members(&self) -> &[IfaceId];
     /// Current member count.
-    fn member_count(&self) -> usize;
+    fn member_count(&self) -> usize {
+        self.members().len()
+    }
 }

@@ -104,11 +104,6 @@ impl<S: SelectionStrategy> SelectGroup<S> {
             strategy,
         }
     }
-
-    /// The bucket list in insertion order.
-    pub fn buckets(&self) -> &[IfaceId] {
-        &self.buckets
-    }
 }
 
 impl SelectGroup<HashSelect> {
@@ -147,8 +142,8 @@ impl<S: SelectionStrategy> CloneMux for SelectGroup<S> {
         Some(self.buckets[idx])
     }
 
-    fn member_count(&self) -> usize {
-        self.buckets.len()
+    fn members(&self) -> &[IfaceId] {
+        &self.buckets
     }
 }
 

@@ -33,7 +33,7 @@ use hypervisor::cloneop::CloneOp;
 use hypervisor::error::HvError;
 use hypervisor::notify::CloneNotification;
 use hypervisor::Hypervisor;
-use netmux::{CloneMux, IfaceId};
+use netmux::IfaceId;
 use sim_core::{Clock, CostModel, DomId, TraceSink};
 use toolstack::Xl;
 use xenstore::{XsCloneOp, XsError, Xenstore};
@@ -223,7 +223,6 @@ impl Xencloned {
         dm: &mut DeviceManager,
         udev: &mut UdevBus,
         xl: &mut Xl,
-        mux: Option<&mut (dyn CloneMux + '_)>,
     ) -> Result<Vec<CompletedClone>> {
         // ---- Plan phase: read the pending notifications without popping,
         // so a failing commit leaves the unprocessed tail in the ring
@@ -267,12 +266,11 @@ impl Xencloned {
 
         // ---- Commit phase: sequential, in ring order.
         let mut done = Vec::new();
-        let mut mux = mux;
         for (n, plan) in plans {
             let popped = hv.clone_ring_pop().expect("planned notification still queued");
             debug_assert_eq!(popped, n, "ring order is fixed while the daemon runs");
             let start = self.clock.now();
-            match self.handle_one(hv, xs, dm, udev, xl, &mut mux, n, plan) {
+            match self.handle_one(hv, xs, dm, udev, xl, n, plan) {
                 Ok(c) => {
                     self.trace
                         .record_ns("clone.stage2", self.clock.now().since(start).as_ns());
@@ -295,7 +293,6 @@ impl Xencloned {
         dm: &mut DeviceManager,
         udev: &mut UdevBus,
         xl: &mut Xl,
-        mux: &mut Option<&mut (dyn CloneMux + '_)>,
         n: CloneNotification,
         plan: Stage2Plan,
     ) -> Result<CompletedClone> {
@@ -398,17 +395,15 @@ impl Xencloned {
             // enslaving each new vif.
             for e in udev.drain() {
                 if let UdevEvent::VifCreated { .. } = e {
-                    if mux.is_some() {
+                    if dm.mux().is_some() {
                         self.clock.advance(self.costs.bond_enslave);
                     } else {
                         self.clock.advance(self.costs.bridge_add);
                     }
                 }
             }
-            if let Some(m) = mux.as_deref_mut() {
-                for i in &ifaces {
-                    m.add_member(*i);
-                }
+            for i in &ifaces {
+                dm.enslave(*i);
             }
         }
 
@@ -436,7 +431,7 @@ mod tests {
     use devices::udev::UdevBus;
     use hypervisor::domain::DomainState;
     use hypervisor::MachineConfig;
-    use netmux::{Bond, CloneMux, XmitHashPolicy};
+    use netmux::{Bond, XmitHashPolicy};
     use toolstack::{DomainConfig, KernelImage};
 
     use super::*;
@@ -488,7 +483,7 @@ mod tests {
             .id
     }
 
-    fn fork(w: &mut World, parent: DomId, mux: Option<&mut dyn CloneMux>) -> CompletedClone {
+    fn fork(w: &mut World, parent: DomId) -> CompletedClone {
         w.hv.cloneop(
             parent,
             CloneOp::Clone {
@@ -499,7 +494,7 @@ mod tests {
         .unwrap();
         let done = w
             .daemon
-            .handle_pending(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &mut w.xl, mux)
+            .handle_pending(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &mut w.xl)
             .unwrap();
         assert_eq!(done.len(), 1);
         done.into_iter().next().unwrap()
@@ -509,8 +504,8 @@ mod tests {
     fn full_clone_second_stage() {
         let mut w = world();
         let parent = boot_parent(&mut w);
-        let mut bond = Bond::new(XmitHashPolicy::Layer34);
-        let c = fork(&mut w, parent, Some(&mut bond));
+        w.dm.set_mux(Box::new(Bond::new(XmitHashPolicy::Layer34)));
+        let c = fork(&mut w, parent);
 
         // Parent and child both run again.
         assert_eq!(w.hv.domain(parent).unwrap().state, DomainState::Running);
@@ -528,7 +523,8 @@ mod tests {
         );
         // Its vif exists, is connected and was enslaved to the bond.
         assert!(w.dm.vif(c.child, 0).unwrap().is_connected());
-        assert_eq!(bond.member_count(), 1);
+        let child_iface = w.dm.vif(c.child, 0).unwrap().iface;
+        assert_eq!(w.dm.mux().unwrap().members(), [child_iface]);
         // Same MAC/IP as the parent.
         assert_eq!(w.dm.vif(c.child, 0).unwrap().mac, w.dm.vif(parent, 0).unwrap().mac);
         // Console attached, fresh output.
@@ -543,10 +539,10 @@ mod tests {
         let boot = w.clock.now().since(t0);
 
         // Warm up the daemon cache with one clone.
-        fork(&mut w, parent, None);
+        fork(&mut w, parent);
 
         let t1 = w.clock.now();
-        fork(&mut w, parent, None);
+        fork(&mut w, parent);
         let clone = w.clock.now().since(t1);
 
         let speedup = boot.as_ms_f64() / clone.as_ms_f64();
@@ -560,15 +556,15 @@ mod tests {
     fn deep_copy_clone_is_slower_than_xs_clone() {
         let mut w = world();
         let parent = boot_parent(&mut w);
-        fork(&mut w, parent, None); // warm cache
+        fork(&mut w, parent); // warm cache
 
         let t0 = w.clock.now();
-        fork(&mut w, parent, None);
+        fork(&mut w, parent);
         let fast = w.clock.now().since(t0);
 
         w.daemon.config.use_xs_clone = false;
         let t1 = w.clock.now();
-        fork(&mut w, parent, None);
+        fork(&mut w, parent);
         let slow = w.clock.now().since(t1);
 
         assert!(slow > fast, "deep copy ({slow}) must exceed xs_clone ({fast})");
@@ -580,11 +576,11 @@ mod tests {
         let parent = boot_parent(&mut w);
 
         let t0 = w.clock.now();
-        fork(&mut w, parent, None);
+        fork(&mut w, parent);
         let first = w.clock.now().since(t0);
 
         let t1 = w.clock.now();
-        fork(&mut w, parent, None);
+        fork(&mut w, parent);
         let second = w.clock.now().since(t1);
 
         assert!(first > second, "first clone ({first}) includes the parent scan ({second})");
@@ -595,7 +591,7 @@ mod tests {
         let mut w = world();
         let parent = boot_parent(&mut w);
         w.daemon.config.minimal = true;
-        let c = fork(&mut w, parent, None);
+        let c = fork(&mut w, parent);
         assert!(w.dm.vif(c.child, 0).is_none(), "no device cloning in minimal mode");
         assert!(w.xl.record(c.child).is_some(), "but toolstack introduction happened");
         assert_eq!(w.hv.domain(parent).unwrap().state, DomainState::Running);
@@ -606,7 +602,7 @@ mod tests {
         let mut w = world();
         let parent = boot_parent(&mut w);
         w.daemon.config.policy = ClonePolicy::all().set(DeviceClass::Vif, false);
-        let c = fork(&mut w, parent, None);
+        let c = fork(&mut w, parent);
         assert!(w.dm.vif(c.child, 0).is_none());
         assert!(w.dm.console_attached(c.child), "console still cloned");
     }
@@ -615,8 +611,8 @@ mod tests {
     fn clone_names_count_up_per_parent() {
         let mut w = world();
         let parent = boot_parent(&mut w);
-        let a = fork(&mut w, parent, None);
-        let b = fork(&mut w, parent, None);
+        let a = fork(&mut w, parent);
+        let b = fork(&mut w, parent);
         assert_eq!(a.name, "udp-c1");
         assert_eq!(b.name, "udp-c2");
         assert_eq!(w.daemon.clones_completed(), 2);

@@ -76,6 +76,32 @@ awk -v d100="$(density_median 100)" -v d10k="$(density_median 10000)" 'BEGIN {
     }
 }'
 
+echo "== cargo bench -p bench --bench net_density --offline (request round trip vs family size)"
+cargo bench -p bench --bench net_density --offline
+
+echo "== net density gate (10^3-member round-trip median <= 3x the 10^2-member median)"
+# The event-driven pump's contract: a host request's round trip touches
+# only the vifs with queued packets and resolves its destination through
+# the IP index, so its host cost must not scale with the number of live
+# vifs. When every pump round walked every vif, the 10^3 median sat at
+# ~14x the 10^2 one.
+net_median() {
+    sed -n 's/.*"group": "family_'"$1"'", "name": "udp_round_trip".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
+        results/BENCH_net_density.json
+}
+awk -v f100="$(net_median 100)" -v f1k="$(net_median 1000)" 'BEGIN {
+    if (f100 + 0 <= 0 || f1k + 0 <= 0) {
+        print "verify.sh: missing net_density medians (f100=" f100 ", f1k=" f1k ")"
+        exit 1
+    }
+    ratio = f1k / f100
+    printf "   udp round-trip median: %.0f ns at 100 members vs %.0f ns at 1000 (%.2fx)\n", f100, f1k, ratio
+    if (ratio > 3.0) {
+        print "verify.sh: request round trip grows " ratio "x from 10^2 to 10^3 family members (gate: 3x)"
+        exit 1
+    }
+}'
+
 echo "== trace overhead budget gate (Aggregate vs Off / Full)"
 # Every enabled sink folds each observation the same way; Aggregate only
 # drops the raw records. This gate holds that one path to its host-cost

@@ -8,6 +8,7 @@ use std::path::Path;
 
 use nephele::hypervisor::cloneop::CloneOp;
 use nephele::hypervisor::memory::FrameOwner;
+use nephele::netmux::IfaceId;
 use nephele::sim_core::{DomId, Pfn};
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{AuditMode, Platform, PlatformConfig};
@@ -411,6 +412,67 @@ fn corrupted_peer_ref_index_is_detected() {
 
     p.hv.corrupt_peer_ref_for_test(parent, DomId::DOM0, -1);
     assert!(p.audit().is_clean());
+}
+
+/// A ghost TX-pending entry for an idle vif costs the event loop nothing
+/// (draining an empty ring is a no-op), so only the index-consistency
+/// invariant can see it — and the report must name the vif.
+#[test]
+fn corrupted_vif_index_is_detected_and_named() {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .audit(AuditMode::Off)
+            .flightrec_dir("target/test-flightrec")
+            .build(),
+    );
+    let img = KernelImage::minios("ghost-vif");
+    let parent = p.launch_plain(&guest_cfg("ghost-vif"), &img).expect("boot");
+    let child = p.clone_domain(parent, 1).expect("clone")[0];
+    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
+
+    p.dm.corrupt_vif_index_for_test(child, 0, true);
+    let report = p.audit();
+    assert!(!report.is_clean(), "pending-set drift must fail the audit");
+    assert!(
+        report.violations.iter().all(|v| v.invariant == "index-consistency"),
+        "only the index invariant can see a ghost pending entry:\n{report}"
+    );
+    assert!(
+        report.violations.iter().any(|v| v.detail.contains(&format!("vif {}/0", child.0))),
+        "violation must name the vif:\n{report}"
+    );
+
+    p.dm.corrupt_vif_index_for_test(child, 0, false);
+    assert!(p.audit().is_clean());
+}
+
+/// A clone-mux member that names no live vif silently drops every flow
+/// that hashes to it; the device-liveness invariant must name it.
+#[test]
+fn dead_mux_member_is_detected_and_named() {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .audit(AuditMode::Off)
+            .flightrec_dir("target/test-flightrec")
+            .build(),
+    );
+    let img = KernelImage::minios("dead-member");
+    let parent = p.launch_plain(&guest_cfg("dead-member"), &img).expect("boot");
+    p.clone_domain(parent, 2).expect("clone");
+    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
+
+    assert!(p.dm.enslave(IfaceId(9_999)), "the default platform runs a bond");
+    let report = p.audit();
+    assert!(!report.is_clean(), "a dead mux member must fail the audit");
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.invariant == "device-liveness" && v.detail.contains("iface 9999")),
+        "violation must name the dead member:\n{report}"
+    );
 }
 
 /// Dom0 alone (a freshly booted platform) audits clean, and the report's

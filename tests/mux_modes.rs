@@ -1,11 +1,12 @@
 //! The two clone-networking options of §5.2.1 — Linux bond and Open
-//! vSwitch select groups — exercised end-to-end, plus save/restore
-//! interplay with cloning.
+//! vSwitch select groups — exercised end-to-end, including members
+//! leaving the family, plus save/restore interplay with cloning.
 
 use std::net::Ipv4Addr;
 
 use nephele::apps::UdpEchoApp;
 use nephele::netmux::SockEvent;
+use nephele::sim_core::DomId;
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{MuxKind, Platform, PlatformConfig};
 
@@ -50,6 +51,94 @@ fn run_family_udp(mux: MuxKind) -> usize {
 fn bond_and_ovs_both_serve_every_flow() {
     assert_eq!(run_family_udp(MuxKind::Bond), 24);
     assert_eq!(run_family_udp(MuxKind::Ovs), 24);
+}
+
+/// A four-member family in `mux` loses one member through `kill`; the
+/// survivors must still answer every one of 24 flows, and the audit
+/// must stay clean.
+fn serve_after_losing_a_member(mux: MuxKind, kill: impl Fn(&mut Platform, DomId)) -> usize {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .ring_capacity(128)
+            .mux(mux)
+            .build(),
+    );
+    let parent = p
+        .launch(
+            &cfg("echo"),
+            &KernelImage::minios("echo"),
+            Box::new(UdpEchoApp::shared_port(7000)),
+        )
+        .unwrap();
+    p.enlist_in_mux(parent);
+    let kids = p.guest_fork(parent, 3).unwrap();
+    kill(&mut p, kids[1]);
+    assert_eq!(p.snapshot().mux_members, 3, "the victim left the {mux:?} mux");
+    let report = p.audit();
+    assert!(report.is_clean(), "{report}");
+    p.take_host_events();
+    for port in 0..24u16 {
+        p.host_udp_send(IP, 5000 + port, 7000, b"q".to_vec());
+    }
+    echoes_from(&mut p, 7000)
+}
+
+fn echoes_from(p: &mut Platform, port: u16) -> usize {
+    p.take_host_events()
+        .into_iter()
+        .filter(|e| matches!(e, SockEvent::UdpData { src_port, .. } if *src_port == port))
+        .count()
+}
+
+#[test]
+fn destroyed_family_member_leaves_the_mux() {
+    for mux in [MuxKind::Bond, MuxKind::Ovs] {
+        let served = serve_after_losing_a_member(mux, |p, victim| p.destroy(victim).unwrap());
+        assert_eq!(served, 24, "{mux:?}: a destroyed member must take no flows");
+    }
+}
+
+/// `xl save` destroys the domain through the toolstack alone, bypassing
+/// `Platform::destroy`; the device teardown must still detach it.
+#[test]
+fn saved_family_member_leaves_the_mux() {
+    let img = KernelImage::minios("echo");
+    for mux in [MuxKind::Bond, MuxKind::Ovs] {
+        let served = serve_after_losing_a_member(mux, |p, victim| {
+            p.xl
+                .save(&mut p.hv, &mut p.xs, &mut p.dm, &mut p.udev, victim, "slot", &img)
+                .unwrap()
+        });
+        assert_eq!(served, 24, "{mux:?}: a saved member must take no flows");
+    }
+}
+
+/// A domain that reuses a destroyed domain's id inherits its MAC
+/// (`MacAddr::xen(domid, devid)`); the bridge's MAC table must route to
+/// the new interface, not the dead one.
+#[test]
+fn reused_domid_receives_its_traffic() {
+    let mut p = Platform::new(PlatformConfig::builder().guest_pool_mib(256).build());
+    let img = KernelImage::minios("echo");
+    let first_ip = Ipv4Addr::new(10, 0, 1, 1);
+    let second_ip = Ipv4Addr::new(10, 0, 1, 2);
+    let standalone = |name: &str, ip: Ipv4Addr| {
+        DomainConfig::builder(name).memory_mib(4).vif(ip).build()
+    };
+    let first = p
+        .launch(&standalone("first", first_ip), &img, Box::new(UdpEchoApp::new(7000)))
+        .unwrap();
+    p.destroy(first).unwrap();
+    let second = p
+        .launch(&standalone("second", second_ip), &img, Box::new(UdpEchoApp::new(7000)))
+        .unwrap();
+    assert_eq!(second, first, "the domid allocator reuses the freed id");
+    let report = p.audit();
+    assert!(report.is_clean(), "{report}");
+    p.take_host_events();
+    p.host_udp_send(second_ip, 5000, 7000, b"q".to_vec());
+    assert_eq!(echoes_from(&mut p, 7000), 1);
 }
 
 #[test]
