@@ -459,17 +459,15 @@ impl DeviceManager {
             xs.xs_clone(DomId::DOM0, XsCloneOp::DevVif, parent, child, &pb, &cb)?;
         }
 
-        let parent_vif = self
-            .vifs
-            .get(&(parent.0, devid))
-            .ok_or(DevError::NoSuchDevice(parent, devid))?
-            .clone();
+        if !self.vifs.contains_key(&(parent.0, devid)) {
+            return Err(DevError::NoSuchDevice(parent, devid));
+        }
 
         // The netback shortcut: connect directly, no negotiation.
         self.clock.advance(self.costs.backend_create);
         let (guest_port, back_port) = hv.evtchn_connect_pair(child, DomId::DOM0)?;
         let iface = self.alloc_iface();
-        let vif = parent_vif.clone_for_child(child, iface, guest_port, back_port);
+        let vif = self.vifs[&(parent.0, devid)].clone_for_child(child, iface, guest_port, back_port);
         self.insert_vif(vif);
         self.bus.register(Rc::new(VifDev { dom: child, devid }));
         self.clock.advance(self.costs.udev_event);

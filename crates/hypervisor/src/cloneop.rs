@@ -17,12 +17,14 @@
 //!   restore a clone's memory and vCPU state between fuzzing iterations
 //!   (§7.2; the reset cost scales with the number of dirty pages).
 
+use std::rc::Rc;
+
 use sim_core::{DomId, Mfn, Pfn};
 
 use crate::domain::{Checkpoint, Domain, DomainState, PrivatePolicy};
 use crate::error::{HvError, Result};
 use crate::event::Channel;
-use crate::memory::{CowResolution, FrameOwner};
+use crate::memory::{CowResolution, FrameOwner, PageContent};
 use crate::notify::CloneNotification;
 use crate::vcpu::Vcpu;
 use crate::Hypervisor;
@@ -267,24 +269,43 @@ impl Hypervisor {
             Bump,
         }
 
-        // Single classification walk over the p2m. `first_shared` tracks
-        // frames this walk will move to dom_cow, so a frame mapped at two
-        // pfns is first-shared once and bumped at its second slot —
-        // exactly what N sequential walks would produce.
-        let mut private_slots: Vec<(usize, PrivatePolicy, Mfn)> = Vec::new();
-        let mut shared_slots: Vec<(Mfn, SharedKind)> = Vec::new();
+        // Single classification walk over the p2m, merge-joined with the
+        // sorted private and IDC tables: each table cursor yields its
+        // entry when the walk reaches that slot (holes included, whose
+        // entries are dropped), so no slot probes a tree. `first_shared`
+        // tracks frames this walk will move to dom_cow, so a frame mapped
+        // at two pfns is first-shared once and bumped at its second slot
+        // — exactly what N sequential walks would produce.
+        let mut private_slots: Vec<(usize, PrivatePolicy, Mfn)> =
+            Vec::with_capacity(private_pfns.len());
+        let mut shared_slots: Vec<(Mfn, SharedKind)> =
+            Vec::with_capacity(p2m.len().saturating_sub(private_pfns.len()));
         let mut first_shared = std::collections::HashSet::new();
+        let mut private_iter = private_pfns.iter();
+        let mut next_private = private_iter.next();
+        let mut idc_iter = idc_pfns.iter();
+        let mut next_idc = idc_iter.next();
         for (i, slot) in p2m.iter().enumerate() {
-            let Some(mfn) = slot else { continue };
             let pfn = Pfn(i as u64);
-            if let Some(policy) = private_pfns.get(&pfn) {
-                private_slots.push((i, *policy, mfn));
+            let private = match next_private {
+                Some((p, policy)) if *p == pfn => {
+                    next_private = private_iter.next();
+                    Some(*policy)
+                }
+                _ => None,
+            };
+            let idc = next_idc == Some(&pfn);
+            if idc {
+                next_idc = idc_iter.next();
+            }
+            let Some(mfn) = slot else { continue };
+            if let Some(policy) = private {
+                private_slots.push((i, policy, mfn));
                 continue;
             }
             match self.frames().inspect(mfn)?.owner() {
                 FrameOwner::Dom(d) if d == parent_id => {
                     if first_shared.insert(mfn.0) {
-                        let idc = idc_pfns.contains(&pfn);
                         shared_slots.push((mfn, SharedKind::First { idc }));
                     } else {
                         shared_slots.push((mfn, SharedKind::Bump));
@@ -347,26 +368,30 @@ impl Hypervisor {
             let cspan = self.trace().span("clone.cow_convert");
             cspan.attr("pages", shared_slots.len());
             cspan.attr("nr", nr);
-            let n = nr as u64;
+            let (mut firsts, mut bumps) = (0u64, 0u64);
             for (mfn, kind) in &shared_slots {
                 match kind {
                     SharedKind::First { idc } => {
                         self.frames_mut()
                             .share_to_cow(*mfn, parent_id, nr.saturating_add(1), *idc)
                             .expect("classified as parent-owned");
-                        self.clock().advance(costs.clone_share_per_page);
-                        self.clock()
-                            .advance(costs.clone_reshare_per_page.saturating_mul(n - 1));
+                        firsts += 1;
                     }
                     SharedKind::Bump => {
                         self.frames_mut()
                             .reshare(*mfn, nr)
                             .expect("classified as COW");
-                        self.clock()
-                            .advance(costs.clone_reshare_per_page.saturating_mul(n));
+                        bumps += 1;
                     }
                 }
             }
+            // The per-page charges, summed into one advance: no span
+            // opens inside the loop, so nothing observes the clock
+            // between pages.
+            let n = nr as u64;
+            let first_page = costs.clone_share_per_page + costs.clone_reshare_per_page * (n - 1);
+            self.clock()
+                .advance(first_page * firsts + costs.clone_reshare_per_page * n * bumps);
         }
 
         // Parent-side DOMID_CHILD channels become child→parent channels at
@@ -394,8 +419,8 @@ impl Hypervisor {
         struct StampedChild {
             aux_frames: Vec<Mfn>,
             vcpus: Vec<Vcpu>,
-            /// `(dst, image)` pairs to install — `Copy`/`Rewrite` slots only.
-            installs: Vec<(Mfn, crate::memory::PageContent)>,
+            /// `(dst, image)` pairs to install — non-zero images only.
+            installs: Vec<(Mfn, PageContent)>,
             patches: Vec<(u64, Option<Mfn>)>,
             child_start_info: Mfn,
             grants: crate::grant::GrantTable,
@@ -420,10 +445,11 @@ impl Hypervisor {
                     vcpus.iter().map(Vcpu::clone_for_child).collect();
 
                 // Private pages: build each child's page images from the
-                // parent frames. Equivalent to `copy_page` (+ `write` for
-                // the id rewrite) against the child's fresh frame, but
-                // computed against the immutable snapshot so workers need
-                // no access to the mutable frame table.
+                // parent frames. Equivalent to `copy_page` (+ the id
+                // rewrite) against the child's fresh frame, but computed
+                // against the immutable snapshot so workers need no access
+                // to the mutable frame table. `alloc` zeroed the fresh
+                // frames, so zero images are not installed.
                 let mut installs = Vec::new();
                 let mut patches: Vec<(u64, Option<Mfn>)> =
                     Vec::with_capacity(private_slots.len());
@@ -431,26 +457,25 @@ impl Hypervisor {
                     Vec::with_capacity(private_slots.len());
                 let mut child_start_info = Mfn(0);
                 for (&(i, policy, mfn), &new) in private_slots.iter().zip(&fresh) {
-                    match policy {
-                        PrivatePolicy::Copy => {
-                            let img = frames
-                                .inspect(mfn)
-                                .expect("snapshot frames exist")
-                                .content()
-                                .clone();
-                            installs.push((new, img));
-                        }
-                        PrivatePolicy::Fresh => {}
+                    let parent_image = || {
+                        frames
+                            .inspect(mfn)
+                            .expect("snapshot frames exist")
+                            .content()
+                            .clone()
+                    };
+                    let img = match policy {
+                        PrivatePolicy::Copy => parent_image(),
+                        PrivatePolicy::Fresh => PageContent::Zero,
                         PrivatePolicy::Rewrite => {
-                            let mut img = frames
-                                .inspect(mfn)
-                                .expect("snapshot frames exist")
-                                .content()
-                                .clone();
                             // Rewrite the embedded domain id reference.
-                            img.write(0, &child_id.0.to_le_bytes());
-                            installs.push((new, img));
+                            let mut img = parent_image();
+                            img.rewrite_head(child_id.0);
+                            img
                         }
+                    };
+                    if !matches!(img, PageContent::Zero) {
+                        installs.push((new, img));
                     }
                     patches.push((i as u64, Some(new)));
                     remaps.push((mfn, new));
@@ -562,8 +587,8 @@ impl Hypervisor {
                 vcpus: child_vcpus,
                 p2m: child_p2m,
                 aux_frames,
-                private_pfns: private_pfns.clone(),
-                idc_pfns: idc_pfns.clone(),
+                private_pfns: Rc::clone(&private_pfns),
+                idc_pfns: Rc::clone(&idc_pfns),
                 start_info_pfn,
                 xenstore_pfn,
                 console_pfn,
@@ -930,10 +955,89 @@ mod tests {
         let pm = hv.domain(p).unwrap().lookup(si).unwrap();
         let cm = hv.domain(c).unwrap().lookup(si).unwrap();
         assert_ne!(pm, cm, "start_info must be duplicated");
-        // The child's start_info embeds the child's domain id (rewrite).
-        let mut buf = [0u8; 4];
-        hv.read_page(c, si, 0, &mut buf).unwrap();
-        assert_eq!(u32::from_le_bytes(buf), c.0);
+        hv.cloneop(DomId::DOM0, CloneOp::Completion { child: c })
+            .unwrap();
+        let g = do_clone(&mut hv, c, 1)[0];
+        let gm = hv.domain(g).unwrap().lookup(si).unwrap();
+        assert!(gm != cm && gm != pm, "the grandchild's start_info is its own");
+        // Each clone's start_info embeds its own domain id (rewrite), held
+        // as a compact head word rather than a materialized page.
+        for (dom, mfn) in [(c, cm), (g, gm)] {
+            let mut buf = [0u8; 4];
+            hv.read_page(dom, si, 0, &mut buf).unwrap();
+            assert_eq!(u32::from_le_bytes(buf), dom.0);
+            assert!(
+                matches!(hv.frames().inspect(mfn).unwrap().content(), PageContent::Head(v) if *v == u64::from(dom.0)),
+                "dom {} start_info is {:?}",
+                dom.0,
+                hv.frames().inspect(mfn).unwrap().content()
+            );
+        }
+    }
+
+    #[test]
+    fn compact_start_info_survives_save_and_restore() {
+        let mut hv = hv();
+        let p = cloneable_guest(&mut hv, 4);
+        let si = hv.domain(p).unwrap().start_info_pfn;
+        let c = do_clone(&mut hv, p, 1)[0];
+        let image = hv.snapshot_memory(c).unwrap();
+        let saved = &image.pages.iter().find(|(pfn, _)| *pfn == si).unwrap().1;
+        assert!(matches!(saved, PageContent::Head(v) if *v == u64::from(c.0)));
+
+        let restored = hv.create_domain("restored", 4, 1).unwrap();
+        hv.load_image(restored, &image).unwrap();
+        let mfn = hv.domain(restored).unwrap().lookup(si).unwrap();
+        assert!(matches!(hv.frames().inspect(mfn).unwrap().content(), PageContent::Head(v) if *v == u64::from(c.0)));
+        let mut buf = [0xEEu8; 12];
+        hv.read_page(restored, si, 0, &mut buf).unwrap();
+        let mut expected = [0u8; 12];
+        expected[..4].copy_from_slice(&c.0.to_le_bytes());
+        assert_eq!(buf, expected);
+    }
+
+    #[test]
+    fn rewriting_a_compact_start_info_with_its_own_bytes_is_not_dirty() {
+        let mut hv = hv();
+        let p = cloneable_guest(&mut hv, 4);
+        let si = hv.domain(p).unwrap().start_info_pfn;
+        let c = do_clone(&mut hv, p, 1)[0];
+        hv.cloneop(DomId::DOM0, CloneOp::Completion { child: c })
+            .unwrap();
+        hv.cloneop(DomId::DOM0, CloneOp::Checkpoint { dom: c }).unwrap();
+        // The write materializes the page with the bytes it already held,
+        // which is no divergence from the checkpoint.
+        hv.write_page(c, si, 0, &c.0.to_le_bytes()).unwrap();
+        let r = hv.cloneop(DomId::DOM0, CloneOp::CloneReset { dom: c });
+        assert_eq!(r, Ok(CloneOpResult::Reset { dirty_pages: 0 }));
+    }
+
+    #[test]
+    fn a_family_shares_one_private_table_until_a_member_registers() {
+        let mut hv = hv();
+        let p = cloneable_guest(&mut hv, 4);
+        let kids = do_clone(&mut hv, p, 2);
+        let table = |hv: &Hypervisor, d: DomId| Rc::clone(&hv.domain(d).unwrap().private_pfns);
+        let idc = |hv: &Hypervisor, d: DomId| Rc::clone(&hv.domain(d).unwrap().idc_pfns);
+        let before = table(&hv, p);
+        for &k in &kids {
+            assert!(Rc::ptr_eq(&table(&hv, k), &before));
+            assert!(Rc::ptr_eq(&idc(&hv, k), &idc(&hv, p)));
+        }
+
+        hv.register_private_pfn(kids[0], Pfn(9), PrivatePolicy::Copy)
+            .unwrap();
+        hv.register_idc_pfn(kids[0], Pfn(10)).unwrap();
+        let own = table(&hv, kids[0]);
+        assert!(!Rc::ptr_eq(&own, &before), "registering copies the table");
+        assert_eq!(own.get(&Pfn(9)), Some(&PrivatePolicy::Copy));
+        assert_eq!(own.len(), before.len() + 1);
+        assert!(idc(&hv, kids[0]).contains(&Pfn(10)));
+        for d in [p, kids[1]] {
+            assert!(Rc::ptr_eq(&table(&hv, d), &before), "dom {} keeps the shared table", d.0);
+            assert!(!table(&hv, d).contains_key(&Pfn(9)));
+            assert!(idc(&hv, d).is_empty());
+        }
     }
 
     #[test]

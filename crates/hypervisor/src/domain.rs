@@ -1,6 +1,7 @@
 //! Per-domain state: the simulator's `struct domain`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use sim_core::{DomId, Mfn, Pfn};
 
@@ -118,11 +119,15 @@ pub struct Domain {
     /// Exclusively owned frames not visible in the p2m: page-table frames
     /// and the frames storing the p2m itself. Always private.
     pub aux_frames: Vec<Mfn>,
-    /// Pfns that must not be shared on clone, with their policy.
-    pub private_pfns: BTreeMap<Pfn, PrivatePolicy>,
+    /// Pfns that must not be shared on clone, with their policy. Clones
+    /// inherit the table by `Rc` handle, so a family shares one copy
+    /// until a member registers a pfn of its own (copy on write, see
+    /// `Hypervisor::register_private_pfn`).
+    pub private_pfns: Rc<BTreeMap<Pfn, PrivatePolicy>>,
     /// Pfns used for inter-domain communication: shared *writable* with
-    /// clones (ownership still moves to `dom_cow`, §5.2.2).
-    pub idc_pfns: std::collections::BTreeSet<Pfn>,
+    /// clones (ownership still moves to `dom_cow`, §5.2.2). Shared by the
+    /// family like `private_pfns`.
+    pub idc_pfns: Rc<BTreeSet<Pfn>>,
     /// The `start_info` pfn (private, rewritten on clone).
     pub start_info_pfn: Pfn,
     /// The Xenstore interface ring pfn (private).

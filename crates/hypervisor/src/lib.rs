@@ -271,7 +271,7 @@ impl Hypervisor {
             vcpus: (0..vcpus).map(Vcpu::new).collect(),
             p2m: P2m::from_vec(p2m_slots),
             aux_frames,
-            private_pfns,
+            private_pfns: Rc::new(private_pfns),
             idc_pfns: Default::default(),
             start_info_pfn,
             xenstore_pfn,
@@ -674,7 +674,9 @@ impl Hypervisor {
     }
 
     /// Marks a guest pfn as private for cloning purposes (used by device
-    /// frontends for ring pages and preallocated RX buffers).
+    /// frontends for ring pages and preallocated RX buffers). The domain's
+    /// table is shared with its clone family, so the first registration
+    /// copies it; the other members keep the table they had.
     pub fn register_private_pfn(
         &mut self,
         dom: DomId,
@@ -685,18 +687,19 @@ impl Hypervisor {
         if pfn.0 as usize >= d.p2m.len() {
             return Err(HvError::NotMapped(dom, pfn));
         }
-        d.private_pfns.insert(pfn, policy);
+        Rc::make_mut(&mut d.private_pfns).insert(pfn, policy);
         Ok(())
     }
 
     /// Marks a guest pfn as an IDC page: shared *writable* with clones
-    /// rather than copied-on-write (§5.2.2).
+    /// rather than copied-on-write (§5.2.2). Copies the family-shared
+    /// table on write, like [`Hypervisor::register_private_pfn`].
     pub fn register_idc_pfn(&mut self, dom: DomId, pfn: Pfn) -> Result<()> {
         let d = self.domain_mut(dom)?;
         if pfn.0 as usize >= d.p2m.len() {
             return Err(HvError::NotMapped(dom, pfn));
         }
-        d.idc_pfns.insert(pfn);
+        Rc::make_mut(&mut d.idc_pfns).insert(pfn);
         Ok(())
     }
 

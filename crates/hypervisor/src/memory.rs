@@ -35,7 +35,7 @@ pub enum FrameOwner {
 }
 
 /// Lazily materialized page contents.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Eq, Default)]
 pub enum PageContent {
     /// All zeroes (the state of freshly allocated memory).
     #[default]
@@ -43,8 +43,33 @@ pub enum PageContent {
     /// Every 8-byte word holds this value (cheap "pattern" fill used by the
     /// workloads to dirty memory without allocating real buffers).
     Fill(u64),
+    /// A zero page whose first 8 bytes hold this value, little-endian:
+    /// the clone-time `start_info` rewrite of a zero page (see
+    /// [`PageContent::rewrite_head`]). Stands for the `Bytes` page that
+    /// rewrite used to materialize, and compares equal to it.
+    Head(u64),
     /// Fully materialized contents.
     Bytes(Box<[u8]>),
+}
+
+/// Equality of representations, except that a [`PageContent::Head`]
+/// equals the `Bytes` page it stands for. Every other pair compares as
+/// a derived `PartialEq` would (a `Zero` page is not equal to an
+/// all-zero `Bytes` buffer), so replacing materialized `start_info`
+/// pages with `Head` changes the outcome of no content comparison.
+impl PartialEq for PageContent {
+    fn eq(&self, other: &Self) -> bool {
+        use PageContent::*;
+        match (self, other) {
+            (Zero, Zero) => true,
+            (Fill(a), Fill(b)) | (Head(a), Head(b)) => a == b,
+            (Bytes(a), Bytes(b)) => a == b,
+            (Head(v), Bytes(b)) | (Bytes(b), Head(v)) => {
+                b[..8] == v.to_le_bytes() && b[8..].iter().all(|&x| x == 0)
+            }
+            _ => false,
+        }
+    }
 }
 
 impl PageContent {
@@ -53,6 +78,7 @@ impl PageContent {
         match self {
             PageContent::Zero => 0,
             PageContent::Fill(v) => v.to_le_bytes()[offset % 8],
+            PageContent::Head(v) => v.to_le_bytes().get(offset).copied().unwrap_or(0),
             PageContent::Bytes(b) => b[offset],
         }
     }
@@ -68,7 +94,25 @@ impl PageContent {
                 }
                 b.into_boxed_slice()
             }
+            PageContent::Head(v) => {
+                let mut b = vec![0u8; PAGE_SIZE];
+                b[..8].copy_from_slice(&v.to_le_bytes());
+                b.into_boxed_slice()
+            }
             PageContent::Bytes(b) => b.clone(),
+        }
+    }
+
+    /// Writes `id` as the page's first four bytes, little-endian: the
+    /// clone-time rewrite of a `start_info` page's embedded domain id.
+    /// A zero or [`PageContent::Head`] page stays a `Head` and only its
+    /// low word changes; any other page takes the write as
+    /// [`PageContent::write`] would.
+    pub fn rewrite_head(&mut self, id: u32) {
+        match self {
+            PageContent::Zero => *self = PageContent::Head(u64::from(id)),
+            PageContent::Head(v) => *v = (*v & !u64::from(u32::MAX)) | u64::from(id),
+            _ => self.write(0, &id.to_le_bytes()),
         }
     }
 
@@ -445,6 +489,12 @@ impl FrameTable {
                     *b = pat[(offset + i) % 8];
                 }
             }
+            PageContent::Head(v) => {
+                let head = v.to_le_bytes();
+                for (i, b) in buf.iter_mut().enumerate() {
+                    *b = head.get(offset + i).copied().unwrap_or(0);
+                }
+            }
             PageContent::Bytes(bytes) => {
                 buf.copy_from_slice(&bytes[offset..offset + buf.len()]);
             }
@@ -771,6 +821,56 @@ mod tests {
         let m = ft.alloc(FrameOwner::Dom(D1)).unwrap();
         ft.write(m, 0, &page).unwrap();
         assert_eq!(ft.inspect(m).unwrap().content().byte_at(PAGE_SIZE - 1), 0x5A);
+    }
+
+    #[test]
+    fn head_content_reads_as_a_zero_page_with_its_first_word() {
+        let v = 0x1122_3344_5566_7788u64;
+        let head = PageContent::Head(v);
+        let mut page = vec![0u8; PAGE_SIZE];
+        page[..8].copy_from_slice(&v.to_le_bytes());
+        assert_eq!(&*head.to_bytes(), &page[..]);
+        for off in [0, 3, 7, 8, 100, PAGE_SIZE - 1] {
+            assert_eq!(head.byte_at(off), page[off], "byte {off}");
+        }
+        assert_eq!(head, PageContent::Bytes(page.clone().into_boxed_slice()));
+        assert_ne!(head, PageContent::Head(v + 1));
+        assert_ne!(PageContent::Head(0), PageContent::Zero);
+
+        let mut ft = FrameTable::new(1);
+        let m = ft.alloc(FrameOwner::Dom(D1)).unwrap();
+        ft.set_content(m, head).unwrap();
+        for (off, len) in [(0, 8), (5, 6), (8, 4), (0, PAGE_SIZE)] {
+            let mut buf = vec![0xEE; len];
+            ft.read(m, off, &mut buf).unwrap();
+            assert_eq!(buf, page[off..off + len], "read of {len} at {off}");
+        }
+
+        // A write through a head page materializes it.
+        ft.write(m, 4, &[0xAB]).unwrap();
+        page[4] = 0xAB;
+        match ft.inspect(m).unwrap().content() {
+            PageContent::Bytes(b) => assert_eq!(&**b, &page[..]),
+            other => panic!("write left {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rewrite_head_keeps_zero_and_head_pages_compact() {
+        let mut c = PageContent::Zero;
+        c.rewrite_head(7);
+        assert!(matches!(c, PageContent::Head(7)));
+        // A clone of a clone rewrites only the low word.
+        let mut c = PageContent::Head(0xAAAA_BBBB_0000_0005);
+        c.rewrite_head(9);
+        assert!(matches!(c, PageContent::Head(0xAAAA_BBBB_0000_0009)));
+        // Other pages take the write as `write` would.
+        let mut f = PageContent::Fill(0x0102_0304_0506_0708);
+        let mut expected = f.clone();
+        f.rewrite_head(3);
+        expected.write(0, &3u32.to_le_bytes());
+        assert!(matches!(f, PageContent::Bytes(_)));
+        assert_eq!(f, expected);
     }
 
     #[test]

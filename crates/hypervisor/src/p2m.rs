@@ -118,15 +118,18 @@ impl P2m {
     }
 
     /// Merged per-slot view, in slot order (replaces iterating the old
-    /// dense `Vec<Option<Mfn>>`).
+    /// dense `Vec<Option<Mfn>>`). One merge-join of the sorted overlay
+    /// into the base walk: O(slots + overlay), no per-slot tree probe.
     pub fn iter(&self) -> impl Iterator<Item = Option<Mfn>> + '_ {
-        self.base
-            .iter()
-            .enumerate()
-            .map(move |(i, b)| match self.overlay.get(&(i as u64)) {
-                Some(v) => *v,
-                None => *b,
-            })
+        let mut overlay = self.overlay.iter();
+        let mut next = overlay.next();
+        self.base.iter().enumerate().map(move |(i, b)| match next {
+            Some((k, v)) if *k == i as u64 => {
+                next = overlay.next();
+                *v
+            }
+            _ => *b,
+        })
     }
 
     /// Mapped (non-hole) slots as `(pfn, mfn)` pairs, in pfn order.
@@ -165,24 +168,35 @@ impl P2m {
 
     /// Builds a child's p2m: an `Rc` handle on this p2m's template plus
     /// an overlay holding this p2m's own divergences and the child's
-    /// private-slot `patches`. O(divergences + patches), independent of
-    /// the template size.
+    /// private-slot `patches`, which must ascend by slot. The overlay is
+    /// one sorted merge of the two followed by one bulk B-tree build:
+    /// O(divergences + patches), independent of the template size. A
+    /// patch replaces this p2m's entry at its slot, and one equal to the
+    /// base slot leaves no entry, as [`P2m::set`] would.
     pub fn child_with_patches(
         &self,
         patches: impl IntoIterator<Item = (u64, Option<Mfn>)>,
     ) -> P2m {
-        let mut overlay = (*self.overlay).clone();
+        let patches = patches.into_iter();
+        let mut inherited = self.overlay.iter().map(|(i, v)| (*i, *v)).peekable();
+        let mut merged = Vec::with_capacity(self.overlay.len() + patches.size_hint().0);
+        let mut prev: Option<u64> = None;
         for (idx, val) in patches {
+            debug_assert!(prev.map_or(true, |p| p < idx), "patches must ascend");
             debug_assert!((idx as usize) < self.base.len());
-            if val == self.base[idx as usize] {
-                overlay.remove(&idx);
-            } else {
-                overlay.insert(idx, val);
+            prev = Some(idx);
+            while let Some(entry) = inherited.next_if(|(i, _)| *i < idx) {
+                merged.push(entry);
+            }
+            inherited.next_if(|(i, _)| *i == idx);
+            if val != self.base[idx as usize] {
+                merged.push((idx, val));
             }
         }
+        merged.extend(inherited);
         P2m {
             base: Rc::clone(&self.base),
-            overlay: Rc::new(overlay),
+            overlay: Rc::new(merged.into_iter().collect()),
         }
     }
 
@@ -218,7 +232,66 @@ impl Eq for P2m {}
 
 #[cfg(test)]
 mod tests {
+    use testkit::prop::{bools, check, ranges, vecs, Gen};
+
     use super::*;
+
+    /// The construction `child_with_patches` replaced: clone the parent
+    /// overlay, then apply each patch through the canonicalizing insert.
+    fn child_by_clone_then_insert(parent: &P2m, patches: &[(u64, Option<Mfn>)]) -> P2m {
+        let mut overlay = (*parent.overlay).clone();
+        for &(idx, val) in patches {
+            if val == parent.base[idx as usize] {
+                overlay.remove(&idx);
+            } else {
+                overlay.insert(idx, val);
+            }
+        }
+        P2m {
+            base: Rc::clone(&parent.base),
+            overlay: Rc::new(overlay),
+        }
+    }
+
+    #[test]
+    fn merged_walk_and_bulk_built_child_match_their_references() {
+        // Values come from a small range so that overlay entries, patches
+        // and base slots collide often: patches equal to the base slot and
+        // patches landing on existing overlay keys are both common.
+        let slot = || (bools(), ranges(0u64..6)).map(|(hole, m)| (!hole).then_some(Mfn(m)));
+        check(256, |g| {
+            let base = g.draw(&vecs(slot(), 1..40));
+            let len = base.len() as u64;
+            let mut parent = P2m::from_vec(base);
+            for (idx, val) in g.draw(&vecs((ranges(0..len), slot()), 0..24)) {
+                parent.set(idx as usize, val);
+            }
+            let picks = g.draw(&vecs((bools(), ranges(0..len), slot(), bools()), 0..24));
+            let mut patches: Vec<(u64, Option<Mfn>)> = Vec::new();
+            for (on_overlay, idx, val, to_base) in picks {
+                let keys: Vec<u64> = parent.overlay.keys().copied().collect();
+                let idx = if on_overlay && !keys.is_empty() {
+                    keys[idx as usize % keys.len()]
+                } else {
+                    idx
+                };
+                let val = if to_base { parent.base[idx as usize] } else { val };
+                patches.push((idx, val));
+            }
+            patches.sort_by_key(|&(idx, _)| idx);
+            patches.dedup_by_key(|&mut (idx, _)| idx);
+
+            let child = parent.child_with_patches(patches.iter().copied());
+            let reference = child_by_clone_then_insert(&parent, &patches);
+            assert_eq!(*child.overlay, *reference.overlay, "patches {patches:?}");
+            assert_eq!(child.base_addr(), parent.base_addr());
+            for p in [&parent, &child] {
+                let walked: Vec<Option<Mfn>> = p.iter().collect();
+                let probed: Vec<Option<Mfn>> = (0..p.len()).map(|i| p.get(i)).collect();
+                assert_eq!(walked, probed);
+            }
+        });
+    }
 
     fn sample() -> P2m {
         P2m::from_vec(vec![Some(Mfn(10)), None, Some(Mfn(12)), Some(Mfn(13))])

@@ -35,7 +35,7 @@
 
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default number of timed samples per benchmark function.
 pub const DEFAULT_SAMPLES: usize = 50;
@@ -247,19 +247,18 @@ impl Timer {
         }
     }
 
-    /// Measures `f`: warmup + batch calibration, then `samples` timed
-    /// batches. Results are recorded per iteration.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
+    /// Like [`Timer::iter`], but `routine(n)` runs `n` iterations itself
+    /// and returns the time they took. Use this when each iteration mixes
+    /// timed work with work that must not be timed, such as undoing the
+    /// timed operation so the next iteration starts from the same state.
+    pub fn iter_custom(&mut self, mut routine: impl FnMut(u64) -> Duration) {
+        let mut per_iter = |batch: u64| routine(batch).as_nanos() as f64 / batch as f64;
         // Warmup, measuring a growing batch until the time budget is
         // spent; the last full batch calibrates the per-iter estimate.
         let warmup_start = Instant::now();
         let mut batch = 1u64;
         let est_ns = loop {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let est = t.elapsed().as_nanos() as f64 / batch as f64;
+            let est = per_iter(batch);
             if warmup_start.elapsed().as_nanos() as u64 >= WARMUP_BUDGET_NS / 2 {
                 break est;
             }
@@ -269,12 +268,21 @@ impl Timer {
 
         self.measurements.clear();
         for _ in 0..self.samples {
+            let sample = per_iter(self.batch);
+            self.measurements.push(sample);
+        }
+    }
+
+    /// Measures `f`: warmup + batch calibration, then `samples` timed
+    /// batches. Results are recorded per iteration.
+    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
+        self.iter_custom(|batch| {
             let t = Instant::now();
-            for _ in 0..self.batch {
+            for _ in 0..batch {
                 black_box(f());
             }
-            self.measurements.push(t.elapsed().as_nanos() as f64 / self.batch as f64);
-        }
+            t.elapsed()
+        });
     }
 }
 

@@ -186,6 +186,27 @@ fn bench_iter_with_setup_times_only_the_routine() {
 }
 
 #[test]
+fn bench_iter_custom_records_the_time_the_routine_reports() {
+    use std::time::Duration;
+
+    let mut c = Bench::new("custom_selftest");
+    let mut g = c.benchmark_group("g");
+    g.sample_size(4);
+    g.bench_function("fixed", |b| {
+        b.iter_custom(|iters| {
+            // Untimed work between iterations does not reach the record.
+            std::hint::black_box((0..iters * 100).sum::<u64>());
+            Duration::from_nanos(1_000 * iters)
+        });
+    });
+    g.finish();
+    let r = &c.records()[0];
+    assert_eq!(r.samples, 4);
+    assert_eq!(r.median_ns, 1_000.0);
+    assert_eq!(r.max_ns, 1_000.0);
+}
+
+#[test]
 fn bench_report_round_trips_through_hand_parsing() {
     let mut c = Bench::new("selftest");
     let mut g = c.benchmark_group("group_a");

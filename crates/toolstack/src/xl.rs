@@ -420,14 +420,15 @@ impl Xl {
     /// Registers a clone created by `xencloned` in the instance registry
     /// (name uniqueness is guaranteed by construction — no scan).
     pub fn register_clone(&mut self, parent: DomId, child: DomId, name: &str, ifaces: Vec<IfaceId>) {
-        if let Some(p) = self.records.get(&parent.0).cloned() {
-            self.insert_record(DomRecord {
+        if let Some(p) = self.records.get(&parent.0) {
+            let record = DomRecord {
                 id: child,
                 name: name.to_string(),
                 config: p.config.clone(),
                 layout: p.layout,
                 ifaces,
-            });
+            };
+            self.insert_record(record);
         }
     }
 

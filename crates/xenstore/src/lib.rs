@@ -182,14 +182,14 @@ impl Xenstore {
     // Cost accounting
     // ------------------------------------------------------------------
 
-    fn charge_request(&mut self, kind: &str, path: &str) {
+    fn charge_request(&mut self) {
         self.clock.advance(self.costs.xs_request_base);
         self.clock.advance(
             self.costs
                 .xs_per_existing_entry
                 .saturating_mul(self.entry_count),
         );
-        let rotated = self.access_log.append(kind, path);
+        let rotated = self.access_log.append();
         self.clock.advance(self.costs.xs_access_log_append);
         if rotated {
             // Rotation stalls the daemon: the latency spikes of Fig. 4.
@@ -256,7 +256,7 @@ impl Xenstore {
 
     fn read_impl(&mut self, who: DomId, path: &str) -> Result<String> {
         validate(path)?;
-        self.charge_request("read", path);
+        self.charge_request();
         let _ = who;
         match self.root.lookup(path) {
             Some(node) => Ok(node.value().unwrap_or_default()),
@@ -311,7 +311,7 @@ impl Xenstore {
         if !self.may_write(who, path) {
             return Err(XsError::Denied(path.to_string()));
         }
-        self.charge_request("write", path);
+        self.charge_request();
         self.write_unlogged(who, path, value);
         self.fire_watches(path);
         Ok(())
@@ -340,7 +340,7 @@ impl Xenstore {
         if !self.may_write(who, path) {
             return Err(XsError::Denied(path.to_string()));
         }
-        self.charge_request("mkdir", path);
+        self.charge_request();
         self.mkdir_internal(who, path)?;
         self.fire_watches(path);
         Ok(())
@@ -357,7 +357,7 @@ impl Xenstore {
         if !self.may_write(who, path) {
             return Err(XsError::Denied(path.to_string()));
         }
-        self.charge_request("rm", path);
+        self.charge_request();
         let removed = self
             .root
             .remove(path)
@@ -376,7 +376,7 @@ impl Xenstore {
     fn directory_impl(&mut self, who: DomId, path: &str) -> Result<Vec<String>> {
         validate(path)?;
         let _ = who;
-        self.charge_request("directory", path);
+        self.charge_request();
         match self.root.lookup(path) {
             Some(node) => Ok(node.child_names().map(str::to_string).collect()),
             None => Err(XsError::NoEnt(path.to_string())),
@@ -391,7 +391,7 @@ impl Xenstore {
     /// [`WatchEvent`] carrying `token`.
     pub fn watch(&mut self, who: DomId, token: &str, prefix: &str) -> Result<()> {
         validate(prefix)?;
-        self.charge_request("watch", prefix);
+        self.charge_request();
         self.watches
             .register(who, token, prefix.trim_end_matches('/'));
         Ok(())
@@ -399,7 +399,7 @@ impl Xenstore {
 
     /// Removes a watch by owner and token.
     pub fn unwatch(&mut self, who: DomId, token: &str) {
-        self.charge_request("unwatch", token);
+        self.charge_request();
         self.watches.unregister(who, token);
     }
 
@@ -445,7 +445,7 @@ impl Xenstore {
         if !self.txns.contains_key(&txn) {
             return Err(XsError::BadTxn(txn));
         }
-        self.charge_request("txn_read", path);
+        self.charge_request();
         let t = &self.txns[&txn];
         match t.resolve(path) {
             Some(Some(value)) => Ok(value),
@@ -516,12 +516,12 @@ impl Xenstore {
         for op in t.ops {
             match op {
                 TxnOp::Write { path, value } => {
-                    self.charge_request("write", &path);
+                    self.charge_request();
                     self.write_unlogged(who, &path, &value);
                     touched.push(path);
                 }
                 TxnOp::Rm { path } => {
-                    self.charge_request("rm", &path);
+                    self.charge_request();
                     if let Some(removed) = self.root.remove(&path) {
                         self.entry_count = self.entry_count.saturating_sub(removed);
                     }
@@ -555,7 +555,7 @@ impl Xenstore {
 
     fn introduce_domain_impl(&mut self, domid: DomId, parent: Option<DomId>) -> Result<()> {
         self.clock.advance(self.costs.xs_introduce);
-        self.charge_request("introduce", &format!("/local/domain/{}", domid.0));
+        self.charge_request();
         self.scrub_stale_backends(domid);
         let home = format!("/local/domain/{}", domid.0);
         self.mkdir_internal(DomId::DOM0, &home)?;
@@ -643,7 +643,7 @@ impl Xenstore {
         let span = self.trace.span("xs.xs_clone");
         span.attr("op", clone_op_name(op));
         // One request round-trip for the entire directory.
-        self.charge_request("xs_clone", parent_path);
+        self.charge_request();
 
         // O(path-depth) on the host: detach a structurally-shared handle to
         // the source subtree instead of deep-copying it. The *modelled*

@@ -16,14 +16,9 @@ pub struct AccessLog {
     lines_in_current: u64,
     lines_total: u64,
     rotations: u64,
-    /// Most recent few lines, kept for debugging/tests.
-    tail: Vec<String>,
 }
 
 impl AccessLog {
-    /// Maximum lines retained in the debug tail.
-    const TAIL_KEEP: usize = 16;
-
     /// Creates a log that rotates every `rotate_every` lines.
     pub fn new(rotate_every: u64) -> Self {
         AccessLog {
@@ -32,22 +27,17 @@ impl AccessLog {
             lines_in_current: 0,
             lines_total: 0,
             rotations: 0,
-            tail: Vec::new(),
         }
     }
 
     /// Appends one request line; returns `true` if this append triggered a
     /// rotation (the caller charges the stall).
-    pub fn append(&mut self, kind: &str, path: &str) -> bool {
+    pub fn append(&mut self) -> bool {
         if !self.enabled {
             return false;
         }
         self.lines_total += 1;
         self.lines_in_current += 1;
-        if self.tail.len() == Self::TAIL_KEEP {
-            self.tail.remove(0);
-        }
-        self.tail.push(format!("{kind} {path}"));
         if self.lines_in_current >= self.rotate_every {
             self.lines_in_current = 0;
             self.rotations += 1;
@@ -71,11 +61,6 @@ impl AccessLog {
     pub fn lines_total(&self) -> u64 {
         self.lines_total
     }
-
-    /// The most recent lines (for debugging).
-    pub fn tail(&self) -> &[String] {
-        &self.tail
-    }
 }
 
 #[cfg(test)]
@@ -85,11 +70,11 @@ mod tests {
     #[test]
     fn rotates_on_threshold() {
         let mut log = AccessLog::new(3);
-        assert!(!log.append("write", "/a"));
-        assert!(!log.append("write", "/b"));
-        assert!(log.append("write", "/c"), "third line rotates");
+        assert!(!log.append());
+        assert!(!log.append());
+        assert!(log.append(), "third line rotates");
         assert_eq!(log.rotations(), 1);
-        assert!(!log.append("write", "/d"));
+        assert!(!log.append());
         assert_eq!(log.lines_total(), 4);
     }
 
@@ -98,19 +83,9 @@ mod tests {
         let mut log = AccessLog::new(1);
         log.set_enabled(false);
         for _ in 0..10 {
-            assert!(!log.append("write", "/x"));
+            assert!(!log.append());
         }
         assert_eq!(log.rotations(), 0);
         assert_eq!(log.lines_total(), 0);
-    }
-
-    #[test]
-    fn tail_is_bounded() {
-        let mut log = AccessLog::new(1000);
-        for i in 0..100 {
-            log.append("write", &format!("/k{i}"));
-        }
-        assert_eq!(log.tail().len(), AccessLog::TAIL_KEEP);
-        assert_eq!(log.tail().last().unwrap(), "write /k99");
     }
 }

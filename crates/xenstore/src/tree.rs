@@ -242,13 +242,15 @@ impl Node {
                 0
             }
             Some((name, rest)) => {
-                let mut created = 0;
-                if !data.children.contains_key(*name) {
-                    data.children.insert((*name).to_string(), Node::dir(owner));
-                    created += 1;
-                }
-                let child = data.children.get_mut(*name).expect("just ensured");
-                created += child.insert_at(rest, value, owner);
+                let created = match data.children.get_mut(*name) {
+                    Some(child) => child.insert_at(rest, value, owner),
+                    None => {
+                        let mut child = Node::dir(owner);
+                        let created = 1 + child.insert_at(rest, value, owner);
+                        data.children.insert((*name).to_string(), child);
+                        created
+                    }
+                };
                 data.entries += created;
                 created
             }
@@ -267,13 +269,15 @@ impl Node {
         };
         self.materialize_level();
         let data = Rc::make_mut(&mut self.data);
-        let mut created = 0;
-        if !data.children.contains_key(*name) {
-            data.children.insert((*name).to_string(), Node::dir(owner));
-            created += 1;
-        }
-        let child = data.children.get_mut(*name).expect("just ensured");
-        created += child.mkdir_at(rest, owner);
+        let created = match data.children.get_mut(*name) {
+            Some(child) => child.mkdir_at(rest, owner),
+            None => {
+                let mut child = Node::dir(owner);
+                let created = 1 + child.mkdir_at(rest, owner);
+                data.children.insert((*name).to_string(), child);
+                created
+            }
+        };
         data.entries += created;
         created
     }
@@ -333,15 +337,15 @@ impl Node {
                 data.children.insert(last.to_string(), subtree);
                 added
             }
-            Some((name, rest)) => {
-                let mut d = 0;
-                if !data.children.contains_key(*name) {
-                    data.children.insert((*name).to_string(), Node::dir(owner));
-                    d += 1;
+            Some((name, rest)) => match data.children.get_mut(*name) {
+                Some(child) => child.graft_at(rest, last, subtree, owner),
+                None => {
+                    let mut child = Node::dir(owner);
+                    let d = 1 + child.graft_at(rest, last, subtree, owner);
+                    data.children.insert((*name).to_string(), child);
+                    d
                 }
-                let child = data.children.get_mut(*name).expect("just ensured");
-                d + child.graft_at(rest, last, subtree, owner)
-            }
+            },
         };
         data.entries += delta;
         delta

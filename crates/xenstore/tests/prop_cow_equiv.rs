@@ -182,14 +182,14 @@ impl RefStore {
         s
     }
 
-    fn charge_request(&mut self, kind: &str, path: &str) {
+    fn charge_request(&mut self) {
         self.clock.advance(self.costs.xs_request_base);
         self.clock.advance(
             self.costs
                 .xs_per_existing_entry
                 .saturating_mul(self.entry_count),
         );
-        let rotated = self.access_log.append(kind, path);
+        let rotated = self.access_log.append();
         self.clock.advance(self.costs.xs_access_log_append);
         if rotated {
             self.clock.advance(self.costs.xs_access_log_rotate);
@@ -215,19 +215,19 @@ impl RefStore {
     }
 
     fn write(&mut self, path: &str, value: &str) {
-        self.charge_request("write", path);
+        self.charge_request();
         self.entry_count += self.root.insert(path, value);
         self.fire_watches(path);
     }
 
     fn mkdir(&mut self, path: &str) {
-        self.charge_request("mkdir", path);
+        self.charge_request();
         self.entry_count += self.root.mkdir(path);
         self.fire_watches(path);
     }
 
     fn rm(&mut self, path: &str) -> bool {
-        self.charge_request("rm", path);
+        self.charge_request();
         match self.root.remove(path) {
             Some(removed) => {
                 self.entry_count -= removed;
@@ -239,21 +239,21 @@ impl RefStore {
     }
 
     fn directory(&mut self, path: &str) -> Option<Vec<String>> {
-        self.charge_request("directory", path);
+        self.charge_request();
         self.root
             .get(path)
             .map(|n| n.children.keys().cloned().collect())
     }
 
     fn read(&mut self, path: &str) -> Option<String> {
-        self.charge_request("read", path);
+        self.charge_request();
         self.root
             .get(path)
             .map(|n| n.value.clone().unwrap_or_default())
     }
 
     fn watch(&mut self, who: DomId, token: &str, prefix: &str) {
-        self.charge_request("watch", prefix);
+        self.charge_request();
         self.watches.push((
             who,
             token.to_string(),
@@ -262,7 +262,7 @@ impl RefStore {
     }
 
     fn unwatch(&mut self, who: DomId, token: &str) {
-        self.charge_request("unwatch", token);
+        self.charge_request();
         self.watches.retain(|(o, t, _)| !(*o == who && t == token));
     }
 
@@ -294,12 +294,12 @@ impl RefStore {
         for op in ops {
             match op {
                 RefTxnOp::Write { path, value } => {
-                    self.charge_request("write", &path);
+                    self.charge_request();
                     self.entry_count += self.root.insert(&path, &value);
                     touched.push(path);
                 }
                 RefTxnOp::Rm { path } => {
-                    self.charge_request("rm", &path);
+                    self.charge_request();
                     if let Some(removed) = self.root.remove(&path) {
                         self.entry_count -= removed;
                     }
@@ -317,7 +317,7 @@ impl RefStore {
     }
 
     fn xs_clone(&mut self, op: XsCloneOp, parent: DomId, child: DomId, from: &str, to: &str) -> bool {
-        self.charge_request("xs_clone", from);
+        self.charge_request();
         let Some(src) = self.root.get(from).cloned() else {
             return false;
         };

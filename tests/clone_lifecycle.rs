@@ -3,7 +3,7 @@
 use std::net::Ipv4Addr;
 
 use nephele::hypervisor::domain::DomainState;
-use nephele::hypervisor::memory::FrameOwner;
+use nephele::hypervisor::memory::{FrameOwner, PageContent};
 use nephele::sim_core::{DomId, Pfn};
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{Platform, PlatformConfig};
@@ -162,4 +162,23 @@ fn xenstore_parent_entry_written_for_clones() {
         .read(DomId::DOM0, &format!("/local/domain/{}/name", child.0))
         .unwrap();
     assert_eq!(name, "xsp-c1");
+}
+
+#[test]
+fn cloning_a_vif_guest_materializes_no_page() {
+    // Every page a clone of a 1-vif guest gets is a zero page, a shared
+    // frame or its compact start_info: none holds a 4 KiB byte buffer.
+    let mut p = Platform::new(PlatformConfig::small());
+    let img = KernelImage::minios("udp");
+    let parent = p.launch_plain(&cfg("lean", 2), &img).unwrap();
+    let materialized = |p: &Platform| {
+        p.hv.frames()
+            .iter_frames()
+            .filter(|(_, f)| matches!(f.content(), PageContent::Bytes(_)))
+            .count()
+    };
+    let before = materialized(&p);
+    let kids = p.clone_domain(parent, 4).unwrap();
+    assert_eq!(kids.len(), 4);
+    assert_eq!(materialized(&p), before, "cloning materialized a page");
 }
