@@ -34,7 +34,6 @@ fn rammed_platform(live: u32) -> (Platform, nephele::sim_core::DomId) {
             .ring_capacity(1_024)
             .mux(MuxKind::None)
             .seed(0xd_e2_51_7e)
-            .threads(1)
             .tracing(TraceConfig::default())
             .audit(AuditMode::Off)
             .build(),

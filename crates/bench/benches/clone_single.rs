@@ -39,7 +39,6 @@ fn family(vifs: u32) -> (Platform, DomId) {
             .guest_pool_mib(256 + u64::from(MEMBERS) * 2)
             .ring_capacity(1_024)
             .seed(0x5_1a91e)
-            .threads(1)
             .tracing(TraceConfig::default())
             .audit(AuditMode::Off)
             .build(),

@@ -32,7 +32,6 @@ fn family(members: u32) -> Platform {
             .ring_capacity(1_024)
             .mux(MuxKind::Bond)
             .seed(0x7e7_de25)
-            .threads(1)
             .tracing(TraceConfig::default())
             .audit(AuditMode::Off)
             .build(),

@@ -2,20 +2,15 @@
 //! latency percentiles at high clone density.
 //!
 //! Usage: `cargo run -p bench --release --bin fig10scale [live_domains]`
-//! (default 10000). Honors `NEPHELE_THREADS`; the CSV is byte-identical
-//! at any width.
+//! (default 10000).
 
 fn main() {
     let live: u32 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(10_000);
-    let threads: usize = std::env::var("NEPHELE_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    eprintln!("fig10scale: replaying traffic against {live} live clones ({threads} thread(s))...");
-    let (series, report) = bench::fig10scale::run(live, threads);
+    eprintln!("fig10scale: replaying traffic against {live} live clones...");
+    let (series, report) = bench::fig10scale::run(live);
     bench::support::print_csv("fig10scale: request-cloning policy latency (us)", &series);
 
     eprintln!();

@@ -6,7 +6,7 @@
 //! time) replayed against a platform holding up to 10^5 concurrently
 //! live vif-less clones. Two serving policies are compared with the
 //! integer latency histograms of [`sim_core::hist::Histogram`], so
-//! same-seed runs are byte-reproducible at any fork/join width:
+//! same-seed runs are byte-reproducible:
 //!
 //! * [`Policy::CloneRequest`] — *clone the request*: fan each request
 //!   to `k` warm instances, first response wins, losers are cancelled
@@ -273,8 +273,6 @@ pub struct MacroConfig {
     pub pool_mib: u64,
     /// Master seed for the platform and the traffic tape.
     pub seed: u64,
-    /// Fork/join width (results are identical at any width).
-    pub threads: usize,
     /// Warm instances serving the replay.
     pub warm_pool: u32,
     /// Replication factor of the [`Policy::CloneRequest`] replay.
@@ -293,7 +291,6 @@ impl Default for MacroConfig {
             batch: 500,
             pool_mib: 2048,
             seed: 0xfaa5_10ad,
-            threads: 1,
             warm_pool: 256,
             fanout_k: 3,
             churn_every: 64,
@@ -327,7 +324,6 @@ pub fn run_macro(cfg: &MacroConfig) -> MacroReport {
             .ring_capacity((cfg.batch as usize).max(128))
             .mux(MuxKind::None)
             .seed(cfg.seed)
-            .threads(cfg.threads)
             .tracing(TraceConfig::default())
             .audit(AuditMode::Off)
             .build(),
@@ -472,40 +468,6 @@ mod tests {
             r.clone_request.latency.percentile(50.0),
             r.clone_vm.latency.percentile(50.0)
         );
-    }
-
-    #[test]
-    fn macro_report_is_thread_invariant() {
-        let run = |threads| {
-            run_macro(&MacroConfig {
-                live_domains: 300,
-                batch: 150,
-                pool_mib: 256,
-                warm_pool: 16,
-                threads,
-                traffic: TrafficConfig {
-                    requests: 1_000,
-                    ..TrafficConfig::default()
-                },
-                ..MacroConfig::default()
-            })
-        };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a.live_at_replay, b.live_at_replay);
-        assert_eq!(a.destroyed, b.destroyed);
-        for (x, y) in [
-            (&a.clone_request, &b.clone_request),
-            (&a.clone_vm, &b.clone_vm),
-        ] {
-            assert_eq!(x.served, y.served);
-            assert_eq!(x.cancelled, y.cancelled);
-            assert_eq!(x.cloned_on_demand, y.cloned_on_demand);
-            assert_eq!(x.queued, y.queued);
-            for p in [50.0, 90.0, 99.0, 100.0] {
-                assert_eq!(x.latency.percentile(p), y.latency.percentile(p));
-            }
-        }
     }
 
     #[test]

@@ -129,9 +129,6 @@ pub struct Hypervisor {
     peer_refs: HashMap<u32, BTreeMap<u32, u64>>,
     cpu_pool: CpuPool,
     trace: TraceSink,
-    /// Deterministic fork/join pool for host-parallel batch stamping
-    /// (single-threaded by default; see [`Hypervisor::attach_pool`]).
-    par_pool: sim_core::par::Pool,
 }
 
 impl Hypervisor {
@@ -156,7 +153,6 @@ impl Hypervisor {
             peer_refs: HashMap::new(),
             cpu_pool: CpuPool::new(config.cores),
             trace: TraceSink::default(),
-            par_pool: sim_core::par::Pool::single(),
         };
         // Dom0 exists from boot; its memory is modelled by the Dom0 model,
         // so it maps no pages from the guest pool.
@@ -179,19 +175,6 @@ impl Hypervisor {
     /// and COW-fault counters are recorded into it.
     pub fn attach_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// Attaches the deterministic fork/join pool used for host-parallel
-    /// batch stamping (single-threaded by default, which keeps every
-    /// code path byte-identical to the pre-pool behavior).
-    pub fn attach_pool(&mut self, pool: sim_core::par::Pool) {
-        self.par_pool = pool;
-    }
-
-    /// The attached fork/join pool (a cheap copy — the pool is just the
-    /// deterministic splitting policy).
-    pub fn pool(&self) -> sim_core::par::Pool {
-        self.par_pool
     }
 
     /// The attached trace sink.

@@ -199,13 +199,6 @@ pub struct PlatformConfig {
     /// Automatic-audit policy. `None` defers to `NEPHELE_AUDIT` (falling
     /// back to [`AuditMode::Lifecycle`]); `Some` pins it.
     pub audit: Option<AuditMode>,
-    /// Host worker threads for the deterministic fork/join pool used by
-    /// batch cloning (hypervisor stamping and `xencloned` stage-2 plan
-    /// building). `1` (the default) runs everything inline on the calling
-    /// thread — byte-for-byte the historical behavior; any value produces
-    /// identical results, only faster. Overridable at runtime with a
-    /// numeric `NEPHELE_THREADS` value.
-    pub threads: usize,
     /// Per-device-class clone policy handed to `xencloned` (defaults to
     /// cloning every class).
     pub clone_policy: ClonePolicy,
@@ -223,7 +216,6 @@ impl Default for PlatformConfig {
             flightrec_dir: PathBuf::from("results"),
             flightrec_dumps: true,
             audit: None,
-            threads: 1,
             clone_policy: ClonePolicy::all(),
         }
     }
@@ -340,12 +332,11 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets the host worker-thread count for the deterministic fork/join
-    /// pool (clamped to at least 1). Results are identical at any value;
-    /// only host wall-clock changes. `NEPHELE_THREADS` overrides this at
-    /// runtime.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
+    /// Accepts a host worker-thread count and stores nothing: the
+    /// platform runs on the calling thread. Kept only because the
+    /// host-time benchmark (`hostbench/src/workloads/mod.rs`) calls
+    /// `.threads(1)`.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -485,19 +476,6 @@ impl Platform {
         xl.attach_trace(trace.clone());
         daemon.attach_trace(trace.clone());
 
-        // `NEPHELE_THREADS=<n>` overrides the configured worker count for
-        // the deterministic fork/join pool. Any value yields identical
-        // results (the pool only parallelizes order-fixed work), so the
-        // override is safe to apply from the environment.
-        let mut threads = config.threads.max(1);
-        if let Ok(v) = std::env::var("NEPHELE_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                threads = n.max(1);
-            }
-        }
-        let pool = sim_core::par::Pool::new(threads).with_seed(config.seed);
-        hv.attach_pool(pool);
-        daemon.attach_pool(pool);
         daemon.start(&mut hv).expect("daemon start on fresh hypervisor");
         daemon.config.policy = config.clone_policy.clone();
 
@@ -900,10 +878,11 @@ impl Platform {
         }
     }
 
-    /// Runs the second stage for all queued clone notifications of
-    /// `parent` and creates guest slots for the new children. Exposed so
-    /// experiments can time the two stages separately (the hypercall via
-    /// [`Platform::hv`], then this).
+    /// Runs the second stage for every queued clone notification,
+    /// whichever parent queued it, and gives each new child a copy of its
+    /// own parent's guest. `parent` is the domain the operation is
+    /// recorded against. Exposed so experiments can time the two stages
+    /// separately (the hypercall via [`Platform::hv`], then this).
     pub fn finish_pending_clones(&mut self, parent: DomId) -> Result<Vec<DomId>> {
         let r = self.finish_clones(parent);
         let nr = r.as_ref().map(|c| c.len() as u64).unwrap_or(0);
@@ -913,15 +892,6 @@ impl Platform {
     /// Runs the second stage for all queued clone notifications and
     /// creates guest slots for the new children.
     fn finish_clones(&mut self, parent: DomId) -> Result<Vec<DomId>> {
-        // Snapshot the parent's state *at the fork point*.
-        let snapshot = self.guests.get(&parent.0).map(|s| {
-            (
-                s.app.boxed_clone(),
-                s.heap.clone(),
-                s.stack.clone(),
-                s.devids.clone(),
-            )
-        });
         let completed = self.daemon.handle_pending(
             &mut self.hv,
             &mut self.xs,
@@ -934,21 +904,21 @@ impl Platform {
                 self.mux_ip = Some(v.ip);
             }
         }
+        // Guests do not run during stage 2, so each parent's slot still
+        // holds its state at the fork point.
         let mut children = Vec::new();
         for c in &completed {
             children.push(c.child);
-            if let Some((app, heap, stack, devids)) = &snapshot {
-                let mut heap = heap.clone();
+            if let Some(s) = self.guests.get(&c.parent.0) {
+                let mut heap = s.heap.clone();
                 heap.rebind(c.child);
-                self.guests.insert(
-                    c.child.0,
-                    GuestSlot {
-                        app: app.boxed_clone(),
-                        heap,
-                        stack: stack.clone(),
-                        devids: devids.clone(),
-                    },
-                );
+                let slot = GuestSlot {
+                    app: s.app.boxed_clone(),
+                    heap,
+                    stack: s.stack.clone(),
+                    devids: s.devids.clone(),
+                };
+                self.guests.insert(c.child.0, slot);
             }
         }
         Ok(children)

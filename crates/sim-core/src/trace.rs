@@ -23,8 +23,8 @@
 //! [`timeline_csv`](TraceSink::timeline_csv),
 //! [`metrics_text`](TraceSink::metrics_text),
 //! [`family_rollup_csv`](TraceSink::family_rollup_csv)) reads those folds,
-//! so it is byte-identical across modes, seeds and `NEPHELE_THREADS`
-//! widths. The two enabled [`TraceMode`]s differ only in retention:
+//! so it is byte-identical across modes and same-seed runs. The two
+//! enabled [`TraceMode`]s differ only in retention:
 //!
 //! * [`TraceMode::Full`] also keeps every raw span, counter sample and
 //!   gauge sample — O(events) memory — for the Chrome trace exporter.

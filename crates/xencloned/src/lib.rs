@@ -22,7 +22,8 @@
 //! which is why the paper measures ~3 ms of userspace operations for the
 //! first clone and ~1.9 ms afterwards (§6.2).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -127,26 +128,6 @@ pub struct CompletedClone {
     pub ifaces: Vec<IfaceId>,
 }
 
-/// A precomputed per-child second-stage plan: the parts of a child's
-/// introduction that are a pure function of its notification, the parent
-/// name and the child's per-parent sequence number. Built on the
-/// fork/join pool for a whole notification batch; committed per child in
-/// ring order, where the sequential path's state updates and virtual-time
-/// charges happen unchanged.
-#[derive(Debug)]
-struct Stage2Plan {
-    /// Planned per-parent sequence number (the commit loop re-derives it
-    /// from the live counter and asserts agreement).
-    seq: u64,
-    /// The child's generated unique name.
-    name: String,
-    /// The child's Xenstore home path.
-    home: String,
-    /// The child's direct Xenstore writes, buffered as `(path, value)`
-    /// pairs and committed in deterministic (ring) order.
-    writes: Vec<(String, String)>,
-}
-
 /// The `xencloned` daemon state.
 #[derive(Debug)]
 pub struct Xencloned {
@@ -154,16 +135,12 @@ pub struct Xencloned {
     costs: Rc<CostModel>,
     /// Behavioural configuration.
     pub config: XenclonedConfig,
-    /// Parents whose Xenstore information has been read and cached.
-    parent_cache: HashSet<u32>,
-    /// Cached parent names (part of the cached information).
+    /// Parent names, read from Xenstore and cached on each parent's
+    /// first clone.
     parent_names: HashMap<u32, String>,
     clone_seq: HashMap<u32, u64>,
     clones_completed: u64,
     trace: TraceSink,
-    /// Deterministic fork/join pool for batch plan building
-    /// (single-threaded by default; see [`Xencloned::attach_pool`]).
-    pool: sim_core::par::Pool,
 }
 
 impl Xencloned {
@@ -173,12 +150,10 @@ impl Xencloned {
             clock,
             costs,
             config: XenclonedConfig::default(),
-            parent_cache: HashSet::new(),
             parent_names: HashMap::new(),
             clone_seq: HashMap::new(),
             clones_completed: 0,
             trace: TraceSink::default(),
-            pool: sim_core::par::Pool::single(),
         }
     }
 
@@ -186,14 +161,6 @@ impl Xencloned {
     /// parent-cache counters are recorded into it.
     pub fn attach_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// Attaches the deterministic fork/join pool used to build per-child
-    /// stage-2 plans for a whole notification batch (single-threaded by
-    /// default, which keeps every code path byte-identical to the
-    /// pre-pool behavior).
-    pub fn attach_pool(&mut self, pool: sim_core::par::Pool) {
-        self.pool = pool;
     }
 
     /// The attached trace sink.
@@ -213,8 +180,10 @@ impl Xencloned {
         self.clones_completed
     }
 
-    /// Drains and handles every pending clone notification. Call this when
-    /// `VIRQ_CLONED` fires (the platform routes the event here).
+    /// Drains and handles every pending clone notification, one at a time
+    /// in ring order. Call this when `VIRQ_CLONED` fires (the platform
+    /// routes the event here). On an error, the failing notification has
+    /// been consumed and the ones behind it stay queued.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_pending(
         &mut self,
@@ -224,60 +193,17 @@ impl Xencloned {
         udev: &mut UdevBus,
         xl: &mut Xl,
     ) -> Result<Vec<CompletedClone>> {
-        // ---- Plan phase: read the pending notifications without popping,
-        // so a failing commit leaves the unprocessed tail in the ring
-        // exactly as the sequential loop did. Per-parent sequence numbers
-        // are pre-walked on the calling thread (they are order-dependent);
-        // everything else in a plan — the child's name, home path and
-        // buffered direct writes — is a pure function of its inputs, so a
-        // whole family batch fans out across the pool. Plan building
-        // charges no virtual time and mutates nothing; all clock and
-        // state effects happen in the ordered commit below, byte-identical
-        // at any thread count (the default pool runs the map inline).
-        let batch: Vec<CloneNotification> = hv.clone_ring_pending().copied().collect();
-        let mut next_seq: HashMap<u32, u64> = HashMap::new();
-        let inputs: Vec<(CloneNotification, String, u64)> = batch
-            .into_iter()
-            .map(|n| {
-                let parent = n.parent.0;
-                let pname = self
-                    .parent_names
-                    .get(&parent)
-                    .cloned()
-                    .or_else(|| xs.peek(&format!("/local/domain/{parent}/name")))
-                    .unwrap_or_else(|| format!("dom{parent}"));
-                let seq = next_seq
-                    .entry(parent)
-                    .or_insert_with(|| self.clone_seq.get(&parent).copied().unwrap_or(0));
-                *seq += 1;
-                (n, pname, *seq)
-            })
-            .collect();
-        let plans: Vec<(CloneNotification, Stage2Plan)> =
-            self.pool.map(inputs, |_, (n, pname, seq)| {
-                let name = format!("{pname}-c{seq}");
-                let home = format!("/local/domain/{}", n.child.0);
-                let writes = vec![
-                    (format!("{home}/name"), name.clone()),
-                    (format!("{home}/domid"), n.child.0.to_string()),
-                ];
-                (n, Stage2Plan { seq, name, home, writes })
-            });
-
-        // ---- Commit phase: sequential, in ring order.
         let mut done = Vec::new();
-        for (n, plan) in plans {
-            let popped = hv.clone_ring_pop().expect("planned notification still queued");
-            debug_assert_eq!(popped, n, "ring order is fixed while the daemon runs");
+        while let Some(n) = hv.clone_ring_pop() {
             let start = self.clock.now();
-            match self.handle_one(hv, xs, dm, udev, xl, n, plan) {
+            match self.handle_one(hv, xs, dm, udev, xl, n) {
                 Ok(c) => {
                     self.trace
                         .record_ns("clone.stage2", self.clock.now().since(start).as_ns());
                     done.push(c);
                 }
                 Err(e) => {
-                    self.trace.count_dom("clone.fail", popped.parent, 1);
+                    self.trace.count_dom("clone.fail", n.parent, 1);
                     return Err(e);
                 }
             }
@@ -294,7 +220,6 @@ impl Xencloned {
         udev: &mut UdevBus,
         xl: &mut Xl,
         n: CloneNotification,
-        plan: Stage2Plan,
     ) -> Result<CompletedClone> {
         let CloneNotification { parent, child, .. } = n;
         let span = self.trace.span("xencloned.stage2");
@@ -304,46 +229,33 @@ impl Xencloned {
 
         // Read and cache the parent's Xenstore information on first use
         // (first clone ≈3 ms of userspace ops, later ≈1.9 ms, §6.2).
-        if self.parent_cache.insert(parent.0) {
-            self.trace.count_dom("xencloned.parent_cache.miss", parent, 1);
-            self.clock.advance(self.costs.xencloned_parent_scan);
-            let name = xs
-                .read(DomId::DOM0, &format!("/local/domain/{}/name", parent.0))
-                .unwrap_or_else(|_| format!("dom{}", parent.0));
-            self.parent_names.insert(parent.0, name);
-        } else {
-            self.trace.count_dom("xencloned.parent_cache.hit", parent, 1);
-        }
+        let parent_name = match self.parent_names.entry(parent.0) {
+            Entry::Occupied(e) => {
+                self.trace
+                    .count_dom("xencloned.parent_cache.hit", parent, 1);
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.trace
+                    .count_dom("xencloned.parent_cache.miss", parent, 1);
+                self.clock.advance(self.costs.xencloned_parent_scan);
+                let name = xs
+                    .read(DomId::DOM0, &format!("/local/domain/{}/name", parent.0))
+                    .unwrap_or_else(|_| format!("dom{}", parent.0));
+                e.insert(name)
+            }
+        };
 
         // Introduce the child with the parent id (step 2.1).
         xs.introduce_domain(child, Some(parent))?;
 
-        // Unique name — no validation scan needed. The plan precomputed
-        // it; advance the live counter here so daemon state (and any
-        // failure path) evolves exactly as the sequential loop's did.
-        {
-            let seq = self.clone_seq.entry(parent.0).or_insert(0);
-            *seq += 1;
-            debug_assert_eq!(*seq, plan.seq, "plan must agree with commit-order sequence");
-        }
-        let Stage2Plan { name, home, writes, .. } = plan;
-        debug_assert_eq!(
-            name,
-            format!(
-                "{}-c{}",
-                self.parent_names
-                    .get(&parent.0)
-                    .cloned()
-                    .unwrap_or_else(|| format!("dom{}", parent.0)),
-                self.clone_seq[&parent.0]
-            ),
-            "planned name must match the sequential derivation"
-        );
-        // The child's buffered direct writes, committed in ring order —
-        // identical charge sequence to the historical inline writes.
-        for (path, value) in &writes {
-            xs.write(DomId::DOM0, path, value)?;
-        }
+        // Unique name — no validation scan needed.
+        let seq = self.clone_seq.entry(parent.0).or_insert(0);
+        *seq += 1;
+        let name = format!("{parent_name}-c{seq}");
+        let home = format!("/local/domain/{}", child.0);
+        xs.write(DomId::DOM0, &format!("{home}/name"), &name)?;
+        xs.write(DomId::DOM0, &format!("{home}/domid"), &child.0.to_string())?;
 
         let mut ifaces = Vec::new();
         if !self.config.minimal {
@@ -471,16 +383,40 @@ mod tests {
     }
 
     fn boot_parent(w: &mut World) -> DomId {
-        let cfg = DomainConfig::builder("udp")
+        boot(w, "udp", 2)
+    }
+
+    fn boot(w: &mut World, name: &str, last_octet: u8) -> DomId {
+        let cfg = DomainConfig::builder(name)
             .memory_mib(4)
-            .vif(Ipv4Addr::new(10, 0, 0, 2))
+            .vif(Ipv4Addr::new(10, 0, 0, last_octet))
             .max_clones(64)
             .build();
-        let img = KernelImage::minios("udp");
+        let img = KernelImage::minios(name);
         w.xl
             .create(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &cfg, &img)
             .unwrap()
             .id
+    }
+
+    /// Queues `nr` clones of `parent` (Dom0-triggered) without running
+    /// their second stage.
+    fn queue(w: &mut World, parent: DomId, nr: u32) -> Vec<DomId> {
+        match w.hv.cloneop(
+            DomId::DOM0,
+            CloneOp::Clone {
+                target: Some(parent),
+                nr_clones: nr,
+            },
+        ) {
+            Ok(hypervisor::cloneop::CloneOpResult::Cloned(kids)) => kids,
+            other => panic!("clone of {parent} failed: {other:?}"),
+        }
+    }
+
+    fn drain(w: &mut World) -> Result<Vec<CompletedClone>> {
+        w.daemon
+            .handle_pending(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &mut w.xl)
     }
 
     fn fork(w: &mut World, parent: DomId) -> CompletedClone {
@@ -616,5 +552,52 @@ mod tests {
         assert_eq!(a.name, "udp-c1");
         assert_eq!(b.name, "udp-c2");
         assert_eq!(w.daemon.clones_completed(), 2);
+    }
+
+    #[test]
+    fn interleaved_parents_complete_in_ring_order() {
+        let mut w = world();
+        let a = boot(&mut w, "udp", 2);
+        let b = boot(&mut w, "echo", 3);
+        let mut queued = Vec::new();
+        for parent in [a, b, a] {
+            queued.extend(queue(&mut w, parent, 1));
+        }
+
+        // Neither parent is cached yet: B is first seen between two
+        // children of A, and the names still count up per parent.
+        let done = drain(&mut w).unwrap();
+        let got: Vec<(DomId, DomId, &str)> = done
+            .iter()
+            .map(|c| (c.parent, c.child, c.name.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (a, queued[0], "udp-c1"),
+                (b, queued[1], "echo-c1"),
+                (a, queued[2], "udp-c2")
+            ]
+        );
+        assert_eq!(w.hv.clone_ring_len(), 0);
+        assert_eq!(w.hv.domain(a).unwrap().state, DomainState::Running);
+        assert_eq!(w.hv.domain(b).unwrap().state, DomainState::Running);
+    }
+
+    #[test]
+    fn failed_child_leaves_the_rest_of_the_ring_queued() {
+        let mut w = world();
+        let parent = boot_parent(&mut w);
+        let kids = queue(&mut w, parent, 3);
+        w.hv.destroy_domain(kids[1]).unwrap();
+
+        let err = drain(&mut w).unwrap_err();
+        assert!(
+            matches!(err, CloneDaemonError::Dev(DevError::Hv(HvError::NoSuchDomain(d))) if d == kids[1]),
+            "got {err:?}"
+        );
+        assert_eq!(w.daemon.clones_completed(), 1, "the first child completed");
+        let pending: Vec<DomId> = w.hv.clone_ring_pending().map(|n| n.child).collect();
+        assert_eq!(pending, [kids[2]], "the third child stays queued");
     }
 }

@@ -2,6 +2,8 @@
 
 use std::net::Ipv4Addr;
 
+use nephele::apps::{MemhogApp, UdpEchoApp};
+use nephele::hypervisor::cloneop::CloneOp;
 use nephele::hypervisor::domain::DomainState;
 use nephele::hypervisor::memory::{FrameOwner, PageContent};
 use nephele::sim_core::{DomId, Pfn};
@@ -181,4 +183,46 @@ fn cloning_a_vif_guest_materializes_no_page() {
     let kids = p.clone_domain(parent, 4).unwrap();
     assert_eq!(kids.len(), 4);
     assert_eq!(materialized(&p), before, "cloning materialized a page");
+}
+
+#[test]
+fn stage2_gives_each_child_its_own_parents_guest() {
+    // One stage-2 drain completes every queued notification, whichever
+    // parent's stage 2 was asked for; each child must still run a copy
+    // of its own parent's guest.
+    let mut p = Platform::new(PlatformConfig::small());
+    let a = p
+        .launch(
+            &cfg("memhog", 2),
+            &KernelImage::minios("memhog"),
+            Box::new(MemhogApp::new(1)),
+        )
+        .unwrap();
+    let b = p
+        .launch(
+            &cfg("echo", 3),
+            &KernelImage::minios("echo"),
+            Box::new(UdpEchoApp::new(7000)),
+        )
+        .unwrap();
+    let fork = CloneOp::Clone {
+        target: None,
+        nr_clones: 1,
+    };
+    for parent in [a, b] {
+        p.hv.cloneop(parent, fork.clone()).unwrap();
+    }
+
+    let kids = p.finish_pending_clones(a).unwrap();
+    assert_eq!(kids.len(), 2, "the drain completes both parents' children");
+    assert_eq!(p.hv.domain(kids[0]).unwrap().parent, Some(a));
+    assert_eq!(p.hv.domain(kids[1]).unwrap().parent, Some(b));
+    assert!(
+        p.with_app::<MemhogApp, _>(kids[0], |_, _| ()).is_some(),
+        "A's child runs A's guest"
+    );
+    assert!(
+        p.with_app::<UdpEchoApp, _>(kids[1], |_, _| ()).is_some(),
+        "B's child runs B's guest"
+    );
 }

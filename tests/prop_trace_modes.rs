@@ -6,9 +6,8 @@
 //! gauge sample; Aggregate retains none, and holds at most the spans open
 //! at once.
 //!
-//! The same exports must also be invariant under the fork/join pool
-//! width and under a same-seed rerun — the determinism contract every
-//! figure gate depends on.
+//! The same exports must also be invariant under a same-seed rerun — the
+//! determinism contract every figure gate depends on.
 
 use nephele::hypervisor::cloneop::CloneOp;
 use nephele::sim_core::{DomId, Pfn, TraceConfig, TraceMode, PAGE_SIZE};
@@ -52,8 +51,7 @@ fn ops_gen() -> impl Gen<Value = Vec<Op>> {
     )
 }
 
-/// Everything the two modes (and every thread width) must agree on,
-/// plus what the run retained.
+/// Everything the two modes must agree on, plus what the run retained.
 struct Exports {
     span_aggregates: String,
     histograms: String,
@@ -68,12 +66,11 @@ struct Exports {
     overhead: SinkOverhead,
 }
 
-fn run_tape(threads: usize, mode: TraceMode, ops: &[Op]) -> Exports {
+fn run_tape(mode: TraceMode, ops: &[Op]) -> Exports {
     let img = KernelImage::minios("traceprop");
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(64)
-            .threads(threads)
             .tracing(TraceConfig::with_mode(mode))
             .audit(AuditMode::Off)
             .flightrec_dir("target/test-prop-trace")
@@ -135,13 +132,13 @@ fn run_tape(threads: usize, mode: TraceMode, ops: &[Op]) -> Exports {
 }
 
 /// Full keeps every raw record and Aggregate none, while every aggregate
-/// export agrees across modes, thread widths and a same-seed rerun.
+/// export agrees across modes and a same-seed rerun.
 #[test]
 fn modes_differ_only_in_retention() {
     check(10, |g| {
         let ops = g.draw(&ops_gen());
-        let full = run_tape(1, TraceMode::Full, &ops);
-        let agg = run_tape(1, TraceMode::Aggregate, &ops);
+        let full = run_tape(TraceMode::Full, &ops);
+        let agg = run_tape(TraceMode::Aggregate, &ops);
 
         let o = full.overhead;
         assert_eq!(
@@ -167,14 +164,7 @@ fn modes_differ_only_in_retention() {
             assert_eq!(a, b, "{what} diverge between modes for {ops:?}");
         }
 
-        // Thread width and a same-seed rerun must both be invisible.
-        for mode in [TraceMode::Full, TraceMode::Aggregate] {
-            let wide = run_tape(4, mode, &ops);
-            assert_eq!(agg.timeline, wide.timeline, "timeline diverges at 4 threads, {mode:?}");
-            assert_eq!(agg.metrics, wide.metrics, "metrics diverge at 4 threads, {mode:?}");
-            assert_eq!(agg.families, wide.families, "families diverge at 4 threads, {mode:?}");
-        }
-        let rerun = run_tape(1, TraceMode::Aggregate, &ops);
+        let rerun = run_tape(TraceMode::Aggregate, &ops);
         assert_eq!(agg.timeline, rerun.timeline, "same-seed rerun drifted for {ops:?}");
         assert_eq!(agg.metrics, rerun.metrics, "same-seed rerun drifted for {ops:?}");
     });
