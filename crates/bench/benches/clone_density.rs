@@ -10,6 +10,13 @@
 //! cost the same as a clone into a 10^2-domain one. `scripts/verify.sh`
 //! asserts the 10^4 median stays within 2x of the 10^2 median.
 //!
+//! The 10^5 group ramps one family of 10^5 clones, the size of Fig. 5's
+//! density runs: each timed destroy unlinks a child from a 10^5-member
+//! family and each stage 2 introduces a home next to 10^5 others, so
+//! any O(family) or O(store) step on those paths shows here.
+//! `scripts/verify.sh` asserts its median stays within 2x of the 10^2
+//! median too.
+//!
 //! Each iteration clones a fresh batch into the pre-ramped platform and
 //! destroys it again, so the measurement covers exactly the two hot-path
 //! ops (clone_domain and destroy) at the given density — the pool always
@@ -59,7 +66,7 @@ fn rammed_platform(live: u32) -> (Platform, nephele::sim_core::DomId) {
 
 fn main() {
     let mut c = Bench::new("clone_density");
-    for live in [100u32, 1_000, 10_000] {
+    for live in [100u32, 1_000, 10_000, 100_000] {
         let mut g = c.benchmark_group(&format!("density_{live}"));
         g.sample_size(if live >= 10_000 { 10 } else { 20 });
         // One ramp per density, shared across samples: each iteration

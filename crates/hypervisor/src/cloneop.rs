@@ -435,7 +435,8 @@ impl Hypervisor {
         // Parent bookkeeping: paused until every second stage completes.
         {
             let p = self.domain_mut(parent_id).expect("parent snapshotted above");
-            p.children.extend_from_slice(&child_ids);
+            p.children
+                .extend((p.clones_created..).zip(child_ids.iter().copied()));
             p.clones_created += nr;
             p.pending_stage2 += nr;
             p.state = DomainState::PausedForClone;
@@ -566,6 +567,7 @@ impl Hypervisor {
             id: child_id,
             name: format!("{}-clone{}", parent.name, parent.clones_created + 1 + k),
             parent: Some(parent.id),
+            birth: parent.clones_created + k,
             state: DomainState::PausedAfterClone,
             vcpus,
             p2m,
@@ -577,7 +579,7 @@ impl Hypervisor {
             console_pfn: parent.console_pfn,
             clone_policy: parent.policy,
             clones_created: 0,
-            children: Vec::new(),
+            children: BTreeMap::new(),
             pending_stage2: 0,
             grants,
             evtchn,
@@ -1185,5 +1187,116 @@ mod tests {
         // Draining the ring unblocks cloning.
         hv.clone_ring_pop().unwrap();
         do_clone(&mut hv, p, 1);
+    }
+
+    fn dom0_clone(hv: &mut Hypervisor, target: DomId) -> DomId {
+        match hv.cloneop(
+            DomId::DOM0,
+            CloneOp::Clone {
+                target: Some(target),
+                nr_clones: 1,
+            },
+        ) {
+            Ok(CloneOpResult::Cloned(c)) => c[0],
+            other => panic!("clone of {target} failed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn children_keep_creation_order_across_destroy_and_domid_reuse() {
+        let mut hv = hv();
+        let p = cloneable_guest(&mut hv, 8);
+        let first = do_clone(&mut hv, p, 3);
+        hv.destroy_domain(first[1]).unwrap();
+        // The next batch reuses the middle child's id but is born later.
+        let second = do_clone(&mut hv, p, 2);
+        assert_eq!(second[0], first[1], "lowest freed id is reused");
+        let kids: Vec<(u32, DomId)> = hv
+            .domain(p)
+            .unwrap()
+            .children
+            .iter()
+            .map(|(&b, &c)| (b, c))
+            .collect();
+        assert_eq!(
+            kids,
+            [(0, first[0]), (2, first[2]), (3, second[0]), (4, second[1])]
+        );
+        assert!(
+            hv.audit_ref_indices().is_empty(),
+            "{:?}",
+            hv.audit_ref_indices()
+        );
+    }
+
+    #[test]
+    fn orphan_has_no_ancestor_in_a_domain_reusing_its_parents_id() {
+        let mut hv = hv();
+        let p = cloneable_guest(&mut hv, 4);
+        let c = do_clone(&mut hv, p, 1)[0];
+        hv.destroy_domain(p).unwrap();
+
+        // An unrelated domain takes the dead parent's id and has a clone
+        // of its own still waiting for its second stage.
+        let q = cloneable_guest(&mut hv, 4);
+        assert_eq!(q, p, "lowest freed id is reused");
+        do_clone(&mut hv, q, 1);
+        assert!(!hv.is_descendant(c, q));
+        assert!(!hv.same_family(c, q));
+        assert_eq!(
+            hv.domain(c).unwrap().parent,
+            None,
+            "the orphan roots its own family"
+        );
+        // A late completion for the orphan must not resume the stranger.
+        assert!(hv
+            .cloneop(DomId::DOM0, CloneOp::Completion { child: c })
+            .is_err());
+        assert_eq!(hv.domain(q).unwrap().pending_stage2, 1);
+        assert_eq!(hv.domain(q).unwrap().state, DomainState::PausedForClone);
+        assert!(
+            hv.audit_ref_indices().is_empty(),
+            "{:?}",
+            hv.audit_ref_indices()
+        );
+    }
+
+    #[test]
+    fn orphan_cloned_into_its_dead_parents_id_forms_no_cycle() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        // A parent-link cycle makes the family walks spin forever, so the
+        // scenario runs on its own thread under a deadline.
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut hv = hv();
+            let p = cloneable_guest(&mut hv, 4);
+            let c = do_clone(&mut hv, p, 1)[0];
+            hv.destroy_domain(p).unwrap();
+            let g = dom0_clone(&mut hv, c);
+            assert_eq!(g, p, "the grandchild reuses the dead parent's id");
+            let walks = (
+                hv.same_family(g, c),
+                hv.is_descendant(g, c),
+                hv.is_descendant(c, g),
+            );
+            tx.send((walks, hv.domain(c).unwrap().parent, hv.audit_ref_indices()))
+                .unwrap();
+        });
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok((walks, parent, audit)) => {
+                worker.join().unwrap();
+                assert_eq!(walks, (true, true, false));
+                assert_eq!(parent, None);
+                assert!(audit.is_empty(), "{audit:?}");
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("family walks did not return within 5 s: parent links form a cycle")
+            }
+        }
     }
 }

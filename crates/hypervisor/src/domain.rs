@@ -107,8 +107,13 @@ pub struct Domain {
     /// Domain name (managed by the toolstack; `xencloned` generates unique
     /// clone names without the O(n) validation scan).
     pub name: String,
-    /// Parent domain for clones.
+    /// Parent domain for clones. Always a live domain: destroying a
+    /// parent clears the link on its children, which become family roots.
     pub parent: Option<DomId>,
+    /// This clone's birth index among its parent's clones (0-based; 0
+    /// for a domain the toolstack created): its key in the parent's
+    /// [`Domain::children`].
+    pub birth: u32,
     /// Lifecycle state.
     pub state: DomainState,
     /// Virtual CPUs.
@@ -138,8 +143,9 @@ pub struct Domain {
     pub clone_policy: ClonePolicy,
     /// Total clones created by this domain so far.
     pub clones_created: u32,
-    /// Live children.
-    pub children: Vec<DomId>,
+    /// Live children keyed by birth index, so iteration follows creation
+    /// order and destroying a child unlinks it in O(log family).
+    pub children: BTreeMap<u32, DomId>,
     /// Children whose second stage has not completed yet.
     pub pending_stage2: u32,
     /// Grant table.

@@ -250,6 +250,7 @@ impl Hypervisor {
             id,
             name: name.to_string(),
             parent: None,
+            birth: 0,
             state: DomainState::Created,
             vcpus: (0..vcpus).map(Vcpu::new).collect(),
             p2m: P2m::from_vec(p2m_slots),
@@ -261,7 +262,7 @@ impl Hypervisor {
             console_pfn,
             clone_policy: ClonePolicy::default(),
             clones_created: 0,
-            children: Vec::new(),
+            children: BTreeMap::new(),
             pending_stage2: 0,
             grants: Default::default(),
             evtchn: Default::default(),
@@ -382,11 +383,24 @@ impl Hypervisor {
             .advance(self.costs.mem_free_per_page.saturating_mul(freed));
 
         // Unlink from the family tree and the CHILD fan-out registry —
-        // the reverse indices make both O(the domain's own bindings),
-        // not O(every binding ever registered).
+        // the birth key and the reverse indices make both O(log family +
+        // the domain's own bindings), not O(every child or binding ever
+        // registered). Surviving children become family roots: a link to
+        // the dead id would name whichever domain reuses it.
         if let Some(parent) = dom.parent {
-            if let Some(p) = self.domains.get_mut(&parent.0) {
-                p.children.retain(|c| *c != id);
+            let unlinked = self
+                .domains
+                .get_mut(&parent.0)
+                .and_then(|p| p.children.remove(&dom.birth));
+            debug_assert_eq!(
+                unlinked,
+                Some(id),
+                "dom {id} missing from its parent's children"
+            );
+        }
+        for child in dom.children.values() {
+            if let Some(c) = self.domains.get_mut(&child.0) {
+                c.parent = None;
             }
         }
         if let Some(memberships) = self.binding_memberships.remove(&id.0) {
@@ -1008,10 +1022,11 @@ impl Hypervisor {
     /// (empty when consistent). Checked per table: the event-channel
     /// peer index and grant grantee index versus full table scans; and
     /// globally: the referrer index versus a recount over every live
-    /// domain's tables, and the fan-out registry's reverse indices
-    /// versus the registry itself. The state auditor surfaces these as
-    /// its index-consistency invariant; the property tests drive random
-    /// lifecycle tapes through it.
+    /// domain's tables, the fan-out registry's reverse indices versus
+    /// the registry itself, and every parent link versus its parent's
+    /// birth-keyed children (both directions). The state auditor
+    /// surfaces these as its index-consistency invariant; the property
+    /// tests drive random lifecycle tapes through it.
     pub fn audit_ref_indices(&self) -> Vec<String> {
         let mut bad = Vec::new();
         let mut expect: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
@@ -1106,6 +1121,32 @@ impl Hypervisor {
                 if !indexed {
                     bad.push(format!(
                         "registry key ({owner}, {port}) missing from the owned-port index"
+                    ));
+                }
+            }
+        }
+        // Family links, both directions: a parent link names a live
+        // domain holding the child under its birth key, and a children
+        // entry names a live domain linking back under that key.
+        for d in self.domains.values() {
+            if let Some(p) = d.parent {
+                let held = self
+                    .domains
+                    .get(&p.0)
+                    .and_then(|p| p.children.get(&d.birth));
+                if held != Some(&d.id) {
+                    bad.push(format!(
+                        "dom {}: parent link to {p} birth {} but the parent's children hold {held:?}",
+                        d.id.0, d.birth
+                    ));
+                }
+            }
+            for (&birth, &c) in &d.children {
+                let back = self.domains.get(&c.0).map(|c| (c.parent, c.birth));
+                if back != Some((Some(d.id), birth)) {
+                    bad.push(format!(
+                        "dom {}: children entry {birth} -> {c} links back as {back:?}",
+                        d.id.0
                     ));
                 }
             }

@@ -207,10 +207,23 @@ pub enum CowResolution {
 }
 
 /// The machine frame table.
+///
+/// Built lazily: a frame's metadata is materialized the first time the
+/// frame is handed out, so creating a table is O(1) in its size. Freed
+/// frames are reused last-freed first; once none is left, never-used
+/// frames are handed out in ascending order. That is the order an eager
+/// table with a descending free list gives, so frame placement does not
+/// depend on the laziness.
 #[derive(Debug)]
 pub struct FrameTable {
+    /// Frames handed out at least once, in frame order. Frames from
+    /// `frames.len()` up to `total` have never been used and are free.
     frames: Vec<Frame>,
+    total: u64,
+    /// Freed frames, a LIFO stack.
     free_list: Vec<Mfn>,
+    /// What a never-used frame reads as.
+    untouched: Frame,
     /// Incremental COW-owned frame count, maintained on every ownership
     /// transition so [`FrameTable::stats`] is O(1).
     cow: u64,
@@ -219,14 +232,14 @@ pub struct FrameTable {
 }
 
 impl FrameTable {
-    /// Creates a frame table managing `total` frames, all free.
+    /// Creates a frame table managing `total` frames, all free. O(1):
+    /// no frame is materialized until it is handed out.
     pub fn new(total: u64) -> Self {
-        let frames = vec![Frame::free(); total as usize];
-        // Hand out low frame numbers first (cosmetic but deterministic).
-        let free_list = (0..total).rev().map(Mfn).collect();
         FrameTable {
-            frames,
-            free_list,
+            frames: Vec::with_capacity(total as usize),
+            total,
+            free_list: Vec::new(),
+            untouched: Frame::free(),
             cow: 0,
             xen: 0,
         }
@@ -250,9 +263,16 @@ impl FrameTable {
     }
 
     fn frame(&self, mfn: Mfn) -> Result<&Frame> {
-        self.frames.get(mfn.0 as usize).ok_or(HvError::BadOwner(mfn))
+        match self.frames.get(mfn.0 as usize) {
+            Some(f) => Ok(f),
+            None if mfn.0 < self.total => Ok(&self.untouched),
+            None => Err(HvError::BadOwner(mfn)),
+        }
     }
 
+    /// A handed-out frame for mutation. A never-used frame is free, and
+    /// no operation may mutate a free frame, so it fails like an owner
+    /// mismatch.
     fn frame_mut(&mut self, mfn: Mfn) -> Result<&mut Frame> {
         self.frames
             .get_mut(mfn.0 as usize)
@@ -266,12 +286,12 @@ impl FrameTable {
 
     /// Number of free frames.
     pub fn free_frames(&self) -> u64 {
-        self.free_list.len() as u64
+        self.free_list.len() as u64 + (self.total - self.frames.len() as u64)
     }
 
     /// Total frames managed.
     pub fn total_frames(&self) -> u64 {
-        self.frames.len() as u64
+        self.total
     }
 
     /// Returns an accounting snapshot. O(1): the owner-class counts are
@@ -305,7 +325,8 @@ impl FrameTable {
     }
 
     /// The original O(n) accounting scan, kept as the oracle for the
-    /// incremental counters behind [`FrameTable::stats`].
+    /// incremental counters behind [`FrameTable::stats`]. Never-used
+    /// frames are free and count toward neither class.
     pub fn scan_stats(&self) -> MemoryStats {
         let mut cow = 0;
         let mut xen = 0;
@@ -327,7 +348,14 @@ impl FrameTable {
     /// Allocates one zeroed frame for `owner`.
     pub fn alloc(&mut self, owner: FrameOwner) -> Result<Mfn> {
         debug_assert!(!matches!(owner, FrameOwner::Free));
-        let mfn = self.free_list.pop().ok_or(HvError::OutOfMemory)?;
+        let mfn = match self.free_list.pop() {
+            Some(mfn) => mfn,
+            None if (self.frames.len() as u64) < self.total => {
+                self.frames.push(Frame::free());
+                Mfn(self.frames.len() as u64 - 1)
+            }
+            None => return Err(HvError::OutOfMemory),
+        };
         let f = &mut self.frames[mfn.0 as usize];
         debug_assert_eq!(f.owner, FrameOwner::Free);
         f.owner = owner;
@@ -342,7 +370,7 @@ impl FrameTable {
     /// is checked up front, so a failing call allocates nothing (there
     /// is no partial allocation to roll back).
     pub fn alloc_many(&mut self, owner: FrameOwner, n: u64) -> Result<Vec<Mfn>> {
-        if (self.free_list.len() as u64) < n {
+        if self.free_frames() < n {
             return Err(HvError::OutOfMemory);
         }
         Ok((0..n)
@@ -360,7 +388,7 @@ impl FrameTable {
     /// batched clone first stage relies on.
     pub fn alloc_batch(&mut self, requests: &[(FrameOwner, u64)]) -> Result<Vec<Vec<Mfn>>> {
         let total: u64 = requests.iter().map(|(_, n)| n).sum();
-        if (self.free_list.len() as u64) < total {
+        if self.free_frames() < total {
             return Err(HvError::OutOfMemory);
         }
         Ok(requests
@@ -547,8 +575,10 @@ impl FrameTable {
     /// auditor uses this to cross-check per-frame metadata against the p2m
     /// back-references; it is O(total frames), so not for hot paths.
     pub fn iter_frames(&self) -> impl Iterator<Item = (Mfn, &Frame)> {
+        let untouched = self.total - self.frames.len() as u64;
         self.frames
             .iter()
+            .chain(std::iter::repeat_n(&self.untouched, untouched as usize))
             .enumerate()
             .map(|(i, f)| (Mfn(i as u64), f))
     }
@@ -560,7 +590,7 @@ impl FrameTable {
     /// the auditor's negative tests exercise.
     #[doc(hidden)]
     pub fn corrupt_refcount_for_test(&mut self, mfn: Mfn, delta: i64) {
-        let f = &mut self.frames[mfn.0 as usize];
+        let f = self.frame_mut(mfn).expect("corrupted frame was handed out");
         f.refcount = (f.refcount as i64 + delta).max(0) as u32;
     }
 
@@ -593,6 +623,33 @@ mod tests {
         assert_eq!(ft.inspect(m).unwrap().owner(), FrameOwner::Dom(D1));
         ft.free(m, FrameOwner::Dom(D1)).unwrap();
         assert_eq!(ft.free_frames(), 8);
+    }
+
+    #[test]
+    fn lazy_table_hands_out_frames_in_the_eager_order() {
+        // The eager table's free list: every frame, lowest on top.
+        let mut eager: Vec<Mfn> = (0..16).rev().map(Mfn).collect();
+        let mut ft = FrameTable::new(16);
+        assert_eq!(ft.total_frames(), 16);
+        assert_eq!(ft.inspect(Mfn(15)).unwrap().owner(), FrameOwner::Free);
+        assert_eq!(ft.iter_frames().count(), 16);
+        let mut live = Vec::new();
+        for step in 0..40u64 {
+            if step % 3 == 2 && !live.is_empty() {
+                let m = live.remove((step as usize * 7) % live.len());
+                ft.free(m, FrameOwner::Dom(D1)).unwrap();
+                eager.push(m);
+            } else if let Some(want) = eager.pop() {
+                assert_eq!(ft.alloc(FrameOwner::Dom(D1)).unwrap(), want, "step {step}");
+                live.push(want);
+            }
+            assert_eq!(ft.free_frames(), eager.len() as u64);
+        }
+        assert_eq!(ft.stats(), ft.scan_stats());
+        assert!(
+            ft.write(Mfn(15), 0, &[1]).is_err(),
+            "a never-used frame is not writable"
+        );
     }
 
     #[test]

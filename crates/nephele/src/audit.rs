@@ -57,10 +57,13 @@
 //!     the `DOMID_CHILD` fan-out registry's reverse indices, the
 //!     toolstack's name index, and the device manager's vif indices (the
 //!     TX/RX pending sets the event loop visits instead of every vif, and
-//!     the IP index host sends resolve through). Each must agree exactly
-//!     with a fresh recount over the ground-truth state — any divergence
-//!     means a destroy or create would tear down the wrong (or miss the
-//!     right) references, or a packet would wait in a ring nobody drains.
+//!     the IP index host sends resolve through), and the clone-family
+//!     links (each `parent` link names a live domain holding the child
+//!     under its birth key, and each `children` entry links back). Each
+//!     must agree exactly with a fresh recount over the ground-truth
+//!     state — any divergence means a destroy or create would tear down
+//!     the wrong (or miss the right) references, or a packet would wait
+//!     in a ring nobody drains.
 //!
 //! The checks are read-only and O(total frames + domains + devices); they
 //! run on demand, after every clone/destroy in debug builds, and after

@@ -1407,7 +1407,13 @@ mod tests {
             .unwrap();
         // on_boot requested fork(2); processed synchronously.
         assert_eq!(p.hv.domain(dom).unwrap().children.len(), 2);
-        let kids = p.hv.domain(dom).unwrap().children.clone();
+        let kids: Vec<DomId> =
+            p.hv.domain(dom)
+                .unwrap()
+                .children
+                .values()
+                .copied()
+                .collect();
         for k in &kids {
             assert!(p.has_guest(*k), "child slot created");
             assert!(p.hv.domain(*k).unwrap().is_runnable());

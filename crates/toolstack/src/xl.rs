@@ -99,10 +99,10 @@ pub type Result<T> = std::result::Result<T, XlError>;
 pub struct DomRecord {
     /// Domain id.
     pub id: DomId,
-    /// Domain name.
-    pub name: String,
-    /// Configuration it was created from.
-    pub config: DomainConfig,
+    /// Domain name, shared with the toolstack's name index.
+    pub name: Rc<str>,
+    /// Configuration it was created from, shared by a clone family.
+    pub config: Rc<DomainConfig>,
     /// Memory layout handed to the guest.
     pub layout: GuestLayout,
     /// Host interfaces of its vifs, in devid order.
@@ -136,7 +136,8 @@ pub struct Xl {
     /// Enables vanilla `xl`'s O(n) name-uniqueness scan (off by default,
     /// matching the paper's baseline methodology in §6.1).
     pub validate_names: bool,
-    records: HashMap<u32, DomRecord>,
+    /// Records by domain id, in id order.
+    records: BTreeMap<u32, DomRecord>,
     /// Name → registered domain ids. Maintained on create, clone
     /// registration, restore, rename and destroy so the uniqueness
     /// check is an O(1) lookup on the host, not a registry scan — the
@@ -144,8 +145,9 @@ pub struct Xl {
     /// `validate_names` is on (that is vanilla `xl`'s modelled
     /// behavior), but the simulator itself no longer pays O(live
     /// domains) per create. Duplicate names are legal while validation
-    /// is off, hence the id *set*.
-    names: HashMap<String, BTreeSet<u32>>,
+    /// is off, hence the id list (unordered, without repeats). Keys share
+    /// the records' name allocations.
+    names: HashMap<Rc<str>, Vec<u32>>,
     saved: HashMap<String, SavedGuest>,
     trace: TraceSink,
 }
@@ -157,7 +159,7 @@ impl Xl {
             clock,
             costs,
             validate_names: false,
-            records: HashMap::new(),
+            records: BTreeMap::new(),
             names: HashMap::new(),
             saved: HashMap::new(),
             trace: TraceSink::default(),
@@ -177,13 +179,10 @@ impl Xl {
 
     /// Lists `(name, id)` of registered domains, in id order.
     pub fn list(&self) -> Vec<(String, DomId)> {
-        let mut v: Vec<_> = self
-            .records
+        self.records
             .values()
-            .map(|r| (r.name.clone(), r.id))
-            .collect();
-        v.sort_by_key(|(_, d)| *d);
-        v
+            .map(|r| (r.name.to_string(), r.id))
+            .collect()
     }
 
     /// Looks up a record by domain id.
@@ -210,7 +209,7 @@ impl Xl {
             let taken = self.names.get(name).is_some_and(|ids| !ids.is_empty());
             debug_assert_eq!(
                 taken,
-                self.records.values().any(|r| r.name == name),
+                self.records.values().any(|r| &*r.name == name),
                 "name index disagrees with the registry scan for {name:?}"
             );
             if taken {
@@ -224,10 +223,18 @@ impl Xl {
     /// it empties.
     fn unindex_name(&mut self, name: &str, id: u32) {
         if let Some(ids) = self.names.get_mut(name) {
-            ids.remove(&id);
+            ids.retain(|&i| i != id);
             if ids.is_empty() {
                 self.names.remove(name);
             }
+        }
+    }
+
+    /// Adds `id` to `name`'s index entry.
+    fn index_name(&mut self, name: &Rc<str>, id: u32) {
+        let ids = self.names.entry(Rc::clone(name)).or_default();
+        if !ids.contains(&id) {
+            ids.push(id);
         }
     }
 
@@ -235,13 +242,13 @@ impl Xl {
     /// when an id is re-registered under a different name).
     fn insert_record(&mut self, rec: DomRecord) {
         let id = rec.id.0;
-        let name = rec.name.clone();
+        let name = Rc::clone(&rec.name);
         if let Some(old) = self.records.insert(id, rec) {
             if old.name != name {
                 self.unindex_name(&old.name, id);
             }
         }
-        self.names.entry(name).or_default().insert(id);
+        self.index_name(&name, id);
     }
 
     fn write_base_entries(
@@ -409,8 +416,8 @@ impl Xl {
         hv.unpause(dom)?;
         self.insert_record(DomRecord {
             id: dom,
-            name: cfg.name.clone(),
-            config: cfg.clone(),
+            name: cfg.name.as_str().into(),
+            config: Rc::new(cfg.clone()),
             layout,
             ifaces: ifaces.clone(),
         });
@@ -423,8 +430,8 @@ impl Xl {
         if let Some(p) = self.records.get(&parent.0) {
             let record = DomRecord {
                 id: child,
-                name: name.to_string(),
-                config: p.config.clone(),
+                name: name.into(),
+                config: Rc::clone(&p.config),
                 layout: p.layout,
                 ifaces,
             };
@@ -440,7 +447,7 @@ impl Xl {
         let Some(rec) = self.records.get(&dom.0) else {
             return Err(XlError::NoSuchDomain(dom));
         };
-        if rec.name == new_name {
+        if &*rec.name == new_name {
             return Ok(());
         }
         self.check_name(new_name)?;
@@ -449,10 +456,11 @@ impl Xl {
             &format!("/local/domain/{}/name", dom.0),
             new_name,
         )?;
+        let name: Rc<str> = new_name.into();
         let rec = self.records.get_mut(&dom.0).expect("checked above");
-        let old = std::mem::replace(&mut rec.name, new_name.to_string());
+        let old = std::mem::replace(&mut rec.name, Rc::clone(&name));
         self.unindex_name(&old, dom.0);
-        self.names.entry(new_name.to_string()).or_default().insert(dom.0);
+        self.index_name(&name, dom.0);
         Ok(())
     }
 
@@ -507,7 +515,7 @@ impl Xl {
         self.saved.insert(
             slot.to_string(),
             SavedGuest {
-                config: rec.config,
+                config: DomainConfig::clone(&rec.config),
                 image: image.clone(),
                 memory,
             },
@@ -570,8 +578,8 @@ impl Xl {
         hv.unpause(dom)?;
         self.insert_record(DomRecord {
             id: dom,
-            name: config.name.clone(),
-            config,
+            name: config.name.as_str().into(),
+            config: Rc::new(config),
             layout,
             ifaces: ifaces.clone(),
         });
@@ -596,12 +604,13 @@ impl Xl {
     pub fn audit_name_index(&self) -> Vec<String> {
         let mut expect: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
         for r in self.records.values() {
-            expect.entry(r.name.as_str()).or_default().insert(r.id.0);
+            expect.entry(&r.name).or_default().insert(r.id.0);
         }
         let mut bad = Vec::new();
         for (name, ids) in &self.names {
-            match expect.get(name.as_str()) {
-                Some(e) if e == ids => {}
+            let indexed: BTreeSet<u32> = ids.iter().copied().collect();
+            match expect.get(&**name) {
+                Some(e) if *e == indexed && indexed.len() == ids.len() => {}
                 other => bad.push(format!(
                     "name index {name:?} -> {ids:?} != registry scan {other:?}"
                 )),
@@ -622,7 +631,7 @@ impl Xl {
     /// drift between the index and the scan it replaced.
     pub fn corrupt_name_index_for_test(&mut self, name: &str, id: u32, insert: bool) {
         if insert {
-            self.names.entry(name.to_string()).or_default().insert(id);
+            self.index_name(&name.into(), id);
         } else {
             self.unindex_name(name, id);
         }

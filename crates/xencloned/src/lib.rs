@@ -24,7 +24,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::rc::Rc;
 
 use devices::bus::{CloneCtx, ClonePolicy};
@@ -89,6 +89,14 @@ impl From<DevError> for CloneDaemonError {
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, CloneDaemonError>;
 
+/// Formats `/local/domain/<dom>/<key>` into `buf`, reusing its
+/// allocation, and returns it.
+fn dom_path<'b>(buf: &'b mut String, dom: DomId, key: &str) -> &'b str {
+    buf.clear();
+    write!(buf, "/local/domain/{}/{key}", dom.0).expect("formatting into a String cannot fail");
+    buf
+}
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct XenclonedConfig {
@@ -139,6 +147,9 @@ pub struct Xencloned {
     /// first clone.
     parent_names: HashMap<u32, String>,
     clone_seq: HashMap<u32, u64>,
+    /// Reused buffers stage 2 formats its paths and the child's domid
+    /// into, so a clone's requests allocate no strings of their own.
+    bufs: [String; 3],
     clones_completed: u64,
     trace: TraceSink,
 }
@@ -152,6 +163,7 @@ impl Xencloned {
             config: XenclonedConfig::default(),
             parent_names: HashMap::new(),
             clone_seq: HashMap::new(),
+            bufs: Default::default(),
             clones_completed: 0,
             trace: TraceSink::default(),
         }
@@ -246,36 +258,43 @@ impl Xencloned {
             }
         };
 
-        // Introduce the child with the parent id (step 2.1).
-        xs.introduce_domain(child, Some(parent))?;
-
-        // Unique name — no validation scan needed.
-        let seq = self.clone_seq.entry(parent.0).or_insert(0);
-        *seq += 1;
-        let name = format!("{parent_name}-c{seq}");
-        let home = format!("/local/domain/{}", child.0);
-        xs.write(DomId::DOM0, &format!("{home}/name"), &name)?;
-        xs.write(DomId::DOM0, &format!("{home}/domid"), &child.0.to_string())?;
-
+        // Steps 2.1–2.3 are Xenstore requests on the child's home and on
+        // the parent's entries: run them with the home resolved once.
         let mut ifaces = Vec::new();
-        if !self.config.minimal {
+        let name = xs.with_home(child, |xs| -> Result<String> {
+            // Introduce the child with the parent id (step 2.1).
+            xs.introduce_domain(child, Some(parent))?;
+
+            // Unique name — no validation scan needed.
+            let seq = self.clone_seq.entry(parent.0).or_insert(0);
+            *seq += 1;
+            let name = format!("{parent_name}-c{seq}");
+            let [src, dst, domid] = &mut self.bufs;
+            domid.clear();
+            write!(domid, "{}", child.0).expect("formatting into a String cannot fail");
+            xs.write(DomId::DOM0, dom_path(dst, child, "name"), &name)?;
+            xs.write(DomId::DOM0, dom_path(dst, child, "domid"), domid)?;
+            if self.config.minimal {
+                return Ok(name);
+            }
+
             // Basic (non-device) registry state.
             if self.config.use_xs_clone {
-                let pm = format!("/local/domain/{}/memory", parent.0);
-                if xs.exists(&pm) {
+                let pm = dom_path(src, parent, "memory");
+                if xs.exists(pm) {
                     xs.xs_clone(
                         DomId::DOM0,
                         XsCloneOp::Basic,
                         parent,
                         child,
-                        &pm,
-                        &format!("{home}/memory"),
+                        pm,
+                        dom_path(dst, child, "memory"),
                     )?;
                 }
             } else {
                 for key in ["memory/target", "memory/static-max"] {
-                    if let Ok(v) = xs.read(DomId::DOM0, &format!("/local/domain/{}/{key}", parent.0)) {
-                        xs.write(DomId::DOM0, &format!("{home}/{key}"), &v)?;
+                    if let Ok(v) = xs.read(DomId::DOM0, dom_path(src, parent, key)) {
+                        xs.write(DomId::DOM0, dom_path(dst, child, key), &v)?;
                     }
                 }
             }
@@ -302,7 +321,10 @@ impl Xencloned {
                 let outcome = dev.as_ref().clone_into(&mut ctx)?;
                 ifaces.extend(outcome.ifaces);
             }
+            Ok(name)
+        })?;
 
+        if !self.config.minimal {
             // Userspace follow-ups for the udev events (step 2.3) —
             // enslaving each new vif.
             for e in udev.drain() {
@@ -599,5 +621,10 @@ mod tests {
         assert_eq!(w.daemon.clones_completed(), 1, "the first child completed");
         let pending: Vec<DomId> = w.hv.clone_ring_pending().map(|n| n.child).collect();
         assert_eq!(pending, [kids[2]], "the third child stays queued");
+        // The failing child's home scope closed on the error: the entries
+        // written before it are back in the tree.
+        let name = format!("/local/domain/{}/name", kids[1].0);
+        assert_eq!(w.xs.read(DomId::DOM0, &name).unwrap(), "udp-c2");
+        w.xs.audit_tree().unwrap();
     }
 }

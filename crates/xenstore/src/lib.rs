@@ -24,13 +24,13 @@ mod txn;
 mod watches;
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::rc::Rc;
 
 use sim_core::{Clock, CostModel, DomId, TraceSink};
 
 use crate::log::AccessLog;
-use crate::tree::{DomidRewrite, Node};
+use crate::tree::{DomidRewrite, Node, NodeRef};
 use crate::txn::{Txn, TxnOp};
 use crate::watches::Watches;
 
@@ -118,7 +118,45 @@ pub struct Xenstore {
     /// Approximate resident bytes per entry for the Dom0 memory accounting
     /// of Fig. 5 (the paper reports oxenstored growing to ~350 MB).
     resident_per_entry: u64,
+    /// The [`Xenstore::with_home`] scope, kept between scopes so opening
+    /// one allocates nothing.
+    home: HomeScope,
     trace: TraceSink,
+}
+
+/// The directory holding every domain's home.
+const DOMAIN_DIR: &str = "/local/domain";
+
+/// A domain home detached from the persistent tree for the duration of
+/// [`Xenstore::with_home`]. `dir` stands in for `/local/domain`: it holds
+/// the home as its only child (or nothing, while the home does not
+/// exist), so requests below the home descend from `dir` with the same
+/// tree operations the root uses. Outside a scope, `dir` is empty.
+#[derive(Debug)]
+struct HomeScope {
+    open: bool,
+    /// `/local/domain/<domid>` of the open scope.
+    path: String,
+    dir: Node,
+}
+
+impl HomeScope {
+    /// Whether a scope is open and `path` is its home or lies below it.
+    fn covers(&self, path: &str) -> bool {
+        self.open
+            && path
+                .strip_prefix(self.path.as_str())
+                .is_some_and(|below| below.is_empty() || below.starts_with('/'))
+    }
+
+    /// Whether a scope is open and `path` is a proper ancestor of its
+    /// home: that subtree is incomplete while the home is detached.
+    fn is_ancestor(&self, path: &str) -> bool {
+        self.open
+            && path != self.path
+            && self.path.starts_with(path)
+            && (path == "/" || self.path.as_bytes()[path.len()] == b'/')
+    }
 }
 
 /// Static span-attribute name of an [`XsCloneOp`].
@@ -159,6 +197,11 @@ impl Xenstore {
             access_log: AccessLog::new(3000),
             entry_count: 0,
             resident_per_entry: 1024,
+            home: HomeScope {
+                open: false,
+                path: String::new(),
+                dir: Node::dir(DomId::DOM0),
+            },
             trace: TraceSink::default(),
         };
         for dir in ["/tool", "/local", "/local/domain", "/vm", "/libxl"] {
@@ -232,6 +275,86 @@ impl Xenstore {
     }
 
     // ------------------------------------------------------------------
+    // Path resolution
+    // ------------------------------------------------------------------
+
+    /// The node a request on `path` descends from, and the path below it:
+    /// the open home scope's stand-in directory for the home and its
+    /// descendants, the root for everything else. Every request resolves
+    /// its path here.
+    fn resolve<'p>(&self, path: &'p str) -> (&Node, &'p str) {
+        if self.home.covers(path) {
+            return (&self.home.dir, &path[DOMAIN_DIR.len()..]);
+        }
+        self.check_whole_tree_path(path);
+        (&self.root, path)
+    }
+
+    /// [`Xenstore::resolve`] for a request that mutates the tree.
+    fn resolve_mut<'p>(&mut self, path: &'p str) -> (&mut Node, &'p str) {
+        if self.home.covers(path) {
+            return (&mut self.home.dir, &path[DOMAIN_DIR.len()..]);
+        }
+        self.check_whole_tree_path(path);
+        (&mut self.root, path)
+    }
+
+    /// Debug builds reject a request on a proper ancestor of an open
+    /// home: the detached home is missing from its subtree.
+    fn check_whole_tree_path(&self, path: &str) {
+        debug_assert!(
+            !self.home.is_ancestor(path),
+            "{path} spans the detached home {}; whole-tree requests are not allowed inside with_home",
+            self.home.path
+        );
+    }
+
+    /// Debug builds reject whole-tree readers inside a home scope.
+    fn check_no_home(&self, what: &str) {
+        debug_assert!(
+            !self.home.open,
+            "{what} reads the whole tree and is not allowed inside with_home"
+        );
+    }
+
+    /// Runs `f` with `/local/domain/<domid>` taken off the persistent tree
+    /// (one descent), so every request at or below the home descends from
+    /// the detached node instead of from the root; the home is grafted
+    /// back (one descent) when `f` returns, whatever it returns. Requests
+    /// charge exactly what they charge outside the scope: the store's
+    /// entry count, the access log and the watches do not depend on where
+    /// the home node sits. A home left behind by an earlier owner of
+    /// `domid` is taken off with its entries, as `mkdir` would keep them.
+    ///
+    /// Inside the scope, requests on proper ancestors of the home (a
+    /// listing of `/local/domain`, say), transactions and whole-tree
+    /// readers ([`Xenstore::sharing`], [`Xenstore::audit_tree`]) would see
+    /// the tree without the home; debug builds panic on them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a home scope is already open: scopes do not nest.
+    pub fn with_home<R>(&mut self, domid: DomId, f: impl FnOnce(&mut Self) -> R) -> R {
+        let scope = &mut self.home;
+        assert!(!scope.open, "with_home scopes do not nest");
+        scope.path.clear();
+        write!(scope.path, "{DOMAIN_DIR}/{}", domid.0).expect("writing to a String cannot fail");
+        if let Some(home) = self.root.take(&scope.path) {
+            scope
+                .dir
+                .graft(&scope.path[DOMAIN_DIR.len()..], home, DomId::DOM0);
+        }
+        scope.open = true;
+        let r = f(self);
+        let scope = &mut self.home;
+        scope.open = false;
+        if let Some(home) = scope.dir.take(&scope.path[DOMAIN_DIR.len()..]) {
+            self.root.graft(&scope.path, home, DomId::DOM0);
+        }
+        r
+    }
+
+    // ------------------------------------------------------------------
     // Permissions
     // ------------------------------------------------------------------
 
@@ -258,15 +381,20 @@ impl Xenstore {
         validate(path)?;
         self.charge_request();
         let _ = who;
-        match self.root.lookup(path) {
+        match self.lookup(path) {
             Some(node) => Ok(node.value().unwrap_or_default()),
             None => Err(XsError::NoEnt(path.to_string())),
         }
     }
 
+    fn lookup(&self, path: &str) -> Option<NodeRef<'_>> {
+        let (node, below) = self.resolve(path);
+        node.lookup(below)
+    }
+
     /// Whether a path exists (no logging; used internally and by tests).
     pub fn exists(&self, path: &str) -> bool {
-        self.root.lookup(path).is_some()
+        self.lookup(path).is_some()
     }
 
     /// Introspection-only directory listing: child names without charging
@@ -274,7 +402,7 @@ impl Xenstore {
     /// enumerate device nodes; the simulated machine must use
     /// [`Xenstore::directory`].
     pub fn peek_directory(&self, path: &str) -> Vec<String> {
-        match self.root.lookup(path) {
+        match self.lookup(path) {
             Some(node) => node.child_names().map(str::to_string).collect(),
             None => Vec::new(),
         }
@@ -284,7 +412,7 @@ impl Xenstore {
     /// charging virtual time or logging an access. `None` for missing
     /// paths and value-less directories.
     pub fn peek(&self, path: &str) -> Option<String> {
-        self.root.lookup(path).and_then(|node| node.value())
+        self.lookup(path).and_then(|node| node.value())
     }
 
     /// Introspection-only resident bytes of the entries under `path`
@@ -293,7 +421,7 @@ impl Xenstore {
     /// family rollups use this to attribute `/local/domain/<id>` subtree
     /// bytes to clone families. 0 for missing paths.
     pub fn subtree_entry_bytes(&self, path: &str) -> u64 {
-        match self.root.lookup(path) {
+        match self.lookup(path) {
             Some(node) => node.entry_count() * self.resident_per_entry,
             None => 0,
         }
@@ -318,15 +446,26 @@ impl Xenstore {
     }
 
     fn write_unlogged(&mut self, who: DomId, path: &str, value: &str) {
-        let created = self.root.insert(path, value, who);
+        let (node, below) = self.resolve_mut(path);
+        let created = node.insert(below, value, who);
         self.entry_count += created;
     }
 
     fn mkdir_internal(&mut self, who: DomId, path: &str) -> Result<()> {
         validate(path)?;
-        let created = self.root.mkdir(path, who);
+        let (node, below) = self.resolve_mut(path);
+        let created = node.mkdir(below, who);
         self.entry_count += created;
         Ok(())
+    }
+
+    /// Removes the subtree at `path`, keeping the entry count in step;
+    /// `None` if nothing is there.
+    fn remove_unlogged(&mut self, path: &str) -> Option<()> {
+        let (node, below) = self.resolve_mut(path);
+        let removed = node.remove(below)?;
+        self.entry_count = self.entry_count.saturating_sub(removed);
+        Some(())
     }
 
     /// Creates a directory node.
@@ -358,11 +497,8 @@ impl Xenstore {
             return Err(XsError::Denied(path.to_string()));
         }
         self.charge_request();
-        let removed = self
-            .root
-            .remove(path)
+        self.remove_unlogged(path)
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-        self.entry_count = self.entry_count.saturating_sub(removed);
         self.fire_watches(path);
         Ok(())
     }
@@ -377,7 +513,7 @@ impl Xenstore {
         validate(path)?;
         let _ = who;
         self.charge_request();
-        match self.root.lookup(path) {
+        match self.lookup(path) {
             Some(node) => Ok(node.child_names().map(str::to_string).collect()),
             None => Err(XsError::NoEnt(path.to_string())),
         }
@@ -423,6 +559,7 @@ impl Xenstore {
     /// [`Xenstore::txn_read`] for the transaction's lifetime.
     pub fn txn_start(&mut self, who: DomId) -> u32 {
         let _ = who;
+        self.check_no_home("txn_start");
         self.clock.advance(self.costs.xs_transaction);
         let id = self.next_txn;
         self.next_txn += 1;
@@ -522,9 +659,7 @@ impl Xenstore {
                 }
                 TxnOp::Rm { path } => {
                     self.charge_request();
-                    if let Some(removed) = self.root.remove(&path) {
-                        self.entry_count = self.entry_count.saturating_sub(removed);
-                    }
+                    self.remove_unlogged(&path);
                     touched.push(path);
                 }
             }
@@ -557,12 +692,15 @@ impl Xenstore {
         self.clock.advance(self.costs.xs_introduce);
         self.charge_request();
         self.scrub_stale_backends(domid);
-        let home = format!("/local/domain/{}", domid.0);
-        self.mkdir_internal(DomId::DOM0, &home)?;
+        let mut path = String::with_capacity(DOMAIN_DIR.len() + 18);
+        write!(path, "{DOMAIN_DIR}/{}", domid.0).expect("formatting into a String cannot fail");
+        let home = path.len();
+        self.mkdir_internal(DomId::DOM0, &path)?;
         if let Some(p) = parent {
-            self.write_unlogged(DomId::DOM0, &format!("{home}/parent"), &p.0.to_string());
+            path.push_str("/parent");
+            self.write_unlogged(DomId::DOM0, &path, &p.0.to_string());
         }
-        self.fire_watches(&home);
+        self.fire_watches(&path[..home]);
         Ok(())
     }
 
@@ -577,10 +715,7 @@ impl Xenstore {
     /// so figures that never destroy a domain are byte-identical.
     fn scrub_stale_backends(&mut self, domid: DomId) {
         for class in self.peek_directory("/local/domain/0/backend") {
-            let path = format!("/local/domain/0/backend/{class}/{}", domid.0);
-            if let Some(removed) = self.root.remove(&path) {
-                self.entry_count = self.entry_count.saturating_sub(removed);
-            }
+            self.remove_unlogged(&format!("/local/domain/0/backend/{class}/{}", domid.0));
         }
     }
 
@@ -650,7 +785,6 @@ impl Xenstore {
         // daemon still walks every entry, so the virtual-time charge keeps
         // its per-entry term and the figure CSVs stay byte-identical.
         let src = self
-            .root
             .lookup(parent_path)
             .ok_or_else(|| XsError::NoEnt(parent_path.to_string()))?
             .detach();
@@ -675,7 +809,8 @@ impl Xenstore {
                 })
             }
         };
-        let delta = self.root.graft(child_path, rewritten, DomId::DOM0);
+        let (node, below) = self.resolve_mut(child_path);
+        let delta = node.graft(below, rewritten, DomId::DOM0);
         self.entry_count = (self.entry_count as i64 + delta).max(0) as u64;
         self.fire_watches(child_path);
         Ok(())
@@ -706,6 +841,7 @@ impl Xenstore {
     /// to *unique* once either side diverges (writes through it). The two
     /// always sum to `resident_bytes()`. O(distinct nodes) on the host.
     pub fn sharing(&self) -> XsSharing {
+        self.check_no_home("sharing");
         let stats = self.root.sharing();
         // The root node itself is not an "entry" (entry_count excludes
         // it), and it is always unique.
@@ -722,6 +858,7 @@ impl Xenstore {
     /// `entry_count`, and the sharing walk's logical total must all
     /// agree. Used by the platform auditor.
     pub fn audit_tree(&self) -> std::result::Result<(), String> {
+        self.check_no_home("audit_tree");
         self.root.verify_counts()?;
         let total = self.root.count_entries();
         if total != self.entry_count + 1 {
@@ -1122,6 +1259,109 @@ mod tests {
             xs.resident_bytes()
         );
         xs.audit_tree().unwrap();
+    }
+
+    #[test]
+    fn home_scope_grafts_the_home_back_after_an_error() {
+        let mut xs = xs();
+        let home = "/local/domain/5";
+        let r = xs.with_home(DomId(5), |xs| -> Result<()> {
+            xs.introduce_domain(DomId(5), Some(DomId(3)))?;
+            xs.write(DomId::DOM0, &format!("{home}/name"), "c1")?;
+            xs.read(DomId::DOM0, &format!("{home}/missing"))?;
+            xs.write(DomId::DOM0, &format!("{home}/never"), "x")
+        });
+        assert!(matches!(r, Err(XsError::NoEnt(_))));
+        assert_eq!(xs.read(DomId::DOM0, &format!("{home}/name")).unwrap(), "c1");
+        assert_eq!(
+            xs.read(DomId::DOM0, &format!("{home}/parent")).unwrap(),
+            "3"
+        );
+        assert!(!xs.exists(&format!("{home}/never")));
+        assert_eq!(xs.peek_directory("/local/domain"), ["5"]);
+        xs.audit_tree().unwrap();
+    }
+
+    #[test]
+    fn home_scope_keeps_an_earlier_owners_entries_like_mkdir() {
+        // Ids can keep an old home, e.g. when the hypervisor alone
+        // destroyed the domain. Introducing a new owner keeps the stale
+        // entries with or without the scope, at the same charges.
+        let run = |scoped: bool| {
+            let clock = Clock::new();
+            let mut xs = Xenstore::new(clock.clone(), Rc::new(CostModel::calibrated()));
+            xs.write(DomId::DOM0, "/local/domain/7/stale", "old")
+                .unwrap();
+            xs.write(DomId::DOM0, "/local/domain/8/other", "x").unwrap();
+            let body = |xs: &mut Xenstore| {
+                xs.introduce_domain(DomId(7), Some(DomId(2))).unwrap();
+                xs.write(DomId::DOM0, "/local/domain/7/name", "new")
+                    .unwrap();
+            };
+            if scoped {
+                xs.with_home(DomId(7), body);
+            } else {
+                body(&mut xs);
+            }
+            xs.audit_tree().unwrap();
+            let dump: Vec<(String, Option<String>)> = xs
+                .peek_directory("/local/domain/7")
+                .into_iter()
+                .map(|k| {
+                    let v = xs.peek(&format!("/local/domain/7/{k}"));
+                    (k, v)
+                })
+                .collect();
+            (dump, xs.entry_count(), clock.now())
+        };
+        let scoped = run(true);
+        assert_eq!(scoped, run(false));
+        assert!(scoped
+            .0
+            .contains(&("stale".to_string(), Some("old".to_string()))));
+    }
+
+    #[cfg(debug_assertions)]
+    mod whole_tree_readers_panic_inside_a_home_scope {
+        use super::*;
+
+        fn in_scope(f: impl FnOnce(&mut Xenstore)) {
+            let mut xs = xs();
+            xs.introduce_domain(DomId(4), None).unwrap();
+            xs.with_home(DomId(4), f);
+        }
+
+        #[test]
+        #[should_panic(expected = "not allowed inside with_home")]
+        fn sharing() {
+            in_scope(|xs| {
+                xs.sharing();
+            });
+        }
+
+        #[test]
+        #[should_panic(expected = "not allowed inside with_home")]
+        fn audit_tree() {
+            in_scope(|xs| {
+                let _ = xs.audit_tree();
+            });
+        }
+
+        #[test]
+        #[should_panic(expected = "not allowed inside with_home")]
+        fn txn_start() {
+            in_scope(|xs| {
+                xs.txn_start(DomId::DOM0);
+            });
+        }
+
+        #[test]
+        #[should_panic(expected = "not allowed inside with_home")]
+        fn listing_the_domain_directory() {
+            in_scope(|xs| {
+                let _ = xs.directory(DomId::DOM0, "/local/domain");
+            });
+        }
     }
 
     #[test]

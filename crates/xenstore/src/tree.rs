@@ -18,6 +18,7 @@
 //! (`Node::materialize_level`). Overlays stack, so cloning a clone
 //! before either diverges stays O(path-depth) too.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -69,13 +70,80 @@ impl DomidRewrite {
     }
 }
 
+/// A node's name or value. Strings of up to [`Text::INLINE`] bytes, every
+/// name and most values the simulator writes among them, are stored in
+/// place: a descent through `/local/domain`, which holds one child per
+/// live domain, compares keys without a heap dereference per key, and
+/// creating a node allocates no string. Ordered by bytes, like `String`.
+#[derive(Debug, Clone)]
+enum Text {
+    Inline(u8, [u8; Text::INLINE]),
+    Heap(Box<str>),
+}
+
+impl Text {
+    const INLINE: usize = 22;
+
+    fn new(s: &str) -> Self {
+        let mut bytes = [0; Text::INLINE];
+        match bytes.get_mut(..s.len()) {
+            Some(prefix) => {
+                prefix.copy_from_slice(s.as_bytes());
+                Text::Inline(s.len() as u8, bytes)
+            }
+            None => Text::Heap(s.into()),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Text::Inline(len, bytes) => &bytes[..*len as usize],
+            Text::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            Text::Inline(..) => std::str::from_utf8(self.as_bytes())
+                .expect("inline text is copied whole from a str"),
+            Text::Heap(s) => s,
+        }
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::borrow::Borrow<[u8]> for Text {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
 /// The shared payload of a tree node.
 #[derive(Debug, Clone)]
 struct NodeData {
     /// The node's value (directories typically have none).
-    value: Option<String>,
+    value: Option<Text>,
     /// Child handles by name (ordered for deterministic iteration).
-    children: BTreeMap<String, Node>,
+    children: BTreeMap<Text, Node>,
     /// Owning domain (permission bookkeeping).
     owner: DomId,
     /// Cached number of entries in this subtree, this node included.
@@ -97,6 +165,13 @@ fn components(path: &str) -> impl Iterator<Item = &str> {
     path.split('/').filter(|c| !c.is_empty())
 }
 
+/// Splits `path` into its directory part and final component, without
+/// collecting the components. The final component is empty for the root.
+fn split_last(path: &str) -> (&str, &str) {
+    let path = path.trim_end_matches('/');
+    path.rsplit_once('/').unwrap_or(("", path))
+}
+
 /// An immutable view of the node at some path, with the rewrite overlays
 /// accumulated along the way already resolved.
 pub struct NodeRef<'a> {
@@ -108,7 +183,7 @@ impl NodeRef<'_> {
     /// The node's value with all pending rewrites applied.
     pub fn value(&self) -> Option<String> {
         self.node.data.value.as_ref().map(|v| {
-            let mut s = v.clone();
+            let mut s = v.as_str().to_string();
             for r in &self.rewrites {
                 s = r.apply(&s);
             }
@@ -119,7 +194,7 @@ impl NodeRef<'_> {
     /// Child names, in deterministic (sorted) order. Rewrites only ever
     /// touch values, never names.
     pub fn child_names(&self) -> impl Iterator<Item = &str> {
-        self.node.data.children.keys().map(String::as_str)
+        self.node.data.children.keys().map(Text::as_str)
     }
 
     /// Entries in this subtree (cached, O(1)).
@@ -184,7 +259,7 @@ impl Node {
         let mut rewrites = self.rewrites.clone();
         let mut cur = self;
         for c in components(path) {
-            cur = cur.data.children.get(c)?;
+            cur = cur.data.children.get(c.as_bytes())?;
             if !cur.rewrites.is_empty() {
                 // The child's own overlay applies before the accumulated
                 // outer ones.
@@ -214,11 +289,11 @@ impl Node {
         let rules = std::mem::take(&mut self.rewrites);
         let data = Rc::make_mut(&mut self.data);
         if let Some(v) = data.value.as_mut() {
-            let mut s = std::mem::take(v);
+            let mut s = v.as_str().to_string();
             for r in &rules {
                 s = r.apply(&s);
             }
-            *v = s;
+            *v = Text::new(&s);
         }
         for child in data.children.values_mut() {
             child.rewrites.extend(rules.iter().copied());
@@ -229,26 +304,27 @@ impl Node {
     /// Returns the number of *new* entries created (0 for an overwrite).
     /// Path-copies (and materializes overlays on) only the walked spine.
     pub fn insert(&mut self, path: &str, value: &str, owner: DomId) -> u64 {
-        let comps: Vec<&str> = components(path).collect();
-        self.insert_at(&comps, value, owner)
+        self.insert_at(components(path), value, owner)
     }
 
-    fn insert_at(&mut self, comps: &[&str], value: &str, owner: DomId) -> u64 {
+    fn insert_at<'a>(
+        &mut self,
+        mut comps: impl Iterator<Item = &'a str>,
+        value: &str,
+        owner: DomId,
+    ) -> u64 {
         self.materialize_level();
         let data = Rc::make_mut(&mut self.data);
-        match comps.split_first() {
+        match comps.next() {
             None => {
-                data.value = Some(value.to_string());
+                data.value = Some(Text::new(value));
                 0
             }
-            Some((name, rest)) => {
-                let created = match data.children.get_mut(*name) {
-                    Some(child) => child.insert_at(rest, value, owner),
-                    None => {
-                        let mut child = Node::dir(owner);
-                        let created = 1 + child.insert_at(rest, value, owner);
-                        data.children.insert((*name).to_string(), child);
-                        created
+            Some(name) => {
+                let created = match data.children.entry(Text::new(name)) {
+                    Entry::Occupied(child) => child.into_mut().insert_at(comps, value, owner),
+                    Entry::Vacant(slot) => {
+                        1 + slot.insert(Node::dir(owner)).insert_at(comps, value, owner)
                     }
                 };
                 data.entries += created;
@@ -259,24 +335,18 @@ impl Node {
 
     /// Creates a directory at `path`; returns new entries created.
     pub fn mkdir(&mut self, path: &str, owner: DomId) -> u64 {
-        let comps: Vec<&str> = components(path).collect();
-        self.mkdir_at(&comps, owner)
+        self.mkdir_at(components(path), owner)
     }
 
-    fn mkdir_at(&mut self, comps: &[&str], owner: DomId) -> u64 {
-        let Some((name, rest)) = comps.split_first() else {
+    fn mkdir_at<'a>(&mut self, mut comps: impl Iterator<Item = &'a str>, owner: DomId) -> u64 {
+        let Some(name) = comps.next() else {
             return 0;
         };
         self.materialize_level();
         let data = Rc::make_mut(&mut self.data);
-        let created = match data.children.get_mut(*name) {
-            Some(child) => child.mkdir_at(rest, owner),
-            None => {
-                let mut child = Node::dir(owner);
-                let created = 1 + child.mkdir_at(rest, owner);
-                data.children.insert((*name).to_string(), child);
-                created
-            }
+        let created = match data.children.entry(Text::new(name)) {
+            Entry::Occupied(child) => child.into_mut().mkdir_at(comps, owner),
+            Entry::Vacant(slot) => 1 + slot.insert(Node::dir(owner)).mkdir_at(comps, owner),
         };
         data.entries += created;
         created
@@ -288,66 +358,86 @@ impl Node {
     /// structure — untouched.
     pub fn remove(&mut self, path: &str) -> Option<u64> {
         self.lookup(path)?;
-        let comps: Vec<&str> = components(path).collect();
-        let (last, dirs) = comps.split_last()?;
-        Some(self.remove_at(dirs, last))
+        let (dirs, last) = split_last(path);
+        if last.is_empty() {
+            return None;
+        }
+        Some(self.take_at(components(dirs), last)?.data.entries)
     }
 
-    fn remove_at(&mut self, dirs: &[&str], last: &str) -> u64 {
+    /// Detaches the subtree at `path` in one descent and returns its
+    /// handle (overlay included), or `None` when nothing is there. The
+    /// spine is path-copied like a write's, even on a miss.
+    pub fn take(&mut self, path: &str) -> Option<Node> {
+        let (dirs, last) = split_last(path);
+        if last.is_empty() {
+            return None;
+        }
+        self.take_at(components(dirs), last)
+    }
+
+    fn take_at<'a>(&mut self, mut dirs: impl Iterator<Item = &'a str>, last: &str) -> Option<Node> {
         self.materialize_level();
         let data = Rc::make_mut(&mut self.data);
-        let removed = match dirs.split_first() {
-            None => {
-                let victim = data.children.remove(last).expect("existence checked");
-                victim.data.entries
-            }
-            Some((name, rest)) => {
-                let child = data.children.get_mut(*name).expect("existence checked");
-                child.remove_at(rest, last)
-            }
+        let taken = match dirs.next() {
+            None => data.children.remove(last.as_bytes())?,
+            Some(name) => data
+                .children
+                .get_mut(name.as_bytes())?
+                .take_at(dirs, last)?,
         };
-        data.entries -= removed;
-        removed
+        data.entries -= taken.data.entries;
+        Some(taken)
     }
 
-    /// Grafts `subtree` at `path` (replacing anything there); returns the
-    /// net change in entry count, negative when the replaced subtree was
-    /// larger than the grafted one. O(path-depth): the subtree itself is
-    /// attached by handle, never copied.
+    /// Grafts `subtree` at `path`, replacing anything there in place;
+    /// returns the net change in entry count, negative when the replaced
+    /// subtree was larger than the grafted one. One descent: the subtree
+    /// itself is attached by handle, never copied.
     pub fn graft(&mut self, path: &str, subtree: Node, owner: DomId) -> i64 {
-        let removed = self.remove(path).unwrap_or(0);
-        let comps: Vec<&str> = components(path).collect();
-        let Some((last, dirs)) = comps.split_last() else {
+        let (dirs, last) = split_last(path);
+        if last.is_empty() {
             return 0;
-        };
-        let inserted = self.graft_at(dirs, last, subtree, owner);
-        inserted as i64 - removed as i64
+        }
+        self.graft_at(components(dirs), last, subtree, owner)
     }
 
     /// Walks to the graft parent (creating intermediate directories owned
-    /// by the grafting domain), attaches the subtree handle, and bubbles
-    /// the entry-count delta up the spine. Returns entries added to this
-    /// subtree (created dirs + grafted entries).
-    fn graft_at(&mut self, dirs: &[&str], last: &str, subtree: Node, owner: DomId) -> u64 {
+    /// by the grafting domain), swaps the subtree handle in, and bubbles
+    /// the entry-count delta up the spine.
+    fn graft_at<'a>(
+        &mut self,
+        mut dirs: impl Iterator<Item = &'a str>,
+        last: &str,
+        subtree: Node,
+        owner: DomId,
+    ) -> i64 {
         self.materialize_level();
         let data = Rc::make_mut(&mut self.data);
-        let delta = match dirs.split_first() {
+        let delta = match dirs.next() {
             None => {
-                let added = subtree.data.entries;
-                data.children.insert(last.to_string(), subtree);
-                added
+                let added = subtree.data.entries as i64;
+                match data.children.entry(Text::new(last)) {
+                    Entry::Occupied(mut slot) => added - slot.insert(subtree).data.entries as i64,
+                    Entry::Vacant(slot) => {
+                        slot.insert(subtree);
+                        added
+                    }
+                }
             }
-            Some((name, rest)) => match data.children.get_mut(*name) {
-                Some(child) => child.graft_at(rest, last, subtree, owner),
-                None => {
-                    let mut child = Node::dir(owner);
-                    let d = 1 + child.graft_at(rest, last, subtree, owner);
-                    data.children.insert((*name).to_string(), child);
-                    d
+            Some(name) => match data.children.entry(Text::new(name)) {
+                Entry::Occupied(child) => child.into_mut().graft_at(dirs, last, subtree, owner),
+                Entry::Vacant(slot) => {
+                    1 + slot
+                        .insert(Node::dir(owner))
+                        .graft_at(dirs, last, subtree, owner)
                 }
             },
         };
-        data.entries += delta;
+        data.entries = data
+            .entries
+            .checked_add_signed(delta)
+            .expect("entry count stays positive");
         delta
     }
 
@@ -442,6 +532,19 @@ mod tests {
 
     fn value_at(r: &Node, path: &str) -> Option<String> {
         r.lookup(path).and_then(|n| n.value())
+    }
+
+    #[test]
+    fn text_sorts_like_strings_inline_or_not() {
+        assert_eq!(std::mem::size_of::<Text>(), std::mem::size_of::<String>());
+        let long = "a-name-longer-than-the-inline-capacity";
+        let mut names = ["10", "9", "", "100", long, "static-max", "1", "a"];
+        let mut keys: Vec<Text> = names.iter().map(|n| Text::new(n)).collect();
+        assert!(matches!(Text::new(long), Text::Heap(_)));
+        names.sort();
+        keys.sort();
+        let sorted: Vec<&str> = keys.iter().map(Text::as_str).collect();
+        assert_eq!(sorted, names);
     }
 
     #[test]

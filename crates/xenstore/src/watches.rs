@@ -109,6 +109,9 @@ impl Watches {
     /// Tokens of every watch whose prefix covers `path`, in registration
     /// order. Touches only the `d + 1` prefixes of the written path.
     pub fn matching(&self, path: &str) -> Vec<String> {
+        if self.entries.is_empty() {
+            return Vec::new();
+        }
         let mut segs: Vec<Seg> = Vec::new();
         let mut hits: Vec<u64> = Vec::new();
         // The empty prefix (a watch on "/") covers everything.

@@ -2,13 +2,15 @@
 //! must be observably identical to a naive always-deep-copy reference.
 //!
 //! A random operation tape (write / mkdir / rm / directory / xs_clone /
-//! transaction commit+abort / watch / unwatch) drives the real
-//! [`Xenstore`] and a reference model that deep-copies every subtree the
-//! way the tree worked before the rewrite. After every operation the two
-//! must agree on: the operation's result, the queued watch events, the
-//! cached entry count, and — crucially — the virtual-time charge (both
-//! run the calibrated [`CostModel`] on private clocks, so a divergence in
-//! any count the charges derive from shows up as a clock mismatch).
+//! transaction commit+abort / watch / unwatch, and sub-tapes run inside
+//! [`Xenstore::with_home`]) drives the real [`Xenstore`] and a reference
+//! model that deep-copies every subtree the way the tree worked before
+//! the rewrite and knows no home scope. After every operation the two
+//! must agree on: the operation's result, the stored paths and values,
+//! the queued watch events, the cached entry count, and — crucially —
+//! the virtual-time charge (both run the calibrated [`CostModel`] on
+//! private clocks, so a divergence in any count the charges derive from
+//! shows up as a clock mismatch).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -372,6 +374,12 @@ enum Op {
     Watch { path_idx: usize, tok: u8 },
     Unwatch { tok: u8 },
     TxnRun { writes: Vec<(usize, u8)>, rm: Option<usize>, commit: bool },
+    /// Runs the requests of `sub` (no watches or transactions) inside a
+    /// home scope on one domain; the reference runs them unscoped.
+    InHome {
+        dom: usize,
+        sub: Vec<Op>,
+    },
 }
 
 /// A closed path pool under a handful of domain homes, with some values
@@ -405,7 +413,9 @@ fn value_for(dom: u32, val: u8) -> String {
     }
 }
 
-fn op_strategy() -> impl Gen<Value = Op> {
+/// The requests a home scope may run: every op but watches and
+/// transactions.
+fn request_strategy() -> impl Gen<Value = Op> {
     weighted(vec![
         (6, (usizes(), u8s()).map(|(path_idx, val)| Op::Write { path_idx, val }).boxed()),
         (1, usizes().map(|path_idx| Op::Mkdir { path_idx }).boxed()),
@@ -415,21 +425,186 @@ fn op_strategy() -> impl Gen<Value = Op> {
         (4, (usizes(), usizes(), usizes())
             .map(|(op_idx, from_dom, to_dom)| Op::Clone { op_idx, from_dom, to_dom })
             .boxed()),
+    ])
+}
+
+fn op_strategy() -> impl Gen<Value = Op> {
+    weighted(vec![
+        (18, request_strategy().boxed()),
         (2, (usizes(), u8s()).map(|(path_idx, tok)| Op::Watch { path_idx, tok }).boxed()),
         (1, u8s().map(|tok| Op::Unwatch { tok }).boxed()),
-        (2, (vecs((usizes(), u8s()), 0..4), usizes(), u8s())
-            .map(|(writes, rm_idx, commit)| Op::TxnRun {
-                writes,
-                rm: if commit % 3 == 0 { Some(rm_idx) } else { None },
-                commit: commit % 2 == 0,
-            })
-            .boxed()),
+        (
+            2,
+            (vecs((usizes(), u8s()), 0..4), usizes(), u8s())
+                .map(|(writes, rm_idx, commit)| Op::TxnRun {
+                    writes,
+                    rm: if commit % 3 == 0 { Some(rm_idx) } else { None },
+                    commit: commit % 2 == 0,
+                })
+                .boxed(),
+        ),
+        (
+            3,
+            (usizes(), vecs(request_strategy(), 1..12))
+                .map(|(dom, sub)| Op::InHome { dom, sub })
+                .boxed(),
+        ),
     ])
 }
 
 // ---------------------------------------------------------------------
 // The equivalence property.
 // ---------------------------------------------------------------------
+
+const CLONE_OPS: [XsCloneOp; 6] = [
+    XsCloneOp::Basic,
+    XsCloneOp::DevConsole,
+    XsCloneOp::DevVif,
+    XsCloneOp::Dev9pfs,
+    XsCloneOp::DevVbd,
+    XsCloneOp::DevVsock,
+];
+
+/// Applies one op to both stores and checks its result.
+fn apply(op: Op, xs: &mut Xenstore, rf: &mut RefStore, clocks: (&Clock, &Clock), step: usize) {
+    let all = paths();
+    let dom_ids = doms();
+    match op {
+        Op::Write { path_idx, val } => {
+            let path = &all[path_idx % all.len()];
+            let dom = dom_ids[path_idx % dom_ids.len()];
+            let v = value_for(dom, val);
+            xs.write(DomId::DOM0, path, &v).unwrap();
+            rf.write(path, &v);
+        }
+        Op::Mkdir { path_idx } => {
+            let path = &all[path_idx % all.len()];
+            xs.mkdir(DomId::DOM0, path).unwrap();
+            rf.mkdir(path);
+        }
+        Op::Rm { path_idx } => {
+            let path = &all[path_idx % all.len()];
+            let a = xs.rm(DomId::DOM0, path).is_ok();
+            let b = rf.rm(path);
+            assert_eq!(a, b, "rm {path} at step {step}");
+        }
+        Op::Dir { path_idx } => {
+            let path = &all[path_idx % all.len()];
+            let a = xs.directory(DomId::DOM0, path).ok();
+            let b = rf.directory(path);
+            assert_eq!(a, b, "directory {path} at step {step}");
+        }
+        Op::Read { path_idx } => {
+            let path = &all[path_idx % all.len()];
+            let a = xs.read(DomId::DOM0, path).ok();
+            let b = rf.read(path);
+            assert_eq!(a, b, "read {path} at step {step}");
+        }
+        Op::Clone {
+            op_idx,
+            from_dom,
+            to_dom,
+        } => {
+            let cop = CLONE_OPS[op_idx % CLONE_OPS.len()];
+            let p = dom_ids[from_dom % dom_ids.len()];
+            let c = dom_ids[to_dom % dom_ids.len()];
+            let from = format!("/local/domain/{p}/device/vif/0");
+            let to = format!("/local/domain/{c}/device/vif/0");
+            let a = xs
+                .xs_clone(DomId::DOM0, cop, DomId(p), DomId(c), &from, &to)
+                .is_ok();
+            let b = rf.xs_clone(cop, DomId(p), DomId(c), &from, &to);
+            assert_eq!(a, b, "xs_clone {from} -> {to} at step {step}");
+        }
+        Op::Watch { path_idx, tok } => {
+            let path = &all[path_idx % all.len()];
+            let token = format!("t{}", tok % 8);
+            xs.watch(DomId::DOM0, &token, path).unwrap();
+            rf.watch(DomId::DOM0, &token, path);
+        }
+        Op::Unwatch { tok } => {
+            let token = format!("t{}", tok % 8);
+            xs.unwatch(DomId::DOM0, &token);
+            rf.unwatch(DomId::DOM0, &token);
+        }
+        Op::TxnRun { writes, rm, commit } => {
+            let ta = xs.txn_start(DomId::DOM0);
+            let tb = rf.txn_start();
+            for (path_idx, val) in &writes {
+                let path = &all[path_idx % all.len()];
+                let dom = dom_ids[path_idx % dom_ids.len()];
+                let v = value_for(dom, *val);
+                xs.txn_write(DomId::DOM0, ta, path, &v).unwrap();
+                rf.txn_write(tb, path, &v);
+            }
+            if let Some(path_idx) = rm {
+                let path = &all[path_idx % all.len()];
+                xs.txn_rm(DomId::DOM0, ta, path).unwrap();
+                rf.txn_rm(tb, path);
+            }
+            if commit {
+                xs.txn_commit(DomId::DOM0, ta).unwrap();
+                rf.txn_commit(tb);
+            } else {
+                xs.txn_abort(ta).unwrap();
+                rf.txn_abort(tb);
+            }
+        }
+        Op::InHome { dom, sub } => {
+            let home = DomId(dom_ids[dom % dom_ids.len()]);
+            xs.with_home(home, |xs| {
+                for op in sub {
+                    apply(op, xs, rf, clocks, step);
+                    agree(xs, rf, clocks, Some(home), step);
+                }
+            });
+        }
+    }
+}
+
+/// Both stores hold the same paths and values, queued the same watch
+/// events, count the same entries and charged the same virtual time.
+/// Reads only uncharged introspection; inside a scope on `home` it skips
+/// the home's ancestors, whose subtrees are incomplete there.
+fn agree(
+    xs: &mut Xenstore,
+    rf: &mut RefStore,
+    (clock_a, clock_b): (&Clock, &Clock),
+    home: Option<DomId>,
+    step: usize,
+) {
+    let home = home.map(|d| format!("/local/domain/{}/", d.0));
+    assert_eq!(
+        xs.drain_watch_events(),
+        std::mem::take(&mut rf.fired),
+        "watch events diverged at step {step}"
+    );
+    assert_eq!(
+        xs.entry_count(),
+        rf.entry_count,
+        "entry counts diverged at step {step}"
+    );
+    // Equal counts make this a bijection between the two stores' paths.
+    for (path, want) in rf.dump() {
+        if home
+            .as_ref()
+            .is_some_and(|h| h.starts_with(&format!("{path}/")))
+        {
+            continue;
+        }
+        assert!(xs.exists(&path), "{path} missing at step {step}");
+        assert_eq!(
+            xs.peek(&path).unwrap_or_default(),
+            want,
+            "value at {path}, step {step}"
+        );
+    }
+    assert_eq!(
+        clock_a.now(),
+        clock_b.now(),
+        "virtual-time charges diverged at step {step}"
+    );
+}
 
 #[test]
 fn cow_store_matches_deep_copy_reference() {
@@ -443,125 +618,14 @@ fn cow_store_matches_deep_copy_reference() {
         let mut rf = RefStore::new(clock_b.clone(), costs);
         assert_eq!(xs.entry_count(), rf.entry_count);
 
-        let all = paths();
-        let dom_ids = doms();
-        let clone_ops = [
-            XsCloneOp::Basic,
-            XsCloneOp::DevConsole,
-            XsCloneOp::DevVif,
-            XsCloneOp::Dev9pfs,
-            XsCloneOp::DevVbd,
-            XsCloneOp::DevVsock,
-        ];
-
         for (step, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Write { path_idx, val } => {
-                    let path = &all[path_idx % all.len()];
-                    let dom = dom_ids[path_idx % dom_ids.len()];
-                    let v = value_for(dom, val);
-                    xs.write(DomId::DOM0, path, &v).unwrap();
-                    rf.write(path, &v);
-                }
-                Op::Mkdir { path_idx } => {
-                    let path = &all[path_idx % all.len()];
-                    xs.mkdir(DomId::DOM0, path).unwrap();
-                    rf.mkdir(path);
-                }
-                Op::Rm { path_idx } => {
-                    let path = &all[path_idx % all.len()];
-                    let a = xs.rm(DomId::DOM0, path).is_ok();
-                    let b = rf.rm(path);
-                    assert_eq!(a, b, "rm {path} at step {step}");
-                }
-                Op::Dir { path_idx } => {
-                    let path = &all[path_idx % all.len()];
-                    let a = xs.directory(DomId::DOM0, path).ok();
-                    let b = rf.directory(path);
-                    assert_eq!(a, b, "directory {path} at step {step}");
-                }
-                Op::Read { path_idx } => {
-                    let path = &all[path_idx % all.len()];
-                    let a = xs.read(DomId::DOM0, path).ok();
-                    let b = rf.read(path);
-                    assert_eq!(a, b, "read {path} at step {step}");
-                }
-                Op::Clone { op_idx, from_dom, to_dom } => {
-                    let cop = clone_ops[op_idx % clone_ops.len()];
-                    let p = dom_ids[from_dom % dom_ids.len()];
-                    let c = dom_ids[to_dom % dom_ids.len()];
-                    let from = format!("/local/domain/{p}/device/vif/0");
-                    let to = format!("/local/domain/{c}/device/vif/0");
-                    let a = xs
-                        .xs_clone(DomId::DOM0, cop, DomId(p), DomId(c), &from, &to)
-                        .is_ok();
-                    let b = rf.xs_clone(cop, DomId(p), DomId(c), &from, &to);
-                    assert_eq!(a, b, "xs_clone {from} -> {to} at step {step}");
-                }
-                Op::Watch { path_idx, tok } => {
-                    let path = &all[path_idx % all.len()];
-                    let token = format!("t{}", tok % 8);
-                    xs.watch(DomId::DOM0, &token, path).unwrap();
-                    rf.watch(DomId::DOM0, &token, path);
-                }
-                Op::Unwatch { tok } => {
-                    let token = format!("t{}", tok % 8);
-                    xs.unwatch(DomId::DOM0, &token);
-                    rf.unwatch(DomId::DOM0, &token);
-                }
-                Op::TxnRun { writes, rm, commit } => {
-                    let ta = xs.txn_start(DomId::DOM0);
-                    let tb = rf.txn_start();
-                    for (path_idx, val) in &writes {
-                        let path = &all[path_idx % all.len()];
-                        let dom = dom_ids[path_idx % dom_ids.len()];
-                        let v = value_for(dom, *val);
-                        xs.txn_write(DomId::DOM0, ta, path, &v).unwrap();
-                        rf.txn_write(tb, path, &v);
-                    }
-                    if let Some(path_idx) = rm {
-                        let path = &all[path_idx % all.len()];
-                        xs.txn_rm(DomId::DOM0, ta, path).unwrap();
-                        rf.txn_rm(tb, path);
-                    }
-                    if commit {
-                        xs.txn_commit(DomId::DOM0, ta).unwrap();
-                        rf.txn_commit(tb);
-                    } else {
-                        xs.txn_abort(ta).unwrap();
-                        rf.txn_abort(tb);
-                    }
-                }
-            }
-
-            // After every op: identical watch events, counts and charges.
-            assert_eq!(
-                xs.drain_watch_events(),
-                std::mem::take(&mut rf.fired),
-                "watch events diverged at step {step}"
-            );
-            assert_eq!(
-                xs.entry_count(),
-                rf.entry_count,
-                "entry counts diverged at step {step}"
-            );
-            assert_eq!(
-                clock_a.now(),
-                clock_b.now(),
-                "virtual-time charges diverged at step {step}"
-            );
+            apply(op, &mut xs, &mut rf, (&clock_a, &clock_b), step);
+            agree(&mut xs, &mut rf, (&clock_a, &clock_b), None, step);
         }
 
-        // Final full-state comparison: every path and value agrees, the
-        // persistent tree's cached accounting is consistent, and the
-        // sharing split covers exactly the resident bytes.
-        for (path, want) in rf.dump() {
-            assert_eq!(
-                xs.read(DomId::DOM0, &path).ok().as_ref(),
-                Some(&want),
-                "value at {path}"
-            );
-        }
+        // Final checks: the persistent tree's cached accounting is
+        // consistent, and the sharing split covers exactly the resident
+        // bytes.
         xs.audit_tree().unwrap();
         let sharing = xs.sharing();
         assert_eq!(

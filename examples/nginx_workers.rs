@@ -29,7 +29,14 @@ fn main() {
     let master = platform
         .launch(&config, &KernelImage::unikraft("nginx"), Box::new(NginxApp::new(4)))
         .expect("boot");
-    let workers = platform.hv.domain(master).unwrap().children.clone();
+    let workers: Vec<_> = platform
+        .hv
+        .domain(master)
+        .unwrap()
+        .children
+        .values()
+        .copied()
+        .collect();
     println!("master {master} spawned {} workers: {workers:?}", workers.len());
     println!("bond members: {}", platform.snapshot().mux_members);
 

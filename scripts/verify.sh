@@ -70,6 +70,26 @@ awk -v d100="$(density_median 100)" -v d10k="$(density_median 10000)" 'BEGIN {
     }
 }'
 
+echo "== clone density gate (10^5-member family clone+destroy median <= 2x the 10^2-domain median)"
+# Stage 2 and destroy must cost time proportional to the clone's own
+# state, not to its family's size or the store's: each child's Xenstore
+# home is resolved once, and a destroyed child is unlinked from its
+# parent by birth key. When destroy filtered the family's child list and
+# every stage-2 request descended from the Xenstore root, the 10^5
+# median sat at 2.9x the 10^2 one (856 vs 300 us).
+awk -v d100="$(density_median 100)" -v d100k="$(density_median 100000)" 'BEGIN {
+    if (d100 + 0 <= 0 || d100k + 0 <= 0) {
+        print "verify.sh: missing clone_density medians (d100=" d100 ", d100k=" d100k ")"
+        exit 1
+    }
+    ratio = d100k / d100
+    printf "   clone+destroy batch16 median: %.0f ns at 100 domains vs %.0f ns in a 100000-member family (%.2fx)\n", d100, d100k, ratio
+    if (ratio > 2.0) {
+        print "verify.sh: per-clone cost grows " ratio "x from 10^2 domains to a 10^5-member family (gate: 2x)"
+        exit 1
+    }
+}'
+
 echo "== cargo bench -p bench --bench net_density --offline (request round trip vs family size)"
 cargo bench -p bench --bench net_density --offline
 

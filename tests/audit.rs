@@ -414,6 +414,63 @@ fn corrupted_peer_ref_index_is_detected() {
     assert!(p.audit().is_clean());
 }
 
+/// Family links are checked both ways: a child missing from its parent's
+/// birth-keyed `children`, and a `children` entry whose domain does not
+/// link back, each fail the index-consistency invariant and name the
+/// domains involved.
+#[test]
+fn broken_family_links_are_detected_both_ways() {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .audit(AuditMode::Off)
+            .flightrec_dir("target/test-flightrec")
+            .build(),
+    );
+    let img = KernelImage::minios("family");
+    let parent = p.launch_plain(&guest_cfg("family"), &img).expect("boot");
+    let kids = p.clone_domain(parent, 2).expect("clone");
+    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
+
+    let unlinked = p.hv.domain_mut(parent).expect("parent").children.remove(&1);
+    assert_eq!(unlinked, Some(kids[1]));
+    let report = p.audit();
+    assert!(
+        report
+            .violations
+            .iter()
+            .all(|v| v.invariant == "index-consistency"),
+        "{report}"
+    );
+    assert!(
+        report.violations.iter().any(|v| v
+            .detail
+            .starts_with(&format!("dom {}: parent link", kids[1].0))),
+        "the child whose parent lost it is named:\n{report}"
+    );
+
+    // Relinked under the wrong key: the parent's entry does not match
+    // the child's birth key, seen from both ends.
+    p.hv.domain_mut(parent)
+        .expect("parent")
+        .children
+        .insert(7, kids[1]);
+    let report = p.audit();
+    assert!(
+        report.violations.iter().any(|v| v
+            .detail
+            .starts_with(&format!("dom {}: children entry 7", parent.0))),
+        "the parent's stray entry is named:\n{report}"
+    );
+
+    p.hv.domain_mut(parent).expect("parent").children.remove(&7);
+    p.hv.domain_mut(parent)
+        .expect("parent")
+        .children
+        .insert(1, kids[1]);
+    assert!(p.audit().is_clean());
+}
+
 /// A ghost TX-pending entry for an idle vif costs the event loop nothing
 /// (draining an empty ring is a no-op), so only the index-consistency
 /// invariant can see it — and the report must name the vif.

@@ -118,7 +118,14 @@ fn idc_notifications_drive_guest_callbacks() {
             }),
         )
         .unwrap();
-    let child = p.hv.domain(parent).unwrap().children[0];
+    let child = *p
+        .hv
+        .domain(parent)
+        .unwrap()
+        .children
+        .values()
+        .next()
+        .unwrap();
 
     // The parent's post-fork write raised the IDC event channel; the
     // child's on_idc_event drained the pipe.

@@ -59,7 +59,13 @@ fn nginx_forks_workers_and_serves_through_bond() {
     assert_eq!(answered, 40);
 
     // Workers shared the load: every worker served at least one request.
-    let workers = p.hv.domain(master).unwrap().children.clone();
+    let workers: Vec<DomId> =
+        p.hv.domain(master)
+            .unwrap()
+            .children
+            .values()
+            .copied()
+            .collect();
     let mut total = 0u64;
     for w in &workers {
         let served = p
@@ -81,7 +87,13 @@ fn nginx_worker_pinning() {
             Box::new(NginxApp::new(3)),
         )
         .unwrap();
-    let workers = p.hv.domain(master).unwrap().children.clone();
+    let workers: Vec<DomId> =
+        p.hv.domain(master)
+            .unwrap()
+            .children
+            .values()
+            .copied()
+            .collect();
     let mut cores: Vec<usize> = workers
         .iter()
         .map(|w| p.hv.domain(*w).unwrap().vcpus[0].affinity.unwrap())
