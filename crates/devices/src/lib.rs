@@ -389,11 +389,10 @@ impl DeviceManager {
         xs.write(DomId::DOM0, &format!("{b}/bridge"), "xenbr0")?;
 
         // Ring pages and RX buffers are private on clone (§4.1/§4.2).
-        hv.register_private_pfn(dom, cfg.tx_pfn, PrivatePolicy::Copy)?;
-        hv.register_private_pfn(dom, cfg.rx_pfn, PrivatePolicy::Copy)?;
-        for pfn in &cfg.rx_buffers {
-            hv.register_private_pfn(dom, *pfn, PrivatePolicy::Copy)?;
-        }
+        let mut private = Vec::with_capacity(2 + cfg.rx_buffers.len());
+        private.extend([cfg.tx_pfn, cfg.rx_pfn]);
+        private.extend_from_slice(&cfg.rx_buffers);
+        hv.register_private_pfns(dom, &private, PrivatePolicy::Copy)?;
 
         // Full Xenbus negotiation, one state write per end per step.
         for (front, back) in NEGOTIATION_STEPS {

@@ -104,10 +104,8 @@ impl GuestHeap {
         let ptr = self.alloc(bytes)?;
         let first = ptr.0 / PAGE_SIZE as u64;
         let last = (ptr.0 + bytes - 1) / PAGE_SIZE as u64;
-        for pfn in first..=last {
-            hv.fill_page(self.dom, Pfn(pfn), 0x5ca1_ab1e_0000_0000 | pfn)
-                .ok()?;
-        }
+        hv.fill_pages(self.dom, first..last + 1, |p| 0x5ca1_ab1e_0000_0000 | p.0)
+            .ok()?;
         Some(ptr)
     }
 }

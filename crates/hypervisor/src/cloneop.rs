@@ -103,6 +103,7 @@ fn op_name(op: &CloneOp) -> &'static str {
 /// once by `clone_batch` before anything is mutated.
 struct ParentSnapshot {
     id: DomId,
+    serial: u64,
     name: String,
     clones_created: u32,
     p2m: P2m,
@@ -273,6 +274,7 @@ impl Hypervisor {
             }
             ParentSnapshot {
                 id: parent_id,
+                serial: p.serial,
                 name: p.name.clone(),
                 clones_created: p.clones_created,
                 p2m: p.p2m.clone(),
@@ -563,8 +565,10 @@ impl Hypervisor {
                 .advance(self.costs().clone_private_page.saturating_mul(p2m_frames));
         }
 
+        let serial = self.alloc_serial();
         self.insert_domain(Domain {
             id: child_id,
+            serial,
             name: format!("{}-clone{}", parent.name, parent.clones_created + 1 + k),
             parent: Some(parent.id),
             birth: parent.clones_created + k,
@@ -590,6 +594,7 @@ impl Hypervisor {
         }
         CloneNotification {
             parent: parent.id,
+            parent_serial: parent.serial,
             child: child_id,
             parent_start_info: parent.p2m.get(parent.start_info_pfn.0 as usize).unwrap_or(Mfn(0)),
             child_start_info,
@@ -988,18 +993,111 @@ mod tests {
             assert!(Rc::ptr_eq(&idc(&hv, k), &idc(&hv, p)));
         }
 
-        hv.register_private_pfn(kids[0], Pfn(9), PrivatePolicy::Copy)
+        let shared = (*before).clone();
+        let si = hv.domain(p).unwrap().start_info_pfn;
+        hv.register_private_pfns(kids[0], &[Pfn(9), si, Pfn(2)], PrivatePolicy::Copy)
             .unwrap();
         hv.register_idc_pfn(kids[0], Pfn(10)).unwrap();
         let own = table(&hv, kids[0]);
         assert!(!Rc::ptr_eq(&own, &before), "registering copies the table");
         assert_eq!(own.get(&Pfn(9)), Some(&PrivatePolicy::Copy));
-        assert_eq!(own.len(), before.len() + 1);
+        assert_eq!(own.get(&si), Some(&PrivatePolicy::Copy));
+        assert_eq!(own.len(), before.len() + 2);
         assert!(idc(&hv, kids[0]).contains(&Pfn(10)));
+        assert_eq!(*before, shared, "the family's table is not modified");
+        assert_eq!(before.get(&si), Some(&PrivatePolicy::Rewrite));
         for d in [p, kids[1]] {
             assert!(Rc::ptr_eq(&table(&hv, d), &before), "dom {} keeps the shared table", d.0);
             assert!(!table(&hv, d).contains_key(&Pfn(9)));
             assert!(idc(&hv, d).is_empty());
+        }
+    }
+
+    /// A hypervisor with a charging cost model and a trace sink, and a
+    /// clone whose pages mix every kind `fill_page` resolves: pages
+    /// shared with its parent and sibling (copy faults), pages it is
+    /// the last sharer of (transfer faults), an IDC page, pages it owns
+    /// from before the checkpoint (private pre-images when one is
+    /// armed) and its own private pages. With `checkpointed`, the clone
+    /// has a checkpoint armed and one copy fault journaled since.
+    fn fill_scenario(checkpointed: bool) -> (Hypervisor, DomId) {
+        let mut hv = Hypervisor::new(
+            Clock::new(),
+            Rc::new(CostModel::calibrated()),
+            &MachineConfig {
+                guest_pool_mib: 64,
+                cores: 4,
+                notification_ring_capacity: 16,
+            },
+        );
+        hv.set_cloning_enabled(true);
+        let sink = sim_core::TraceSink::new(hv.clock().clone(), &sim_core::TraceConfig::enabled());
+        hv.attach_trace(sink);
+        let p = cloneable_guest(&mut hv, 4);
+        hv.register_idc_pfn(p, Pfn(5)).unwrap();
+        for pfn in 0..12 {
+            hv.fill_page(p, Pfn(pfn), 0xA0 + pfn).unwrap();
+        }
+        let kids = do_clone(&mut hv, p, 2);
+        for &k in &kids {
+            hv.cloneop(DomId::DOM0, CloneOp::Completion { child: k })
+                .unwrap();
+        }
+        let (c, sibling) = (kids[0], kids[1]);
+        hv.write_page(c, Pfn(7), 0, b"owned").unwrap();
+        for d in [p, sibling] {
+            hv.write_page(d, Pfn(2), 0, b"theirs").unwrap();
+            hv.write_page(d, Pfn(3), 0, b"theirs").unwrap();
+        }
+        if checkpointed {
+            hv.cloneop(DomId::DOM0, CloneOp::Checkpoint { dom: c }).unwrap();
+            hv.write_page(c, Pfn(8), 0, b"dirty").unwrap();
+        }
+        (hv, c)
+    }
+
+    #[test]
+    fn fill_pages_equals_per_page_fill_page() {
+        let pattern = |pfn: Pfn| 0x5eed_0000_0000_0000 | pfn.0;
+        for checkpointed in [false, true] {
+            let (mut bulk, c) = fill_scenario(checkpointed);
+            let (mut single, _) = fill_scenario(checkpointed);
+            let slots = bulk.domain(c).unwrap().p2m.len() as u64;
+            // Twice over the low pages, then past the end of the p2m: the
+            // second pass finds pages the first one made private.
+            for range in [0..20, 0..20, slots - 4..slots + 3] {
+                let got = bulk.fill_pages(c, range.clone(), pattern);
+                let want = range
+                    .clone()
+                    .try_for_each(|pfn| single.fill_page(c, Pfn(pfn), pattern(Pfn(pfn))));
+                assert_eq!(got, want, "{range:?}, checkpointed {checkpointed}");
+            }
+            assert_eq!(
+                bulk.fill_pages(c, slots..slots + 1, pattern),
+                Err(HvError::NotMapped(c, Pfn(slots)))
+            );
+
+            let frames = |hv: &Hypervisor| -> Vec<(FrameOwner, u32, bool, PageContent)> {
+                hv.frames()
+                    .iter_frames()
+                    .map(|(_, f)| (f.owner(), f.refcount(), f.writable(), f.content().clone()))
+                    .collect()
+            };
+            assert!(frames(&bulk) == frames(&single), "checkpointed {checkpointed}");
+            let (b, s) = (bulk.domain(c).unwrap(), single.domain(c).unwrap());
+            assert_eq!(b.p2m, s.p2m);
+            assert_eq!(b.checkpoint.is_some(), checkpointed);
+            if let (Some(b), Some(s)) = (&b.checkpoint, &s.checkpoint) {
+                assert_eq!(b.dirty_cow, s.dirty_cow);
+                assert_eq!(b.dirty_private, s.dirty_private);
+                assert_eq!(b.dirty_transfer, s.dirty_transfer);
+                assert!(!b.dirty_private.is_empty() && !b.dirty_transfer.is_empty());
+            }
+            assert_eq!(bulk.clock().now(), single.clock().now());
+            assert_eq!(bulk.memory_stats(), single.memory_stats());
+            let counters = bulk.trace().counters();
+            assert_eq!(counters, single.trace().counters());
+            assert!(counters["hv.cow_fault.copy"] > 0 && counters["hv.cow_fault.transfer"] > 0);
         }
     }
 

@@ -102,8 +102,12 @@ pub struct Checkpoint {
 /// The simulator's `struct domain`.
 #[derive(Debug, Clone)]
 pub struct Domain {
-    /// Domain identifier.
+    /// Domain identifier. Destroyed domains give theirs back for reuse.
     pub id: DomId,
+    /// Creation serial: unique among all domains one hypervisor ever
+    /// created, clones included. A cache keyed by domain id compares it
+    /// to tell the domain from an earlier holder of the same id.
+    pub serial: u64,
     /// Domain name (managed by the toolstack; `xencloned` generates unique
     /// clone names without the O(n) validation scan).
     pub name: String,
@@ -127,7 +131,7 @@ pub struct Domain {
     /// Pfns that must not be shared on clone, with their policy. Clones
     /// inherit the table by `Rc` handle, so a family shares one copy
     /// until a member registers a pfn of its own (copy on write, see
-    /// `Hypervisor::register_private_pfn`).
+    /// `Hypervisor::register_private_pfns`).
     pub private_pfns: Rc<BTreeMap<Pfn, PrivatePolicy>>,
     /// Pfns used for inter-domain communication: shared *writable* with
     /// clones (ownership still moves to `dom_cow`, §5.2.2). Shared by the

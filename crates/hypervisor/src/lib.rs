@@ -25,6 +25,7 @@ pub mod scheduler;
 pub mod vcpu;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 use sim_core::{
@@ -102,6 +103,8 @@ pub struct Hypervisor {
     next_domid: u32,
     /// Ids of destroyed domains, reused lowest-first by [`Hypervisor::alloc_domid`].
     free_domids: BTreeSet<u32>,
+    /// The next [`Domain::serial`] to hand out.
+    next_serial: u64,
     clone_ring: NotificationRing,
     cloning_enabled: bool,
     pending_events: VecDeque<PendingEvent>,
@@ -143,6 +146,7 @@ impl Hypervisor {
             domains: BTreeMap::new(),
             next_domid: 0,
             free_domids: BTreeSet::new(),
+            next_serial: 0,
             clone_ring: NotificationRing::new(config.notification_ring_capacity),
             cloning_enabled: false,
             pending_events: VecDeque::new(),
@@ -205,34 +209,24 @@ impl Hypervisor {
         self.clock
             .advance(self.costs.mem_alloc_per_page.saturating_mul(p2m_size));
 
-        let p2m_slots: Vec<Option<Mfn>> = match self.frames.alloc_many(FrameOwner::Dom(id), p2m_size)
-        {
-            Ok(v) => v.into_iter().map(Some).collect(),
-            Err(e) => {
-                self.release_domid(id.0);
-                return Err(e);
-            }
-        };
-
         // Page-table frames and the frames storing the p2m itself are
-        // auxiliary private memory.
+        // auxiliary private memory, allocated in the same run after the
+        // p2m's frames. The run is all-or-nothing, so a failed creation
+        // leaks no frame (nor the reserved domain id).
         let aux_count = if p2m_size == 0 {
             0
         } else {
             Domain::pt_frames_needed(p2m_size) + Domain::p2m_frames_needed(p2m_size)
         };
-        let aux_frames = match self.frames.alloc_many(FrameOwner::Dom(id), aux_count) {
+        let mut frames = match self.frames.alloc_many(FrameOwner::Dom(id), p2m_size + aux_count) {
             Ok(v) => v,
             Err(e) => {
-                // Roll back the p2m allocation so a failed creation does
-                // not leak frames (nor the reserved domain id).
-                for mfn in p2m_slots.into_iter().flatten() {
-                    let _ = self.frames.free(mfn, FrameOwner::Dom(id));
-                }
                 self.release_domid(id.0);
                 return Err(e);
             }
         };
+        let aux_frames = frames.split_off(p2m_size as usize);
+        let p2m_slots: Vec<Option<Mfn>> = frames.into_iter().map(Some).collect();
         self.clock
             .advance(self.costs.mem_alloc_per_page.saturating_mul(aux_count));
 
@@ -248,6 +242,7 @@ impl Hypervisor {
 
         let dom = Domain {
             id,
+            serial: self.alloc_serial(),
             name: name.to_string(),
             parent: None,
             birth: 0,
@@ -661,6 +656,42 @@ impl Hypervisor {
         self.frames.fill(mfn, pattern)
     }
 
+    /// Fills each guest page in `pfns` with `pattern(pfn)`, in pfn
+    /// order, with the effect of one [`Hypervisor::fill_page`] call per
+    /// page. One walk of the p2m: while no checkpoint is armed, a page
+    /// the domain owns outright is filled in place, where the write path
+    /// would journal and charge nothing. Every other page (COW-shared,
+    /// IDC, a hole, or any page while a checkpoint is armed) goes down
+    /// `fill_page`'s path with its faults, journals and charges, and the
+    /// walk resumes after it. Stops at the first error; the pages before
+    /// it stay filled.
+    pub fn fill_pages(
+        &mut self,
+        dom: DomId,
+        pfns: Range<u64>,
+        pattern: impl Fn(Pfn) -> u64,
+    ) -> Result<()> {
+        let mut next = pfns.start;
+        while next < pfns.end {
+            let d = self.domains.get(&dom.0).ok_or(HvError::NoSuchDomain(dom))?;
+            if d.checkpoint.is_none() {
+                for (i, slot) in d.p2m.iter_range(next as usize..pfns.end as usize) {
+                    match slot {
+                        Some(mfn) if self.frames.fill_owned(mfn, dom, pattern(Pfn(i as u64))) => {
+                            next += 1;
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            if next < pfns.end {
+                self.fill_page(dom, Pfn(next), pattern(Pfn(next)))?;
+                next += 1;
+            }
+        }
+        Ok(())
+    }
+
     /// Reads guest memory.
     pub fn read_page(&self, dom: DomId, pfn: Pfn, offset: usize, buf: &mut [u8]) -> Result<()> {
         let mfn = self
@@ -670,27 +701,45 @@ impl Hypervisor {
         self.frames.read(mfn, offset, buf)
     }
 
-    /// Marks a guest pfn as private for cloning purposes (used by device
-    /// frontends for ring pages and preallocated RX buffers). The domain's
-    /// table is shared with its clone family, so the first registration
-    /// copies it; the other members keep the table they had.
-    pub fn register_private_pfn(
+    /// Marks guest pfns as private for cloning purposes, all with one
+    /// `policy` (device frontends register their ring pages and
+    /// preallocated RX buffers this way). Every pfn is checked before
+    /// anything changes, so an unmapped one leaves the table as it was.
+    /// The domain's table is shared with its clone family, so the first
+    /// registration copies it; the other members keep the table they
+    /// had. The pfns are merged into the table in one sorted pass, and
+    /// the table is rebuilt in bulk from the merge.
+    pub fn register_private_pfns(
         &mut self,
         dom: DomId,
-        pfn: Pfn,
+        pfns: &[Pfn],
         policy: PrivatePolicy,
     ) -> Result<()> {
         let d = self.domain_mut(dom)?;
-        if pfn.0 as usize >= d.p2m.len() {
+        let slots = d.p2m.len() as u64;
+        if let Some(&pfn) = pfns.iter().find(|p| p.0 >= slots) {
             return Err(HvError::NotMapped(dom, pfn));
         }
-        Rc::make_mut(&mut d.private_pfns).insert(pfn, policy);
+        let mut sorted = pfns.to_vec();
+        sorted.sort_unstable();
+        let table = Rc::make_mut(&mut d.private_pfns);
+        let mut merged = Vec::with_capacity(table.len() + sorted.len());
+        let mut old = std::mem::take(table).into_iter().peekable();
+        for pfn in sorted {
+            while let Some(entry) = old.next_if(|(p, _)| *p < pfn) {
+                merged.push(entry);
+            }
+            old.next_if(|(p, _)| *p == pfn);
+            merged.push((pfn, policy));
+        }
+        merged.extend(old);
+        *table = merged.into_iter().collect();
         Ok(())
     }
 
     /// Marks a guest pfn as an IDC page: shared *writable* with clones
     /// rather than copied-on-write (§5.2.2). Copies the family-shared
-    /// table on write, like [`Hypervisor::register_private_pfn`].
+    /// table on write, like [`Hypervisor::register_private_pfns`].
     pub fn register_idc_pfn(&mut self, dom: DomId, pfn: Pfn) -> Result<()> {
         let d = self.domain_mut(dom)?;
         if pfn.0 as usize >= d.p2m.len() {
@@ -931,6 +980,12 @@ impl Hypervisor {
         let id = self.next_domid;
         self.next_domid += 1;
         id
+    }
+
+    /// Hands out the next creation serial ([`Domain::serial`]).
+    pub(crate) fn alloc_serial(&mut self) -> u64 {
+        self.next_serial += 1;
+        self.next_serial - 1
     }
 
     /// Returns a domain id to the allocator (domain destruction and the
@@ -1209,12 +1264,23 @@ impl Hypervisor {
     }
 
     /// Loads a memory image into a freshly created domain (restore path).
+    /// The image's pages must ascend by pfn, as
+    /// [`Hypervisor::snapshot_memory`] produces them: they are merged
+    /// into one walk of the domain's p2m. A page whose pfn the walk does
+    /// not find mapped fails with [`HvError::NotMapped`]; the pages
+    /// before it stay loaded.
     pub fn load_image(&mut self, dom: DomId, image: &MemoryImage) -> Result<()> {
+        debug_assert!(
+            image.pages.windows(2).all(|w| w[0].0 < w[1].0),
+            "memory image pages must ascend by pfn"
+        );
+        let d = self.domains.get(&dom.0).ok_or(HvError::NoSuchDomain(dom))?;
+        let mut slots = d.p2m.iter_range(0..d.p2m.len());
         for (pfn, content) in &image.pages {
-            let mfn = self
-                .domain(dom)?
-                .lookup(*pfn)
-                .ok_or(HvError::NotMapped(dom, *pfn))?;
+            let mfn = match slots.find(|&(i, _)| i as u64 >= pfn.0) {
+                Some((i, Some(mfn))) if i as u64 == pfn.0 => mfn,
+                _ => return Err(HvError::NotMapped(dom, *pfn)),
+            };
             self.frames.set_content(mfn, content.clone())?;
         }
         Ok(())
@@ -1348,6 +1414,56 @@ mod tests {
         let mut buf = [0u8; 5];
         hv.read_page(b, Pfn(5), 0, &mut buf).unwrap();
         assert_eq!(&buf, b"state");
+    }
+
+    #[test]
+    fn register_private_pfns_merges_like_per_pfn_inserts() {
+        let mut hv = hv();
+        let d = hv.create_domain("a", 4, 1).unwrap();
+        let table = |hv: &Hypervisor| (*hv.domain(d).unwrap().private_pfns).clone();
+        hv.register_private_pfns(d, &[Pfn(3), Pfn(7)], PrivatePolicy::Fresh)
+            .unwrap();
+        // Unsorted, with a repeat and pfns already present under other
+        // policies (a special page, a Fresh page).
+        let pfns = [Pfn(9), Pfn(1025), Pfn(3), Pfn(9), Pfn(0), Pfn(1026)];
+        let mut want = table(&hv);
+        for &pfn in &pfns {
+            want.insert(pfn, PrivatePolicy::Copy);
+        }
+        hv.register_private_pfns(d, &pfns, PrivatePolicy::Copy).unwrap();
+        assert_eq!(table(&hv), want);
+        assert_eq!(table(&hv).get(&Pfn(7)), Some(&PrivatePolicy::Fresh));
+
+        // One pfn past the p2m fails the call before anything changes.
+        let r = hv.register_private_pfns(d, &[Pfn(11), Pfn(1027), Pfn(12)], PrivatePolicy::Copy);
+        assert_eq!(r, Err(HvError::NotMapped(d, Pfn(1027))));
+        assert_eq!(table(&hv), want);
+        assert_eq!(
+            hv.register_private_pfns(DomId(99), &[Pfn(1)], PrivatePolicy::Copy),
+            Err(HvError::NoSuchDomain(DomId(99)))
+        );
+    }
+
+    #[test]
+    fn load_image_walks_the_p2m_once_and_stops_at_an_unmapped_page() {
+        let mut hv = hv();
+        let a = hv.create_domain("a", 4, 1).unwrap();
+        hv.fill_pages(a, 0..4, |p| 0xF0 | p.0).unwrap();
+        hv.write_page(a, Pfn(1026), 9, b"tail").unwrap();
+        let img = hv.snapshot_memory(a).unwrap();
+        let b = hv.create_domain("b", 4, 1).unwrap();
+        hv.load_image(b, &img).unwrap();
+        assert_eq!(hv.snapshot_memory(b).unwrap().pages, img.pages);
+
+        // A page past the target's p2m: the pages before it are loaded.
+        let mut img = hv.snapshot_memory(a).unwrap();
+        img.pages.truncate(3);
+        img.pages.push((Pfn(5000), PageContent::Fill(1)));
+        let c = hv.create_domain("c", 4, 1).unwrap();
+        assert_eq!(hv.load_image(c, &img), Err(HvError::NotMapped(c, Pfn(5000))));
+        let mut buf = [0u8; 8];
+        hv.read_page(c, Pfn(2), 0, &mut buf).unwrap();
+        assert_eq!(u64::from_le_bytes(buf), 0xF2);
     }
 
     #[test]

@@ -161,6 +161,16 @@ impl Frame {
         }
     }
 
+    /// A freshly allocated, zeroed, writable frame of `owner`.
+    fn allocated(owner: FrameOwner) -> Self {
+        Frame {
+            owner,
+            refcount: u32::from(matches!(owner, FrameOwner::Cow)),
+            writable: true,
+            content: PageContent::Zero,
+        }
+    }
+
     /// The frame's current owner.
     pub fn owner(&self) -> FrameOwner {
         self.owner
@@ -247,8 +257,9 @@ impl FrameTable {
 
     /// Adjusts the incremental owner-class counters for one frame moving
     /// from `from` to `to`. Every method that changes a frame's owner must
-    /// route the change through here (checked by the `debug_assert` scan in
-    /// [`FrameTable::stats`]).
+    /// route the change through here, or count a whole run as
+    /// [`FrameTable::alloc_run`] does (checked by the `debug_assert` scan
+    /// in [`FrameTable::stats`]).
     fn account_transition(&mut self, from: FrameOwner, to: FrameOwner) {
         match from {
             FrameOwner::Cow => self.cow -= 1,
@@ -345,37 +356,55 @@ impl FrameTable {
         }
     }
 
+    /// Hands out `n` frames to `owner` as one run, passing each to `out`
+    /// in allocation order: the free list's tail first, last-freed
+    /// first, then never-used frames in ascending order, added to the
+    /// table in one extension. That is the order `n` single allocations
+    /// take. The caller has checked that `n` frames are free.
+    fn alloc_run(&mut self, owner: FrameOwner, n: u64, mut out: impl FnMut(Mfn)) {
+        debug_assert!(!matches!(owner, FrameOwner::Free));
+        debug_assert!(n <= self.free_frames(), "alloc_run past the free count");
+        let frame = Frame::allocated(owner);
+        let reused = self.free_list.len().min(n as usize);
+        let tail = self.free_list.len() - reused;
+        for mfn in self.free_list.drain(tail..).rev() {
+            let f = &mut self.frames[mfn.0 as usize];
+            debug_assert_eq!(f.owner, FrameOwner::Free);
+            *f = frame.clone();
+            out(mfn);
+        }
+        let first = self.frames.len();
+        let fresh = n as usize - reused;
+        self.frames.resize(first + fresh, frame);
+        (first..first + fresh).for_each(|i| out(Mfn(i as u64)));
+        match owner {
+            FrameOwner::Cow => self.cow += n,
+            FrameOwner::Xen => self.xen += n,
+            FrameOwner::Free | FrameOwner::Dom(_) => {}
+        }
+    }
+
     /// Allocates one zeroed frame for `owner`.
     pub fn alloc(&mut self, owner: FrameOwner) -> Result<Mfn> {
-        debug_assert!(!matches!(owner, FrameOwner::Free));
-        let mfn = match self.free_list.pop() {
-            Some(mfn) => mfn,
-            None if (self.frames.len() as u64) < self.total => {
-                self.frames.push(Frame::free());
-                Mfn(self.frames.len() as u64 - 1)
-            }
-            None => return Err(HvError::OutOfMemory),
-        };
-        let f = &mut self.frames[mfn.0 as usize];
-        debug_assert_eq!(f.owner, FrameOwner::Free);
-        f.owner = owner;
-        f.refcount = if matches!(owner, FrameOwner::Cow) { 1 } else { 0 };
-        f.writable = true;
-        f.content = PageContent::Zero;
-        self.account_transition(FrameOwner::Free, owner);
+        if self.free_frames() == 0 {
+            return Err(HvError::OutOfMemory);
+        }
+        let mut mfn = Mfn(0);
+        self.alloc_run(owner, 1, |m| mfn = m);
         Ok(mfn)
     }
 
-    /// Allocates `n` frames for `owner`. All-or-nothing: the free count
-    /// is checked up front, so a failing call allocates nothing (there
-    /// is no partial allocation to roll back).
+    /// Allocates `n` frames for `owner` as one run, in the order `n`
+    /// calls to [`FrameTable::alloc`] would hand them out. All-or-nothing:
+    /// the free count is checked up front, so a failing call allocates
+    /// nothing (there is no partial allocation to roll back).
     pub fn alloc_many(&mut self, owner: FrameOwner, n: u64) -> Result<Vec<Mfn>> {
         if self.free_frames() < n {
             return Err(HvError::OutOfMemory);
         }
-        Ok((0..n)
-            .map(|_| self.alloc(owner).expect("checked free count"))
-            .collect())
+        let mut mfns = Vec::with_capacity(n as usize);
+        self.alloc_run(owner, n, |m| mfns.push(m));
+        Ok(mfns)
     }
 
     /// Allocates frames for several owners in one pass: `requests` is a
@@ -394,9 +423,8 @@ impl FrameTable {
         Ok(requests
             .iter()
             .map(|&(owner, n)| {
-                (0..n)
-                    .map(|_| self.alloc(owner).expect("checked combined free count"))
-                    .collect()
+                self.alloc_many(owner, n)
+                    .expect("checked combined free count")
             })
             .collect())
     }
@@ -553,6 +581,20 @@ impl FrameTable {
         debug_assert!(f.writable, "fill of read-only {mfn}");
         f.content.fill(pattern);
         Ok(())
+    }
+
+    /// Fills a frame with an 8-byte pattern when `dom` owns it outright,
+    /// and reports whether it did: the bulk fill's one frame access per
+    /// page. A frame of any other owner is left as it is.
+    pub fn fill_owned(&mut self, mfn: Mfn, dom: DomId, pattern: u64) -> bool {
+        match self.frames.get_mut(mfn.0 as usize) {
+            Some(f) if f.owner == FrameOwner::Dom(dom) => {
+                debug_assert!(f.writable, "fill of read-only {mfn}");
+                f.content.fill(pattern);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Replaces a frame's content wholesale (restore path).
@@ -854,6 +896,59 @@ mod tests {
                 b.inspect(mfn).unwrap().owner()
             );
         }
+    }
+
+    /// Every frame's metadata and content, for comparing twin tables.
+    fn table_view(ft: &FrameTable) -> Vec<(FrameOwner, u32, bool, PageContent)> {
+        ft.iter_frames()
+            .map(|(_, f)| (f.owner, f.refcount, f.writable, f.content.clone()))
+            .collect()
+    }
+
+    /// Two equal tables whose free list holds 3 frames (mfns 5, 1, 6,
+    /// last freed on top) and whose never-used frames start at 8.
+    fn twin_tables_with_a_short_free_list() -> (FrameTable, FrameTable) {
+        let build = || {
+            let mut ft = FrameTable::new(32);
+            let mfns = ft.alloc_many(FrameOwner::Dom(D1), 8).unwrap();
+            for m in [mfns[6], mfns[1], mfns[5]] {
+                ft.write(m, 0, &[0xEE]).unwrap();
+                ft.free(m, FrameOwner::Dom(D1)).unwrap();
+            }
+            ft
+        };
+        (build(), build())
+    }
+
+    #[test]
+    fn alloc_runs_match_single_allocations() {
+        for owner in [FrameOwner::Dom(D2), FrameOwner::Cow, FrameOwner::Xen] {
+            let (mut run, mut single) = twin_tables_with_a_short_free_list();
+            let got = run.alloc_many(owner, 7).unwrap();
+            let want: Vec<Mfn> = (0..7).map(|_| single.alloc(owner).unwrap()).collect();
+            assert_eq!(got, want, "{owner:?}");
+            assert_eq!(got[..4], [Mfn(5), Mfn(1), Mfn(6), Mfn(8)]);
+            assert_eq!(run.stats(), single.stats());
+            assert_eq!(table_view(&run), table_view(&single));
+        }
+
+        // A batch spanning the free list's end and the never-used frames.
+        let (mut run, mut single) = twin_tables_with_a_short_free_list();
+        let requests = [
+            (FrameOwner::Dom(D2), 2),
+            (FrameOwner::Cow, 3),
+            (FrameOwner::Xen, 0),
+            (FrameOwner::Xen, 2),
+        ];
+        let got = run.alloc_batch(&requests).unwrap();
+        let want: Vec<Vec<Mfn>> = requests
+            .iter()
+            .map(|&(owner, n)| (0..n).map(|_| single.alloc(owner).unwrap()).collect())
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(run.stats(), single.stats());
+        assert_eq!(table_view(&run), table_view(&single));
+        assert_eq!(run.free_frames(), 32 - 5 - 7);
     }
 
     #[test]

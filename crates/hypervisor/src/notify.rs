@@ -19,6 +19,9 @@ use crate::error::{HvError, Result};
 pub struct CloneNotification {
     /// The domain that was cloned.
     pub parent: DomId,
+    /// The parent's creation serial ([`crate::domain::Domain::serial`]),
+    /// which tells it from other holders of its id.
+    pub parent_serial: u64,
     /// The freshly created child.
     pub child: DomId,
     /// Machine frame of the parent's `start_info` page.
@@ -111,6 +114,7 @@ mod tests {
     fn n(p: u32, c: u32) -> CloneNotification {
         CloneNotification {
             parent: DomId(p),
+            parent_serial: 0,
             child: DomId(c),
             parent_start_info: Mfn(0),
             child_start_info: Mfn(1),

@@ -21,6 +21,7 @@
 //! enforces this (invariant "p2m-overlay").
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use sim_core::{Mfn, Pfn};
@@ -121,14 +122,30 @@ impl P2m {
     /// dense `Vec<Option<Mfn>>`). One merge-join of the sorted overlay
     /// into the base walk: O(slots + overlay), no per-slot tree probe.
     pub fn iter(&self) -> impl Iterator<Item = Option<Mfn>> + '_ {
-        let mut overlay = self.overlay.iter();
+        self.iter_range(0..self.len()).map(|(_, slot)| slot)
+    }
+
+    /// Merged view of the slots in `range` (clamped to the p2m) as
+    /// `(slot index, value)` pairs, in slot order: the merge-join of
+    /// [`P2m::iter`] started at `range.start`, which costs O(log
+    /// overlay) to position.
+    pub fn iter_range(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (usize, Option<Mfn>)> + '_ {
+        let end = range.end.min(self.base.len());
+        let start = range.start.min(end);
+        let mut overlay = self.overlay.range(start as u64..end as u64);
         let mut next = overlay.next();
-        self.base.iter().enumerate().map(move |(i, b)| match next {
-            Some((k, v)) if *k == i as u64 => {
-                next = overlay.next();
-                *v
+        self.base[start..end].iter().enumerate().map(move |(k, b)| {
+            let i = start + k;
+            match next {
+                Some((key, v)) if *key == i as u64 => {
+                    next = overlay.next();
+                    (i, *v)
+                }
+                _ => (i, *b),
             }
-            _ => *b,
         })
     }
 
@@ -285,10 +302,17 @@ mod tests {
             let reference = child_by_clone_then_insert(&parent, &patches);
             assert_eq!(*child.overlay, *reference.overlay, "patches {patches:?}");
             assert_eq!(child.base_addr(), parent.base_addr());
+            let (from, to) = (g.draw(&ranges(0..len + 2)), g.draw(&ranges(0..len + 2)));
             for p in [&parent, &child] {
                 let walked: Vec<Option<Mfn>> = p.iter().collect();
                 let probed: Vec<Option<Mfn>> = (0..p.len()).map(|i| p.get(i)).collect();
                 assert_eq!(walked, probed);
+                let ranged: Vec<(usize, Option<Mfn>)> =
+                    p.iter_range(from as usize..to as usize).collect();
+                let want: Vec<(usize, Option<Mfn>)> = (from as usize..(to as usize).min(p.len()))
+                    .map(|i| (i, p.get(i)))
+                    .collect();
+                assert_eq!(ranged, want, "range {from}..{to}");
             }
         });
     }

@@ -123,7 +123,7 @@ fn run(layout: &Layout, batched: bool) -> (Hypervisor, DomId, Vec<DomId>, u64) {
             1 => PrivatePolicy::Fresh,
             _ => PrivatePolicy::Rewrite,
         };
-        hv.register_private_pfn(parent, Pfn(pfn), policy).unwrap();
+        hv.register_private_pfns(parent, &[Pfn(pfn)], policy).unwrap();
     }
     for &pfn in &layout.idc {
         hv.register_idc_pfn(parent, Pfn(pfn)).unwrap();

@@ -109,12 +109,15 @@ pub struct DomRecord {
     pub ifaces: Vec<IfaceId>,
 }
 
-/// A saved guest (the product of `xl save`).
+/// A saved guest (the product of `xl save`). The config is the saved
+/// domain's record's, shared, and a restore takes handles on the config
+/// and the memory image instead of copies.
 #[derive(Debug, Clone)]
 pub struct SavedGuest {
-    config: DomainConfig,
-    image: KernelImage,
-    memory: MemoryImage,
+    config: Rc<DomainConfig>,
+    /// The layout the saved image gives a domain of this config.
+    layout: GuestLayout,
+    memory: Rc<MemoryImage>,
 }
 
 /// Result of creating or restoring a domain.
@@ -331,20 +334,13 @@ impl Xl {
                 .saturating_mul(image.total_pages()),
         );
         // Text and rodata get distinctive content; data pages are written
-        // at startup; bss stays zero.
-        let mut pfn = 0u64;
-        for _ in 0..image.text_pages {
-            hv.fill_page(dom, Pfn(pfn), 0x7e7e_7e7e_0000_0000 | pfn)?;
-            pfn += 1;
-        }
-        for _ in 0..image.rodata_pages {
-            hv.fill_page(dom, Pfn(pfn), 0x0da7_a000_0000_0000 | pfn)?;
-            pfn += 1;
-        }
-        for _ in 0..image.data_pages {
-            hv.fill_page(dom, Pfn(pfn), 0xda7a_0000_0000_0000 | pfn)?;
-            pfn += 1;
-        }
+        // at startup; bss stays zero. One bulk fill per section.
+        let rodata = image.text_pages;
+        let data = rodata + image.rodata_pages;
+        let bss = data + image.data_pages;
+        hv.fill_pages(dom, 0..rodata, |p| 0x7e7e_7e7e_0000_0000 | p.0)?;
+        hv.fill_pages(dom, rodata..data, |p| 0x0da7_a000_0000_0000 | p.0)?;
+        hv.fill_pages(dom, data..bss, |p| 0xda7a_0000_0000_0000 | p.0)?;
         Ok(())
     }
 
@@ -383,25 +379,26 @@ impl Xl {
         self.clock.advance(self.costs.xl_create_base);
         self.check_name(&cfg.name)?;
 
-        let dev_pages = cfg.vifs.len() as u64 * PAGES_PER_VIF;
-        let layout = GuestLayout::compute(cfg.memory_mib, image, dev_pages);
+        let layout = layout_of(cfg, image);
 
         let dom = hv.create_domain(&cfg.name, cfg.memory_mib, cfg.vcpus)?;
-        {
-            let _s = self.trace.span("xl.xenstore_init");
-            xs.introduce_domain(dom, None)?;
-            self.write_base_entries(xs, dom, cfg)?;
-        }
-        {
-            let s = self.trace.span("xl.image_load");
-            s.attr("pages", image.total_pages());
-            self.populate_image(hv, dom, image)?;
-        }
-        let ifaces = {
+        // Every Xenstore request of the boot runs with the new domain's
+        // home resolved once.
+        let ifaces = xs.with_home(dom, |xs| -> Result<Vec<IfaceId>> {
+            {
+                let _s = self.trace.span("xl.xenstore_init");
+                xs.introduce_domain(dom, None)?;
+                self.write_base_entries(xs, dom, cfg)?;
+            }
+            {
+                let s = self.trace.span("xl.image_load");
+                s.attr("pages", image.total_pages());
+                self.populate_image(hv, dom, image)?;
+            }
             let s = self.trace.span("xl.device_setup");
             s.attr("vifs", cfg.vifs.len());
-            self.setup_devices(hv, xs, dm, udev, dom, cfg, &layout)?
-        };
+            self.setup_devices(hv, xs, dm, udev, dom, cfg, &layout)
+        })?;
 
         hv.set_clone_policy(
             dom,
@@ -487,8 +484,8 @@ impl Xl {
         Ok(())
     }
 
-    /// `xl save`: snapshots a domain's memory and config into `slot`, then
-    /// destroys the domain.
+    /// `xl save`: snapshots a domain's memory and config into `slot`
+    /// (replacing what the slot held), then destroys the domain.
     pub fn save(
         &mut self,
         hv: &mut Hypervisor,
@@ -501,10 +498,10 @@ impl Xl {
     ) -> Result<()> {
         let span = self.trace.span("xl.save");
         span.attr("dom", dom.0);
-        let rec = self
+        let config = self
             .records
             .get(&dom.0)
-            .cloned()
+            .map(|r| Rc::clone(&r.config))
             .ok_or(XlError::NoSuchDomain(dom))?;
         let memory = hv.snapshot_memory(dom)?;
         self.clock.advance(
@@ -512,19 +509,23 @@ impl Xl {
                 .save_per_page
                 .saturating_mul(memory.pages.len() as u64),
         );
-        self.saved.insert(
-            slot.to_string(),
-            SavedGuest {
-                config: DomainConfig::clone(&rec.config),
-                image: image.clone(),
-                memory,
-            },
-        );
+        let saved = SavedGuest {
+            layout: layout_of(&config, image),
+            config,
+            memory: Rc::new(memory),
+        };
+        match self.saved.get_mut(slot) {
+            Some(occupied) => *occupied = saved,
+            None => {
+                self.saved.insert(slot.to_string(), saved);
+            }
+        }
         self.destroy(hv, xs, dm, udev, dom)
     }
 
-    /// `xl restore`: recreates a domain from a saved image. The *entire*
-    /// configured memory is copied back from the image.
+    /// `xl restore`: recreates a domain from a saved image, under
+    /// `new_name` if given (the saved config keeps its name). The
+    /// *entire* configured memory is copied back from the image.
     pub fn restore(
         &mut self,
         hv: &mut Hypervisor,
@@ -536,37 +537,33 @@ impl Xl {
     ) -> Result<CreatedDomain> {
         let span = self.trace.span("xl.restore");
         span.attr("slot", slot);
-        let SavedGuest {
-            mut config,
-            image,
-            memory,
-        } = self
+        let saved = self
             .saved
             .get(slot)
-            .cloned()
             .ok_or_else(|| XlError::NoSuchImage(slot.to_string()))?;
+        let (mut config, memory, layout) =
+            (Rc::clone(&saved.config), Rc::clone(&saved.memory), saved.layout);
         if let Some(n) = new_name {
-            config.name = n.to_string();
+            Rc::make_mut(&mut config).name = n.to_string();
         }
         self.clock.advance(self.costs.xl_create_base);
         self.check_name(&config.name)?;
 
-        let dev_pages = config.vifs.len() as u64 * PAGES_PER_VIF;
-        let layout = GuestLayout::compute(config.memory_mib, &image, dev_pages);
-
         let dom = hv.create_domain(&config.name, config.memory_mib, config.vcpus)?;
-        xs.introduce_domain(dom, None)?;
-        self.write_base_entries(xs, dom, &config)?;
+        let ifaces = xs.with_home(dom, |xs| -> Result<Vec<IfaceId>> {
+            xs.introduce_domain(dom, None)?;
+            self.write_base_entries(xs, dom, &config)?;
 
-        // Restore is dominated by copying all configured memory back.
-        self.clock.advance(
-            self.costs
-                .restore_per_page
-                .saturating_mul(memory.p2m_size),
-        );
-        hv.load_image(dom, &memory)?;
+            // Restore is dominated by copying all configured memory back.
+            self.clock.advance(
+                self.costs
+                    .restore_per_page
+                    .saturating_mul(memory.p2m_size),
+            );
+            hv.load_image(dom, &memory)?;
 
-        let ifaces = self.setup_devices(hv, xs, dm, udev, dom, &config, &layout)?;
+            self.setup_devices(hv, xs, dm, udev, dom, &config, &layout)
+        })?;
         hv.set_clone_policy(
             dom,
             ClonePolicy {
@@ -579,7 +576,7 @@ impl Xl {
         self.insert_record(DomRecord {
             id: dom,
             name: config.name.as_str().into(),
-            config: Rc::new(config),
+            config,
             layout,
             ifaces: ifaces.clone(),
         });
@@ -636,6 +633,13 @@ impl Xl {
             self.unindex_name(name, id);
         }
     }
+}
+
+/// The memory layout `image` gives a domain of `cfg`: RAM, the image,
+/// and a device region sized for its vifs.
+fn layout_of(cfg: &DomainConfig, image: &KernelImage) -> GuestLayout {
+    let dev_pages = cfg.vifs.len() as u64 * PAGES_PER_VIF;
+    GuestLayout::compute(cfg.memory_mib, image, dev_pages)
 }
 
 #[cfg(test)]
@@ -832,6 +836,57 @@ mod tests {
             restore_time > boot_time,
             "restore ({restore_time}) must exceed boot ({boot_time})"
         );
+    }
+
+    #[test]
+    fn saved_slots_hand_out_shared_handles() {
+        let mut w = world();
+        let img = KernelImage::minios("udp");
+        let d = w
+            .xl
+            .create(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &udp_cfg("udp"), &img)
+            .unwrap()
+            .id;
+        w.hv.write_page(d, Pfn(300), 0, b"first").unwrap();
+        w.xl
+            .save(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, d, "slot0", &img)
+            .unwrap();
+        let restore = |w: &mut World, name: Option<&str>| {
+            w.xl.restore(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, "slot0", name)
+                .unwrap()
+                .id
+        };
+
+        // Restoring one slot twice gives equal memory.
+        let a = restore(&mut w, None);
+        let b = restore(&mut w, Some("renamed"));
+        let memory = |w: &World, dom: DomId| w.hv.snapshot_memory(dom).unwrap().pages;
+        assert!(memory(&w, a) == memory(&w, b));
+
+        // The rename copied the config; the slot and `a` share theirs.
+        let saved = Rc::clone(&w.xl.saved["slot0"].config);
+        assert_eq!(saved.name, "udp");
+        assert!(Rc::ptr_eq(&w.xl.record(a).unwrap().config, &saved));
+        assert_eq!(&*w.xl.record(b).unwrap().name, "renamed");
+        assert_eq!(w.xl.record(b).unwrap().config.name, "renamed");
+        let name_of = |w: &mut World, dom: DomId| {
+            w.xs.read(DomId::DOM0, &format!("/local/domain/{}/name", dom.0)).unwrap()
+        };
+        assert_eq!(name_of(&mut w, b), "renamed");
+        let c = restore(&mut w, None);
+        assert_eq!(name_of(&mut w, c), "udp");
+
+        // A second save into the slot replaces it.
+        w.hv.write_page(a, Pfn(300), 0, b"later").unwrap();
+        w.xl
+            .save(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, a, "slot0", &img)
+            .unwrap();
+        assert_eq!(w.xl.saved.len(), 1);
+        let e = restore(&mut w, None);
+        let mut buf = [0u8; 5];
+        w.hv.read_page(e, Pfn(300), 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"later");
+        w.xs.audit_tree().unwrap();
     }
 
     #[test]

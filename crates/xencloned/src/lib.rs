@@ -136,6 +136,19 @@ pub struct CompletedClone {
     pub ifaces: Vec<IfaceId>,
 }
 
+/// What the daemon caches about a parent on its first clone.
+#[derive(Debug)]
+struct ParentInfo {
+    /// The parent's creation serial. Domain ids are reused, so an entry
+    /// whose serial differs from the parent's belongs to an earlier
+    /// holder of the id and is stale.
+    serial: u64,
+    /// The parent's name, read from Xenstore.
+    name: String,
+    /// Clones of this parent named so far.
+    seq: u64,
+}
+
 /// The `xencloned` daemon state.
 #[derive(Debug)]
 pub struct Xencloned {
@@ -143,10 +156,8 @@ pub struct Xencloned {
     costs: Rc<CostModel>,
     /// Behavioural configuration.
     pub config: XenclonedConfig,
-    /// Parent names, read from Xenstore and cached on each parent's
-    /// first clone.
-    parent_names: HashMap<u32, String>,
-    clone_seq: HashMap<u32, u64>,
+    /// Per-parent cache, by domid.
+    parents: HashMap<u32, ParentInfo>,
     /// Reused buffers stage 2 formats its paths and the child's domid
     /// into, so a clone's requests allocate no strings of their own.
     bufs: [String; 3],
@@ -161,8 +172,7 @@ impl Xencloned {
             clock,
             costs,
             config: XenclonedConfig::default(),
-            parent_names: HashMap::new(),
-            clone_seq: HashMap::new(),
+            parents: HashMap::new(),
             bufs: Default::default(),
             clones_completed: 0,
             trace: TraceSink::default(),
@@ -233,28 +243,46 @@ impl Xencloned {
         xl: &mut Xl,
         n: CloneNotification,
     ) -> Result<CompletedClone> {
-        let CloneNotification { parent, child, .. } = n;
+        let CloneNotification {
+            parent,
+            parent_serial,
+            child,
+            ..
+        } = n;
         let span = self.trace.span("xencloned.stage2");
         span.attr("parent", parent.0);
         span.attr("child", child.0);
         self.clock.advance(self.costs.xencloned_dispatch);
 
         // Read and cache the parent's Xenstore information on first use
-        // (first clone ≈3 ms of userspace ops, later ≈1.9 ms, §6.2).
-        let parent_name = match self.parent_names.entry(parent.0) {
-            Entry::Occupied(e) => {
+        // (first clone ≈3 ms of userspace ops, later ≈1.9 ms, §6.2). An
+        // entry left by an earlier holder of the parent's id is a miss,
+        // and the new parent's names start again at 1.
+        let parent_info = match self.parents.entry(parent.0) {
+            Entry::Occupied(e) if e.get().serial == parent_serial => {
                 self.trace
                     .count_dom("xencloned.parent_cache.hit", parent, 1);
                 e.into_mut()
             }
-            Entry::Vacant(e) => {
+            entry => {
                 self.trace
                     .count_dom("xencloned.parent_cache.miss", parent, 1);
                 self.clock.advance(self.costs.xencloned_parent_scan);
                 let name = xs
                     .read(DomId::DOM0, &format!("/local/domain/{}/name", parent.0))
                     .unwrap_or_else(|_| format!("dom{}", parent.0));
-                e.insert(name)
+                let info = ParentInfo {
+                    serial: parent_serial,
+                    name,
+                    seq: 0,
+                };
+                match entry {
+                    Entry::Occupied(mut e) => {
+                        e.insert(info);
+                        e.into_mut()
+                    }
+                    Entry::Vacant(e) => e.insert(info),
+                }
             }
         };
 
@@ -266,9 +294,8 @@ impl Xencloned {
             xs.introduce_domain(child, Some(parent))?;
 
             // Unique name — no validation scan needed.
-            let seq = self.clone_seq.entry(parent.0).or_insert(0);
-            *seq += 1;
-            let name = format!("{parent_name}-c{seq}");
+            parent_info.seq += 1;
+            let name = format!("{}-c{}", parent_info.name, parent_info.seq);
             let [src, dst, domid] = &mut self.bufs;
             domid.clear();
             write!(domid, "{}", child.0).expect("formatting into a String cannot fail");
@@ -574,6 +601,30 @@ mod tests {
         assert_eq!(a.name, "udp-c1");
         assert_eq!(b.name, "udp-c2");
         assert_eq!(w.daemon.clones_completed(), 2);
+    }
+
+    #[test]
+    fn a_reused_parent_id_starts_a_fresh_name_sequence() {
+        let mut w = world();
+        let udp = boot(&mut w, "udp", 2);
+        let first = fork(&mut w, udp);
+        assert_eq!(first.name, "udp-c1");
+        for dom in [first.child, udp] {
+            w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, dom)
+                .unwrap();
+        }
+        let echo = boot(&mut w, "echo", 3);
+        assert_eq!(echo, udp, "echo reuses the dead parent's id");
+
+        // The cache entry for the id belongs to the dead parent: a miss,
+        // charged like a first clone, and the sequence restarts.
+        let t0 = w.clock.now();
+        let c = fork(&mut w, echo);
+        let first_fork = w.clock.now().since(t0);
+        assert_eq!(c.name, "echo-c1");
+        let t1 = w.clock.now();
+        assert_eq!(fork(&mut w, echo).name, "echo-c2");
+        assert!(first_fork > w.clock.now().since(t1), "the first fork scans the parent");
     }
 
     #[test]
