@@ -7,27 +7,18 @@
 //! * [`NginxApp`] — the clone-scaling HTTP server (Fig. 7);
 //! * [`RedisApp`] — the fork-snapshotting key-value store (Fig. 8);
 //! * [`FuzzAdapterApp`] — the AFL syscall adapter (Fig. 9);
-//! * [`FaasFnApp`] — the Python "Hello World" FaaS function (Figs. 10–11);
-//! * [`BlockKvApp`] — sector-granular KV store over the COW block device;
-//! * [`VsockRpcApp`] — vsock client exercising reconnect-on-clone;
-//! * [`UsbProbeApp`] — URB submitter exercising detach-on-clone.
+//! * [`FaasFnApp`] — the Python "Hello World" FaaS function (Figs. 10–11).
 
-pub mod block_kv;
 pub mod faas_fn;
 pub mod fuzz_adapter;
 pub mod memhog;
 pub mod nginx;
 pub mod redis;
 pub mod udp_echo;
-pub mod usb_probe;
-pub mod vsock_rpc;
 
-pub use block_kv::{kv_sector, BlockKvApp};
 pub use faas_fn::{FaasFnApp, FN_PORT, HANDLER_FILE};
 pub use fuzz_adapter::{default_syscall_table, interpret_input, ExecResult, FuzzAdapterApp, SYSCALL_TABLE_SIZE, SYS_GETPPID};
 pub use memhog::{MemhogApp, MEMHOG_PORT};
 pub use nginx::{NginxApp, NginxRole, HTTP_PORT};
 pub use redis::{RedisApp, RedisRole, DUMP_FILE, REDIS_PORT};
 pub use udp_echo::{UdpEchoApp, NOTIFY_PORT};
-pub use usb_probe::UsbProbeApp;
-pub use vsock_rpc::{hello_payload, VsockRpcApp};

@@ -22,7 +22,6 @@ fn fresh_parent() -> (Hypervisor, DomId) {
         Rc::new(CostModel::calibrated()),
         &MachineConfig {
             guest_pool_mib: 32,
-            cores: 4,
             notification_ring_capacity: 512,
         },
     );

@@ -32,7 +32,6 @@ fn checkpointed_clone() -> (Hypervisor, DomId) {
         Rc::new(CostModel::calibrated()),
         &MachineConfig {
             guest_pool_mib: 64,
-            cores: 4,
             notification_ring_capacity: 512,
         },
     );

@@ -1,6 +1,6 @@
-//! Micro-benchmarks for Xenstore: basic requests, watch matching, and
-//! the `xs_clone` request against its deep-copy equivalent (the
-//! mechanism behind the Fig. 4 gap).
+//! Micro-benchmarks for Xenstore: basic requests, and the `xs_clone`
+//! request against its deep-copy equivalent (the mechanism behind the
+//! Fig. 4 gap).
 
 use testkit::bench::Bench;
 
@@ -41,17 +41,6 @@ fn bench_requests(c: &mut Bench) {
         xs.write(DomId::DOM0, "/tool/key", "value").unwrap();
         b.iter(|| xs.read(DomId::DOM0, "/tool/key").unwrap());
     });
-    g.bench_function("write_with_1000_watches", |b| {
-        let mut xs = fresh_store();
-        for i in 0..1000 {
-            xs.watch(DomId::DOM0, &format!("w{i}"), &format!("/local/domain/{i}"))
-                .unwrap();
-        }
-        b.iter(|| {
-            xs.write(DomId::DOM0, "/local/domain/500/state", "4").unwrap();
-            xs.drain_watch_events()
-        });
-    });
     g.finish();
 }
 
@@ -87,20 +76,6 @@ fn bench_xs_clone(c: &mut Bench) {
                 "/local/domain/9/device/vif/0",
             )
             .unwrap();
-        });
-    });
-    g.bench_function("txn_snapshot_big_store", |b| {
-        // A transaction snapshot over the ~10k-entry store is an O(1)
-        // handle clone; a repeatable read then resolves through it.
-        let mut xs = fresh_store();
-        populate_big_store(&mut xs, 156, 64);
-        b.iter(|| {
-            let t = xs.txn_start(DomId::DOM0);
-            let v = xs
-                .txn_read(DomId::DOM0, t, "/local/domain/3/device/vif/7/e3")
-                .unwrap();
-            xs.txn_abort(t).unwrap();
-            v
         });
     });
     g.bench_function("xs_clone_device_dir", |b| {

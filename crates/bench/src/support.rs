@@ -9,7 +9,7 @@ use nephele::{Platform, PlatformConfig, TraceSink};
 /// The service IP every UDP-server family shares.
 pub const UDP_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
-/// Builds the paper's Fig. 4/5 machine: 12 GiB guest pool, 4 cores.
+/// Builds the paper's Fig. 4/5 machine: a 12 GiB guest pool.
 /// Tracing is off unless `NEPHELE_TRACE` turns it on, as for every
 /// platform.
 pub fn paper_platform() -> Platform {

@@ -479,15 +479,6 @@ impl DeviceManager {
         self.vifs.get(&(dom.0, devid))
     }
 
-    /// Device ids of the vifs a domain owns (sorted). O(own vifs): the
-    /// key order yields the domain's range directly, already sorted.
-    pub fn vif_devids(&self, dom: DomId) -> Vec<u32> {
-        self.vifs
-            .range((dom.0, 0)..=(dom.0, u32::MAX))
-            .map(|((_, i), _)| *i)
-            .collect()
-    }
-
     /// Total vifs registered.
     pub fn vif_count(&self) -> usize {
         self.vifs.len()
@@ -1283,7 +1274,6 @@ mod tests {
             costs.clone(),
             &MachineConfig {
                 guest_pool_mib: 128,
-                cores: 4,
                 notification_ring_capacity: 16,
             },
         );

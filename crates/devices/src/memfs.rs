@@ -130,11 +130,6 @@ impl MemFs {
         self.lookup(path).is_ok()
     }
 
-    /// Whether a path is a directory.
-    pub fn is_dir(&self, path: &str) -> bool {
-        matches!(self.lookup(path), Ok(Entry::Dir(_)))
-    }
-
     /// Reads `len` bytes from a file starting at `offset` (short reads at
     /// EOF).
     pub fn read(&self, path: &str, offset: usize, len: usize) -> Result<Vec<u8>> {

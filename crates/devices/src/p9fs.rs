@@ -133,11 +133,6 @@ impl P9Backend {
         self.fids.keys().filter(|(d, _)| *d == dom.0).count()
     }
 
-    /// Total fids across all clients.
-    pub fn total_fids(&self) -> usize {
-        self.fids.len()
-    }
-
     fn abs(&self, rel: &str) -> String {
         if rel.is_empty() {
             self.export_root.clone()

@@ -125,7 +125,6 @@ mod tests {
             Rc::new(CostModel::free()),
             &MachineConfig {
                 guest_pool_mib: 64,
-                cores: 1,
                 notification_ring_capacity: 8,
             },
         );

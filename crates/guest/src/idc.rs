@@ -301,7 +301,6 @@ mod tests {
             Rc::new(CostModel::free()),
             &MachineConfig {
                 guest_pool_mib: 128,
-                cores: 1,
                 notification_ring_capacity: 16,
             },
         );

@@ -114,29 +114,6 @@ impl GuestEnv<'_> {
     pub fn p9(&mut self, req: P9Request) -> Option<P9Response> {
         self.dm.p9_request(self.dom, req).ok()
     }
-
-    /// Reads one sector from block device `devid`.
-    pub fn vbd_read(&mut self, devid: u32, sector: u64) -> Option<devices::block::Sector> {
-        self.dm.vbd_read(self.dom, devid, sector).ok()
-    }
-
-    /// Writes one sector to block device `devid` (into the guest's private
-    /// COW overlay).
-    pub fn vbd_write(&mut self, devid: u32, sector: u64, data: &devices::block::Sector) -> bool {
-        self.dm.vbd_write(self.dom, devid, sector, data).unwrap_or(false)
-    }
-
-    /// Sends one message on the guest's vsock stream.
-    pub fn vsock_send(&mut self, payload: Vec<u8>) -> bool {
-        self.dm.vsock_send(self.dom, payload).unwrap_or(false)
-    }
-
-    /// Submits one URB to passed-through USB device `devid`; `false` when
-    /// the guest does not hold the device (e.g. in a clone, which comes up
-    /// detached).
-    pub fn usb_submit(&mut self, devid: u32) -> bool {
-        self.dm.usb_submit(self.dom, devid).unwrap_or(false)
-    }
 }
 
 /// A guest application.

@@ -161,11 +161,6 @@ impl TinyAlloc {
         self.free.len()
     }
 
-    /// Whether `addr` is a live allocation.
-    pub fn is_allocated(&self, addr: u64) -> bool {
-        self.used.binary_search_by_key(&addr, |b| b.addr).is_ok()
-    }
-
     /// The size of the live allocation at `addr`.
     pub fn allocation_size(&self, addr: u64) -> Option<u64> {
         self.used

@@ -776,7 +776,6 @@ mod tests {
             Rc::new(CostModel::free()),
             &MachineConfig {
                 guest_pool_mib: 256,
-                cores: 4,
                 notification_ring_capacity: 16,
             },
         );
@@ -1026,7 +1025,6 @@ mod tests {
             Rc::new(CostModel::calibrated()),
             &MachineConfig {
                 guest_pool_mib: 64,
-                cores: 4,
                 notification_ring_capacity: 16,
             },
         );
@@ -1109,7 +1107,6 @@ mod tests {
             Rc::new(CostModel::calibrated()),
             &MachineConfig {
                 guest_pool_mib: 256,
-                cores: 4,
                 notification_ring_capacity: 16,
             },
         );
@@ -1267,7 +1264,6 @@ mod tests {
             Rc::new(CostModel::free()),
             &MachineConfig {
                 guest_pool_mib: 256,
-                cores: 1,
                 notification_ring_capacity: 2,
             },
         );

@@ -21,7 +21,6 @@ pub mod grant;
 pub mod memory;
 pub mod notify;
 pub mod p2m;
-pub mod scheduler;
 pub mod vcpu;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -45,7 +44,6 @@ use crate::grant::GrantRef;
 use crate::memory::{CowResolution, FrameOwner, FrameTable, MemoryStats, PageContent};
 use crate::notify::NotificationRing;
 use crate::p2m::P2m;
-use crate::scheduler::CpuPool;
 use crate::vcpu::Vcpu;
 
 /// Static machine description.
@@ -55,8 +53,6 @@ pub struct MachineConfig {
     /// 16 GiB machine into 4 GiB for Dom0 and 12 GiB for the hypervisor
     /// guest pool, §6.2).
     pub guest_pool_mib: u64,
-    /// Physical cores.
-    pub cores: usize,
     /// Capacity of the clone notification ring.
     pub notification_ring_capacity: usize,
 }
@@ -65,7 +61,6 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
             guest_pool_mib: 12 * 1024,
-            cores: 4,
             notification_ring_capacity: NotificationRing::DEFAULT_CAPACITY,
         }
     }
@@ -130,13 +125,12 @@ pub struct Hypervisor {
     /// what makes [`Hypervisor::destroy_domain`] O(actual references)
     /// instead of a walk over every live domain.
     peer_refs: HashMap<u32, BTreeMap<u32, u64>>,
-    cpu_pool: CpuPool,
     trace: TraceSink,
 }
 
 impl Hypervisor {
-    /// Boots the hypervisor: initializes the frame table, creates Dom0
-    /// (whose own RAM lives outside the guest pool) and the CPU pool.
+    /// Boots the hypervisor: initializes the frame table and creates Dom0
+    /// (whose own RAM lives outside the guest pool).
     pub fn new(clock: Clock, costs: Rc<CostModel>, config: &MachineConfig) -> Self {
         let total = mib_to_pages(config.guest_pool_mib);
         let mut hv = Hypervisor {
@@ -155,7 +149,6 @@ impl Hypervisor {
             binding_memberships: HashMap::new(),
             owned_binding_ports: HashMap::new(),
             peer_refs: HashMap::new(),
-            cpu_pool: CpuPool::new(config.cores),
             trace: TraceSink::default(),
         };
         // Dom0 exists from boot; its memory is modelled by the Dom0 model,
@@ -184,11 +177,6 @@ impl Hypervisor {
     /// The attached trace sink.
     pub fn trace(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// The physical CPU pool.
-    pub fn cpu_pool(&mut self) -> &mut CpuPool {
-        &mut self.cpu_pool
     }
 
     // ------------------------------------------------------------------
@@ -1297,7 +1285,6 @@ mod tests {
             Rc::new(CostModel::free()),
             &MachineConfig {
                 guest_pool_mib: 64,
-                cores: 4,
                 notification_ring_capacity: 8,
             },
         )
@@ -1511,7 +1498,6 @@ mod tests {
             Rc::new(CostModel::free()),
             &MachineConfig {
                 guest_pool_mib: 4,
-                cores: 1,
                 notification_ring_capacity: 8,
             },
         );

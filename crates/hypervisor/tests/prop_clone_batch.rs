@@ -32,7 +32,6 @@ fn fresh_hv(clock: Clock) -> Hypervisor {
         Rc::new(clone_costs()),
         &MachineConfig {
             guest_pool_mib: 64,
-            cores: 2,
             notification_ring_capacity: 4096,
         },
     );
@@ -238,7 +237,6 @@ fn batch_failing_on_ring_capacity_is_atomic() {
         Rc::new(CostModel::free()),
         &MachineConfig {
             guest_pool_mib: 64,
-            cores: 1,
             notification_ring_capacity: 4,
         },
     );
@@ -280,7 +278,6 @@ fn batch_failing_on_frame_budget_is_atomic() {
         Rc::new(CostModel::free()),
         &MachineConfig {
             guest_pool_mib: 8,
-            cores: 1,
             notification_ring_capacity: 4096,
         },
     );

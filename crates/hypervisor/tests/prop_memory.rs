@@ -40,7 +40,6 @@ fn fresh_hv() -> Hypervisor {
         Rc::new(CostModel::free()),
         &MachineConfig {
             guest_pool_mib: 512,
-            cores: 2,
             notification_ring_capacity: 4096,
         },
     );

@@ -1,5 +1,4 @@
-//! Load-generator models: `wrk` (closed loop) and `ab` (fixed request
-//! count), as used in §7.1 and §7.3.
+//! The `wrk` load-generator model (closed loop), as used in §7.1.
 
 use sim_core::{SimDuration, SplitMix64};
 
@@ -27,25 +26,6 @@ impl Default for WrkConfig {
     }
 }
 
-/// An `ab`-style generator: `workers` concurrent workers issuing a total
-/// of `total_requests` requests.
-#[derive(Debug, Clone)]
-pub struct AbConfig {
-    /// Concurrent workers (the paper runs 8).
-    pub workers: usize,
-    /// Total requests across the session (the paper issues 500 K).
-    pub total_requests: u64,
-}
-
-impl Default for AbConfig {
-    fn default() -> Self {
-        AbConfig {
-            workers: 8,
-            total_requests: 500_000,
-        }
-    }
-}
-
 /// Draws a jittered service time around `mean` with relative standard
 /// deviation `rel_stddev`, clamped to a tenth of the mean.
 pub fn jittered_service(rng: &mut SplitMix64, mean: SimDuration, rel_stddev: f64) -> SimDuration {
@@ -63,9 +43,6 @@ mod tests {
         assert_eq!(w.connections, 400);
         assert_eq!(w.duration.as_secs_f64(), 5.0);
         assert_eq!(w.repetitions, 30);
-        let a = AbConfig::default();
-        assert_eq!(a.workers, 8);
-        assert_eq!(a.total_requests, 500_000);
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub type Result<T> = std::result::Result<T, PlatformError>;
 /// preset. The fields stay public for ad-hoc tweaking.
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
-    /// Machine shape (defaults to the paper's: 12 GiB guest pool, 4 cores).
+    /// Machine shape (defaults to the paper's 12 GiB guest pool).
     pub machine: MachineConfig,
     /// Cost model (defaults to the calibrated model).
     pub costs: CostModel,
@@ -228,7 +228,6 @@ impl PlatformConfig {
     /// use nephele::{MuxKind, PlatformConfig, TraceConfig, TraceMode};
     ///
     /// let cfg = PlatformConfig::builder()
-    ///     .cores(4)
     ///     .mux(MuxKind::Ovs)
     ///     .tracing(TraceConfig::aggregate())
     ///     .build();
@@ -246,7 +245,6 @@ impl PlatformConfig {
     pub fn small() -> Self {
         PlatformConfig::builder()
             .guest_pool_mib(256)
-            .cores(4)
             .ring_capacity(128)
             .build()
     }
@@ -274,12 +272,6 @@ impl PlatformConfigBuilder {
     /// Sets the guest memory pool size in MiB.
     pub fn guest_pool_mib(mut self, mib: u64) -> Self {
         self.config.machine.guest_pool_mib = mib;
-        self
-    }
-
-    /// Sets the number of physical cores.
-    pub fn cores(mut self, cores: usize) -> Self {
-        self.config.machine.cores = cores;
         self
     }
 

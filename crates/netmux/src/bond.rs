@@ -11,6 +11,8 @@
 //! port>` tuples may collide on the same slave — the evaluation works
 //! around this by assigning each UDP server a unique port.
 
+use sim_core::{CostModel, SimDuration};
+
 use crate::packet::Packet;
 use crate::{CloneMux, IfaceId};
 
@@ -90,6 +92,10 @@ impl CloneMux for Bond {
 
     fn members(&self) -> &[IfaceId] {
         &self.slaves
+    }
+
+    fn add_member_cost(&self, costs: &CostModel) -> SimDuration {
+        costs.bond_enslave
     }
 }
 

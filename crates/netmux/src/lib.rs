@@ -10,21 +10,18 @@
 //!   addresses and ports, keeping no per-flow state;
 //! * [`ovs::SelectGroup`] — an Open vSwitch select group, hash-based by
 //!   default but extensible with flow-aware selection strategies.
-//!
-//! [`bridge::Bridge`] provides the plain learning switch used for regular
-//! (non-cloned) guests.
 
 pub mod bond;
-pub mod bridge;
 pub mod ovs;
 pub mod packet;
 pub mod stack;
 
 pub use bond::{Bond, XmitHashPolicy};
-pub use bridge::Bridge;
 pub use ovs::{FlowAwareSelect, HashSelect, SelectGroup, SelectionStrategy};
 pub use packet::{FlowKey, L4, MacAddr, Packet, TcpFlags};
 pub use stack::{ConnId, NetStack, SockEvent};
+
+use sim_core::{CostModel, SimDuration};
 
 /// Identifies a virtual interface attached to a mux (e.g. a vif).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,4 +44,7 @@ pub trait CloneMux: std::fmt::Debug {
     fn member_count(&self) -> usize {
         self.members().len()
     }
+    /// The Dom0 userspace cost of adding one member, which `xencloned`
+    /// charges for every clone vif it enslaves.
+    fn add_member_cost(&self, costs: &CostModel) -> SimDuration;
 }

@@ -12,6 +12,8 @@
 
 use std::collections::HashMap;
 
+use sim_core::{CostModel, SimDuration};
+
 use crate::packet::{FlowKey, Packet};
 use crate::{CloneMux, IfaceId};
 
@@ -144,6 +146,10 @@ impl<S: SelectionStrategy> CloneMux for SelectGroup<S> {
 
     fn members(&self) -> &[IfaceId] {
         &self.buckets
+    }
+
+    fn add_member_cost(&self, costs: &CostModel) -> SimDuration {
+        costs.ovs_group_add
     }
 }
 

@@ -21,11 +21,6 @@ impl MacAddr {
         let d = domid.to_be_bytes();
         MacAddr([0x00, 0x16, 0x3e, d[2], d[3], dev])
     }
-
-    /// Whether this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -252,8 +247,6 @@ mod tests {
         let m = MacAddr::xen(0x0102, 3);
         assert_eq!(m.0, [0x00, 0x16, 0x3e, 0x01, 0x02, 0x03]);
         assert_eq!(m.to_string(), "00:16:3e:01:02:03");
-        assert!(!m.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests for the clone-interface multiplexers and the bridge:
-//! flow stickiness, membership correctness and balance bounds.
+//! Property tests for the clone-interface multiplexers: flow stickiness,
+//! membership correctness and balance bounds.
 
 use std::net::Ipv4Addr;
 
@@ -7,7 +7,6 @@ use testkit::prop::{check, ranges, u16s, u32s, u64s, vecs};
 
 use netmux::{
     Bond,
-    Bridge,
     CloneMux,
     FlowAwareSelect,
     IfaceId,
@@ -104,37 +103,6 @@ fn bond_balance_bound() {
         let fair = n / members;
         for (i, c) in counts.iter().enumerate() {
             assert!(*c >= fair / 4, "slave {i} starved: {c} of fair {fair}");
-        }
-    });
-}
-
-/// The learning bridge never forwards a packet back out its ingress
-/// port and never invents ports.
-#[test]
-fn bridge_never_hairpins() {
-    check(128, |g| {
-        let ports = g.draw(&ranges(2u32..12));
-        let traffic = g.draw(&vecs((u32s(), u32s(), u32s()), 1..80));
-
-        let mut bridge = Bridge::new();
-        for i in 0..ports {
-            bridge.add_port(IfaceId(i));
-        }
-        for (src, dst, ingress) in traffic {
-            let ingress = IfaceId(ingress % ports);
-            let p = Packet::udp(
-                MacAddr::xen(src % 64, 0),
-                MacAddr::xen(dst % 64, 0),
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(10, 0, 0, 2),
-                1,
-                2,
-                vec![],
-            );
-            for out in bridge.forward(&p, ingress) {
-                assert_ne!(out, ingress, "hairpin");
-                assert!(out.0 < ports, "unknown port");
-            }
         }
     });
 }

@@ -12,7 +12,7 @@
 //! times of 160–300 ms, clone times of 20–30 ms, first-stage duration of
 //! ~1 ms for a 4 MB guest, userspace operations of ~3 ms / ~1.9 ms, and so
 //! on. The *shape* of every figure is produced by the mechanisms themselves
-//! (page counts, Xenstore entry counts, watch fan-out); the cost model only
+//! (page counts, Xenstore entry counts, clone fan-out); the cost model only
 //! supplies per-operation unit costs.
 
 use crate::time::SimDuration;
@@ -36,8 +36,6 @@ pub struct CostModel {
     pub mem_alloc_per_page: SimDuration,
     /// Freeing one machine frame.
     pub mem_free_per_page: SimDuration,
-    /// Copying the full contents of one 4 KiB page.
-    pub page_copy: SimDuration,
     /// Delivering an event-channel notification / virtual interrupt.
     pub event_delivery: SimDuration,
 
@@ -73,10 +71,6 @@ pub struct CostModel {
     /// is what makes instantiation time grow with the instance count in
     /// Fig. 4, and what `xs_clone` sidesteps by issuing fewer requests).
     pub xs_per_existing_entry: SimDuration,
-    /// Cost of matching one registered watch against a written path.
-    pub xs_watch_match: SimDuration,
-    /// Firing one watch event to a subscriber.
-    pub xs_watch_fire: SimDuration,
     /// Per-entry cost inside a single `xs_clone` request (daemon-side copy
     /// plus key rewriting; much cheaper than a full request round-trip).
     pub xs_clone_per_entry: SimDuration,
@@ -86,8 +80,6 @@ pub struct CostModel {
     pub xs_access_log_rotate: SimDuration,
     /// Introducing a new domain to the Xenstore daemon.
     pub xs_introduce: SimDuration,
-    /// Starting or ending a transaction.
-    pub xs_transaction: SimDuration,
 
     // ------------------------------------------------------------------
     // Toolstack (xl / libxl) and Dom0 userspace
@@ -179,8 +171,6 @@ pub struct CostModel {
     /// Process-side cost to process one HTTP request (native Linux stack,
     /// includes user/kernel switches).
     pub http_service_process: SimDuration,
-    /// Handling one Redis command (SET) in the server.
-    pub redis_op: SimDuration,
     /// Serializing one key/value pair into the RDB snapshot.
     pub redis_serialize_per_key: SimDuration,
     /// Writing one 4 KiB block through 9pfs (front + ring + QEMU + ramdisk).
@@ -236,7 +226,6 @@ impl Default for CostModel {
             vcpu_init: SimDuration::from_us(30),
             mem_alloc_per_page: SimDuration::from_ns(380),
             mem_free_per_page: SimDuration::from_ns(150),
-            page_copy: SimDuration::from_ns(750),
             event_delivery: SimDuration::from_us(2),
 
             // CLONEOP first stage. A 4 MiB guest (1024 pages) yields
@@ -253,13 +242,10 @@ impl Default for CostModel {
             // Xenstore.
             xs_request_base: SimDuration::from_us(450),
             xs_per_existing_entry: SimDuration::from_ns(80),
-            xs_watch_match: SimDuration::from_ns(90),
-            xs_watch_fire: SimDuration::from_us(6),
             xs_clone_per_entry: SimDuration::from_ns(900),
             xs_access_log_append: SimDuration::from_ns(800),
             xs_access_log_rotate: SimDuration::from_ms(210),
             xs_introduce: SimDuration::from_us(520),
-            xs_transaction: SimDuration::from_us(10),
 
             // Toolstack / Dom0 userspace.
             xl_create_base: SimDuration::from_ms(100),
@@ -299,7 +285,6 @@ impl Default for CostModel {
             net_per_byte: SimDuration::from_ns(1),
             http_service_unikernel: SimDuration::from_us(33),
             http_service_process: SimDuration::from_us(36),
-            redis_op: SimDuration::from_ns(1600),
             redis_serialize_per_key: SimDuration::from_ns(420),
             p9fs_write_per_page: SimDuration::from_us(11),
             p9fs_rpc: SimDuration::from_us(35),
@@ -342,7 +327,6 @@ impl CostModel {
         m.vcpu_init = zero;
         m.mem_alloc_per_page = zero;
         m.mem_free_per_page = zero;
-        m.page_copy = zero;
         m.event_delivery = zero;
         m.clone_stage1_base = zero;
         m.clone_share_per_page = zero;
@@ -353,13 +337,10 @@ impl CostModel {
         m.cow_fault_transfer = zero;
         m.xs_request_base = zero;
         m.xs_per_existing_entry = zero;
-        m.xs_watch_match = zero;
-        m.xs_watch_fire = zero;
         m.xs_clone_per_entry = zero;
         m.xs_access_log_append = zero;
         m.xs_access_log_rotate = zero;
         m.xs_introduce = zero;
-        m.xs_transaction = zero;
         m.xl_create_base = zero;
         m.image_load_per_page = zero;
         m.xl_name_check_per_domain = zero;
@@ -391,7 +372,6 @@ impl CostModel {
         m.net_per_byte = zero;
         m.http_service_unikernel = zero;
         m.http_service_process = zero;
-        m.redis_op = zero;
         m.redis_serialize_per_key = zero;
         m.p9fs_write_per_page = zero;
         m.p9fs_rpc = zero;

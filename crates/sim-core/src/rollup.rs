@@ -117,11 +117,6 @@ impl FamilyRegistry {
         &self.families
     }
 
-    /// Number of live registered domains.
-    pub fn live_members(&self) -> usize {
-        self.dom_root.len()
-    }
-
     /// Drops per-family metric stats but keeps the lineage (membership and
     /// live bindings): lineage is structural state fed by lifecycle events
     /// that will not be replayed, so a metrics `clear` must not lose it.

@@ -7,8 +7,6 @@
 
 use std::fmt::Write as _;
 
-use crate::time::SimDuration;
-
 /// Welford online mean/variance accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
@@ -39,11 +37,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds a duration sample in milliseconds.
-    pub fn push_ms(&mut self, d: SimDuration) {
-        self.push(d.as_ms_f64());
     }
 
     /// Number of samples.

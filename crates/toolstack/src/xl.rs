@@ -669,7 +669,6 @@ mod tests {
                 costs.clone(),
                 &MachineConfig {
                     guest_pool_mib: 256,
-                    cores: 4,
                     notification_ring_capacity: 16,
                 },
             ),

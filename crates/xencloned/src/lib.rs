@@ -353,14 +353,14 @@ impl Xencloned {
 
         if !self.config.minimal {
             // Userspace follow-ups for the udev events (step 2.3) —
-            // enslaving each new vif.
+            // adding each new vif to the host's mux (bond or OVS select
+            // group), or to the plain bridge without one.
+            let attach = dm
+                .mux()
+                .map_or(self.costs.bridge_add, |m| m.add_member_cost(&self.costs));
             for e in udev.drain() {
                 if let UdevEvent::VifCreated { .. } = e {
-                    if dm.mux().is_some() {
-                        self.clock.advance(self.costs.bond_enslave);
-                    } else {
-                        self.clock.advance(self.costs.bridge_add);
-                    }
+                    self.clock.advance(attach);
                 }
             }
             for i in &ifaces {
@@ -417,7 +417,6 @@ mod tests {
                 costs.clone(),
                 &MachineConfig {
                     guest_pool_mib: 512,
-                    cores: 4,
                     notification_ring_capacity: 128,
                 },
             ),

@@ -1,9 +1,8 @@
 //! A Xenstore-like hierarchical key-value registry.
 //!
 //! Xenstore is Xen's device registry: a small tree of string values with
-//! per-node permissions, *watches* (prefix subscriptions with notification)
-//! and transactions. The toolstack populates it during domain creation and
-//! the split drivers negotiate through it.
+//! per-node permissions. The toolstack populates it during domain creation
+//! and xencloned clones a parent's entries for each child.
 //!
 //! Nephele's additions (§5.2.1) are implemented faithfully:
 //!
@@ -20,10 +19,7 @@
 
 pub mod log;
 pub mod tree;
-mod txn;
-mod watches;
 
-use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::rc::Rc;
 
@@ -31,8 +27,6 @@ use sim_core::{Clock, CostModel, DomId, TraceSink};
 
 use crate::log::AccessLog;
 use crate::tree::{DomidRewrite, Node, NodeRef};
-use crate::txn::{Txn, TxnOp};
-use crate::watches::Watches;
 
 /// Errors returned by Xenstore requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +37,6 @@ pub enum XsError {
     Denied(String),
     /// Malformed path.
     BadPath(String),
-    /// Unknown transaction id.
-    BadTxn(u32),
 }
 
 impl fmt::Display for XsError {
@@ -53,7 +45,6 @@ impl fmt::Display for XsError {
             XsError::NoEnt(p) => write!(f, "ENOENT: {p}"),
             XsError::Denied(p) => write!(f, "EACCES: {p}"),
             XsError::BadPath(p) => write!(f, "EINVAL: bad path {p}"),
-            XsError::BadTxn(t) => write!(f, "EINVAL: bad transaction {t}"),
         }
     }
 }
@@ -80,15 +71,6 @@ pub enum XsCloneOp {
     DevVsock,
 }
 
-/// A fired watch event awaiting dispatch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchEvent {
-    /// The token supplied at registration (identifies the subscriber).
-    pub token: String,
-    /// The path that changed.
-    pub path: String,
-}
-
 /// The split of the modelled resident memory into structurally shared and
 /// unique entry bytes (see [`Xenstore::sharing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,10 +90,6 @@ pub struct Xenstore {
     clock: Clock,
     costs: Rc<CostModel>,
     root: Node,
-    watches: Watches,
-    fired: Vec<WatchEvent>,
-    txns: HashMap<u32, Txn>,
-    next_txn: u32,
     access_log: AccessLog,
     /// Entries currently stored (cached; kept in sync with the tree).
     entry_count: u64,
@@ -190,10 +168,6 @@ impl Xenstore {
             clock,
             costs,
             root: Node::dir(DomId::DOM0),
-            watches: Watches::default(),
-            fired: Vec::new(),
-            txns: HashMap::new(),
-            next_txn: 1,
             access_log: AccessLog::new(3000),
             entry_count: 0,
             resident_per_entry: 1024,
@@ -255,25 +229,6 @@ impl Xenstore {
         r
     }
 
-    fn fire_watches(&mut self, path: &str) {
-        // The modelled daemon matches every registered watch against the
-        // written path, so the virtual-time charge scales with the total
-        // watch count exactly as before. The *host-side* lookup uses the
-        // prefix index and touches only the covering watches.
-        self.clock.advance(
-            self.costs
-                .xs_watch_match
-                .saturating_mul(self.watches.count() as u64),
-        );
-        for token in self.watches.matching(path) {
-            self.clock.advance(self.costs.xs_watch_fire);
-            self.fired.push(WatchEvent {
-                token,
-                path: path.to_string(),
-            });
-        }
-    }
-
     // ------------------------------------------------------------------
     // Path resolution
     // ------------------------------------------------------------------
@@ -322,14 +277,14 @@ impl Xenstore {
     /// the detached node instead of from the root; the home is grafted
     /// back (one descent) when `f` returns, whatever it returns. Requests
     /// charge exactly what they charge outside the scope: the store's
-    /// entry count, the access log and the watches do not depend on where
-    /// the home node sits. A home left behind by an earlier owner of
+    /// entry count and the access log do not depend on where the home
+    /// node sits. A home left behind by an earlier owner of
     /// `domid` is taken off with its entries, as `mkdir` would keep them.
     ///
     /// Inside the scope, requests on proper ancestors of the home (a
-    /// listing of `/local/domain`, say), transactions and whole-tree
-    /// readers ([`Xenstore::sharing`], [`Xenstore::audit_tree`]) would see
-    /// the tree without the home; debug builds panic on them.
+    /// listing of `/local/domain`, say) and whole-tree readers
+    /// ([`Xenstore::sharing`], [`Xenstore::audit_tree`]) would see the
+    /// tree without the home; debug builds panic on them.
     ///
     /// # Panics
     ///
@@ -427,8 +382,8 @@ impl Xenstore {
         }
     }
 
-    /// Writes `value` at `path`, creating intermediate directories, firing
-    /// watches and charging the per-request costs.
+    /// Writes `value` at `path`, creating intermediate directories and
+    /// charging the per-request costs.
     pub fn write(&mut self, who: DomId, path: &str, value: &str) -> Result<()> {
         let r = self.write_impl(who, path, value);
         self.note_fail(r)
@@ -441,7 +396,6 @@ impl Xenstore {
         }
         self.charge_request();
         self.write_unlogged(who, path, value);
-        self.fire_watches(path);
         Ok(())
     }
 
@@ -481,7 +435,6 @@ impl Xenstore {
         }
         self.charge_request();
         self.mkdir_internal(who, path)?;
-        self.fire_watches(path);
         Ok(())
     }
 
@@ -499,7 +452,6 @@ impl Xenstore {
         self.charge_request();
         self.remove_unlogged(path)
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-        self.fire_watches(path);
         Ok(())
     }
 
@@ -520,163 +472,6 @@ impl Xenstore {
     }
 
     // ------------------------------------------------------------------
-    // Watches
-    // ------------------------------------------------------------------
-
-    /// Registers a watch on `prefix`; changes at or below it queue a
-    /// [`WatchEvent`] carrying `token`.
-    pub fn watch(&mut self, who: DomId, token: &str, prefix: &str) -> Result<()> {
-        validate(prefix)?;
-        self.charge_request();
-        self.watches
-            .register(who, token, prefix.trim_end_matches('/'));
-        Ok(())
-    }
-
-    /// Removes a watch by owner and token.
-    pub fn unwatch(&mut self, who: DomId, token: &str) {
-        self.charge_request();
-        self.watches.unregister(who, token);
-    }
-
-    /// Drains queued watch events for platform dispatch.
-    pub fn drain_watch_events(&mut self) -> Vec<WatchEvent> {
-        std::mem::take(&mut self.fired)
-    }
-
-    /// Number of registered watches.
-    pub fn watch_count(&self) -> usize {
-        self.watches.count()
-    }
-
-    // ------------------------------------------------------------------
-    // Transactions
-    // ------------------------------------------------------------------
-
-    /// Starts a transaction, returning its id. The transaction captures a
-    /// snapshot of the store — an O(1) `Rc` clone of the persistent root,
-    /// however many entries the store holds — which serves
-    /// [`Xenstore::txn_read`] for the transaction's lifetime.
-    pub fn txn_start(&mut self, who: DomId) -> u32 {
-        let _ = who;
-        self.check_no_home("txn_start");
-        self.clock.advance(self.costs.xs_transaction);
-        let id = self.next_txn;
-        self.next_txn += 1;
-        self.txns.insert(id, Txn::new(self.root.clone()));
-        id
-    }
-
-    /// Reads `path` inside a transaction: buffered writes and removals of
-    /// this transaction win, otherwise the `txn_start` snapshot answers —
-    /// a repeatable-read view isolated from later non-transactional
-    /// writes. Charged like a plain read.
-    pub fn txn_read(&mut self, who: DomId, txn: u32, path: &str) -> Result<String> {
-        let r = self.txn_read_impl(who, txn, path);
-        self.note_fail(r)
-    }
-
-    fn txn_read_impl(&mut self, who: DomId, txn: u32, path: &str) -> Result<String> {
-        validate(path)?;
-        let _ = who;
-        if !self.txns.contains_key(&txn) {
-            return Err(XsError::BadTxn(txn));
-        }
-        self.charge_request();
-        let t = &self.txns[&txn];
-        match t.resolve(path) {
-            Some(Some(value)) => Ok(value),
-            Some(None) => Err(XsError::NoEnt(path.to_string())),
-            None => match t.snapshot.lookup(path) {
-                Some(node) => Ok(node.value().unwrap_or_default()),
-                None => Err(XsError::NoEnt(path.to_string())),
-            },
-        }
-    }
-
-    /// Buffers a write inside a transaction.
-    pub fn txn_write(&mut self, who: DomId, txn: u32, path: &str, value: &str) -> Result<()> {
-        let r = self.txn_write_impl(who, txn, path, value);
-        self.note_fail(r)
-    }
-
-    fn txn_write_impl(&mut self, who: DomId, txn: u32, path: &str, value: &str) -> Result<()> {
-        validate(path)?;
-        if !self.may_write(who, path) {
-            return Err(XsError::Denied(path.to_string()));
-        }
-        let t = self.txns.get_mut(&txn).ok_or(XsError::BadTxn(txn))?;
-        t.ops.push(TxnOp::Write {
-            path: path.to_string(),
-            value: value.to_string(),
-        });
-        Ok(())
-    }
-
-    /// Buffers a removal inside a transaction.
-    pub fn txn_rm(&mut self, who: DomId, txn: u32, path: &str) -> Result<()> {
-        let r = self.txn_rm_impl(who, txn, path);
-        self.note_fail(r)
-    }
-
-    fn txn_rm_impl(&mut self, who: DomId, txn: u32, path: &str) -> Result<()> {
-        validate(path)?;
-        if !self.may_write(who, path) {
-            return Err(XsError::Denied(path.to_string()));
-        }
-        let t = self.txns.get_mut(&txn).ok_or(XsError::BadTxn(txn))?;
-        t.ops.push(TxnOp::Rm {
-            path: path.to_string(),
-        });
-        Ok(())
-    }
-
-    /// Commits a transaction: all buffered operations apply atomically,
-    /// each charged as a request, with watches fired afterwards. Commit
-    /// latency feeds the `xs.txn_commit` histogram.
-    pub fn txn_commit(&mut self, who: DomId, txn: u32) -> Result<()> {
-        let start = self.clock.now();
-        let r = self.txn_commit_impl(who, txn);
-        if r.is_ok() {
-            self.trace
-                .record_ns("xs.txn_commit", self.clock.now().since(start).as_ns());
-        }
-        self.note_fail(r)
-    }
-
-    fn txn_commit_impl(&mut self, who: DomId, txn: u32) -> Result<()> {
-        let t = self.txns.remove(&txn).ok_or(XsError::BadTxn(txn))?;
-        let span = self.trace.span("xs.txn_commit");
-        span.attr("ops", t.ops.len());
-        self.clock.advance(self.costs.xs_transaction);
-        let mut touched = Vec::new();
-        for op in t.ops {
-            match op {
-                TxnOp::Write { path, value } => {
-                    self.charge_request();
-                    self.write_unlogged(who, &path, &value);
-                    touched.push(path);
-                }
-                TxnOp::Rm { path } => {
-                    self.charge_request();
-                    self.remove_unlogged(&path);
-                    touched.push(path);
-                }
-            }
-        }
-        for path in touched {
-            self.fire_watches(&path);
-        }
-        Ok(())
-    }
-
-    /// Aborts a transaction, discarding buffered operations.
-    pub fn txn_abort(&mut self, txn: u32) -> Result<()> {
-        let r = self.txns.remove(&txn).map(|_| ()).ok_or(XsError::BadTxn(txn));
-        self.note_fail(r)
-    }
-
-    // ------------------------------------------------------------------
     // Domain management
     // ------------------------------------------------------------------
 
@@ -694,13 +489,11 @@ impl Xenstore {
         self.scrub_stale_backends(domid);
         let mut path = String::with_capacity(DOMAIN_DIR.len() + 18);
         write!(path, "{DOMAIN_DIR}/{}", domid.0).expect("formatting into a String cannot fail");
-        let home = path.len();
         self.mkdir_internal(DomId::DOM0, &path)?;
         if let Some(p) = parent {
             path.push_str("/parent");
             self.write_unlogged(DomId::DOM0, &path, &p.0.to_string());
         }
-        self.fire_watches(&path[..home]);
         Ok(())
     }
 
@@ -711,8 +504,8 @@ impl Xenstore {
     /// inherit its predecessor's stale device nodes — the auditor's
     /// orphan sweep is scoped to live domains and would (rightly) flag
     /// them. Pure bookkeeping folded into the introduce request: no
-    /// extra virtual time, no watch events, and a no-op for fresh ids,
-    /// so figures that never destroy a domain are byte-identical.
+    /// extra virtual time, and a no-op for fresh ids, so figures that
+    /// never destroy a domain are byte-identical.
     fn scrub_stale_backends(&mut self, domid: DomId) {
         for class in self.peek_directory("/local/domain/0/backend") {
             self.remove_unlogged(&format!("/local/domain/0/backend/{class}/{}", domid.0));
@@ -732,7 +525,6 @@ impl Xenstore {
         // count (`xs_per_existing_entry`), so removing them here would
         // drift the determinism-gated CSVs; the device-bus auditor
         // scopes its orphan sweep to live domains accordingly.
-        self.watches.forget_owner(domid);
     }
 
     // ------------------------------------------------------------------
@@ -741,8 +533,7 @@ impl Xenstore {
 
     /// Clones the directory at `parent_path` to `child_path` in a single
     /// request (§5.2.1, Fig. 2). Depending on `op`, values referencing the
-    /// parent domain are rewritten to reference the child. Watches fire
-    /// once for the cloned directory root rather than per entry.
+    /// parent domain are rewritten to reference the child.
     pub fn xs_clone(
         &mut self,
         who: DomId,
@@ -812,7 +603,6 @@ impl Xenstore {
         let (node, below) = self.resolve_mut(child_path);
         let delta = node.graft(below, rewritten, DomId::DOM0);
         self.entry_count = (self.entry_count as i64 + delta).max(0) as u64;
-        self.fire_watches(child_path);
         Ok(())
     }
 
@@ -887,11 +677,6 @@ impl Xenstore {
     pub fn log_rotations(&self) -> u64 {
         self.access_log.rotations()
     }
-
-    /// Lines appended to the access log so far.
-    pub fn log_lines(&self) -> u64 {
-        self.access_log.lines_total()
-    }
 }
 
 #[cfg(test)]
@@ -939,14 +724,8 @@ mod tests {
             xs.rm(DomId::DOM0, "/tool/"),
             Err(XsError::BadPath(_))
         ));
-        assert!(matches!(
-            xs.watch(DomId::DOM0, "t", "/tool/"),
-            Err(XsError::BadPath(_))
-        ));
-        // The root path "/" is still fine (e.g. a watch on everything).
-        xs.watch(DomId::DOM0, "all", "/").unwrap();
-        xs.write(DomId::DOM0, "/tool/x", "1").unwrap();
-        assert_eq!(xs.drain_watch_events().len(), 1);
+        // The root path "/" is still fine.
+        assert!(xs.directory(DomId::DOM0, "/").is_ok());
     }
 
     #[test]
@@ -983,49 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn watches_fire_on_prefix() {
-        let mut xs = xs();
-        xs.watch(DomId::DOM0, "netback", "/local/domain/0/backend/vif").unwrap();
-        xs.write(DomId::DOM0, "/local/domain/0/backend/vif/3/0/state", "1").unwrap();
-        xs.write(DomId::DOM0, "/local/domain/3/device/vif/0/state", "1").unwrap();
-        let evts = xs.drain_watch_events();
-        assert_eq!(evts.len(), 1);
-        assert_eq!(evts[0].token, "netback");
-        assert!(xs.drain_watch_events().is_empty());
-    }
-
-    #[test]
-    fn unwatch_silences() {
-        let mut xs = xs();
-        xs.watch(DomId::DOM0, "t", "/tool").unwrap();
-        xs.unwatch(DomId::DOM0, "t");
-        xs.write(DomId::DOM0, "/tool/x", "1").unwrap();
-        assert!(xs.drain_watch_events().is_empty());
-    }
-
-    #[test]
-    fn transactions_apply_atomically() {
-        let mut xs = xs();
-        let t = xs.txn_start(DomId::DOM0);
-        xs.txn_write(DomId::DOM0, t, "/local/domain/2/a", "1").unwrap();
-        xs.txn_write(DomId::DOM0, t, "/local/domain/2/b", "2").unwrap();
-        assert!(!xs.exists("/local/domain/2/a"), "not visible before commit");
-        xs.txn_commit(DomId::DOM0, t).unwrap();
-        assert_eq!(xs.read(DomId::DOM0, "/local/domain/2/a").unwrap(), "1");
-        assert_eq!(xs.read(DomId::DOM0, "/local/domain/2/b").unwrap(), "2");
-        assert!(matches!(xs.txn_commit(DomId::DOM0, t), Err(XsError::BadTxn(_))));
-    }
-
-    #[test]
-    fn txn_abort_discards() {
-        let mut xs = xs();
-        let t = xs.txn_start(DomId::DOM0);
-        xs.txn_write(DomId::DOM0, t, "/local/domain/2/a", "1").unwrap();
-        xs.txn_abort(t).unwrap();
-        assert!(!xs.exists("/local/domain/2/a"));
-    }
-
-    #[test]
     fn introduce_records_parent() {
         let mut xs = xs();
         xs.introduce_domain(DomId(9), Some(DomId(4))).unwrap();
@@ -1036,10 +772,8 @@ mod tests {
     fn forget_domain_clears_state() {
         let mut xs = xs();
         xs.introduce_domain(DomId(9), None).unwrap();
-        xs.watch(DomId(9), "w", "/local/domain/9").unwrap();
         xs.forget_domain(DomId(9));
         assert!(!xs.exists("/local/domain/9"));
-        assert_eq!(xs.watch_count(), 0);
     }
 
     #[test]
@@ -1121,24 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn xs_clone_fires_single_watch() {
-        let mut xs = xs();
-        xs.write(DomId::DOM0, "/local/domain/3/device/vif/0/state", "4").unwrap();
-        xs.write(DomId::DOM0, "/local/domain/3/device/vif/0/mac", "aa").unwrap();
-        xs.watch(DomId::DOM0, "front", "/local/domain/8").unwrap();
-        xs.xs_clone(
-            DomId::DOM0,
-            XsCloneOp::DevVif,
-            DomId(3),
-            DomId(8),
-            "/local/domain/3/device/vif/0",
-            "/local/domain/8/device/vif/0",
-        )
-        .unwrap();
-        assert_eq!(xs.drain_watch_events().len(), 1, "one event for the whole dir");
-    }
-
-    #[test]
     fn request_cost_scales_with_store_size() {
         let clock = Clock::new();
         let mut xs = Xenstore::new(clock.clone(), Rc::new(CostModel::calibrated()));
@@ -1191,32 +907,6 @@ mod tests {
         let before = xs.resident_bytes();
         xs.write(DomId::DOM0, "/tool/a", "1").unwrap();
         assert!(xs.resident_bytes() > before);
-    }
-
-    #[test]
-    fn txn_read_sees_snapshot_plus_own_writes() {
-        let mut xs = xs();
-        xs.write(DomId::DOM0, "/local/domain/2/a", "old").unwrap();
-        xs.write(DomId::DOM0, "/local/domain/2/b", "keep").unwrap();
-        let t = xs.txn_start(DomId::DOM0);
-        // A non-transactional write after txn_start is invisible inside.
-        xs.write(DomId::DOM0, "/local/domain/2/a", "racing").unwrap();
-        assert_eq!(xs.txn_read(DomId::DOM0, t, "/local/domain/2/a").unwrap(), "old");
-        // The transaction's own buffered ops win over the snapshot.
-        xs.txn_write(DomId::DOM0, t, "/local/domain/2/a", "mine").unwrap();
-        assert_eq!(xs.txn_read(DomId::DOM0, t, "/local/domain/2/a").unwrap(), "mine");
-        xs.txn_rm(DomId::DOM0, t, "/local/domain/2/b").unwrap();
-        assert!(matches!(
-            xs.txn_read(DomId::DOM0, t, "/local/domain/2/b"),
-            Err(XsError::NoEnt(_))
-        ));
-        xs.txn_abort(t).unwrap();
-        assert!(matches!(
-            xs.txn_read(DomId::DOM0, t, "/local/domain/2/a"),
-            Err(XsError::BadTxn(_))
-        ));
-        // Outside the transaction the racing write was preserved.
-        assert_eq!(xs.read(DomId::DOM0, "/local/domain/2/a").unwrap(), "racing");
     }
 
     #[test]
@@ -1344,14 +1034,6 @@ mod tests {
         fn audit_tree() {
             in_scope(|xs| {
                 let _ = xs.audit_tree();
-            });
-        }
-
-        #[test]
-        #[should_panic(expected = "not allowed inside with_home")]
-        fn txn_start() {
-            in_scope(|xs| {
-                xs.txn_start(DomId::DOM0);
             });
         }
 

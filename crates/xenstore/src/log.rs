@@ -14,7 +14,6 @@ pub struct AccessLog {
     enabled: bool,
     rotate_every: u64,
     lines_in_current: u64,
-    lines_total: u64,
     rotations: u64,
 }
 
@@ -25,7 +24,6 @@ impl AccessLog {
             enabled: true,
             rotate_every: rotate_every.max(1),
             lines_in_current: 0,
-            lines_total: 0,
             rotations: 0,
         }
     }
@@ -36,7 +34,6 @@ impl AccessLog {
         if !self.enabled {
             return false;
         }
-        self.lines_total += 1;
         self.lines_in_current += 1;
         if self.lines_in_current >= self.rotate_every {
             self.lines_in_current = 0;
@@ -56,11 +53,6 @@ impl AccessLog {
     pub fn rotations(&self) -> u64 {
         self.rotations
     }
-
-    /// Total lines ever appended.
-    pub fn lines_total(&self) -> u64 {
-        self.lines_total
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +67,6 @@ mod tests {
         assert!(log.append(), "third line rotates");
         assert_eq!(log.rotations(), 1);
         assert!(!log.append());
-        assert_eq!(log.lines_total(), 4);
     }
 
     #[test]
@@ -86,6 +77,5 @@ mod tests {
             assert!(!log.append());
         }
         assert_eq!(log.rotations(), 0);
-        assert_eq!(log.lines_total(), 0);
     }
 }

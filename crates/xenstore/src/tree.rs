@@ -2,10 +2,10 @@
 //!
 //! Nodes are immutable [`Rc<NodeData>`] cells; every mutation path-copies
 //! only the ancestors of the touched node (`Rc::make_mut`), so untouched
-//! subtrees stay shared between the live tree, `xs_clone` grafts and
-//! transaction snapshots. Consequences:
+//! subtrees stay shared between the live tree and `xs_clone` grafts.
+//! Consequences:
 //!
-//! * [`Node::clone`] (and thus a transaction snapshot) is O(1);
+//! * [`Node::clone`] is O(1);
 //! * grafting a subtree ([`Node::graft`]) is O(path-depth), not O(subtree);
 //! * per-node cached entry counts make [`Node::count_entries`] and the
 //!   add/remove accounting of `graft`/`remove` O(1) per level.

@@ -1,13 +1,12 @@
 //! Copy-on-write equivalence: the structurally-shared persistent store
 //! must be observably identical to a naive always-deep-copy reference.
 //!
-//! A random operation tape (write / mkdir / rm / directory / xs_clone /
-//! transaction commit+abort / watch / unwatch, and sub-tapes run inside
-//! [`Xenstore::with_home`]) drives the real [`Xenstore`] and a reference
-//! model that deep-copies every subtree the way the tree worked before
-//! the rewrite and knows no home scope. After every operation the two
-//! must agree on: the operation's result, the stored paths and values,
-//! the queued watch events, the cached entry count, and — crucially —
+//! A random operation tape (write / mkdir / rm / directory / read /
+//! xs_clone, and sub-tapes run inside [`Xenstore::with_home`]) drives the
+//! real [`Xenstore`] and a reference model that deep-copies every subtree
+//! the way the tree worked before the rewrite and knows no home scope.
+//! After every operation the two must agree on: the operation's result,
+//! the stored paths and values, the cached entry count, and — crucially —
 //! the virtual-time charge (both run the calibrated [`CostModel`] on
 //! private clocks, so a divergence in any count the charges derive from
 //! shows up as a clock mismatch).
@@ -19,7 +18,7 @@ use testkit::prop::{check, usizes, u8s, vecs, weighted, Gen};
 
 use sim_core::{Clock, CostModel, DomId};
 use xenstore::log::AccessLog;
-use xenstore::{WatchEvent, XsCloneOp, Xenstore};
+use xenstore::{XsCloneOp, Xenstore};
 
 // ---------------------------------------------------------------------
 // Reference model: the pre-rewrite eager tree + daemon charging logic.
@@ -146,21 +145,11 @@ impl RefNode {
     }
 }
 
-#[derive(Debug, Clone)]
-enum RefTxnOp {
-    Write { path: String, value: String },
-    Rm { path: String },
-}
-
-/// The reference daemon: naive tree, linear watch scan, identical charges.
+/// The reference daemon: naive tree, identical charges.
 struct RefStore {
     clock: Clock,
     costs: Rc<CostModel>,
     root: RefNode,
-    watches: Vec<(DomId, String, String)>,
-    fired: Vec<WatchEvent>,
-    txns: BTreeMap<u32, Vec<RefTxnOp>>,
-    next_txn: u32,
     access_log: AccessLog,
     entry_count: u64,
 }
@@ -171,10 +160,6 @@ impl RefStore {
             clock,
             costs,
             root: RefNode::dir(),
-            watches: Vec::new(),
-            fired: Vec::new(),
-            txns: BTreeMap::new(),
-            next_txn: 1,
             access_log: AccessLog::new(3000),
             entry_count: 0,
         };
@@ -198,34 +183,14 @@ impl RefStore {
         }
     }
 
-    fn fire_watches(&mut self, path: &str) {
-        self.clock.advance(
-            self.costs
-                .xs_watch_match
-                .saturating_mul(self.watches.len() as u64),
-        );
-        let mut hits = Vec::new();
-        for (_, token, prefix) in &self.watches {
-            if path == prefix || path.starts_with(&format!("{prefix}/")) {
-                hits.push(WatchEvent { token: token.clone(), path: path.to_string() });
-            }
-        }
-        for h in hits {
-            self.clock.advance(self.costs.xs_watch_fire);
-            self.fired.push(h);
-        }
-    }
-
     fn write(&mut self, path: &str, value: &str) {
         self.charge_request();
         self.entry_count += self.root.insert(path, value);
-        self.fire_watches(path);
     }
 
     fn mkdir(&mut self, path: &str) {
         self.charge_request();
         self.entry_count += self.root.mkdir(path);
-        self.fire_watches(path);
     }
 
     fn rm(&mut self, path: &str) -> bool {
@@ -233,7 +198,6 @@ impl RefStore {
         match self.root.remove(path) {
             Some(removed) => {
                 self.entry_count -= removed;
-                self.fire_watches(path);
                 true
             }
             None => false,
@@ -252,70 +216,6 @@ impl RefStore {
         self.root
             .get(path)
             .map(|n| n.value.clone().unwrap_or_default())
-    }
-
-    fn watch(&mut self, who: DomId, token: &str, prefix: &str) {
-        self.charge_request();
-        self.watches.push((
-            who,
-            token.to_string(),
-            prefix.trim_end_matches('/').to_string(),
-        ));
-    }
-
-    fn unwatch(&mut self, who: DomId, token: &str) {
-        self.charge_request();
-        self.watches.retain(|(o, t, _)| !(*o == who && t == token));
-    }
-
-    fn txn_start(&mut self) -> u32 {
-        self.clock.advance(self.costs.xs_transaction);
-        let id = self.next_txn;
-        self.next_txn += 1;
-        self.txns.insert(id, Vec::new());
-        id
-    }
-
-    fn txn_write(&mut self, txn: u32, path: &str, value: &str) {
-        self.txns.get_mut(&txn).expect("tape only uses live txns").push(
-            RefTxnOp::Write { path: path.to_string(), value: value.to_string() },
-        );
-    }
-
-    fn txn_rm(&mut self, txn: u32, path: &str) {
-        self.txns
-            .get_mut(&txn)
-            .expect("tape only uses live txns")
-            .push(RefTxnOp::Rm { path: path.to_string() });
-    }
-
-    fn txn_commit(&mut self, txn: u32) {
-        let ops = self.txns.remove(&txn).expect("tape only uses live txns");
-        self.clock.advance(self.costs.xs_transaction);
-        let mut touched = Vec::new();
-        for op in ops {
-            match op {
-                RefTxnOp::Write { path, value } => {
-                    self.charge_request();
-                    self.entry_count += self.root.insert(&path, &value);
-                    touched.push(path);
-                }
-                RefTxnOp::Rm { path } => {
-                    self.charge_request();
-                    if let Some(removed) = self.root.remove(&path) {
-                        self.entry_count -= removed;
-                    }
-                    touched.push(path);
-                }
-            }
-        }
-        for path in touched {
-            self.fire_watches(&path);
-        }
-    }
-
-    fn txn_abort(&mut self, txn: u32) {
-        self.txns.remove(&txn);
     }
 
     fn xs_clone(&mut self, op: XsCloneOp, parent: DomId, child: DomId, from: &str, to: &str) -> bool {
@@ -340,7 +240,6 @@ impl RefStore {
         };
         let delta = self.root.graft(to, rewritten);
         self.entry_count = (self.entry_count as i64 + delta).max(0) as u64;
-        self.fire_watches(to);
         true
     }
 
@@ -371,11 +270,8 @@ enum Op {
     Dir { path_idx: usize },
     Read { path_idx: usize },
     Clone { op_idx: usize, from_dom: usize, to_dom: usize },
-    Watch { path_idx: usize, tok: u8 },
-    Unwatch { tok: u8 },
-    TxnRun { writes: Vec<(usize, u8)>, rm: Option<usize>, commit: bool },
-    /// Runs the requests of `sub` (no watches or transactions) inside a
-    /// home scope on one domain; the reference runs them unscoped.
+    /// Runs the requests of `sub` inside a home scope on one domain; the
+    /// reference runs them unscoped.
     InHome {
         dom: usize,
         sub: Vec<Op>,
@@ -413,8 +309,7 @@ fn value_for(dom: u32, val: u8) -> String {
     }
 }
 
-/// The requests a home scope may run: every op but watches and
-/// transactions.
+/// The requests a home scope may run: every op but a nested scope.
 fn request_strategy() -> impl Gen<Value = Op> {
     weighted(vec![
         (6, (usizes(), u8s()).map(|(path_idx, val)| Op::Write { path_idx, val }).boxed()),
@@ -431,18 +326,6 @@ fn request_strategy() -> impl Gen<Value = Op> {
 fn op_strategy() -> impl Gen<Value = Op> {
     weighted(vec![
         (18, request_strategy().boxed()),
-        (2, (usizes(), u8s()).map(|(path_idx, tok)| Op::Watch { path_idx, tok }).boxed()),
-        (1, u8s().map(|tok| Op::Unwatch { tok }).boxed()),
-        (
-            2,
-            (vecs((usizes(), u8s()), 0..4), usizes(), u8s())
-                .map(|(writes, rm_idx, commit)| Op::TxnRun {
-                    writes,
-                    rm: if commit % 3 == 0 { Some(rm_idx) } else { None },
-                    commit: commit % 2 == 0,
-                })
-                .boxed(),
-        ),
         (
             3,
             (usizes(), vecs(request_strategy(), 1..12))
@@ -516,40 +399,6 @@ fn apply(op: Op, xs: &mut Xenstore, rf: &mut RefStore, clocks: (&Clock, &Clock),
             let b = rf.xs_clone(cop, DomId(p), DomId(c), &from, &to);
             assert_eq!(a, b, "xs_clone {from} -> {to} at step {step}");
         }
-        Op::Watch { path_idx, tok } => {
-            let path = &all[path_idx % all.len()];
-            let token = format!("t{}", tok % 8);
-            xs.watch(DomId::DOM0, &token, path).unwrap();
-            rf.watch(DomId::DOM0, &token, path);
-        }
-        Op::Unwatch { tok } => {
-            let token = format!("t{}", tok % 8);
-            xs.unwatch(DomId::DOM0, &token);
-            rf.unwatch(DomId::DOM0, &token);
-        }
-        Op::TxnRun { writes, rm, commit } => {
-            let ta = xs.txn_start(DomId::DOM0);
-            let tb = rf.txn_start();
-            for (path_idx, val) in &writes {
-                let path = &all[path_idx % all.len()];
-                let dom = dom_ids[path_idx % dom_ids.len()];
-                let v = value_for(dom, *val);
-                xs.txn_write(DomId::DOM0, ta, path, &v).unwrap();
-                rf.txn_write(tb, path, &v);
-            }
-            if let Some(path_idx) = rm {
-                let path = &all[path_idx % all.len()];
-                xs.txn_rm(DomId::DOM0, ta, path).unwrap();
-                rf.txn_rm(tb, path);
-            }
-            if commit {
-                xs.txn_commit(DomId::DOM0, ta).unwrap();
-                rf.txn_commit(tb);
-            } else {
-                xs.txn_abort(ta).unwrap();
-                rf.txn_abort(tb);
-            }
-        }
         Op::InHome { dom, sub } => {
             let home = DomId(dom_ids[dom % dom_ids.len()]);
             xs.with_home(home, |xs| {
@@ -562,23 +411,18 @@ fn apply(op: Op, xs: &mut Xenstore, rf: &mut RefStore, clocks: (&Clock, &Clock),
     }
 }
 
-/// Both stores hold the same paths and values, queued the same watch
-/// events, count the same entries and charged the same virtual time.
+/// Both stores hold the same paths and values, count the same entries
+/// and charged the same virtual time.
 /// Reads only uncharged introspection; inside a scope on `home` it skips
 /// the home's ancestors, whose subtrees are incomplete there.
 fn agree(
-    xs: &mut Xenstore,
-    rf: &mut RefStore,
+    xs: &Xenstore,
+    rf: &RefStore,
     (clock_a, clock_b): (&Clock, &Clock),
     home: Option<DomId>,
     step: usize,
 ) {
     let home = home.map(|d| format!("/local/domain/{}/", d.0));
-    assert_eq!(
-        xs.drain_watch_events(),
-        std::mem::take(&mut rf.fired),
-        "watch events diverged at step {step}"
-    );
     assert_eq!(
         xs.entry_count(),
         rf.entry_count,
@@ -620,7 +464,7 @@ fn cow_store_matches_deep_copy_reference() {
 
         for (step, op) in ops.into_iter().enumerate() {
             apply(op, &mut xs, &mut rf, (&clock_a, &clock_b), step);
-            agree(&mut xs, &mut rf, (&clock_a, &clock_b), None, step);
+            agree(&xs, &rf, (&clock_a, &clock_b), None, step);
         }
 
         // Final checks: the persistent tree's cached accounting is

@@ -12,7 +12,7 @@ use nephele::{Platform, PlatformConfig};
 fn main() {
     // A full virtualization platform: hypervisor, Xenstore, device
     // backends, toolstack and the xencloned daemon.
-    let mut platform = Platform::new(PlatformConfig::builder().cores(4).build());
+    let mut platform = Platform::new(PlatformConfig::default());
 
     // Boot a 4 MiB unikernel with one network interface, allowed to clone.
     let config = DomainConfig::builder("demo")

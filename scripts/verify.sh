@@ -195,6 +195,12 @@ awk -v base="$(reset_median scripts/bench_baselines/BENCH_clone_reset.json)" \
     }
 }'
 
+echo "== cargo bench -p bench --bench xenstore_ops --offline (Xenstore requests and xs_clone)"
+# Run before the gate so that BENCH_xenstore_ops.json holds fresh
+# medians rather than the committed copy the gate would compare with its
+# own baseline.
+cargo bench -p bench --bench xenstore_ops --offline
+
 echo "== scripts/bench_gate.sh (medians vs checked-in baselines)"
 scripts/bench_gate.sh
 
@@ -204,12 +210,12 @@ if scripts/bench_gate.sh scripts/fixtures/regressed >/dev/null 2>&1; then
     exit 1
 fi
 
-echo "== figure determinism gate (fig4/fig5/fig6/fig7/fig9 CSVs must be byte-identical)"
+echo "== figure determinism gate (every committed figure CSV must be byte-identical)"
 # Neither the COW Xenstore, the p2m overlay rework, nor the device-bus
-# dispatch may perturb any virtual-time figure: re-run the key figures
-# with the committed seeds and diff stdout against the checked-in CSVs.
-# fig4/fig7 embed span aggregates, so they reproduce only with tracing
-# enabled; fig5/fig6/fig9 run without it.
+# dispatch may perturb any virtual-time figure: re-run every figure and
+# the ablation with the committed seeds and diff stdout against the
+# checked-in CSVs. fig4/fig7/fig8 embed span aggregates, so they
+# reproduce only with tracing enabled; the rest run without it.
 detgate() {
     local fig="$1" trace="$2" out
     out="$(mktemp)"
@@ -249,8 +255,12 @@ detgate fig4 trace
 detgate fig5 notrace
 detgate fig6 notrace
 detgate fig7 trace
+detgate fig8 trace
 detgate fig9 notrace
+detgate fig10 notrace
 detgate fig10scale notrace
+detgate fig11 notrace
+detgate ablation notrace
 
 echo "== scale100k (10^5 concurrently live clones, churn, and policy replay must complete)"
 # The acceptance run for the density work: ramping to 100 000 live

@@ -53,6 +53,32 @@ fn bond_and_ovs_both_serve_every_flow() {
     assert_eq!(run_family_udp(MuxKind::Ovs), 24);
 }
 
+/// xencloned charges each clone vif the cost of joining the host's own
+/// mux: a bond enslave, or a bucket added to an OVS select group.
+#[test]
+fn a_clone_vif_pays_its_own_muxs_join_cost() {
+    let clone_time = |mux: MuxKind| {
+        let mut p = Platform::new(
+            PlatformConfig::builder()
+                .guest_pool_mib(256)
+                .ring_capacity(128)
+                .mux(mux)
+                .build(),
+        );
+        let parent = p
+            .launch_plain(&cfg("echo"), &KernelImage::minios("echo"))
+            .unwrap();
+        let t0 = p.clock.now();
+        p.clone_domain(parent, 1).unwrap();
+        p.clock.now().since(t0)
+    };
+    let costs = &PlatformConfig::default().costs;
+    assert_eq!(
+        clone_time(MuxKind::Ovs),
+        clone_time(MuxKind::Bond) + (costs.ovs_group_add - costs.bond_enslave)
+    );
+}
+
 /// A four-member family in `mux` loses one member through `kill`; the
 /// survivors must still answer every one of 24 flows, and the audit
 /// must stay clean.
