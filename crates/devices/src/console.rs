@@ -80,6 +80,11 @@ impl ConsoleBackend {
         self.outputs.remove(&dom.0);
     }
 
+    /// The domains with console state, in id order.
+    pub fn attached(&self) -> impl Iterator<Item = DomId> + '_ {
+        self.rings.keys().map(|&d| DomId(d))
+    }
+
     /// Number of attached consoles.
     pub fn attached_count(&self) -> usize {
         self.rings.len()

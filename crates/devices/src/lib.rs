@@ -18,10 +18,12 @@
 //!   state directly in the Connected state, and reuses backend processes
 //!   across the clone family.
 //!
-//! Each live device also registers itself on the [`bus::DeviceBus`] as a
-//! [`bus::CloneDevice`], declaring its clone heuristic as a typed
-//! [`bus::CloneSemantics`] value; the `xencloned` second stage dispatches
-//! through the bus rather than enumerating device classes by hand.
+//! The manager's per-class state is the one registry of live devices.
+//! [`DeviceManager::devices`] lists a domain's devices from it as
+//! [`bus::DeviceId`]s in `(class, devid)` order, and
+//! [`DeviceManager::clone_device`] clones one by its class's
+//! [`bus::CloneSemantics`]; the `xencloned` second stage loops over the
+//! one and calls the other.
 //!
 //! The network side is event-driven, as netback is in Xen: the manager
 //! keeps the set of vifs with queued TX packets and the set with queued
@@ -56,9 +58,7 @@ use sim_core::{Clock, CostModel, DomId, Pfn, TraceSink};
 use xenstore::{XsCloneOp, XsError, Xenstore};
 
 use crate::block::{Sector, Vbd, VbdSharing, SECTOR_SIZE};
-use crate::bus::{
-    BlockDev, CloneDevice, ConsoleDev, DeviceBus, P9fsDev, UsbDev, VifDev, VsockDev,
-};
+use crate::bus::{DeviceClass, DeviceId};
 use crate::console::ConsoleBackend;
 use crate::memfs::MemFs;
 use crate::net::{Vif, RX_RING_SLOTS, TX_RING_SLOTS};
@@ -223,7 +223,6 @@ pub struct DeviceManager {
     vbds: BTreeMap<(u32, u32), Vbd>,
     vsocks: HashMap<u32, VsockConn>,
     usbs: BTreeMap<(u32, u32), UsbPassthrough>,
-    bus: DeviceBus,
     trace: TraceSink,
 }
 
@@ -249,20 +248,133 @@ impl DeviceManager {
             vbds: BTreeMap::new(),
             vsocks: HashMap::new(),
             usbs: BTreeMap::new(),
-            bus: DeviceBus::new(),
             trace: TraceSink::default(),
         }
     }
 
-    /// The device bus: every live device's identity and clone semantics.
-    pub fn bus(&self) -> &DeviceBus {
-        &self.bus
+    /// The devices `owner` holds, in `(class, devid)` order — the
+    /// second stage's dispatch order (console, vifs, 9pfs, vbds, vsock,
+    /// USB) — read from the per-class state itself.
+    pub fn devices(&self, owner: DomId) -> Vec<DeviceId> {
+        let d = owner.0;
+        let one = |held: bool| if held { vec![(d, 0)] } else { Vec::new() };
+        [
+            (DeviceClass::Console, one(self.console.is_attached(owner))),
+            (DeviceClass::Vif, Self::owned_range(&self.vifs, owner)),
+            (DeviceClass::P9fs, one(self.served_by.contains_key(&d))),
+            (DeviceClass::Vbd, Self::owned_range(&self.vbds, owner)),
+            (DeviceClass::Vsock, one(self.vsocks.contains_key(&d))),
+            (DeviceClass::Usb, Self::owned_range(&self.usbs, owner)),
+        ]
+        .into_iter()
+        .flat_map(|(class, keys)| keys.into_iter().map(move |(_, i)| DeviceId::new(class, i)))
+        .collect()
     }
 
-    /// The devices `owner` holds, sorted by `(class, devid)` — the
-    /// canonical second-stage dispatch order (console, vifs, 9pfs, ...).
-    pub fn bus_devices(&self, owner: DomId) -> Vec<std::rc::Rc<dyn CloneDevice>> {
-        self.bus.devices(owner)
+    /// Every device on the host as `(owner, id)`, in `(owner, class,
+    /// devid)` order: each owner's run is its [`devices`](Self::devices)
+    /// list.
+    pub fn all_devices(&self) -> Vec<(DomId, DeviceId)> {
+        let single = |class| move |&d: &u32| (DomId(d), DeviceId::new(class, 0));
+        let keyed = |class| move |&(d, i): &(u32, u32)| (DomId(d), DeviceId::new(class, i));
+        let mut all: Vec<_> = self
+            .console
+            .attached()
+            .map(|d| (d, DeviceId::new(DeviceClass::Console, 0)))
+            .chain(self.vifs.keys().map(keyed(DeviceClass::Vif)))
+            .chain(self.served_by.keys().map(single(DeviceClass::P9fs)))
+            .chain(self.vbds.keys().map(keyed(DeviceClass::Vbd)))
+            .chain(self.vsocks.keys().map(single(DeviceClass::Vsock)))
+            .chain(self.usbs.keys().map(keyed(DeviceClass::Usb)))
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// The invariants `owner`'s device `id` keeps in its own state, one
+    /// line per violation (audit invariant 11): a vif stays connected, a
+    /// vbd's overlay canonical, a vsock connected on its deterministic
+    /// port, and a USB device attached and alone on its busid.
+    pub fn audit_device(&self, owner: DomId, id: DeviceId) -> Vec<String> {
+        let (dom, devid) = (owner, id.devid);
+        let mut bad = Vec::new();
+        match id.class {
+            DeviceClass::Console | DeviceClass::P9fs => {}
+            DeviceClass::Vif => {
+                if self.vif(dom, devid).is_some_and(|v| !v.is_connected()) {
+                    bad.push(format!("vif {dom}/{devid} is not connected"));
+                }
+            }
+            DeviceClass::Vbd => {
+                if self
+                    .vbd(dom, devid)
+                    .is_some_and(|v| !v.overlay_is_canonical())
+                {
+                    bad.push(format!(
+                        "vbd {dom}/{devid} overlay is not canonical (entry equal to the base image)"
+                    ));
+                }
+            }
+            DeviceClass::Vsock => match self.vsock(dom) {
+                Some(c) if !c.connected => bad.push(format!("vsock of {dom} is disconnected")),
+                Some(c) if c.port != crate::vsock::vsock_port_for(dom) => bad.push(format!(
+                    "vsock of {dom} on non-deterministic port {} (expected {})",
+                    c.port,
+                    crate::vsock::vsock_port_for(dom)
+                )),
+                _ => {}
+            },
+            DeviceClass::Usb => {
+                if let Some(u) = self.usb(dom, devid) {
+                    if !u.attached {
+                        bad.push(format!("usb {dom}/{devid} is detached"));
+                    }
+                    if !self.usb_busid_exclusive(&u.busid, dom, devid) {
+                        bad.push(format!(
+                            "usb busid {} held by more than one domain (exclusive assignment \
+                             violated)",
+                            u.busid
+                        ));
+                    }
+                }
+            }
+        }
+        bad
+    }
+
+    /// Clones `parent`'s device `id` for `child` by its class's clone
+    /// heuristic (§4.2), returning the host interface a cloned vif
+    /// brought up.
+    #[allow(clippy::too_many_arguments)]
+    pub fn clone_device(
+        &mut self,
+        hv: &mut Hypervisor,
+        xs: &mut Xenstore,
+        udev: &mut UdevBus,
+        parent: DomId,
+        child: DomId,
+        id: DeviceId,
+        deep_copy: bool,
+    ) -> Result<Option<IfaceId>> {
+        match id.class {
+            DeviceClass::Console => self.clone_console_impl(hv, xs, parent, child, deep_copy)?,
+            DeviceClass::Vif => {
+                let iface =
+                    self.clone_vif_impl(hv, xs, udev, parent, child, id.devid, deep_copy)?;
+                return Ok(Some(iface));
+            }
+            DeviceClass::P9fs => {
+                self.clone_9pfs_impl(xs, parent, child, deep_copy)?;
+            }
+            DeviceClass::Vbd => {
+                self.clone_vbd_impl(xs, parent, child, id.devid, deep_copy)?;
+            }
+            DeviceClass::Vsock => {
+                self.clone_vsock_impl(hv, xs, parent, child, deep_copy)?;
+            }
+            DeviceClass::Usb => self.clone_usb_detach_impl(parent, child, id.devid)?,
+        }
+        Ok(None)
     }
 
     /// Attaches a trace sink (disabled by default); device-clone spans and
@@ -303,12 +415,11 @@ impl DeviceManager {
         xs.write(DomId::DOM0, &format!("{dir}/output"), "pty")?;
         self.clock.advance(self.costs.console_attach);
         self.console.attach(dom, ring_pfn);
-        self.bus.register(Rc::new(ConsoleDev { dom }));
         Ok(())
     }
 
     /// Clone-path console setup, reached through
-    /// [`bus::ConsoleDev::clone_into`]: only the Xenstore entries are
+    /// [`clone_device`](Self::clone_device): only the Xenstore entries are
     /// cloned; the managing process picks the change up via its watch and
     /// creates the child state with a fresh ring (§4.2, §5.2.1).
     pub(crate) fn clone_console_impl(
@@ -336,7 +447,6 @@ impl DeviceManager {
         let ring_pfn = hv.domain(child)?.console_pfn;
         self.clock.advance(self.costs.console_attach);
         self.console.attach_clone(parent, child, ring_pfn);
-        self.bus.register(Rc::new(ConsoleDev { dom: child }));
         Ok(())
     }
 
@@ -421,13 +531,12 @@ impl DeviceManager {
             back_port,
         };
         self.insert_vif(vif);
-        self.bus.register(Rc::new(VifDev { dom, devid: cfg.devid }));
         self.clock.advance(self.costs.udev_event);
         udev.emit(UdevEvent::VifCreated { dom, devid: cfg.devid });
         Ok(iface)
     }
 
-    /// Clone-path vif setup, reached through [`bus::VifDev::clone_into`]:
+    /// Clone-path vif setup, reached through [`clone_device`](Self::clone_device):
     /// Xenstore state is cloned (via `xs_clone` or a deep per-entry copy),
     /// the backend shortcuts the negotiation and the rings are copied.
     /// Emits the udev event that prompts userspace to enslave the new
@@ -468,7 +577,6 @@ impl DeviceManager {
         let iface = self.alloc_iface();
         let vif = self.vifs[&(parent.0, devid)].clone_for_child(child, iface, guest_port, back_port);
         self.insert_vif(vif);
-        self.bus.register(Rc::new(VifDev { dom: child, devid }));
         self.clock.advance(self.costs.udev_event);
         udev.emit(UdevEvent::VifCreated { dom: child, devid });
         Ok(iface)
@@ -482,14 +590,6 @@ impl DeviceManager {
     /// Total vifs registered.
     pub fn vif_count(&self) -> usize {
         self.vifs.len()
-    }
-
-    /// All `(domain, devid)` vif keys, sorted (the map's key order). For
-    /// full walks such as the auditor's; the event loop visits only the
-    /// pending sets ([`tx_pending`](Self::tx_pending),
-    /// [`rx_pending`](Self::rx_pending)).
-    pub fn all_vif_keys(&self) -> Vec<(DomId, u32)> {
-        self.vifs.keys().map(|(d, i)| (DomId(*d), *i)).collect()
     }
 
     /// The vifs with queued TX packets, in key order: a snapshot the
@@ -762,11 +862,10 @@ impl DeviceManager {
         );
         self.qemus.insert(pid, QemuProcess::launch(pid, dom, export_root));
         self.served_by.insert(dom.0, pid);
-        self.bus.register(Rc::new(P9fsDev { dom }));
         Ok(())
     }
 
-    /// Clone-path 9pfs setup, reached through [`bus::P9fsDev::clone_into`]:
+    /// Clone-path 9pfs setup, reached through [`clone_device`](Self::clone_device):
     /// Xenstore state cloned, then a QMP request to the *parent's existing*
     /// backend process duplicates the fid table — no new process is
     /// launched (§5.2.1).
@@ -798,7 +897,6 @@ impl DeviceManager {
         self.clock
             .advance(self.costs.qmp_clone_per_fid.saturating_mul(fids as u64));
         span.attr("fids", fids);
-        self.bus.register(Rc::new(P9fsDev { dom: child }));
         Ok(fids)
     }
 
@@ -857,11 +955,10 @@ impl DeviceManager {
         }
         self.clock.advance(self.costs.backend_create);
         self.vbds.insert((dom.0, devid), Vbd::new(dom, devid, sectors));
-        self.bus.register(Rc::new(BlockDev { dom, devid }));
         Ok(())
     }
 
-    /// The vbd clone implementation ([`bus::BlockDev::clone_into`]
+    /// The vbd clone implementation ([`clone_device`](Self::clone_device)
     /// dispatches here): Xenstore state cloned, then an O(1) structural
     /// snapshot of the parent's base image and current overlay — the
     /// [`bus::CloneSemantics::CowOverlay`] heuristic. Returns the number
@@ -897,7 +994,6 @@ impl DeviceManager {
         let inherited = vbd.overlay_len() as u64;
         span.attr("inherited", inherited);
         self.vbds.insert((child.0, devid), vbd);
-        self.bus.register(Rc::new(BlockDev { dom: child, devid }));
         Ok(inherited)
     }
 
@@ -1005,11 +1101,10 @@ impl DeviceManager {
         hv.evtchn_connect_pair(dom, DomId::DOM0)?;
         self.clock.advance(self.costs.vsock_connect);
         self.vsocks.insert(dom.0, VsockConn::connect(dom));
-        self.bus.register(Rc::new(VsockDev { dom }));
         Ok(())
     }
 
-    /// The vsock clone implementation ([`bus::VsockDev::clone_into`]
+    /// The vsock clone implementation ([`clone_device`](Self::clone_device)
     /// dispatches here): registry state is cloned, but the transport is a
     /// *fresh* connection on the child's deterministically reallocated
     /// port — the [`bus::CloneSemantics::Reconnect`] heuristic. Returns
@@ -1049,7 +1144,6 @@ impl DeviceManager {
         self.clock.advance(self.costs.vsock_connect);
         span.attr("port", port);
         self.vsocks.insert(child.0, conn);
-        self.bus.register(Rc::new(VsockDev { dom: child }));
         Ok(port)
     }
 
@@ -1101,13 +1195,12 @@ impl DeviceManager {
         }
         self.clock.advance(self.costs.usb_attach);
         self.usbs.insert((dom.0, devid), UsbPassthrough::attach(dom, devid, busid));
-        self.bus.register(Rc::new(UsbDev { dom, devid }));
         Ok(())
     }
 
-    /// The USB clone step ([`bus::UsbDev::clone_into`] dispatches here):
-    /// the physical device is exclusive, so the child comes up *without*
-    /// it — no Xenstore state, no backend state, no bus registration —
+    /// The USB clone step ([`clone_device`](Self::clone_device) dispatches
+    /// here): the physical device is exclusive, so the child comes up
+    /// *without* it — no Xenstore state, no backend state —
     /// while the parent keeps it attached. This is the whole of
     /// [`bus::CloneSemantics::DetachOnClone`].
     pub(crate) fn clone_usb_detach_impl(
@@ -1220,7 +1313,6 @@ impl DeviceManager {
         for key in Self::owned_range(&self.usbs, dom) {
             self.usbs.remove(&key);
         }
-        self.bus.forget_domain(dom);
     }
 
     /// The `(owner, devid)` keys `dom` holds in a device map — one
@@ -1543,21 +1635,67 @@ mod tests {
     }
 
     #[test]
-    fn bus_reflects_boot_and_clone_registrations() {
+    fn device_list_follows_the_state_in_class_order() {
+        use bus::DeviceClass::{Console, P9fs, Usb, Vbd, Vif, Vsock};
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
-        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export").unwrap();
-        let classes: Vec<bus::DeviceClass> =
-            dm.bus_devices(dom).iter().map(|d| d.id().class).collect();
-        assert_eq!(
-            classes,
-            vec![bus::DeviceClass::Console, bus::DeviceClass::Vif, bus::DeviceClass::P9fs],
-            "dispatch order is console, vif, 9pfs"
-        );
+        dm.setup_usb_boot(&mut xs, dom, 0, "1-1.4").unwrap();
+        dm.setup_vsock_boot(&mut hv, &mut xs, dom).unwrap();
+        dm.setup_vbd_boot(&mut xs, dom, 1, 8).unwrap();
+        dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export")
+            .unwrap();
+        dm.setup_vif_boot(
+            &mut hv,
+            &mut xs,
+            &mut udev,
+            dom,
+            VifConfig {
+                devid: 1,
+                ..vif_cfg()
+            },
+        )
+        .unwrap();
+        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg())
+            .unwrap();
+        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom)
+            .unwrap();
+        let every: Vec<DeviceId> = [
+            (Console, 0),
+            (Vif, 0),
+            (Vif, 1),
+            (P9fs, 0),
+            (Vbd, 1),
+            (Vsock, 0),
+            (Usb, 0),
+        ]
+        .into_iter()
+        .map(|(class, devid)| DeviceId::new(class, devid))
+        .collect();
+        assert_eq!(dm.devices(dom), every, "dispatch order is (class, devid)");
+
+        // A child cloned device by device holds everything but the USB
+        // device, which detaches on clone.
+        let child = hv.create_domain("child", 4, 1).unwrap();
+        for id in dm.devices(dom) {
+            dm.clone_device(&mut hv, &mut xs, &mut udev, dom, child, id, false)
+                .unwrap();
+        }
+        assert_eq!(dm.devices(child), every[..every.len() - 1]);
+        let owned: Vec<(DomId, DeviceId)> = every
+            .iter()
+            .map(|&id| (dom, id))
+            .chain(dm.devices(child).into_iter().map(|id| (child, id)))
+            .collect();
+        assert_eq!(dm.all_devices(), owned);
+
         udev.drain();
-        dm.forget_domain(&mut udev, dom);
-        assert!(dm.bus().is_empty(), "forget_domain clears bus registrations");
+        for d in [dom, child] {
+            dm.forget_domain(&mut udev, d);
+            assert!(
+                dm.devices(d).is_empty(),
+                "forget_domain leaves no device of {d}"
+            );
+        }
+        assert!(dm.all_devices().is_empty());
     }
 
     #[test]
@@ -1617,7 +1755,10 @@ mod tests {
         dm.clone_usb_detach_impl(dom, child, 0).unwrap();
         assert!(dm.usb(child, 0).is_none(), "child comes up without the device");
         assert!(dm.usb(dom, 0).unwrap().attached, "parent keeps it");
-        assert!(!dm.bus().contains(child, bus::DeviceId::new(bus::DeviceClass::Usb, 0)));
+        assert!(
+            dm.devices(child).is_empty(),
+            "the child lists no USB device"
+        );
         assert!(dm.usb_busid_exclusive("1-1.4", dom, 0));
     }
 }

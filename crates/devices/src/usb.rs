@@ -3,11 +3,11 @@
 //! A passed-through USB device is a *physical* resource identified by
 //! its host bus id (e.g. `1-1.4`). Exactly one domain may hold it at a
 //! time — there is no way to duplicate a scanner. This is the device
-//! class the unikernel-security survey motivates and the one the old
-//! enum-of-three second stage simply could not express: its clone
-//! heuristic is [`crate::bus::CloneSemantics::DetachOnClone`] — the
-//! child comes up *without* the device (no Xenstore state, no backend
-//! state, no rings) while the parent keeps it attached.
+//! class the unikernel-security survey motivates. Its clone heuristic is
+//! [`crate::bus::CloneSemantics::DetachOnClone`]: the child comes up
+//! *without* the device (no Xenstore state, no backend state, no rings,
+//! so its device list names no USB device) while the parent keeps it
+//! attached.
 
 use sim_core::DomId;
 

@@ -5,10 +5,10 @@
 //! *stateful in the host endpoint* — sequence numbers, socket buffers —
 //! so cloning cannot copy it the way vif rings are copied: the child
 //! would alias the parent's connection. Instead the device follows the
-//! [`crate::bus::CloneSemantics::Reconnect`] heuristic (the same class
-//! as the console): the child's registry state is cloned, but the
-//! transport is a *fresh* connection on a deterministically reallocated
-//! port, with none of the parent's in-flight data inherited.
+//! [`crate::bus::CloneSemantics::Reconnect`] heuristic (the console's
+//! too): the child's Xenstore entries are cloned, but the transport is
+//! a *fresh* connection on a deterministically reallocated port, with
+//! none of the parent's in-flight data inherited.
 //!
 //! Port allocation is a pure function of the domain id
 //! ([`vsock_port_for`]), keeping clone batches reproducible regardless

@@ -531,8 +531,8 @@ impl Hypervisor {
                 .advance(self.costs().clone_private_page.saturating_mul(private_count));
         }
 
-        // Event channels: replicate, then rewrite the IDC ports so the
-        // fan-out map reaches this child.
+        // Event channels: replicate, then rewrite the IDC ports to name
+        // the parent, which binds this child to their fan-out.
         let mut evtchn = parent.evtchn.clone_for_child();
         for &port in &parent.idc_ports {
             evtchn
@@ -589,9 +589,6 @@ impl Hypervisor {
             evtchn,
             checkpoint: None,
         });
-        for &port in &parent.idc_ports {
-            self.bind_child_channel(parent.id, port, child_id, port);
-        }
         CloneNotification {
             parent: parent.id,
             parent_serial: parent.serial,
@@ -1294,6 +1291,56 @@ mod tests {
             Ok(CloneOpResult::Cloned(c)) => c[0],
             other => panic!("clone of {target} failed: {other:?}"),
         }
+    }
+
+    /// Sends on `sender`'s `port` and returns the domains it reached, in
+    /// delivery order.
+    fn fan_out(hv: &mut Hypervisor, sender: DomId, port: Port) -> Vec<DomId> {
+        hv.drain_events();
+        hv.send_event(sender, port).unwrap();
+        hv.drain_events()
+            .into_iter()
+            .filter(|e| e.port == port && !e.dom.is_dom0())
+            .map(|e| e.dom)
+            .collect()
+    }
+
+    #[test]
+    fn child_port_reaches_the_children_born_after_it_in_birth_order() {
+        let mut hv = hv();
+        let p = cloneable_guest(&mut hv, 8);
+        let early = do_clone(&mut hv, p, 1)[0];
+        let port = hv.evtchn_alloc_idc(p).unwrap();
+        // The early child holds a channel of its own at that port number.
+        let (early_port, _) = hv.evtchn_connect_pair(early, DomId::DOM0).unwrap();
+        assert_eq!(early_port, port);
+        let late = do_clone(&mut hv, p, 3);
+        // The second child dies and a later child of the same parent
+        // takes its id: it is reached last, where its birth puts it.
+        hv.destroy_domain(late[1]).unwrap();
+        let reborn = do_clone(&mut hv, p, 1)[0];
+        assert_eq!(reborn, late[1], "lowest freed id is reused");
+        let grandchild = dom0_clone(&mut hv, late[0]);
+
+        let reached = fan_out(&mut hv, p, port);
+        assert_eq!(reached, [late[0], late[2], reborn]);
+        assert!(!reached.contains(&early), "born before the port");
+        assert!(!reached.contains(&grandchild), "a grandchild is not bound");
+
+        // A destroyed child drops out of the fan-out.
+        hv.destroy_domain(late[2]).unwrap();
+        assert_eq!(fan_out(&mut hv, p, port), [late[0], reborn]);
+
+        // After the parent dies, a domain reusing its id at the same port
+        // reaches only its own children, never the orphans.
+        hv.destroy_domain(p).unwrap();
+        let q = cloneable_guest(&mut hv, 8);
+        assert_eq!(q, p, "lowest freed id is reused");
+        let q_port = hv.evtchn_alloc_idc(q).unwrap();
+        assert_eq!(q_port, port);
+        assert!(fan_out(&mut hv, q, q_port).is_empty());
+        let q_child = do_clone(&mut hv, q, 1)[0];
+        assert_eq!(fan_out(&mut hv, q, q_port), [q_child]);
     }
 
     #[test]

@@ -103,20 +103,6 @@ pub struct Hypervisor {
     clone_ring: NotificationRing,
     cloning_enabled: bool,
     pending_events: VecDeque<PendingEvent>,
-    /// Fan-out registry for parent-side `DOMID_CHILD` channels:
-    /// (parent, parent_port) → registration-ordered (child, child_port)
-    /// targets. Keyed by a global registration sequence so iteration
-    /// order is exactly the bind order (what the old `Vec` gave).
-    child_bindings: HashMap<(u32, Port), BTreeMap<u64, (DomId, Port)>>,
-    /// Next registration sequence for `child_bindings`.
-    binding_seq: u64,
-    /// Reverse index: child → `child_bindings` entries naming it, so a
-    /// child's destruction unlinks its bindings in O(own bindings)
-    /// instead of scanning every fan-out list (O(total bindings)).
-    binding_memberships: HashMap<u32, Vec<((u32, Port), u64)>>,
-    /// Reverse index: parent → its registered fan-out ports, so a
-    /// parent's destruction drops its registry keys without a key scan.
-    owned_binding_ports: HashMap<u32, BTreeSet<Port>>,
     /// Referrer index: referenced domain → (referring domain → number
     /// of channel + grant entries in the referrer's tables naming it).
     /// Maintained on channel-pair wiring, grant creation, clone
@@ -144,10 +130,6 @@ impl Hypervisor {
             clone_ring: NotificationRing::new(config.notification_ring_capacity),
             cloning_enabled: false,
             pending_events: VecDeque::new(),
-            child_bindings: HashMap::new(),
-            binding_seq: 0,
-            binding_memberships: HashMap::new(),
-            owned_binding_ports: HashMap::new(),
             peer_refs: HashMap::new(),
             trace: TraceSink::default(),
         };
@@ -365,11 +347,10 @@ impl Hypervisor {
         self.clock
             .advance(self.costs.mem_free_per_page.saturating_mul(freed));
 
-        // Unlink from the family tree and the CHILD fan-out registry —
-        // the birth key and the reverse indices make both O(log family +
-        // the domain's own bindings), not O(every child or binding ever
-        // registered). Surviving children become family roots: a link to
-        // the dead id would name whichever domain reuses it.
+        // Unlink from the family tree — the birth key makes it O(log
+        // family), not O(every child ever registered). Surviving children
+        // become family roots: a link to the dead id would name whichever
+        // domain reuses it.
         if let Some(parent) = dom.parent {
             let unlinked = self
                 .domains
@@ -384,18 +365,6 @@ impl Hypervisor {
         for child in dom.children.values() {
             if let Some(c) = self.domains.get_mut(&child.0) {
                 c.parent = None;
-            }
-        }
-        if let Some(memberships) = self.binding_memberships.remove(&id.0) {
-            for (key, seq) in memberships {
-                if let Some(targets) = self.child_bindings.get_mut(&key) {
-                    targets.remove(&seq);
-                }
-            }
-        }
-        if let Some(ports) = self.owned_binding_ports.remove(&id.0) {
-            for port in ports {
-                self.child_bindings.remove(&(id.0, port));
             }
         }
 
@@ -892,7 +861,8 @@ impl Hypervisor {
     /// Sends a notification through `port` of `sender`. Parent-side
     /// `DOMID_CHILD` channels fan out to every bound clone (§5.2.2).
     pub fn send_event(&mut self, sender: DomId, port: Port) -> Result<()> {
-        let channel = self.domain(sender)?.evtchn.channel(port)?.clone();
+        let d = self.domain(sender)?;
+        let channel = d.evtchn.channel(port)?.clone();
         match channel {
             Channel::Interdomain {
                 remote_dom,
@@ -900,14 +870,29 @@ impl Hypervisor {
             } => {
                 self.clock.advance(self.costs.event_delivery);
                 if remote_dom == DomId::CHILD {
-                    // Registration (seq) order — exactly the bind order.
-                    let targets: Vec<(DomId, Port)> = self
-                        .child_bindings
-                        .get(&(sender.0, port))
-                        .map(|m| m.values().copied().collect())
-                        .unwrap_or_default();
-                    for (child, child_port) in targets {
-                        self.deliver(child, child_port);
+                    // A clone is bound at birth to each of its parent's
+                    // `DOMID_CHILD` ports: its channel at the same port
+                    // names the parent. Children born before the port, a
+                    // child's own clones and the orphans of a dead
+                    // sender whose id was reused hold no such channel
+                    // here; `children` iterates in birth order, the
+                    // order the bindings were made.
+                    let bound = Channel::Interdomain {
+                        remote_dom: sender,
+                        remote_port: port,
+                    };
+                    let targets: Vec<DomId> = d
+                        .children
+                        .values()
+                        .filter(|c| {
+                            self.domains
+                                .get(&c.0)
+                                .is_some_and(|c| c.evtchn.channel(port) == Ok(&bound))
+                        })
+                        .copied()
+                        .collect();
+                    for child in targets {
+                        self.deliver(child, port);
                     }
                     Ok(())
                 } else {
@@ -1022,51 +1007,12 @@ impl Hypervisor {
         self.domains.insert(d.id.0, d);
     }
 
-    /// Registers a child binding for a parent `DOMID_CHILD` channel
-    /// (performed implicitly during cloning).
-    pub(crate) fn bind_child_channel(
-        &mut self,
-        parent: DomId,
-        parent_port: Port,
-        child: DomId,
-        child_port: Port,
-    ) {
-        let seq = self.binding_seq;
-        self.binding_seq += 1;
-        let key = (parent.0, parent_port);
-        self.child_bindings
-            .entry(key)
-            .or_default()
-            .insert(seq, (child, child_port));
-        self.binding_memberships
-            .entry(child.0)
-            .or_default()
-            .push((key, seq));
-        self.owned_binding_ports
-            .entry(parent.0)
-            .or_default()
-            .insert(parent_port);
-    }
-
-    /// Read-only view of the `DOMID_CHILD` fan-out registry:
-    /// `((parent, parent_port), [(child, child_port)])` in registration
-    /// order. The state auditor cross-checks these against live domains
-    /// and their channel tables.
-    pub fn child_bindings(
-        &self,
-    ) -> impl Iterator<Item = ((u32, Port), Vec<(DomId, Port)>)> + '_ {
-        self.child_bindings
-            .iter()
-            .map(|(k, m)| (*k, m.values().copied().collect()))
-    }
-
     /// Cross-checks every scan-replacing index against the ground truth
     /// it replaced, returning one human-readable detail per divergence
     /// (empty when consistent). Checked per table: the event-channel
     /// peer index and grant grantee index versus full table scans; and
     /// globally: the referrer index versus a recount over every live
-    /// domain's tables, the fan-out registry's reverse indices versus
-    /// the registry itself, and every parent link versus its parent's
+    /// domain's tables, and every parent link versus its parent's
     /// birth-keyed children (both directions). The state auditor
     /// surfaces these as its index-consistency invariant; the property
     /// tests drive random lifecycle tapes through it.
@@ -1115,58 +1061,6 @@ impl Hypervisor {
             bad.push(format!(
                 "referrer index {actual:?} != recount over live tables {expect:?}"
             ));
-        }
-        // Fan-out registry reverse indices: every registry entry must be
-        // indexed under its child and its owner port, and vice versa.
-        let mut expect_members: BTreeMap<u32, BTreeSet<((u32, Port), u64)>> = BTreeMap::new();
-        let mut expect_owned: BTreeMap<u32, BTreeSet<Port>> = BTreeMap::new();
-        for (key, targets) in &self.child_bindings {
-            expect_owned.entry(key.0).or_default().insert(key.1);
-            for (seq, (child, _)) in targets {
-                expect_members.entry(child.0).or_default().insert((*key, *seq));
-            }
-        }
-        for (child, entries) in &self.binding_memberships {
-            for entry in entries {
-                // Stale memberships to registry keys removed by a
-                // parent's destruction (or to seqs already unlinked)
-                // are tolerated — they are no-ops on the next unlink.
-                let live = self
-                    .child_bindings
-                    .get(&entry.0)
-                    .is_some_and(|m| m.contains_key(&entry.1));
-                if live && !expect_members.get(child).is_some_and(|s| s.contains(entry)) {
-                    bad.push(format!(
-                        "binding membership {entry:?} of child {child} not in the registry"
-                    ));
-                }
-            }
-        }
-        for (child, entries) in expect_members {
-            for entry in entries {
-                let indexed = self
-                    .binding_memberships
-                    .get(&child)
-                    .is_some_and(|v| v.contains(&entry));
-                if !indexed {
-                    bad.push(format!(
-                        "registry binding {entry:?} of child {child} missing from the membership index"
-                    ));
-                }
-            }
-        }
-        for (owner, ports) in expect_owned {
-            for port in ports {
-                let indexed = self
-                    .owned_binding_ports
-                    .get(&owner)
-                    .is_some_and(|s| s.contains(&port));
-                if !indexed {
-                    bad.push(format!(
-                        "registry key ({owner}, {port}) missing from the owned-port index"
-                    ));
-                }
-            }
         }
         // Family links, both directions: a parent link names a live
         // domain holding the child under its birth key, and a children

@@ -21,16 +21,17 @@
 //!    channel must point at a live peer (or `DOMID_CHILD`).
 //! 5. **Clone-ring entries vs live domains.** Queued clone notifications
 //!    must reference parents and children that still exist.
-//! 6. **Wildcard child bindings vs live domains.** The hypervisor's
-//!    `DOMID_CHILD` binding fan-out tables must only list live clones.
+//! 6. *Retired.* It checked the hypervisor's `DOMID_CHILD` fan-out
+//!    registry; a parent-side send now walks the sender's live children
+//!    and their own channel tables, so there is no second copy to check.
 //! 7. **Toolstack records vs hypervisor domains.** Every `xl` record must
 //!    have a backing domain, and every running domain an `xl` record.
-//! 8. **Xenstore tree vs registered devices.** Every running domain has
-//!    its `/local/domain/<id>` home, and every vif the device manager
-//!    knows about has both its frontend and backend directories. Every
-//!    clone-mux member and every bridge MAC-table entry resolves to a
-//!    registered vif of a live domain: a dead interface left in either
-//!    silently drops the flows that hash or switch to it.
+//! 8. **Xenstore homes and host attachments.** Every running domain has
+//!    its `/local/domain/<id>` home. Every clone-mux member and every
+//!    bridge MAC-table entry resolves to a registered vif of a live
+//!    domain: a dead interface left in either silently drops the flows
+//!    that hash or switch to it. (A vif's own Xenstore nodes are checked
+//!    with every other device's by invariant 11.)
 //! 9. **P2m overlays vs the family template.** Each domain's overlay must
 //!    be canonical (no entry storing the same value as the shared base
 //!    slot), in-range, and every mapped overlay slot must point at a
@@ -40,22 +41,22 @@
 //!     checkpoint-time layout, and every slot where the current overlay
 //!     diverges from the checkpoint snapshot must be journaled — a
 //!     divergence the journal misses is state `clone_reset` would leak.
-//! 11. **Device bus vs the Xenstore device tree.** Every registered bus
-//!     device has a live owner and all of its Xenstore nodes present,
-//!     every device node is claimed by exactly one registered device,
-//!     no live domain's device node exists without a registered owner
-//!     (no orphan rings after detach-on-clone; dead domains' stale
-//!     backend entries are legacy destroy behavior pinned by the
-//!     determinism-gated figures), and each device's own invariants
-//!     ([`CloneDevice::audit`](crate::CloneDevice::audit)) hold.
+//! 11. **Devices vs the Xenstore device tree.** Every device the device
+//!     manager holds ([`all_devices`](devices::DeviceManager::all_devices))
+//!     has a live owner and all of its Xenstore nodes present, no live
+//!     domain's device node exists without a held device of its `(owner,
+//!     class, devid)` key (no orphan rings after detach-on-clone; dead
+//!     domains' stale backend entries are legacy destroy behavior pinned
+//!     by the determinism-gated figures), and each device's own
+//!     invariants ([`audit_device`](devices::DeviceManager::audit_device))
+//!     hold. The old invariant 8b, each vif's nodes, is part of this one.
 //! 12. *Retired.* It checked per-shard frame counters; the frame table
 //!     now keeps one COW/Xen counter pair, which invariant 2 covers.
 //! 13. **Scan-replacing indices vs the scans they replaced.** The hot
 //!     paths look up maintained indices instead of scanning: the
 //!     per-table event-channel peer and grant grantee indices, the
 //!     hypervisor's referrer index (which domains' tables name which),
-//!     the `DOMID_CHILD` fan-out registry's reverse indices, the
-//!     toolstack's name index, and the device manager's vif indices (the
+//!     the toolstack's name index, the device manager's vif indices (the
 //!     TX/RX pending sets the event loop visits instead of every vif, and
 //!     the IP index host sends resolve through), and the clone-family
 //!     links (each `parent` link names a live domain holding the child
@@ -69,9 +70,10 @@
 //! run on demand, after every clone/destroy in debug builds, and after
 //! every lifecycle operation under `NEPHELE_AUDIT=every-op`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
+use devices::bus::{DeviceClass, DeviceId};
 use hypervisor::domain::DomainState;
 use hypervisor::event::Channel;
 use hypervisor::grant::GrantEntry;
@@ -490,22 +492,6 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         }
     }
 
-    // 6. DOMID_CHILD fan-out bindings vs live domains.
-    for ((parent, port), bindings) in hv.child_bindings() {
-        for (child, child_port) in bindings {
-            report.checks += 1;
-            if !hv.domain_exists(DomId(parent)) || !hv.domain_exists(child) {
-                report.violations.push(AuditViolation {
-                    invariant: "child-binding",
-                    detail: format!(
-                        "wildcard binding domain {parent} port {port} -> {child} port \
-                         {child_port} references a dead domain"
-                    ),
-                });
-            }
-        }
-    }
-
     // 7b. Toolstack records vs hypervisor domains.
     for (name, dom) in p.xl.list() {
         report.checks += 1;
@@ -513,26 +499,6 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
             report.violations.push(AuditViolation {
                 invariant: "toolstack-record",
                 detail: format!("xl record \"{name}\" names dead {dom}"),
-            });
-        }
-    }
-
-    // 8b. Registered vifs vs the Xenstore tree.
-    for (dom, devid) in p.dm.all_vif_keys() {
-        report.checks += 1;
-        if !hv.domain_exists(dom) {
-            report.violations.push(AuditViolation {
-                invariant: "device-liveness",
-                detail: format!("vif {devid} registered for dead {dom}"),
-            });
-            continue;
-        }
-        let frontend = format!("/local/domain/{}/device/vif/{devid}", dom.0);
-        let backend = format!("/local/domain/0/backend/vif/{}/{devid}", dom.0);
-        if !p.xs.exists(&frontend) || !p.xs.exists(&backend) {
-            report.violations.push(AuditViolation {
-                invariant: "xenstore-tree",
-                detail: format!("vif {}/{devid} missing frontend or backend entry", dom.0),
             });
         }
     }
@@ -564,59 +530,60 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         report.violations.push(AuditViolation { invariant: "device-liveness", detail });
     }
 
-    // 11. Device bus vs the Xenstore device tree. First pass: every
-    // registered device has a live owner, its nodes exist, and its own
-    // invariants hold; each node is claimed by exactly one device.
-    let mut claimed: BTreeMap<String, u32> = BTreeMap::new();
-    for dev in p.dm.bus().all() {
+    // 11. Devices vs the Xenstore device tree. First pass: every device
+    // the device manager holds has a live owner, its nodes exist, and its
+    // own invariants hold.
+    let devices = p.dm.all_devices();
+    for &(owner, id) in &devices {
         report.checks += 1;
-        let id = dev.id();
-        let owner = dev.owner();
+        let (class, devid) = (id.class.name(), id.devid);
         if !hv.domain_exists(owner) {
             report.violations.push(AuditViolation {
                 invariant: "device-bus",
-                detail: format!(
-                    "{} {} registered on the bus for dead {owner}",
-                    id.class.name(),
-                    id.devid
-                ),
+                detail: format!("{class} {devid} held for dead {owner}"),
             });
             continue;
         }
-        for path in dev.xenstore_paths() {
+        for path in id.xenstore_dirs(owner) {
             report.checks += 1;
             if !p.xs.exists(&path) {
                 report.violations.push(AuditViolation {
                     invariant: "device-bus",
                     detail: format!(
-                        "{} {} of {owner} is missing its Xenstore node {path}",
-                        id.class.name(),
-                        id.devid
+                        "{class} {devid} of {owner} is missing its Xenstore node {path}"
                     ),
                 });
             }
-            *claimed.entry(path).or_default() += 1;
         }
-        for detail in dev.audit(&p.dm, &p.xs) {
+        for detail in p.dm.audit_device(owner, id) {
             report.violations.push(AuditViolation { invariant: "device-bus", detail });
         }
     }
-    for (path, n) in claimed.iter().filter(|(_, n)| **n > 1) {
-        report.violations.push(AuditViolation {
-            invariant: "device-bus",
-            detail: format!("Xenstore node {path} claimed by {n} bus devices"),
-        });
-    }
 
     // Second pass: walk the actual device nodes (frontends per live
-    // domain, backends under Dom0) — each must belong to a registered
-    // device. An unclaimed node is an orphan: exactly what a buggy
-    // detach-on-clone would leave behind. The backend walk is scoped to
-    // live domains: the legacy toolstack leaves a destroyed domain's
-    // backend entries in place, and the determinism-gated figures pin
-    // that behavior (every Xenstore charge scales with the store's
-    // entry count).
-    let mut device_nodes: Vec<String> = Vec::new();
+    // domain, backends under Dom0) — each must name, by its `(owner,
+    // class, devid)` key, a device the manager holds. An unheld node is
+    // an orphan: exactly what a buggy detach-on-clone would leave behind.
+    // The console keeps its one node at the top of the home, so a
+    // `console` directory among the device classes is an orphan too. The
+    // backend walk is scoped to live domains: the legacy toolstack leaves
+    // a destroyed domain's backend entries in place, and the
+    // determinism-gated figures pin that behavior (every Xenstore charge
+    // scales with the store's entry count).
+    let held = |owner: DomId, class: Option<DeviceClass>, devid: &str| {
+        let (Some(class), Ok(devid)) = (class, devid.parse()) else {
+            return false;
+        };
+        devices
+            .binary_search(&(owner, DeviceId::new(class, devid)))
+            .is_ok()
+    };
+    let dir_class = |name: &str| {
+        DeviceClass::ALL
+            .into_iter()
+            .find(|c| *c != DeviceClass::Console && c.name() == name)
+    };
+    let mut orphans: Vec<String> = Vec::new();
     for d in hv.domains() {
         if d.id.is_dom0() {
             continue;
@@ -624,38 +591,47 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         let home = format!("/local/domain/{}", d.id.0);
         let console = format!("{home}/console");
         if p.xs.exists(&console) {
-            device_nodes.push(console);
+            report.checks += 1;
+            if !held(d.id, Some(DeviceClass::Console), "0") {
+                orphans.push(console);
+            }
         }
         for class in p.xs.peek_directory(&format!("{home}/device")) {
             for devid in p.xs.peek_directory(&format!("{home}/device/{class}")) {
-                device_nodes.push(format!("{home}/device/{class}/{devid}"));
+                report.checks += 1;
+                if !held(d.id, dir_class(&class), &devid) {
+                    orphans.push(format!("{home}/device/{class}/{devid}"));
+                }
             }
         }
     }
     for class in p.xs.peek_directory("/local/domain/0/backend") {
-        for domid in p.xs.peek_directory(&format!("/local/domain/0/backend/{class}")) {
-            let alive = domid
-                .parse::<u32>()
-                .map(|d| hv.domain_exists(DomId(d)))
-                .unwrap_or(false);
-            if !alive {
+        for domid in
+            p.xs.peek_directory(&format!("/local/domain/0/backend/{class}"))
+        {
+            let Some(owner) = domid
+                .parse()
+                .ok()
+                .map(DomId)
+                .filter(|d| hv.domain_exists(*d))
+            else {
                 continue;
-            }
+            };
             for devid in
                 p.xs.peek_directory(&format!("/local/domain/0/backend/{class}/{domid}"))
             {
-                device_nodes.push(format!("/local/domain/0/backend/{class}/{domid}/{devid}"));
+                report.checks += 1;
+                if !held(owner, dir_class(&class), &devid) {
+                    orphans.push(format!("/local/domain/0/backend/{class}/{domid}/{devid}"));
+                }
             }
         }
     }
-    for node in device_nodes {
-        report.checks += 1;
-        if !claimed.contains_key(&node) {
-            report.violations.push(AuditViolation {
-                invariant: "device-bus",
-                detail: format!("device node {node} has no registered bus device (orphan)"),
-            });
-        }
+    for node in orphans {
+        report.violations.push(AuditViolation {
+            invariant: "device-bus",
+            detail: format!("device node {node} has no held device (orphan)"),
+        });
     }
 
     // 8c. The persistent Xenstore tree's internal accounting: cached
@@ -670,9 +646,8 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     }
 
     // 13. Scan-replacing indices vs the scans they replaced: the
-    // hypervisor's per-table and referrer indices, the fan-out
-    // registry's reverse indices, the toolstack's name index, and the
-    // device manager's pending sets and IP index.
+    // hypervisor's per-table and referrer indices, the toolstack's name
+    // index, and the device manager's pending sets and IP index.
     report.checks += 1;
     for detail in hv.audit_ref_indices() {
         report.violations.push(AuditViolation { invariant: "index-consistency", detail });

@@ -16,11 +16,13 @@
 //! assert_eq!(kids.len(), 2);
 //! ```
 //!
-//! Devices hang off a uniform bus: every live device registers on the
-//! [`DeviceBus`] declaring its identity ([`DeviceId`]) and its clone
-//! heuristic ([`CloneSemantics`], paper §4.2); the cloning daemon's
-//! second stage dispatches through [`CloneDevice::clone_into`], and
-//! which classes follow a clone is a per-class [`ClonePolicy`]:
+//! Every device is a [`DeviceId`] — a [`DeviceClass`] plus a device
+//! index — and each class declares its clone heuristic
+//! ([`CloneSemantics`], paper §4.2). The device manager's per-class state
+//! is the one registry of live devices: the cloning daemon's second stage
+//! walks a parent's devices in `(class, devid)` order and clones each by
+//! its class, and which classes follow a clone is a per-class
+//! [`ClonePolicy`]:
 //!
 //! ```
 //! use nephele::{ClonePolicy, CloneSemantics, DeviceClass, Platform, PlatformConfig};
@@ -76,15 +78,11 @@ pub use platform::{
     PlatformSnapshot, //
 };
 
-// The device bus: the uniform per-device clone-semantics surface (see
-// the crate-level example).
+// The §4.2 device classes and their clone semantics (see the
+// crate-level example).
 pub use devices::bus::{
-    CloneCtx,
-    CloneDevice,
-    CloneOutcome,
     ClonePolicy,
     CloneSemantics,
-    DeviceBus,
     DeviceClass,
     DeviceId, //
 };

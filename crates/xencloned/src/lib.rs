@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::rc::Rc;
 
-use devices::bus::{CloneCtx, ClonePolicy};
+use devices::bus::ClonePolicy;
 use devices::udev::{UdevBus, UdevEvent};
 use devices::{DevError, DeviceManager};
 use hypervisor::cloneop::CloneOp;
@@ -326,27 +326,15 @@ impl Xencloned {
                 }
             }
 
-            // Devices: one loop over the parent's bus entries, dispatched
-            // through each device's declared clone semantics (steps
-            // 2.1–2.3). The bus sorts by (class, devid), so consoles clone
-            // first, then vifs by device index, then 9pfs — the same order
-            // the legacy hand-enumerated stage used.
+            // Devices: one loop over the parent's devices in (class,
+            // devid) order — consoles first, then vifs by device index,
+            // then 9pfs, vbds, vsock and USB — each cloned by its class's
+            // declared heuristic (steps 2.1–2.3).
             let deep_copy = !self.config.use_xs_clone;
-            for dev in dm.bus_devices(parent) {
-                if !self.config.policy.clones(dev.id().class) {
-                    continue;
+            for id in dm.devices(parent) {
+                if self.config.policy.clones(id.class) {
+                    ifaces.extend(dm.clone_device(hv, xs, udev, parent, child, id, deep_copy)?);
                 }
-                let mut ctx = CloneCtx {
-                    parent,
-                    child,
-                    deep_copy,
-                    hv,
-                    xs,
-                    udev,
-                    dm,
-                };
-                let outcome = dev.as_ref().clone_into(&mut ctx)?;
-                ifaces.extend(outcome.ifaces);
             }
             Ok(name)
         })?;

@@ -523,8 +523,9 @@ impl Xenstore {
         // left in place, mirroring the legacy toolstack teardown. Every
         // committed figure's virtual time depends on the store's entry
         // count (`xs_per_existing_entry`), so removing them here would
-        // drift the determinism-gated CSVs; the device-bus auditor
-        // scopes its orphan sweep to live domains accordingly.
+        // drift the determinism-gated CSVs; the device auditor
+        // (invariant 11) scopes its orphan sweep to live domains
+        // accordingly.
     }
 
     // ------------------------------------------------------------------

@@ -204,17 +204,31 @@ cargo bench -p bench --bench xenstore_ops --offline
 echo "== scripts/bench_gate.sh (medians vs checked-in baselines)"
 scripts/bench_gate.sh
 
-echo "== scripts/bench_gate.sh scripts/fixtures/regressed (doctored fixture must fail the gate)"
-if scripts/bench_gate.sh scripts/fixtures/regressed >/dev/null 2>&1; then
+echo "== scripts/bench_gate.sh scripts/fixtures/regressed (doctored fixture must fail the gate as REGRESSED)"
+# The fixture is every baseline suite with each median multiplied by
+# 1000, so the gate must reject it through its REGRESSED branch alone: a
+# MISSING or NEW line would fail it whatever that branch does. When a
+# baseline changes, rebuild the fixture from it:
+#   awk '{ if (match($0, /"median_ns": [0-9.eE+-]+/)) { v = substr($0, RSTART + 13, RLENGTH - 13);
+#          $0 = substr($0, 1, RSTART + 12) sprintf("%.3f", v * 1000) substr($0, RSTART + RLENGTH) } print }' \
+#       scripts/bench_baselines/BENCH_x.json > scripts/fixtures/regressed/BENCH_x.json
+if fixture_report="$(scripts/bench_gate.sh scripts/fixtures/regressed 2>&1)"; then
     echo "verify.sh: bench gate accepted the doctored regression fixture"
     exit 1
 fi
+if ! grep -q ': REGRESSED ' <<<"$fixture_report" \
+    || grep -Eq ': (MISSING|NEW) |no parseable records' <<<"$fixture_report"; then
+    echo "verify.sh: the doctored fixture must fail the gate only through REGRESSED lines:"
+    grep -v ': REGRESSED ' <<<"$fixture_report" | head -20
+    exit 1
+fi
+echo "   $(grep -c ': REGRESSED ' <<<"$fixture_report") doctored medians flagged REGRESSED"
 
 echo "== figure determinism gate (every committed figure CSV must be byte-identical)"
-# Neither the COW Xenstore, the p2m overlay rework, nor the device-bus
-# dispatch may perturb any virtual-time figure: re-run every figure and
-# the ablation with the committed seeds and diff stdout against the
-# checked-in CSVs. fig4/fig7/fig8 embed span aggregates, so they
+# Neither the COW Xenstore, the p2m overlay rework, nor the per-class
+# device dispatch may perturb any virtual-time figure: re-run every
+# figure and the ablation with the committed seeds and diff stdout
+# against the checked-in CSVs. fig4/fig7/fig8 embed span aggregates, so they
 # reproduce only with tracing enabled; the rest run without it.
 detgate() {
     local fig="$1" trace="$2" out

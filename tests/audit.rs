@@ -532,6 +532,81 @@ fn dead_mux_member_is_detected_and_named() {
     );
 }
 
+/// A platform without per-op audits holding one booted vif guest and a
+/// clone of it, audited clean; returns the platform and the clone.
+fn audit_clean_clone(name: &str) -> (Platform, DomId) {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .audit(AuditMode::Off)
+            .flightrec_dir("target/test-flightrec")
+            .build(),
+    );
+    let img = KernelImage::minios(name);
+    let parent = p.launch_plain(&guest_cfg(name), &img).expect("boot");
+    let child = p.clone_domain(parent, 1).expect("clone")[0];
+    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
+    (p, child)
+}
+
+/// A device node that no held device owns is an orphan — what a buggy
+/// detach-on-clone would leave behind. A USB frontend written for a
+/// domain that holds no USB device must be named by the device
+/// invariant.
+#[test]
+fn orphan_device_node_is_detected_and_named() {
+    let (mut p, child) = audit_clean_clone("orphan-node");
+
+    let node = format!("/local/domain/{}/device/vusb/0", child.0);
+    p.xs.write(DomId::DOM0, &format!("{node}/state"), "4")
+        .unwrap();
+    let report = p.audit();
+    assert!(
+        report.violations.iter().any(|v| v.invariant == "device-bus"
+            && v.detail == format!("device node {node} has no held device (orphan)")),
+        "violation must name the orphan node:\n{report}"
+    );
+
+    p.xs.rm(DomId::DOM0, &node).unwrap();
+    assert!(p.audit().is_clean());
+}
+
+/// A held device whose Xenstore node is gone is invisible to its frontend
+/// until the next reconnect; removing a live vif's backend directory must
+/// be named by the device invariant.
+#[test]
+fn missing_device_node_is_detected_and_named() {
+    let (mut p, child) = audit_clean_clone("missing-node");
+
+    let node = format!("/local/domain/0/backend/vif/{}/0", child.0);
+    p.xs.rm(DomId::DOM0, &node).unwrap();
+    let report = p.audit();
+    assert!(
+        report.violations.iter().any(|v| v.invariant == "device-bus"
+            && v.detail.contains(&format!(
+                "vif 0 of {child} is missing its Xenstore node {node}"
+            ))),
+        "violation must name the missing node:\n{report}"
+    );
+}
+
+/// A domain destroyed behind the device manager's back leaves its
+/// devices held for a dead owner; the device invariant must name them.
+#[test]
+fn device_of_dead_owner_is_detected_and_named() {
+    let (mut p, child) = audit_clean_clone("dead-owner");
+
+    p.hv.destroy_domain(child).unwrap();
+    let report = p.audit();
+    for device in ["console 0", "vif 0"] {
+        assert!(
+            report.violations.iter().any(|v| v.invariant == "device-bus"
+                && v.detail == format!("{device} held for dead {child}")),
+            "violation must name the {device} of dead {child}:\n{report}"
+        );
+    }
+}
+
 /// Dom0 alone (a freshly booted platform) audits clean, and the report's
 /// check count grows with platform size.
 #[test]

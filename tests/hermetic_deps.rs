@@ -46,7 +46,7 @@ fn check_manifest(path: &Path, violations: &mut Vec<String>) {
     let mut in_dep_section = false;
     let mut dotted_dep_header: Option<(String, bool)> = None; // ([dependencies.foo], saw path/workspace)
 
-    let mut flush_dotted = |hdr: &mut Option<(String, bool)>, violations: &mut Vec<String>| {
+    let flush_dotted = |hdr: &mut Option<(String, bool)>, violations: &mut Vec<String>| {
         if let Some((name, ok)) = hdr.take() {
             if !ok {
                 violations.push(format!("{}: {name} has no path/workspace key", path.display()));

@@ -1,5 +1,5 @@
-//! Property suite for the device bus (§4.2), at platform level (the
-//! audit runs on every op).
+//! Property suite for the §4.2 per-class device clone semantics, at
+//! platform level (the audit runs on every op).
 //!
 //! 1. **Stage 2 clones every class like its parent.** For random mixes of
 //!    a console, 0..=2 vifs and an optional 9pfs, and a random number of
