@@ -66,13 +66,17 @@ fn rammed_platform(live: u32) -> (Platform, nephele::sim_core::DomId) {
 
 fn main() {
     let mut c = Bench::new("clone_density");
-    for live in [100u32, 1_000, 10_000, 100_000] {
+    // One ramp per density, shared across samples: each iteration clones
+    // a batch and destroys it again, leaving the pool at its ramped size.
+    // Every density is ramped before any is timed, so the groups the
+    // gates compare are timed back to back rather than minutes apart.
+    let ramped: Vec<_> = [100u32, 1_000, 10_000, 100_000]
+        .into_iter()
+        .map(|live| (live, rammed_platform(live)))
+        .collect();
+    for (live, (mut p, template)) in ramped {
         let mut g = c.benchmark_group(&format!("density_{live}"));
         g.sample_size(if live >= 10_000 { 10 } else { 20 });
-        // One ramp per density, shared across samples: each iteration
-        // clones a batch and destroys it again, leaving the pool at its
-        // ramped size.
-        let (mut p, template) = rammed_platform(live);
         g.bench_function("clone_destroy_batch16", |b| {
             b.iter(|| {
                 let kids = p.clone_domain(template, BATCH).expect("timed clone");

@@ -69,7 +69,7 @@ fn bench_xs_clone(c: &mut Bench) {
         b.iter(|| {
             xs.xs_clone(
                 DomId::DOM0,
-                XsCloneOp::DevVif,
+                XsCloneOp::Device,
                 DomId(3),
                 DomId(9),
                 "/local/domain/3/device/vif/0",
@@ -86,7 +86,7 @@ fn bench_xs_clone(c: &mut Bench) {
             child += 1;
             xs.xs_clone(
                 DomId::DOM0,
-                XsCloneOp::DevVif,
+                XsCloneOp::Device,
                 DomId(3),
                 DomId(child),
                 "/local/domain/3/device/vif/0",

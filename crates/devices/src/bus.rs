@@ -138,27 +138,23 @@ impl DeviceId {
         DeviceId { class, devid }
     }
 
-    /// The Xenstore directories `owner`'s device keeps: its frontend and,
-    /// for every class but the console, its Dom0 backend.
-    pub fn xenstore_dirs(self, owner: DomId) -> Vec<String> {
-        let d = self.devid;
+    /// The frontend directory of `owner`'s device:
+    /// `/local/domain/<owner>/device/<class>/<devid>`, except the
+    /// console's one node, `/local/domain/<owner>/console`.
+    pub fn frontend_dir(self, owner: DomId) -> String {
         match self.class {
-            DeviceClass::Console => vec![crate::console_dir(owner)],
-            DeviceClass::Vif => vec![
-                crate::vif_front_dir(owner, d),
-                crate::vif_back_dir(owner, d),
-            ],
-            DeviceClass::P9fs => vec![crate::p9_front_dir(owner), crate::p9_back_dir(owner)],
-            DeviceClass::Vbd => vec![
-                crate::vbd_front_dir(owner, d),
-                crate::vbd_back_dir(owner, d),
-            ],
-            DeviceClass::Vsock => vec![crate::vsock_front_dir(owner), crate::vsock_back_dir(owner)],
-            DeviceClass::Usb => vec![
-                crate::usb_front_dir(owner, d),
-                crate::usb_back_dir(owner, d),
-            ],
+            DeviceClass::Console => format!("/local/domain/{}/console", owner.0),
+            class => format!("/local/domain/{}/device/{}/{}", owner.0, class.name(), self.devid),
         }
+    }
+
+    /// The Dom0 backend directory of `owner`'s device:
+    /// `/local/domain/0/backend/<class>/<owner>/<devid>`. The console has
+    /// none.
+    pub fn backend_dir(self, owner: DomId) -> Option<String> {
+        (self.class != DeviceClass::Console).then(|| {
+            format!("/local/domain/0/backend/{}/{}/{}", self.class.name(), owner.0, self.devid)
+        })
     }
 }
 
@@ -221,6 +217,36 @@ mod tests {
         assert!(p.clones(DeviceClass::Console));
         let p = p.set(DeviceClass::Vif, true);
         assert_eq!(p, ClonePolicy::all(), "re-enabling restores the default");
+    }
+
+    #[test]
+    fn device_dirs_pin_the_xenstore_layout() {
+        use DeviceClass::{Console, P9fs, Usb, Vbd, Vif, Vsock};
+        let owner = DomId(7);
+        let split = |class: &str, devid: u32| {
+            (
+                format!("/local/domain/7/device/{class}/{devid}"),
+                Some(format!("/local/domain/0/backend/{class}/7/{devid}")),
+            )
+        };
+        let console = || ("/local/domain/7/console".to_string(), None);
+        // 9pfs and vsock are one per domain, always devid 0.
+        let cases = [
+            (Console, 0, console()),
+            (Console, 2, console()),
+            (Vif, 0, split("vif", 0)),
+            (Vif, 2, split("vif", 2)),
+            (P9fs, 0, split("9pfs", 0)),
+            (Vbd, 0, split("vbd", 0)),
+            (Vbd, 2, split("vbd", 2)),
+            (Vsock, 0, split("vsock", 0)),
+            (Usb, 0, split("vusb", 0)),
+            (Usb, 2, split("vusb", 2)),
+        ];
+        for (class, devid, want) in cases {
+            let id = DeviceId::new(class, devid);
+            assert_eq!((id.frontend_dir(owner), id.backend_dir(owner)), want, "{id:?}");
+        }
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //!   state directly in the Connected state, and reuses backend processes
 //!   across the clone family.
 //!
+//! Both paths are written once for every class:
+//! [`bus::DeviceId::frontend_dir`] and [`bus::DeviceId::backend_dir`] are
+//! the one Xenstore layout, one handshake boots every split device and
+//! one routine copies every device's directories at clone time. Each
+//! class keeps only its keys, its backend state and its §4.2 clone
+//! semantics.
+//!
 //! The manager's per-class state is the one registry of live devices.
 //! [`DeviceManager::devices`] lists a domain's devices from it as
 //! [`bus::DeviceId`]s in `(class, devid)` order, and
@@ -55,6 +62,7 @@ use hypervisor::error::HvError;
 use hypervisor::Hypervisor;
 use netmux::{CloneMux, IfaceId, MacAddr, Packet};
 use sim_core::{Clock, CostModel, DomId, Pfn, TraceSink};
+use xenstore::tree::DomidRewrite;
 use xenstore::{XsCloneOp, XsError, Xenstore};
 
 use crate::block::{Sector, Vbd, VbdSharing, SECTOR_SIZE};
@@ -135,50 +143,6 @@ pub struct VifConfig {
     pub rx_pfn: Pfn,
     /// Guest pages preallocated for RX payloads (one per RX slot).
     pub rx_buffers: Vec<Pfn>,
-}
-
-pub(crate) fn vif_front_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/{}/device/vif/{devid}", dom.0)
-}
-
-pub(crate) fn vif_back_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/0/backend/vif/{}/{devid}", dom.0)
-}
-
-pub(crate) fn console_dir(dom: DomId) -> String {
-    format!("/local/domain/{}/console", dom.0)
-}
-
-pub(crate) fn p9_front_dir(dom: DomId) -> String {
-    format!("/local/domain/{}/device/9pfs/0", dom.0)
-}
-
-pub(crate) fn p9_back_dir(dom: DomId) -> String {
-    format!("/local/domain/0/backend/9pfs/{}/0", dom.0)
-}
-
-pub(crate) fn vbd_front_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/{}/device/vbd/{devid}", dom.0)
-}
-
-pub(crate) fn vbd_back_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/0/backend/vbd/{}/{devid}", dom.0)
-}
-
-pub(crate) fn vsock_front_dir(dom: DomId) -> String {
-    format!("/local/domain/{}/device/vsock/0", dom.0)
-}
-
-pub(crate) fn vsock_back_dir(dom: DomId) -> String {
-    format!("/local/domain/0/backend/vsock/{}/0", dom.0)
-}
-
-pub(crate) fn usb_front_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/{}/device/vusb/{devid}", dom.0)
-}
-
-pub(crate) fn usb_back_dir(dom: DomId, devid: u32) -> String {
-    format!("/local/domain/0/backend/vusb/{}/{devid}", dom.0)
 }
 
 /// The Dom0 device registry and backend host.
@@ -408,7 +372,7 @@ impl DeviceManager {
     ) -> Result<()> {
         let _ = udev;
         let ring_pfn = hv.domain(dom)?.console_pfn;
-        let dir = console_dir(dom);
+        let dir = DeviceId::new(DeviceClass::Console, 0).frontend_dir(dom);
         xs.write(DomId::DOM0, &format!("{dir}/ring-ref"), &ring_pfn.0.to_string())?;
         xs.write(DomId::DOM0, &format!("{dir}/port"), "2")?;
         xs.write(DomId::DOM0, &format!("{dir}/type"), "xenconsoled")?;
@@ -432,18 +396,7 @@ impl DeviceManager {
     ) -> Result<()> {
         let span = self.trace.span("dev.clone_console");
         span.attr("deep_copy", deep_copy);
-        if deep_copy {
-            self.deep_copy_dir(xs, &console_dir(parent), &console_dir(child), parent, child)?;
-        } else {
-            xs.xs_clone(
-                DomId::DOM0,
-                XsCloneOp::DevConsole,
-                parent,
-                child,
-                &console_dir(parent),
-                &console_dir(child),
-            )?;
-        }
+        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::Console, 0), deep_copy)?;
         let ring_pfn = hv.domain(child)?.console_pfn;
         self.clock.advance(self.costs.console_attach);
         self.console.attach_clone(parent, child, ring_pfn);
@@ -480,37 +433,26 @@ impl DeviceManager {
         dom: DomId,
         cfg: VifConfig,
     ) -> Result<IfaceId> {
-        let mac = MacAddr::xen(dom.0, cfg.devid as u8);
-        let f = vif_front_dir(dom, cfg.devid);
-        let b = vif_back_dir(dom, cfg.devid);
-
-        // Frontend entries.
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/mac"), &mac.to_string())?;
-        xs.write(DomId::DOM0, &format!("{f}/handle"), &cfg.devid.to_string())?;
-        xs.write(DomId::DOM0, &format!("{f}/tx-ring-ref"), &cfg.tx_pfn.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{f}/rx-ring-ref"), &cfg.rx_pfn.0.to_string())?;
-        // Backend entries.
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/mac"), &mac.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/handle"), &cfg.devid.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/bridge"), "xenbr0")?;
-
         // Ring pages and RX buffers are private on clone (§4.1/§4.2).
         let mut private = Vec::with_capacity(2 + cfg.rx_buffers.len());
         private.extend([cfg.tx_pfn, cfg.rx_pfn]);
         private.extend_from_slice(&cfg.rx_buffers);
         hv.register_private_pfns(dom, &private, PrivatePolicy::Copy)?;
 
-        // Full Xenbus negotiation, one state write per end per step.
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        let mac = MacAddr::xen(dom.0, cfg.devid as u8);
+        let (mac_s, handle) = (mac.to_string(), cfg.devid.to_string());
+        self.xenbus_boot(
+            xs,
+            dom,
+            DeviceId::new(DeviceClass::Vif, cfg.devid),
+            &[
+                ("mac", &mac_s),
+                ("handle", &handle),
+                ("tx-ring-ref", &cfg.tx_pfn.0.to_string()),
+                ("rx-ring-ref", &cfg.rx_pfn.0.to_string()),
+            ],
+            &[("mac", &mac_s), ("handle", &handle), ("bridge", "xenbr0")],
+        )?;
 
         // Backend creates the in-kernel vif and announces it via udev.
         self.clock.advance(self.costs.backend_create);
@@ -555,17 +497,7 @@ impl DeviceManager {
         let span = self.trace.span("dev.clone_vif");
         span.attr("devid", devid);
         span.attr("deep_copy", deep_copy);
-        let pf = vif_front_dir(parent, devid);
-        let pb = vif_back_dir(parent, devid);
-        let cf = vif_front_dir(child, devid);
-        let cb = vif_back_dir(child, devid);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVif, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVif, parent, child, &pb, &cb)?;
-        }
+        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::Vif, devid), deep_copy)?;
 
         if !self.vifs.contains_key(&(parent.0, devid)) {
             return Err(DevError::NoSuchDevice(parent, devid));
@@ -835,21 +767,13 @@ impl DeviceManager {
         dom: DomId,
         export_root: &str,
     ) -> Result<()> {
-        let f = p9_front_dir(dom);
-        let b = p9_back_dir(dom);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/tag"), "rootfs")?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/path"), export_root)?;
-        xs.write(DomId::DOM0, &format!("{b}/security_model"), "none")?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        self.xenbus_boot(
+            xs,
+            dom,
+            DeviceId::new(DeviceClass::P9fs, 0),
+            &[("tag", "rootfs")],
+            &[("path", export_root), ("security_model", "none")],
+        )?;
         hv.evtchn_connect_pair(dom, DomId::DOM0)?;
 
         self.clock.advance(self.costs.qemu_launch);
@@ -878,17 +802,7 @@ impl DeviceManager {
     ) -> Result<usize> {
         let span = self.trace.span("dev.clone_9pfs");
         span.attr("deep_copy", deep_copy);
-        let pf = p9_front_dir(parent);
-        let pb = p9_back_dir(parent);
-        let cf = p9_front_dir(child);
-        let cb = p9_back_dir(child);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::Dev9pfs, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::Dev9pfs, parent, child, &pb, &cb)?;
-        }
+        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::P9fs, 0), deep_copy)?;
         self.clock.advance(self.costs.qmp_request);
         let pid = *self.served_by.get(&parent.0).ok_or(DevError::NoBackend(parent))?;
         let q = self.qemus.get_mut(&pid).ok_or(DevError::NoBackend(parent))?;
@@ -937,22 +851,17 @@ impl DeviceManager {
         devid: u32,
         sectors: u64,
     ) -> Result<()> {
-        let f = vbd_front_dir(dom, devid);
-        let b = vbd_back_dir(dom, devid);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/virtual-device"), &devid.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/sectors"), &sectors.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/sector-size"), &SECTOR_SIZE.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/mode"), "w")?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        self.xenbus_boot(
+            xs,
+            dom,
+            DeviceId::new(DeviceClass::Vbd, devid),
+            &[("virtual-device", &devid.to_string())],
+            &[
+                ("sectors", &sectors.to_string()),
+                ("sector-size", &SECTOR_SIZE.to_string()),
+                ("mode", "w"),
+            ],
+        )?;
         self.clock.advance(self.costs.backend_create);
         self.vbds.insert((dom.0, devid), Vbd::new(dom, devid, sectors));
         Ok(())
@@ -974,17 +883,7 @@ impl DeviceManager {
         let span = self.trace.span("dev.clone_vbd");
         span.attr("devid", devid);
         span.attr("deep_copy", deep_copy);
-        let pf = vbd_front_dir(parent, devid);
-        let pb = vbd_back_dir(parent, devid);
-        let cf = vbd_front_dir(child, devid);
-        let cb = vbd_back_dir(child, devid);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVbd, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVbd, parent, child, &pb, &cb)?;
-        }
+        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::Vbd, devid), deep_copy)?;
         let parent_vbd = self
             .vbds
             .get(&(parent.0, devid))
@@ -1028,46 +927,40 @@ impl DeviceManager {
     /// than one device counts as shared at every point of use (the same
     /// convention as `P2mSharing`/`XsSharing`).
     pub fn vbd_sharing(&self) -> VbdSharing {
-        let mut refs: HashMap<usize, u32> = HashMap::new();
-        for v in self.vbds.values() {
-            *refs.entry(v.base_addr()).or_insert(0) += 1;
-            *refs.entry(v.overlay_addr()).or_insert(0) += 1;
+        let mut total = VbdSharing::default();
+        for (_, s) in self.vbd_sharing_by_dom() {
+            total.shared_bytes += s.shared_bytes;
+            total.unique_bytes += s.unique_bytes;
         }
-        let mut s = VbdSharing::default();
-        for v in self.vbds.values() {
-            for (addr, bytes) in [(v.base_addr(), v.base_bytes()), (v.overlay_addr(), v.overlay_bytes())] {
-                if refs.get(&addr).copied().unwrap_or(0) > 1 {
-                    s.shared_bytes += bytes;
-                } else {
-                    s.unique_bytes += bytes;
-                }
-            }
-        }
-        s
+        total
     }
 
     /// Per-domain split of [`vbd_sharing`](Self::vbd_sharing): each
     /// domain's contribution, in domain-id order (domains without vbds are
     /// absent). Summing the rows reproduces the global split, which is how
     /// the family rollups attribute resident block bytes to clone families.
-    pub fn vbd_sharing_by_dom(&self) -> Vec<(DomId, VbdSharing)> {
+    pub fn vbd_sharing_by_dom(&self) -> impl Iterator<Item = (DomId, VbdSharing)> + '_ {
         let mut refs: HashMap<usize, u32> = HashMap::new();
         for v in self.vbds.values() {
             *refs.entry(v.base_addr()).or_insert(0) += 1;
             *refs.entry(v.overlay_addr()).or_insert(0) += 1;
         }
-        let mut per_dom: BTreeMap<u32, VbdSharing> = BTreeMap::new();
-        for ((dom, _devid), v) in &self.vbds {
-            let s = per_dom.entry(*dom).or_default();
-            for (addr, bytes) in [(v.base_addr(), v.base_bytes()), (v.overlay_addr(), v.overlay_bytes())] {
-                if refs.get(&addr).copied().unwrap_or(0) > 1 {
-                    s.shared_bytes += bytes;
-                } else {
-                    s.unique_bytes += bytes;
+        let mut vbds = self.vbds.iter().peekable();
+        std::iter::from_fn(move || {
+            let (&(dom, _), _) = vbds.peek()?;
+            let mut s = VbdSharing::default();
+            // A domain's vbds are one contiguous run of `(owner, devid)` keys.
+            while let Some((_, v)) = vbds.next_if(|((d, _), _)| *d == dom) {
+                for (addr, bytes) in [(v.base_addr(), v.base_bytes()), (v.overlay_addr(), v.overlay_bytes())] {
+                    if refs[&addr] > 1 {
+                        s.shared_bytes += bytes;
+                    } else {
+                        s.unique_bytes += bytes;
+                    }
                 }
             }
-        }
-        per_dom.into_iter().map(|(d, s)| (DomId(d), s)).collect()
+            Some((DomId(dom), s))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1083,21 +976,9 @@ impl DeviceManager {
         xs: &mut Xenstore,
         dom: DomId,
     ) -> Result<()> {
-        let f = vsock_front_dir(dom);
-        let b = vsock_back_dir(dom);
-        let port = crate::vsock::vsock_port_for(dom);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{f}/port"), &port.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/port"), &port.to_string())?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        let port = crate::vsock::vsock_port_for(dom).to_string();
+        let keys = [("port", port.as_str())];
+        self.xenbus_boot(xs, dom, DeviceId::new(DeviceClass::Vsock, 0), &keys, &keys)?;
         hv.evtchn_connect_pair(dom, DomId::DOM0)?;
         self.clock.advance(self.costs.vsock_connect);
         self.vsocks.insert(dom.0, VsockConn::connect(dom));
@@ -1119,17 +1000,8 @@ impl DeviceManager {
     ) -> Result<u32> {
         let span = self.trace.span("dev.clone_vsock");
         span.attr("deep_copy", deep_copy);
-        let pf = vsock_front_dir(parent);
-        let pb = vsock_back_dir(parent);
-        let cf = vsock_front_dir(child);
-        let cb = vsock_back_dir(child);
-        if deep_copy {
-            self.deep_copy_dir(xs, &pf, &cf, parent, child)?;
-            self.deep_copy_dir(xs, &pb, &cb, parent, child)?;
-        } else {
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVsock, parent, child, &pf, &cf)?;
-            xs.xs_clone(DomId::DOM0, XsCloneOp::DevVsock, parent, child, &pb, &cb)?;
-        }
+        let id = DeviceId::new(DeviceClass::Vsock, 0);
+        self.clone_dirs(xs, parent, child, id, deep_copy)?;
         let parent_conn = self
             .vsocks
             .get(&parent.0)
@@ -1138,8 +1010,9 @@ impl DeviceManager {
         let port = conn.port;
         // The cloned entries carry the parent's port; the reconnect
         // rewrites them to the child's deterministic allocation.
-        xs.write(DomId::DOM0, &format!("{cf}/port"), &port.to_string())?;
-        xs.write(DomId::DOM0, &format!("{cb}/port"), &port.to_string())?;
+        for dir in std::iter::once(id.frontend_dir(child)).chain(id.backend_dir(child)) {
+            xs.write(DomId::DOM0, &format!("{dir}/port"), &port.to_string())?;
+        }
         hv.evtchn_connect_pair(child, DomId::DOM0)?;
         self.clock.advance(self.costs.vsock_connect);
         span.attr("port", port);
@@ -1180,19 +1053,13 @@ impl DeviceManager {
         if self.usbs.values().any(|u| u.attached && u.busid == busid) {
             return Err(DevError::UsbBusy(busid.to_string()));
         }
-        let f = usb_front_dir(dom, devid);
-        let b = usb_back_dir(dom, devid);
-        xs.write(DomId::DOM0, &format!("{f}/backend"), &b)?;
-        xs.write(DomId::DOM0, &format!("{f}/backend-id"), "0")?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend"), &f)?;
-        xs.write(DomId::DOM0, &format!("{b}/frontend-id"), &dom.0.to_string())?;
-        xs.write(DomId::DOM0, &format!("{b}/busid"), busid)?;
-        for (front, back) in NEGOTIATION_STEPS {
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{f}/state"), front.to_xs())?;
-            self.clock.advance(self.costs.xenbus_transition);
-            xs.write(DomId::DOM0, &format!("{b}/state"), back.to_xs())?;
-        }
+        self.xenbus_boot(
+            xs,
+            dom,
+            DeviceId::new(DeviceClass::Usb, devid),
+            &[],
+            &[("busid", busid)],
+        )?;
         self.clock.advance(self.costs.usb_attach);
         self.usbs.insert((dom.0, devid), UsbPassthrough::attach(dom, devid, busid));
         Ok(())
@@ -1246,13 +1113,71 @@ impl DeviceManager {
     }
 
     // ------------------------------------------------------------------
-    // Lifecycle / accounting
+    // The split-device protocol every class shares
     // ------------------------------------------------------------------
 
-    /// The deep-copy fallback for device directories: one Xenstore write
-    /// request per entry, with the domid rewriting done client-side. This
-    /// is what `xencloned` does *without* the `xs_clone` optimization and
-    /// is measured by the "clone + XS deep copy" curve of Fig. 4.
+    /// The boot-path Xenbus handshake of `dom`'s split device `id`: the
+    /// frontend's `backend` and `backend-id` keys, then the class's
+    /// `front` keys; the backend's `frontend` and `frontend-id` keys, then
+    /// its `back` keys; then the full negotiation, one state write per
+    /// end per step.
+    fn xenbus_boot(
+        &mut self,
+        xs: &mut Xenstore,
+        dom: DomId,
+        id: DeviceId,
+        front: &[(&str, &str)],
+        back: &[(&str, &str)],
+    ) -> Result<()> {
+        let f = id.frontend_dir(dom);
+        let b = id.backend_dir(dom).expect("a split device has a backend");
+        let domid = dom.0.to_string();
+        let ends = [
+            (&f, [("backend", b.as_str()), ("backend-id", "0")], front),
+            (&b, [("frontend", f.as_str()), ("frontend-id", domid.as_str())], back),
+        ];
+        for (dir, link, keys) in ends {
+            for &(key, value) in link.iter().chain(keys) {
+                xs.write(DomId::DOM0, &format!("{dir}/{key}"), value)?;
+            }
+        }
+        for (front, back) in NEGOTIATION_STEPS {
+            for (dir, state) in [(&f, front), (&b, back)] {
+                self.clock.advance(self.costs.xenbus_transition);
+                xs.write(DomId::DOM0, &format!("{dir}/state"), state.to_xs())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Copies `parent`'s Xenstore directories of device `id` to `child`,
+    /// frontend first: one `xs_clone` request per directory, or, when
+    /// `deep_copy` is set, the per-entry copy Fig. 4's "clone + XS deep
+    /// copy" curve measures.
+    fn clone_dirs(
+        &mut self,
+        xs: &mut Xenstore,
+        parent: DomId,
+        child: DomId,
+        id: DeviceId,
+        deep_copy: bool,
+    ) -> Result<()> {
+        let front = (id.frontend_dir(parent), id.frontend_dir(child));
+        let back = id.backend_dir(parent).zip(id.backend_dir(child));
+        for (from, to) in std::iter::once(front).chain(back) {
+            if deep_copy {
+                self.deep_copy_dir(xs, &from, &to, parent, child)?;
+            } else {
+                xs.xs_clone(DomId::DOM0, XsCloneOp::Device, parent, child, &from, &to)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The deep-copy fallback for one device directory: a listing, then a
+    /// read and a write request per entry, with `xs_clone`'s domid
+    /// rewrite applied client-side. This is what `xencloned` does
+    /// *without* the `xs_clone` optimization.
     fn deep_copy_dir(
         &mut self,
         xs: &mut Xenstore,
@@ -1264,23 +1189,20 @@ impl DeviceManager {
         let span = self.trace.span("dev.deep_copy");
         let keys = xs.directory(DomId::DOM0, from)?;
         span.attr("entries", keys.len());
+        let rewrite = DomidRewrite {
+            old: parent.0,
+            new: child.0,
+        };
         for key in keys {
             let v = xs.read(DomId::DOM0, &format!("{from}/{key}"))?;
-            let old_home = format!("/local/domain/{}/", parent.0);
-            let new_home = format!("/local/domain/{}/", child.0);
-            let mut nv = v.replace(&old_home, &new_home);
-            if nv == parent.0.to_string() {
-                nv = child.0.to_string();
-            }
-            let seg_old = format!("/{}/", parent.0);
-            let seg_new = format!("/{}/", child.0);
-            if nv.starts_with("/local/domain/0/backend/") && nv.contains(&seg_old) {
-                nv = nv.replacen(&seg_old, &seg_new, 1);
-            }
-            xs.write(DomId::DOM0, &format!("{to}/{key}"), &nv)?;
+            xs.write(DomId::DOM0, &format!("{to}/{key}"), &rewrite.apply(&v))?;
         }
         Ok(())
     }
+
+    // ------------------------------------------------------------------
+    // Lifecycle / accounting
+    // ------------------------------------------------------------------
 
     /// Releases every device of a destroyed domain. Every step is
     /// O(devices the domain owns), never O(devices on the host): the
@@ -1385,6 +1307,14 @@ mod tests {
         }
     }
 
+    fn front(class: DeviceClass, dom: DomId) -> String {
+        DeviceId::new(class, 0).frontend_dir(dom)
+    }
+
+    fn back(class: DeviceClass, dom: DomId) -> String {
+        DeviceId::new(class, 0).backend_dir(dom).unwrap()
+    }
+
     fn pkt() -> Packet {
         Packet::udp(
             MacAddr::xen(1, 0),
@@ -1404,7 +1334,7 @@ mod tests {
         let vif = dm.vif(dom, 0).unwrap();
         assert!(vif.is_connected());
         assert_eq!(
-            xs.read(DomId::DOM0, &format!("{}/state", vif_front_dir(dom, 0))).unwrap(),
+            xs.read(DomId::DOM0, &format!("{}/state", front(DeviceClass::Vif, dom))).unwrap(),
             "4"
         );
         assert!(matches!(udev.next(), Some(UdevEvent::VifCreated { .. })));
@@ -1453,30 +1383,57 @@ mod tests {
         assert_eq!(cv.ip, pv.ip);
         assert!(cv.is_connected());
         assert_eq!(
-            xs.read(DomId::DOM0, &format!("{}/state", vif_front_dir(child, 0))).unwrap(),
+            xs.read(DomId::DOM0, &format!("{}/state", front(DeviceClass::Vif, child))).unwrap(),
             "4",
             "cloned entries exist and are Connected"
         );
         assert_eq!(dm.iface_target(ifc), Some((child, 0)));
     }
 
-    #[test]
-    fn deep_copy_clone_matches_xs_clone_content() {
-        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        let c1 = hv.create_domain("c1", 4, 1).unwrap();
-        let c2 = hv.create_domain("c2", 4, 1).unwrap();
-        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, c1, 0, false).unwrap();
-        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, c2, 0, true).unwrap();
-        for key in ["mac", "state", "handle", "backend-id"] {
-            let a = xs.read(DomId::DOM0, &format!("{}/{key}", vif_front_dir(c1, 0))).unwrap();
-            let b = xs.read(DomId::DOM0, &format!("{}/{key}", vif_front_dir(c2, 0))).unwrap();
-            assert_eq!(a, b, "entry {key} must match between copy modes");
+    /// Every `(path below dir, value)` of the subtree at `dir`, read
+    /// through the uncharged introspection calls.
+    fn subtree(xs: &Xenstore, dir: &str) -> Vec<(String, Option<String>)> {
+        let mut out = Vec::new();
+        let mut stack = vec![String::new()];
+        while let Some(rel) = stack.pop() {
+            let path = format!("{dir}{rel}");
+            out.push((rel.clone(), xs.peek(&path)));
+            stack.extend(xs.peek_directory(&path).into_iter().map(|name| format!("{rel}/{name}")));
         }
-        let b1 = xs.read(DomId::DOM0, &format!("{}/backend", vif_front_dir(c1, 0))).unwrap();
-        let b2 = xs.read(DomId::DOM0, &format!("{}/backend", vif_front_dir(c2, 0))).unwrap();
-        assert_eq!(b1, vif_back_dir(c1, 0));
-        assert_eq!(b2, vif_back_dir(c2, 0));
+        out
+    }
+
+    #[test]
+    fn deep_copy_and_xs_clone_give_equal_subtrees_for_every_class() {
+        use bus::DeviceClass::{Console, P9fs, Vbd, Vif, Vsock};
+        for class in [Console, Vif, P9fs, Vbd, Vsock] {
+            let id = DeviceId::new(class, 0);
+            let [by_xs_clone, by_deep_copy] = [false, true].map(|deep_copy| {
+                let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
+                match class {
+                    Console => dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom),
+                    Vif => dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).map(drop),
+                    P9fs => dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export"),
+                    Vbd => dm.setup_vbd_boot(&mut xs, dom, 0, 8),
+                    _ => dm.setup_vsock_boot(&mut hv, &mut xs, dom),
+                }
+                .unwrap();
+                let child = hv.create_domain("child", 4, 1).unwrap();
+                dm.clone_device(&mut hv, &mut xs, &mut udev, dom, child, id, deep_copy)
+                    .unwrap();
+                let dirs: Vec<String> =
+                    std::iter::once(id.frontend_dir(child)).chain(id.backend_dir(child)).collect();
+                if let [front, back] = &dirs[..] {
+                    // The copy names the child, not the parent.
+                    assert_eq!(xs.peek(&format!("{front}/backend")).as_ref(), Some(back));
+                    assert_eq!(xs.peek(&format!("{back}/frontend")).as_ref(), Some(front));
+                    assert_eq!(xs.peek(&format!("{back}/frontend-id")), Some(child.0.to_string()));
+                }
+                dirs.iter().map(|dir| subtree(&xs, dir)).collect::<Vec<_>>()
+            });
+            assert!(by_xs_clone.iter().all(|entries| entries.len() > 1), "{class:?}");
+            assert_eq!(by_xs_clone, by_deep_copy, "{class:?}");
+        }
     }
 
     #[test]
@@ -1582,7 +1539,7 @@ mod tests {
         dm.clone_console_impl(&mut hv, &mut xs, dom, child, false).unwrap();
         assert!(dm.console_attached(child));
         assert!(dm.console_output(child).is_empty(), "no parent output replay");
-        assert!(xs.exists(&format!("{}/ring-ref", console_dir(child))));
+        assert!(xs.exists(&format!("{}/ring-ref", front(DeviceClass::Console, child))));
     }
 
     #[test]
@@ -1702,14 +1659,14 @@ mod tests {
     fn vbd_boot_clone_and_cow() {
         let (mut hv, mut xs, mut dm, _udev, dom) = setup();
         dm.setup_vbd_boot(&mut xs, dom, 0, 8).unwrap();
-        assert!(xs.exists(&format!("{}/sectors", vbd_back_dir(dom, 0))));
+        assert!(xs.exists(&format!("{}/sectors", back(DeviceClass::Vbd, dom))));
         let s = [7u8; SECTOR_SIZE];
         assert!(dm.vbd_write(dom, 0, 3, &s).unwrap());
 
         let child = hv.create_domain("child", 4, 1).unwrap();
         let inherited = dm.clone_vbd_impl(&mut xs, dom, child, 0, false).unwrap();
         assert_eq!(inherited, 1, "child inherits the parent's overlay");
-        assert!(xs.exists(&format!("{}/state", vbd_front_dir(child, 0))));
+        assert!(xs.exists(&format!("{}/state", front(DeviceClass::Vbd, child))));
         assert_eq!(dm.vbd_read(child, 0, 3).unwrap(), s);
 
         // Divergence is private in both directions.
@@ -1717,6 +1674,11 @@ mod tests {
         assert_eq!(dm.vbd_read(dom, 0, 5).unwrap(), [5u8; SECTOR_SIZE]);
         let sh = dm.vbd_sharing();
         assert!(sh.shared_bytes > 0, "base image shared across the family");
+
+        // A domain's second vbd joins its row.
+        dm.setup_vbd_boot(&mut xs, dom, 1, 8).unwrap();
+        let rows: Vec<DomId> = dm.vbd_sharing_by_dom().map(|(d, _)| d).collect();
+        assert_eq!(rows, [dom, child]);
     }
 
     #[test]
@@ -1729,7 +1691,7 @@ mod tests {
         let port = dm.clone_vsock_impl(&mut hv, &mut xs, dom, child, false).unwrap();
         assert_eq!(port, crate::vsock::vsock_port_for(child));
         assert_eq!(
-            xs.read(DomId::DOM0, &format!("{}/port", vsock_front_dir(child))).unwrap(),
+            xs.read(DomId::DOM0, &format!("{}/port", front(DeviceClass::Vsock, child))).unwrap(),
             port.to_string(),
             "cloned entries rewritten to the child's port"
         );

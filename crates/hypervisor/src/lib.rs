@@ -730,21 +730,12 @@ impl Hypervisor {
     /// two fields sum to what per-domain stamped p2m arrays would cost
     /// in template bytes plus the overlay overhead.
     pub fn p2m_sharing(&self) -> p2m::P2mSharing {
-        let mut base_uses: HashMap<usize, u32> = HashMap::new();
-        for d in self.domains.values() {
-            *base_uses.entry(d.p2m.base_addr()).or_default() += 1;
+        let mut total = p2m::P2mSharing::default();
+        for (_, s) in self.p2m_sharing_by_dom() {
+            total.shared_bytes += s.shared_bytes;
+            total.unique_bytes += s.unique_bytes;
         }
-        let mut s = p2m::P2mSharing::default();
-        for d in self.domains.values() {
-            let base_bytes = d.p2m.base_len() as u64 * p2m::BASE_SLOT_BYTES;
-            if base_uses[&d.p2m.base_addr()] > 1 {
-                s.shared_bytes += base_bytes;
-            } else {
-                s.unique_bytes += base_bytes;
-            }
-            s.unique_bytes += d.p2m.overlay_len() as u64 * p2m::OVERLAY_ENTRY_BYTES;
-        }
-        s
+        total
     }
 
     /// Per-domain split of [`p2m_sharing`](Self::p2m_sharing): each
@@ -752,25 +743,22 @@ impl Hypervisor {
     /// domain-id order. Summing the rows reproduces the global split,
     /// which is how the family rollups attribute resident p2m bytes to
     /// clone families.
-    pub fn p2m_sharing_by_dom(&self) -> Vec<(DomId, p2m::P2mSharing)> {
+    pub fn p2m_sharing_by_dom(&self) -> impl Iterator<Item = (DomId, p2m::P2mSharing)> + '_ {
         let mut base_uses: HashMap<usize, u32> = HashMap::new();
         for d in self.domains.values() {
             *base_uses.entry(d.p2m.base_addr()).or_default() += 1;
         }
-        self.domains
-            .values()
-            .map(|d| {
-                let mut s = p2m::P2mSharing::default();
-                let base_bytes = d.p2m.base_len() as u64 * p2m::BASE_SLOT_BYTES;
-                if base_uses[&d.p2m.base_addr()] > 1 {
-                    s.shared_bytes += base_bytes;
-                } else {
-                    s.unique_bytes += base_bytes;
-                }
-                s.unique_bytes += d.p2m.overlay_len() as u64 * p2m::OVERLAY_ENTRY_BYTES;
-                (d.id, s)
-            })
-            .collect()
+        self.domains.values().map(move |d| {
+            let mut s = p2m::P2mSharing::default();
+            let base_bytes = d.p2m.base_len() as u64 * p2m::BASE_SLOT_BYTES;
+            if base_uses[&d.p2m.base_addr()] > 1 {
+                s.shared_bytes += base_bytes;
+            } else {
+                s.unique_bytes += base_bytes;
+            }
+            s.unique_bytes += d.p2m.overlay_len() as u64 * p2m::OVERLAY_ENTRY_BYTES;
+            (d.id, s)
+        })
     }
 
     /// Free guest-pool pages.

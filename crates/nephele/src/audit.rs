@@ -544,7 +544,7 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
             });
             continue;
         }
-        for path in id.xenstore_dirs(owner) {
+        for path in std::iter::once(id.frontend_dir(owner)).chain(id.backend_dir(owner)) {
             report.checks += 1;
             if !p.xs.exists(&path) {
                 report.violations.push(AuditViolation {
@@ -589,7 +589,7 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
             continue;
         }
         let home = format!("/local/domain/{}", d.id.0);
-        let console = format!("{home}/console");
+        let console = DeviceId::new(DeviceClass::Console, 0).frontend_dir(d.id);
         if p.xs.exists(&console) {
             report.checks += 1;
             if !held(d.id, Some(DeviceClass::Console), "0") {

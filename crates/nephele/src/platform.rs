@@ -38,8 +38,7 @@ use sim_core::{
     SplitMix64,
     TraceConfig,
     TraceMode,
-    TraceSink,
-    DEFAULT_FLIGHTREC_CAPACITY, //
+    TraceSink, //
 };
 use toolstack::{CreatedDomain, Dom0Model, DomainConfig, KernelImage, Xl, XlError};
 use xencloned::{CloneDaemonError, Xencloned};
@@ -187,9 +186,6 @@ pub struct PlatformConfig {
     /// throughout the platform does near-zero work). Overridable at
     /// runtime with `NEPHELE_TRACE`.
     pub tracing: TraceConfig,
-    /// Capacity of the always-on flight recorder ring (events kept).
-    /// Overridable at runtime with a numeric `NEPHELE_FLIGHTREC` value.
-    pub flightrec_capacity: usize,
     /// Directory flight-recorder dumps are written to on the first error
     /// or audit failure.
     pub flightrec_dir: PathBuf,
@@ -212,7 +208,6 @@ impl Default for PlatformConfig {
             mux: MuxKind::Bond,
             seed: 0x6e65_7068_656c_65, // "nephele"
             tracing: TraceConfig::default(),
-            flightrec_capacity: DEFAULT_FLIGHTREC_CAPACITY,
             flightrec_dir: PathBuf::from("results"),
             flightrec_dumps: true,
             audit: None,
@@ -297,12 +292,6 @@ impl PlatformConfigBuilder {
     /// overrides it at runtime.
     pub fn tracing(mut self, tracing: TraceConfig) -> Self {
         self.config.tracing = tracing;
-        self
-    }
-
-    /// Sets the flight recorder ring capacity (number of events kept).
-    pub fn flightrec_capacity(mut self, capacity: usize) -> Self {
-        self.config.flightrec_capacity = capacity;
         self
     }
 
@@ -477,20 +466,10 @@ impl Platform {
             MuxKind::Ovs => dm.set_mux(Box::new(SelectGroup::hashed())),
         }
 
-        // `NEPHELE_FLIGHTREC=0`/`off` disables dump files; a numeric value
-        // overrides the ring capacity. The ring itself is always on.
-        let mut flightrec_capacity = config.flightrec_capacity;
-        let mut flightrec_dumps = config.flightrec_dumps;
-        if let Ok(v) = std::env::var("NEPHELE_FLIGHTREC") {
-            match v.as_str() {
-                "0" | "off" => flightrec_dumps = false,
-                other => {
-                    if let Ok(n) = other.parse::<usize>() {
-                        flightrec_capacity = n;
-                    }
-                }
-            }
-        }
+        // `NEPHELE_FLIGHTREC=0`/`off` disables dump files. The ring itself
+        // is always on.
+        let flightrec_dumps = config.flightrec_dumps
+            && !matches!(std::env::var("NEPHELE_FLIGHTREC").as_deref(), Ok("0" | "off"));
         let audit_mode = config
             .audit
             .or_else(AuditMode::from_env)
@@ -515,7 +494,7 @@ impl Platform {
             packets_routed: 0,
             seed: config.seed,
             trace,
-            flightrec: FlightRecorder::with_capacity(flightrec_capacity),
+            flightrec: FlightRecorder::default(),
             flightrec_dir: config.flightrec_dir,
             flightrec_dumps,
             flightrec_dumped: Cell::new(false),

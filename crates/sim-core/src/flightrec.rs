@@ -19,7 +19,8 @@ use std::rc::Rc;
 
 use crate::trace::json_str;
 
-/// Default ring capacity (events retained) when none is configured.
+/// Ring capacity (events retained) of [`FlightRecorder::default`], the
+/// platform's recorder.
 pub const DEFAULT_FLIGHTREC_CAPACITY: usize = 256;
 
 /// One compact flight-recorder event.

@@ -542,15 +542,15 @@ impl TraceSink {
     }
 
     /// Records a virtual-nanosecond latency sample into the named
-    /// log-bucketed [`Histogram`] (see [`crate::hist`]) and the timeline.
-    /// O(1); a no-op on a disabled sink.
+    /// log-bucketed [`Histogram`] (see [`crate::hist`]). The timeline's
+    /// span rows count span closes only, so a sample recorded under a
+    /// span's name is not counted twice there. O(1); a no-op on a
+    /// disabled sink.
     pub fn record_ns(&self, name: &'static str, ns: u64) {
         let Some(buf) = &self.inner else { return };
         let mut b = buf.borrow_mut();
-        let at = b.clock.now();
         b.overhead.hist_records += 1;
         b.hists.entry(name).or_default().record(ns);
-        b.timeline.fold_span(at, name, ns);
     }
 
     /// Snapshot of the named latency histogram (`None` when unknown or
@@ -1368,5 +1368,25 @@ mod tests {
         let spans = sink.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].parent, Some(0), "handles share the span stack");
+    }
+
+    #[test]
+    fn timeline_counts_each_span_close_once() {
+        let (clock, sink) = enabled_sink();
+        {
+            let _g = sink.span("xs.xs_clone");
+            clock.advance(SimDuration::from_ns(300));
+        }
+        // A latency sample under a span's name, and one under a name no
+        // span carries: histograms only.
+        sink.record_ns("xs.xs_clone", 300);
+        sink.record_ns("clone.stage1", 50);
+        assert_eq!(
+            sink.timeline_csv(),
+            "slice,start_us,kind,key,dom,n,sum,max,last\n\
+             0,0.000,span,xs.xs_clone,,1,300,300,\n"
+        );
+        assert_eq!(sink.histogram("xs.xs_clone").map(|h| h.count()), Some(1));
+        assert_eq!(sink.histogram("clone.stage1").map(|h| h.count()), Some(1));
     }
 }

@@ -9,9 +9,9 @@
 //! * [`Xenstore::introduce_domain`] accepts an optional parent id — clone
 //!   introductions are initiated by `xencloned` and carry the parent;
 //! * the new [`Xenstore::xs_clone`] request deep-copies a directory on the
-//!   daemon side in a single request, rewriting domain-id references with
-//!   per-device heuristics ([`XsCloneOp`], Figs. 2–3). This slashes the
-//!   number of request round-trips, which is what makes cloning's
+//!   daemon side in a single request, rewriting a device directory's
+//!   domain-id references ([`XsCloneOp::Device`], Figs. 2–3). This slashes
+//!   the number of request round-trips, which is what makes cloning's
 //!   instantiation growth so much flatter than boot's in Fig. 4;
 //! * an access log with rotation; the rotation pauses the daemon and is the
 //!   source of the latency spikes in Fig. 4 ("Xenstore logs every incoming
@@ -54,21 +54,17 @@ impl std::error::Error for XsError {}
 /// Convenience alias for Xenstore results.
 pub type Result<T> = std::result::Result<T, XsError>;
 
-/// Heuristics applied by [`Xenstore::xs_clone`] (Fig. 3 of the paper).
+/// What [`Xenstore::xs_clone`] does to the copied values (Fig. 3 of the
+/// paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XsCloneOp {
     /// Normal in-depth directory copy, no rewriting.
     Basic,
-    /// Console device cloning.
-    DevConsole,
-    /// Network device cloning.
-    DevVif,
-    /// 9pfs device cloning.
-    Dev9pfs,
-    /// Block device cloning.
-    DevVbd,
-    /// Vsock device cloning.
-    DevVsock,
+    /// A device directory: every value referencing the parent domain is
+    /// rewritten to reference the child ([`tree::DomidRewrite`]). The paper
+    /// names one such operation per device class; in this model they are
+    /// all this one rewrite.
+    Device,
 }
 
 /// The split of the modelled resident memory into structurally shared and
@@ -134,18 +130,6 @@ impl HomeScope {
             && path != self.path
             && self.path.starts_with(path)
             && (path == "/" || self.path.as_bytes()[path.len()] == b'/')
-    }
-}
-
-/// Static span-attribute name of an [`XsCloneOp`].
-fn clone_op_name(op: XsCloneOp) -> &'static str {
-    match op {
-        XsCloneOp::Basic => "basic",
-        XsCloneOp::DevConsole => "dev_console",
-        XsCloneOp::DevVif => "dev_vif",
-        XsCloneOp::Dev9pfs => "dev_9pfs",
-        XsCloneOp::DevVbd => "dev_vbd",
-        XsCloneOp::DevVsock => "dev_vsock",
     }
 }
 
@@ -568,7 +552,7 @@ impl Xenstore {
             return Err(XsError::Denied(parent_path.to_string()));
         }
         let span = self.trace.span("xs.xs_clone");
-        span.attr("op", clone_op_name(op));
+        span.attr("op", if op == XsCloneOp::Basic { "basic" } else { "device" });
         // One request round-trip for the entire directory.
         self.charge_request();
 
@@ -590,16 +574,10 @@ impl Xenstore {
         // when first written through.
         let rewritten = match op {
             XsCloneOp::Basic => src,
-            XsCloneOp::DevConsole
-            | XsCloneOp::DevVif
-            | XsCloneOp::Dev9pfs
-            | XsCloneOp::DevVbd
-            | XsCloneOp::DevVsock => {
-                src.with_rewrite(DomidRewrite {
-                    old: parent_domid.0,
-                    new: child_domid.0,
-                })
-            }
+            XsCloneOp::Device => src.with_rewrite(DomidRewrite {
+                old: parent_domid.0,
+                new: child_domid.0,
+            }),
         };
         let (node, below) = self.resolve_mut(child_path);
         let delta = node.graft(below, rewritten, DomId::DOM0);
@@ -790,7 +768,7 @@ mod tests {
 
         xs.xs_clone(
             DomId::DOM0,
-            XsCloneOp::DevVif,
+            XsCloneOp::Device,
             p,
             c,
             "/local/domain/3/device/vif/0",
@@ -1058,7 +1036,7 @@ mod tests {
         .unwrap();
         xs.xs_clone(
             DomId::DOM0,
-            XsCloneOp::DevVif,
+            XsCloneOp::Device,
             DomId(3),
             DomId(8),
             "/local/domain/3/device/vif/0",
@@ -1068,7 +1046,7 @@ mod tests {
         // Clone the (still lazily-rewritten) clone.
         xs.xs_clone(
             DomId::DOM0,
-            XsCloneOp::DevVif,
+            XsCloneOp::Device,
             DomId(8),
             DomId(12),
             "/local/domain/8/device/vif/0",

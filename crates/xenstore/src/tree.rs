@@ -10,7 +10,7 @@
 //! * per-node cached entry counts make [`Node::count_entries`] and the
 //!   add/remove accounting of `graft`/`remove` O(1) per level.
 //!
-//! The domain-id rewriting performed by the device variants of `xs_clone`
+//! The domain-id rewriting `xs_clone` performs on device directories
 //! is *lazy*: a grafted handle carries a [`DomidRewrite`] overlay that
 //! applies to every value in its subtree. Reads apply the overlay on the
 //! fly; the overlay is pushed one level down (and the node privatized)
@@ -26,10 +26,11 @@ use sim_core::DomId;
 
 /// A pending domain-id rewrite over a whole subtree.
 ///
-/// Encodes the per-device heuristics of `xs_clone` (Fig. 3 of the paper):
+/// Encodes the device heuristics of `xs_clone` (Fig. 3 of the paper):
 /// path components `/local/domain/<old>/` (and the trailing-id form), the
 /// frontend-domid component of backend paths, and values that are exactly
-/// `<old>`.
+/// `<old>`. The device manager's deep-copy fallback applies the same
+/// rewrite value by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomidRewrite {
     /// Domain id to rewrite away (the clone's parent).

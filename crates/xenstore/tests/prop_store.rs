@@ -145,7 +145,7 @@ fn xs_clone_preserves_structure() {
         let before = xs.entry_count();
         xs.xs_clone(
             DomId::DOM0,
-            XsCloneOp::DevVif,
+            XsCloneOp::Device,
             parent,
             child,
             "/local/domain/3/device/vif/0",
@@ -175,7 +175,7 @@ fn xs_clone_preserves_structure() {
         let after_first = xs.entry_count();
         xs.xs_clone(
             DomId::DOM0,
-            XsCloneOp::DevVif,
+            XsCloneOp::Device,
             parent,
             child,
             "/local/domain/3/device/vif/0",
