@@ -11,6 +11,11 @@ fn main() {
         .unwrap_or(10_000);
     eprintln!("fig10scale: replaying traffic against {live} live clones...");
     let (series, report) = bench::fig10scale::run(live);
+    assert!(
+        report.audit.is_clean(),
+        "fig10scale: audit after the replay failed:\n{}",
+        report.audit
+    );
     bench::support::print_csv("fig10scale: request-cloning policy latency (us)", &series);
 
     eprintln!();
@@ -31,5 +36,10 @@ fn main() {
         report.clone_vm.cloned_on_demand,
         report.clone_vm.queued,
         report.clone_vm.latency.percentile(99.0) as f64 / 1_000.0
+    );
+    eprintln!(
+        "  audit after the replay: clean, {} checks in {:.2} s",
+        report.audit.checks,
+        report.audit_wall.as_secs_f64()
     );
 }

@@ -4,8 +4,10 @@
 //!
 //! This is the acceptance run for the index work — every create, clone,
 //! destroy and replay step must cost O(log pool) or O(refs), never
-//! O(live domains), or the run visibly crawls. `scripts/verify.sh` runs
-//! it once in release mode and asserts the scenario completes.
+//! O(live domains), or the run visibly crawls. The run ends with a full
+//! state audit of the 10^5-domain platform, which must come back clean.
+//! `scripts/verify.sh` runs it once in release mode and asserts the
+//! scenario completes.
 //!
 //! Usage: `cargo run -p bench --release --bin scale100k [live_domains]`
 //! (default 100000).
@@ -38,6 +40,11 @@ fn main() {
     );
     assert_eq!(report.clone_request.served, report.clone_vm.served);
     assert!(report.destroyed > 0, "churn phase did not run");
+    assert!(
+        report.audit.is_clean(),
+        "scale100k: audit after the replay failed:\n{}",
+        report.audit
+    );
 
     println!(
         "scale100k OK: {} live domains at replay, {} churned, {} requests per policy",
@@ -55,5 +62,10 @@ fn main() {
         report.clone_vm.latency.percentile(99.0) as f64 / 1_000.0,
         report.clone_vm.cloned_on_demand,
         report.clone_vm.queued
+    );
+    println!(
+        "  audit: clean, {} checks in {:.2} s",
+        report.audit.checks,
+        report.audit_wall.as_secs_f64()
     );
 }

@@ -62,5 +62,6 @@ mod tests {
     fn replay_starts_past_the_requested_density() {
         let (_, report) = run(2_000);
         assert!(report.live_at_replay > 2_000);
+        assert!(report.audit.is_clean(), "{}", report.audit);
     }
 }

@@ -24,12 +24,13 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::{Duration, Instant};
 
 use nephele::sim_core::hist::Histogram;
 use nephele::sim_core::rng::SplitMix64;
 use nephele::sim_core::SimDuration;
 use nephele::toolstack::{DomainConfig, KernelImage};
-use nephele::{AuditMode, MuxKind, Platform, PlatformConfig, TraceConfig};
+use nephele::{AuditMode, AuditReport, MuxKind, Platform, PlatformConfig, TraceConfig};
 
 /// Parameters of the open-loop arrival process.
 #[derive(Debug, Clone)]
@@ -311,12 +312,17 @@ pub struct MacroReport {
     pub clone_request: PolicyOutcome,
     /// The VM-cloning replay.
     pub clone_vm: PolicyOutcome,
+    /// The platform's state audit after both replays.
+    pub audit: AuditReport,
+    /// Host wall time the audit took.
+    pub audit_wall: Duration,
 }
 
 /// Runs the macro scenario: boot one vif-less template, clone it to
 /// `live_domains` in batches, churn a slice of the pool through
-/// destroy + re-clone, then replay the seeded tape under
-/// [`Policy::CloneRequest`] and [`Policy::CloneVm`].
+/// destroy + re-clone, replay the seeded tape under
+/// [`Policy::CloneRequest`] and [`Policy::CloneVm`], then audit the
+/// platform. The audit is read-only, so it moves no virtual time.
 pub fn run_macro(cfg: &MacroConfig) -> MacroReport {
     let mut p = Platform::new(
         PlatformConfig::builder()
@@ -405,11 +411,17 @@ pub fn run_macro(cfg: &MacroConfig) -> MacroReport {
         cfg.seed,
     );
 
+    let started = Instant::now();
+    let audit = p.audit();
+    let audit_wall = started.elapsed();
+
     MacroReport {
         live_at_replay,
         destroyed,
         clone_request,
         clone_vm,
+        audit,
+        audit_wall,
     }
 }
 
@@ -453,6 +465,7 @@ mod tests {
             ..MacroConfig::default()
         };
         let r = run_macro(&cfg);
+        assert!(r.audit.is_clean(), "{}", r.audit);
         assert_eq!(r.clone_request.served, 2_000);
         assert_eq!(r.clone_vm.served, 2_000);
         assert!(r.destroyed > 0);

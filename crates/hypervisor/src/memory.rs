@@ -305,6 +305,13 @@ impl FrameTable {
         self.total
     }
 
+    /// Frames handed out at least once. Frames `0..handed_out()` carry
+    /// metadata; every frame from here up to [`FrameTable::total_frames`]
+    /// has never been used and reads as free.
+    pub fn handed_out(&self) -> u64 {
+        self.frames.len() as u64
+    }
+
     /// Returns an accounting snapshot. O(1): the owner-class counts are
     /// maintained incrementally on every ownership transition, so sampling
     /// this from experiment hot loops is free even on the paper's 16 GiB

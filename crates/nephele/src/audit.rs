@@ -6,11 +6,16 @@
 //! [`AuditReport`]. The invariants verified:
 //!
 //! 1. **Frame refcounts vs p2m back-references.** Every machine frame's
-//!    metadata must agree with the set of p2m slots (and aux-frame lists)
-//!    that reference it: free and Xen-owned frames are referenced by
-//!    nobody, a domain-owned frame is referenced exactly once and only by
-//!    its owner, and a COW frame's refcount equals the number of p2m slots
-//!    pointing at it across all domains.
+//!    metadata must agree with the p2m slots, aux-frame entries and
+//!    checkpoint journal entries that reference it: free and Xen-owned
+//!    frames are referenced by nobody, a domain-owned frame is referenced
+//!    exactly once and only by its owner, and a COW frame's refcount
+//!    equals the number of p2m slots and journal entries pointing at it
+//!    across all domains. The references are gathered per p2m template,
+//!    not per domain: each distinct template is walked once, weighted by
+//!    the number of domains holding it, and each domain's overlay, aux
+//!    frames and journal are then applied as corrections. The sums equal
+//!    a walk of every domain's merged p2m exactly.
 //! 2. **Incremental counters vs full scan.** The frame table maintains
 //!    free/COW/Xen counts incrementally on every ownership transition;
 //!    they must match a fresh O(frames) recount.
@@ -66,11 +71,17 @@
 //!     the wrong (or miss the right) references, or a packet would wait
 //!     in a ring nobody drains.
 //!
-//! The checks are read-only and O(total frames + domains + devices); they
-//! run on demand, after every clone/destroy in debug builds, and after
-//! every lifecycle operation under `NEPHELE_AUDIT=every-op`.
+//! The checks are read-only, and their cost follows the distinct state,
+//! not the mapped slots. Gathering back-references costs O(domains +
+//! template slots + overlay entries + aux frames + journal entries), into
+//! one 16-byte entry per frame the table has handed out. Invariant 1 then visits
+//! every frame of the pool once, the Xenstore accounting check visits
+//! every distinct tree node once, and the other checks are O(domains +
+//! devices + grants + channels + index entries). The audit runs on
+//! demand, after every clone/destroy in debug builds, and after every
+//! lifecycle operation under `NEPHELE_AUDIT=every-op`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use devices::bus::{DeviceClass, DeviceId};
@@ -78,6 +89,8 @@ use hypervisor::domain::DomainState;
 use hypervisor::event::Channel;
 use hypervisor::grant::GrantEntry;
 use hypervisor::memory::FrameOwner;
+use hypervisor::p2m::P2m;
+use hypervisor::Hypervisor;
 use sim_core::{DomId, Mfn, Pfn};
 
 use crate::platform::Platform;
@@ -134,7 +147,7 @@ impl fmt::Display for AuditReport {
 }
 
 /// Back-references to one machine frame gathered from domain state.
-#[derive(Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct BackRefs {
     /// p2m slots pointing at the frame, across all domains.
     p2m: u32,
@@ -142,8 +155,100 @@ struct BackRefs {
     aux: u32,
     /// Keep-alive references held by checkpoint dirty_cow journals.
     journal: u32,
-    /// The first domain seen referencing the frame.
-    first_dom: u32,
+    /// Wrapping sum of the referring domain ids, one term per p2m or aux
+    /// reference. When the frame has exactly one such reference, this is
+    /// the domain holding it.
+    doms: u32,
+}
+
+/// Every frame's [`BackRefs`], indexed by frame number. A frame the table
+/// has handed out has a slot; a reference to any other frame (one never
+/// used, or one past the pool) is corruption and is kept in `stray`, so
+/// it is still counted and reported.
+struct BackRefIndex {
+    handed_out: Vec<BackRefs>,
+    stray: BTreeMap<u64, BackRefs>,
+}
+
+impl BackRefIndex {
+    fn at(&mut self, mfn: Mfn) -> &mut BackRefs {
+        match self.handed_out.get_mut(mfn.0 as usize) {
+            Some(r) => r,
+            None => self.stray.entry(mfn.0).or_default(),
+        }
+    }
+
+    fn get(&self, mfn: Mfn) -> BackRefs {
+        self.handed_out
+            .get(mfn.0 as usize)
+            .or_else(|| self.stray.get(&mfn.0))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// `n` p2m references from domains whose ids sum to `doms`.
+    fn add_p2m(&mut self, mfn: Mfn, n: u32, doms: u32) {
+        let r = self.at(mfn);
+        r.p2m += n;
+        r.doms = r.doms.wrapping_add(doms);
+    }
+
+    /// Gathers every frame's back-references in time and memory that
+    /// follow the distinct state, not the mapped slots. Each p2m template
+    /// is walked once, each mapped slot weighted by the number of domains
+    /// holding the template. Each domain's overlay then corrects its own
+    /// view: an entry drops the template slot's reference and adds its
+    /// own, so a non-canonical entry nets to zero as it does in the
+    /// merged view, and entries past the p2m length are skipped as
+    /// [`P2m::iter`] skips them. The sums equal a walk of every domain's
+    /// merged view exactly.
+    fn gather(hv: &Hypervisor) -> Self {
+        let mut index = BackRefIndex {
+            handed_out: vec![BackRefs::default(); hv.frames().handed_out() as usize],
+            stray: BTreeMap::new(),
+        };
+        // Template address -> (holders, wrapping sum of their ids, one
+        // p2m holding it).
+        let mut templates: HashMap<usize, (u32, u32, &P2m)> = HashMap::new();
+        for d in hv.domains() {
+            let t = templates.entry(d.p2m.base_addr()).or_insert((0, 0, &d.p2m));
+            t.0 += 1;
+            t.1 = t.1.wrapping_add(d.id.0);
+        }
+        for (holders, doms, p2m) in templates.into_values() {
+            for mfn in (0..p2m.base_len()).filter_map(|i| p2m.base_get(i)) {
+                index.add_p2m(mfn, holders, doms);
+            }
+        }
+        for d in hv.domains() {
+            let len = d.p2m.len() as u64;
+            for (idx, val) in d.p2m.overlay_entries().take_while(|&(i, _)| i < len) {
+                if let Some(base) = d.p2m.base_get(idx as usize) {
+                    let r = index.at(base);
+                    r.p2m -= 1;
+                    r.doms = r.doms.wrapping_sub(d.id.0);
+                }
+                if let Some(mfn) = val {
+                    index.add_p2m(mfn, 1, d.id.0);
+                }
+            }
+            for &mfn in &d.aux_frames {
+                let r = index.at(mfn);
+                r.aux += 1;
+                r.doms = r.doms.wrapping_add(d.id.0);
+            }
+            // An armed checkpoint's dirty_cow journal holds one keep-alive
+            // reference per journaled original (released on reset, re-
+            // checkpoint, clone and destroy), so those count toward the
+            // COW refcount like p2m slots do.
+            if let Some(cp) = &d.checkpoint {
+                for &orig in cp.dirty_cow.values() {
+                    index.at(orig).journal += 1;
+                }
+            }
+        }
+        index
+    }
 }
 
 /// Whether a domain is past construction and expected to have toolstack
@@ -165,38 +270,11 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     let mut report = AuditReport::default();
     let hv = &p.hv;
 
-    // Gather p2m/aux back-references for every frame in one pass.
-    let mut refs: HashMap<u64, BackRefs> = HashMap::new();
-    for d in hv.domains() {
-        for mfn in d.p2m.iter().flatten() {
-            let r = refs.entry(mfn.0).or_default();
-            if r.p2m == 0 && r.aux == 0 {
-                r.first_dom = d.id.0;
-            }
-            r.p2m += 1;
-        }
-        for mfn in &d.aux_frames {
-            let r = refs.entry(mfn.0).or_default();
-            if r.p2m == 0 && r.aux == 0 {
-                r.first_dom = d.id.0;
-            }
-            r.aux += 1;
-        }
-        // An armed checkpoint's dirty_cow journal holds one keep-alive
-        // reference per journaled original (released on reset, re-
-        // checkpoint, clone and destroy), so those count toward the COW
-        // refcount like p2m slots do.
-        if let Some(cp) = &d.checkpoint {
-            for orig in cp.dirty_cow.values() {
-                refs.entry(orig.0).or_default().journal += 1;
-            }
-        }
-    }
-
     // 1. Per-frame metadata vs back-references.
+    let refs = BackRefIndex::gather(hv);
     for (mfn, frame) in hv.frames().iter_frames() {
         report.checks += 1;
-        let r = refs.get(&mfn.0).copied().unwrap_or_default();
+        let r = refs.get(mfn);
         let total = r.p2m + r.aux;
         match frame.owner() {
             FrameOwner::Free => {
@@ -231,13 +309,18 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
                         invariant: "frame-refcount",
                         detail: format!("{mfn} owned by dead {d}"),
                     });
-                } else if total != 1 || r.first_dom != d.0 {
+                } else if total != 1 || r.doms != d.0 {
+                    let from = if total == 1 {
+                        format!(", from domain {}", r.doms)
+                    } else {
+                        String::new()
+                    };
                     report.violations.push(AuditViolation {
                         invariant: "frame-refcount",
                         detail: format!(
                             "{mfn} owned by {d} must have exactly one back-reference from \
-                             its owner, found {} p2m + {} aux (first from domain {})",
-                            r.p2m, r.aux, r.first_dom
+                             its owner, found {} p2m + {} aux{from}",
+                            r.p2m, r.aux
                         ),
                     });
                 } else if frame.refcount() != 0 {
@@ -271,6 +354,10 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
             }
         }
     }
+
+    // The index is the audit's largest allocation. Dropping it here lets
+    // the Xenstore walks below reuse its memory instead of adding to it.
+    drop(refs);
 
     // 2. Incremental owner counters vs full scan.
     report.checks += 1;
@@ -662,4 +749,175 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     }
 
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::Ipv4Addr;
+
+    use hypervisor::cloneop::CloneOp;
+    use testkit::prop::{check, ranges, vecs, Gen};
+    use toolstack::{DomainConfig, KernelImage};
+
+    use super::*;
+    use crate::platform::{AuditMode, PlatformConfig};
+
+    /// The per-domain walk the template-weighted gather replaced: every
+    /// mapped slot of every domain's merged p2m, every aux frame and every
+    /// journal entry, one map update each. Also returns the first domain
+    /// seen referencing each frame (through its p2m or aux frames), which
+    /// is what that walk named.
+    fn per_domain_walk(hv: &Hypervisor) -> (HashMap<u64, BackRefs>, HashMap<u64, u32>) {
+        let mut refs: HashMap<u64, BackRefs> = HashMap::new();
+        let mut first: HashMap<u64, u32> = HashMap::new();
+        for d in hv.domains() {
+            let slots = d.p2m.iter().flatten().map(|m| (m, false));
+            for (mfn, aux) in slots.chain(d.aux_frames.iter().map(|&m| (m, true))) {
+                let r = refs.entry(mfn.0).or_default();
+                if aux {
+                    r.aux += 1;
+                } else {
+                    r.p2m += 1;
+                }
+                r.doms = r.doms.wrapping_add(d.id.0);
+                first.entry(mfn.0).or_insert(d.id.0);
+            }
+            if let Some(cp) = &d.checkpoint {
+                for orig in cp.dirty_cow.values() {
+                    refs.entry(orig.0).or_default().journal += 1;
+                }
+            }
+        }
+        (refs, first)
+    }
+
+    /// Compares every frame's gathered back-references with the
+    /// per-domain walk's, and checks that a frame with exactly one p2m or
+    /// aux reference names the domain the walk saw first.
+    fn assert_gather_matches_walk(hv: &Hypervisor, after: &str) {
+        let gathered = BackRefIndex::gather(hv);
+        let (walked, first) = per_domain_walk(hv);
+        let frames = (0..gathered.handed_out.len() as u64)
+            .chain(gathered.stray.keys().copied())
+            .chain(walked.keys().copied());
+        for mfn in frames {
+            let want = walked.get(&mfn).copied().unwrap_or_default();
+            let got = gathered.get(Mfn(mfn));
+            assert_eq!(got, want, "{} after {after}", Mfn(mfn));
+            if want.p2m + want.aux == 1 {
+                assert_eq!(got.doms, first[&mfn], "{} after {after}", Mfn(mfn));
+            }
+        }
+    }
+
+    /// One step of a random family tape. Indices select from the live
+    /// domains modulo their count at execution time.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Clone domain `idx` into `nr` children.
+        Clone { idx: u64, nr: u64 },
+        /// Write a byte to a page of domain `idx` (a COW fault on a
+        /// shared frame).
+        Write { idx: u64, pfn: u64, val: u64 },
+        /// Privatize one page of domain `idx` through `clone_cow`.
+        CloneCow { idx: u64, pfn: u64 },
+        /// Arm (or re-arm) domain `idx`'s checkpoint.
+        Checkpoint { idx: u64 },
+        /// Reset domain `idx` to its checkpoint.
+        Reset { idx: u64 },
+        /// Save domain `idx` and restore it, onto a fresh template.
+        SaveRestore { idx: u64 },
+        /// Destroy domain `idx`.
+        Destroy { idx: u64 },
+    }
+
+    fn ops_gen() -> impl Gen<Value = Vec<Op>> {
+        vecs(
+            (ranges(0u64..8), ranges(0u64..64), ranges(0u64..1024), ranges(0u64..256)).map(
+                |(kind, idx, pfn, val)| match kind {
+                    0 | 1 => Op::Clone { idx, nr: 1 + val % 3 },
+                    2 => Op::Write { idx, pfn, val },
+                    3 => Op::CloneCow { idx, pfn },
+                    4 => Op::Checkpoint { idx },
+                    5 => Op::Reset { idx },
+                    6 => Op::SaveRestore { idx },
+                    _ => Op::Destroy { idx },
+                },
+            ),
+            1..20,
+        )
+    }
+
+    /// The template-weighted gather equals the per-domain walk it
+    /// replaced, frame by frame, after every op of random tapes that
+    /// clone clones and restored domains, fault and privatize pages, arm
+    /// and reset checkpoints, save, restore and destroy in any order.
+    #[test]
+    fn template_weighted_gather_equals_the_per_domain_walk() {
+        let img = KernelImage::minios("gather");
+        let cfg = DomainConfig::builder("gather")
+            .memory_mib(4)
+            .vif(Ipv4Addr::new(10, 0, 0, 2))
+            .max_clones(256)
+            .build();
+        check(25, |g| {
+            let ops = g.draw(&ops_gen());
+            let mut p = Platform::new(
+                PlatformConfig::builder()
+                    .guest_pool_mib(256)
+                    .audit(AuditMode::Off)
+                    .flightrec_dumps(false)
+                    .build(),
+            );
+            let mut live = vec![p.launch_plain(&cfg, &img).expect("root boot")];
+            let mut slot = 0u32;
+            for (step, op) in ops.iter().enumerate() {
+                let pick = |idx: u64| live[idx as usize % live.len()];
+                match *op {
+                    Op::Clone { idx, nr } => {
+                        if let Ok(kids) = p.clone_domain(pick(idx), nr as u32) {
+                            live.extend(kids);
+                        }
+                    }
+                    Op::Write { idx, pfn, val } => {
+                        let _ = p.hv.write_page(pick(idx), Pfn(pfn), 0, &[val as u8]);
+                    }
+                    Op::CloneCow { idx, pfn } => {
+                        let op = CloneOp::CloneCow { dom: pick(idx), pfns: vec![Pfn(pfn)] };
+                        let _ = p.hv.cloneop(DomId::DOM0, op);
+                    }
+                    Op::Checkpoint { idx } => {
+                        let _ = p.hv.cloneop(DomId::DOM0, CloneOp::Checkpoint { dom: pick(idx) });
+                    }
+                    Op::Reset { idx } => {
+                        let _ = p.hv.cloneop(DomId::DOM0, CloneOp::CloneReset { dom: pick(idx) });
+                    }
+                    Op::SaveRestore { idx } => {
+                        let dom = pick(idx);
+                        let name = format!("slot-{slot}");
+                        slot += 1;
+                        let saved =
+                            p.xl.save(&mut p.hv, &mut p.xs, &mut p.dm, &mut p.udev, dom, &name, &img);
+                        if saved.is_ok() {
+                            live.retain(|&d| d != dom);
+                            let restored = p
+                                .xl
+                                .restore(&mut p.hv, &mut p.xs, &mut p.dm, &mut p.udev, &name, None)
+                                .expect("restore a saved domain");
+                            live.push(restored.id);
+                        }
+                    }
+                    Op::Destroy { idx } => {
+                        if live.len() > 1 {
+                            let dom = live.remove(idx as usize % live.len());
+                            p.destroy(dom).expect("destroy a live domain");
+                        }
+                    }
+                }
+                assert_gather_matches_walk(&p.hv, &format!("{:?}", &ops[..=step]));
+            }
+            let report = p.audit();
+            assert!(report.is_clean(), "after {ops:?}:\n{report}");
+        });
+    }
 }

@@ -15,7 +15,7 @@
 //!   that is actually used by the VM", making restore slightly slower than
 //!   boot.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -595,29 +595,51 @@ impl Xl {
         self.records.len() as u64 * PER_DOMAIN
     }
 
-    /// Cross-checks the name index against a full registry scan; one
-    /// detail string per divergence (empty when consistent). The state
-    /// auditor surfaces these as its index-consistency invariant.
+    /// Cross-checks the name index against the registry in both
+    /// directions: every record is in its name's list, and every indexed
+    /// `(name, id)` is a record of that name. One detail string per
+    /// divergence (empty when consistent). The state auditor surfaces
+    /// these as its index-consistency invariant.
+    ///
+    /// The first direction is one lookup per record. Distinct records
+    /// give distinct entries, so when it holds, no list is empty and the
+    /// index holds exactly one entry per record, no other entry exists
+    /// and the second direction holds too. Only otherwise is each entry
+    /// looked up, to name the bad ones. Nothing is allocated per entry.
     pub fn audit_name_index(&self) -> Vec<String> {
-        let mut expect: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
-        for r in self.records.values() {
-            expect.entry(&r.name).or_default().insert(r.id.0);
-        }
         let mut bad = Vec::new();
-        for (name, ids) in &self.names {
-            let indexed: BTreeSet<u32> = ids.iter().copied().collect();
-            match expect.get(&**name) {
-                Some(e) if *e == indexed && indexed.len() == ids.len() => {}
-                other => bad.push(format!(
-                    "name index {name:?} -> {ids:?} != registry scan {other:?}"
-                )),
+        for r in self.records.values() {
+            if !self.names.get(&r.name).is_some_and(|ids| ids.contains(&r.id.0)) {
+                bad.push(format!(
+                    "registry name {:?} -> {} missing from the name index",
+                    r.name, r.id.0
+                ));
             }
         }
-        for (name, ids) in expect {
-            if !self.names.contains_key(name) {
-                bad.push(format!(
-                    "registry name {name:?} -> {ids:?} missing from the name index"
-                ));
+        let indexed: usize = self.names.values().map(Vec::len).sum();
+        let none_empty = self.names.values().all(|ids| !ids.is_empty());
+        if bad.is_empty() && none_empty && indexed == self.records.len() {
+            return bad;
+        }
+        for (name, ids) in &self.names {
+            if ids.is_empty() {
+                bad.push(format!("name index {name:?} holds an empty id list"));
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                if ids[..i].contains(&id) {
+                    bad.push(format!("name index {name:?} -> {ids:?} repeats {id}"));
+                    continue;
+                }
+                match self.records.get(&id) {
+                    Some(r) if r.name == *name => {}
+                    Some(r) => bad.push(format!(
+                        "name index {name:?} -> {id}, but the registry names {id} {:?}",
+                        r.name
+                    )),
+                    None => bad.push(format!(
+                        "name index {name:?} -> {id}, which has no registry record"
+                    )),
+                }
             }
         }
         bad
@@ -734,6 +756,42 @@ mod tests {
 
     fn plain_cfg(name: &str) -> DomainConfig {
         DomainConfig::builder(name).memory_mib(4).build()
+    }
+
+    /// Index drift that keeps every record findable (a repeated id, an
+    /// empty list, an entry naming another record's id) still fails the
+    /// name-index audit, each entry named.
+    #[test]
+    fn name_index_audit_names_entries_that_no_record_explains() {
+        let mut w = world();
+        let img = KernelImage::unikraft("fn");
+        let mut create = |name: &str| {
+            w.xl
+                .create(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &plain_cfg(name), &img)
+                .unwrap()
+                .id
+        };
+        let (a, b) = (create("alpha"), create("beta"));
+        assert!(w.xl.audit_name_index().is_empty());
+
+        w.xl.names.get_mut("alpha").unwrap().push(a.0);
+        let bad = w.xl.audit_name_index();
+        assert!(bad.iter().any(|d| d.contains("\"alpha\"") && d.contains("repeats")), "{bad:?}");
+        w.xl.names.get_mut("alpha").unwrap().pop();
+
+        w.xl.names.insert("gamma".into(), Vec::new());
+        let bad = w.xl.audit_name_index();
+        assert!(bad.iter().any(|d| d.contains("\"gamma\" holds an empty")), "{bad:?}");
+        w.xl.names.remove("gamma");
+
+        w.xl.names.get_mut("alpha").unwrap().push(b.0);
+        let bad = w.xl.audit_name_index();
+        assert!(
+            bad.iter().any(|d| d.contains(&format!("\"alpha\" -> {}, but the registry", b.0))),
+            "{bad:?}"
+        );
+        w.xl.names.get_mut("alpha").unwrap().pop();
+        assert!(w.xl.audit_name_index().is_empty());
     }
 
     /// Pins the name index across the sequences that historically break

@@ -622,13 +622,13 @@ impl Xenstore {
         }
     }
 
-    /// Cross-checks the persistent tree against its cached accounting:
-    /// every per-node cached entry count, the daemon's cached
-    /// `entry_count`, and the sharing walk's logical total must all
-    /// agree. Used by the platform auditor.
+    /// Cross-checks the persistent tree against its cached accounting, in
+    /// one walk over its distinct nodes: every per-node cached entry
+    /// count, the daemon's cached `entry_count`, and the walk's logical
+    /// total must all agree. Used by the platform auditor.
     pub fn audit_tree(&self) -> std::result::Result<(), String> {
         self.check_no_home("audit_tree");
-        self.root.verify_counts()?;
+        let stats = self.root.audit()?;
         let total = self.root.count_entries();
         if total != self.entry_count + 1 {
             return Err(format!(
@@ -636,7 +636,6 @@ impl Xenstore {
                 self.entry_count, total
             ));
         }
-        let stats = self.root.sharing();
         if stats.logical_entries != total {
             return Err(format!(
                 "sharing walk saw {} logical entries, tree counts {}",

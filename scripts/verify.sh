@@ -201,28 +201,46 @@ echo "== cargo bench -p bench --bench xenstore_ops --offline (Xenstore requests 
 # own baseline.
 cargo bench -p bench --bench xenstore_ops --offline
 
-echo "== scripts/bench_gate.sh (medians vs checked-in baselines)"
-scripts/bench_gate.sh
+echo "== cargo bench -p bench --bench audit --offline (one full state audit vs what the state holds)"
+cargo bench -p bench --bench audit --offline
 
-echo "== scripts/bench_gate.sh scripts/fixtures/regressed (doctored fixture must fail the gate as REGRESSED)"
-# The fixture is every baseline suite with each median multiplied by
-# 1000, so the gate must reject it through its REGRESSED branch alone: a
-# MISSING or NEW line would fail it whatever that branch does. When a
-# baseline changes, rebuild the fixture from it:
-#   awk '{ if (match($0, /"median_ns": [0-9.eE+-]+/)) { v = substr($0, RSTART + 13, RLENGTH - 13);
-#          $0 = substr($0, 1, RSTART + 12) sprintf("%.3f", v * 1000) substr($0, RSTART + RLENGTH) } print }' \
-#       scripts/bench_baselines/BENCH_x.json > scripts/fixtures/regressed/BENCH_x.json
-if fixture_report="$(scripts/bench_gate.sh scripts/fixtures/regressed 2>&1)"; then
-    echo "verify.sh: bench gate accepted the doctored regression fixture"
-    exit 1
-fi
-if ! grep -q ': REGRESSED ' <<<"$fixture_report" \
-    || grep -Eq ': (MISSING|NEW) |no parseable records' <<<"$fixture_report"; then
-    echo "verify.sh: the doctored fixture must fail the gate only through REGRESSED lines:"
-    grep -v ': REGRESSED ' <<<"$fixture_report" | head -20
-    exit 1
-fi
-echo "   $(grep -c ': REGRESSED ' <<<"$fixture_report") doctored medians flagged REGRESSED"
+echo "== audit gate (64 MiB-template family median <= 2x the 4 MiB-template median)"
+# The auditor's contract: an audit costs what the state holds, not what
+# the p2ms map. Back-references are gathered with one walk per p2m
+# template, so a 10^4-member family of a 64 MiB template (16x the slots)
+# must audit about as fast as one of a 4 MiB template. When every
+# domain's merged p2m was walked into a hash map, the 64 MiB median sat
+# at 19-29x the 4 MiB one (10.0-11.5 s vs 0.36-0.60 s) over four runs.
+audit_median() {
+    sed -n 's/.*"group": "'"$1"'", "name": "audit".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
+        results/BENCH_audit.json
+}
+awk -v t4="$(audit_median template_4mib)" -v t64="$(audit_median template_64mib)" 'BEGIN {
+    if (t4 + 0 <= 0 || t64 + 0 <= 0) {
+        print "verify.sh: missing audit medians (t4=" t4 ", t64=" t64 ")"
+        exit 1
+    }
+    ratio = t64 / t4
+    printf "   audit median: %.0f ns for a 4 MiB template vs %.0f ns for a 64 MiB one (%.2fx)\n", t4, t64, ratio
+    if (ratio > 2.0) {
+        print "verify.sh: audit time grows " ratio "x from a 4 MiB to a 64 MiB template (gate: 2x)"
+        exit 1
+    }
+}'
+
+echo "== cargo build -p bench --release --offline --bins (so the timed runs below exclude compile time)"
+cargo build -q -p bench --release --offline --bins
+bin_dir="${CARGO_TARGET_DIR:-target}/release"
+
+# Host wall time of every end-to-end run below, one record per run in the
+# testkit bench shape (one record per line), written to
+# results/BENCH_e2e_figures.json so that scripts/bench_gate.sh covers it.
+e2e_records=()
+e2e_record() {
+    local name="$1" ns=$(( $(date +%s%N) - $2 ))
+    e2e_records+=("    {\"group\": \"e2e\", \"name\": \"$name\", \"samples\": 1, \"batch\": 1, \"median_ns\": $ns, \"p90_ns\": $ns, \"p99_ns\": $ns, \"mean_ns\": $ns, \"min_ns\": $ns, \"max_ns\": $ns}")
+    printf '   %s took %.2f s\n' "$name" "$(awk -v ns="$ns" 'BEGIN { print ns / 1e9 }')"
+}
 
 echo "== figure determinism gate (every committed figure CSV must be byte-identical)"
 # Neither the COW Xenstore, the p2m overlay rework, nor the per-class
@@ -231,13 +249,15 @@ echo "== figure determinism gate (every committed figure CSV must be byte-identi
 # against the checked-in CSVs. fig4/fig7/fig8 embed span aggregates, so they
 # reproduce only with tracing enabled; the rest run without it.
 detgate() {
-    local fig="$1" trace="$2" out
+    local fig="$1" trace="$2" out started
     out="$(mktemp)"
+    started="$(date +%s%N)"
     if [[ "$trace" == trace ]]; then
-        NEPHELE_TRACE=1 cargo run -q -p bench --release --offline --bin "$fig" > "$out"
+        NEPHELE_TRACE=1 "$bin_dir/$fig" > "$out"
     else
-        cargo run -q -p bench --release --offline --bin "$fig" > "$out"
+        "$bin_dir/$fig" > "$out"
     fi
+    e2e_record "$fig" "$started"
     if ! diff -q "results/$fig.csv" "$out" >/dev/null; then
         echo "verify.sh: $fig.csv drifted from the committed results:"
         diff "results/$fig.csv" "$out" | head -20
@@ -281,8 +301,45 @@ echo "== scale100k (10^5 concurrently live clones, churn, and policy replay must
 # vif-less clones, churning 1 562 of them through destroy, and replaying
 # 20 000 requests per policy. Any O(live domains) cost left on the
 # create/clone/destroy path makes this run crawl; the binary asserts
-# the scenario's invariants itself.
-cargo run -q -p bench --release --offline --bin scale100k
+# the scenario's invariants itself, a clean audit of the final
+# 10^5-domain state among them.
+started="$(date +%s%N)"
+"$bin_dir/scale100k"
+e2e_record scale100k "$started"
+
+{
+    printf '{\n  "bench": "e2e_figures",\n  "results": [\n'
+    for i in "${!e2e_records[@]}"; do
+        if (( i > 0 )); then
+            printf ',\n'
+        fi
+        printf '%s' "${e2e_records[$i]}"
+    done
+    printf '\n  ]\n}\n'
+} > results/BENCH_e2e_figures.json
+
+echo "== scripts/bench_gate.sh (medians vs checked-in baselines)"
+scripts/bench_gate.sh
+
+echo "== scripts/bench_gate.sh scripts/fixtures/regressed (doctored fixture must fail the gate as REGRESSED)"
+# The fixture is every baseline suite with each median multiplied by
+# 1000, so the gate must reject it through its REGRESSED branch alone: a
+# MISSING or NEW line would fail it whatever that branch does. When a
+# baseline changes, rebuild the fixture from it:
+#   awk '{ if (match($0, /"median_ns": [0-9.eE+-]+/)) { v = substr($0, RSTART + 13, RLENGTH - 13);
+#          $0 = substr($0, 1, RSTART + 12) sprintf("%.3f", v * 1000) substr($0, RSTART + RLENGTH) } print }' \
+#       scripts/bench_baselines/BENCH_x.json > scripts/fixtures/regressed/BENCH_x.json
+if fixture_report="$(scripts/bench_gate.sh scripts/fixtures/regressed 2>&1)"; then
+    echo "verify.sh: bench gate accepted the doctored regression fixture"
+    exit 1
+fi
+if ! grep -q ': REGRESSED ' <<<"$fixture_report" \
+    || grep -Eq ': (MISSING|NEW) |no parseable records' <<<"$fixture_report"; then
+    echo "verify.sh: the doctored fixture must fail the gate only through REGRESSED lines:"
+    grep -v ': REGRESSED ' <<<"$fixture_report" | head -20
+    exit 1
+fi
+echo "   $(grep -c ': REGRESSED ' <<<"$fixture_report") doctored medians flagged REGRESSED"
 
 echo "== hostbench virtual-time digests (seed 1 must match scripts/hostbench_digests.txt)"
 # Host-time work must not move virtual time. Each hostbench workload

@@ -9,7 +9,7 @@ use std::path::Path;
 use nephele::hypervisor::cloneop::CloneOp;
 use nephele::hypervisor::memory::FrameOwner;
 use nephele::netmux::IfaceId;
-use nephele::sim_core::{DomId, Pfn};
+use nephele::sim_core::{DomId, Mfn, Pfn};
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{AuditMode, Platform, PlatformConfig};
 use testkit::prop::{check, ranges, vecs, Gen};
@@ -237,6 +237,146 @@ fn armed_checkpoints_with_faults_audit_clean() {
     assert!(p.audit().is_clean(), "post-destroy");
 }
 
+/// A platform without per-op audits holding one vif-less 4 MiB template
+/// and `members` clones of it; returns the platform and the template.
+fn family_platform(members: u32) -> (Platform, DomId) {
+    let mut p = Platform::new(
+        PlatformConfig::builder()
+            .guest_pool_mib(256)
+            .ring_capacity(256)
+            .audit(AuditMode::Off)
+            .flightrec_dir("target/test-flightrec")
+            .build(),
+    );
+    let cfg = DomainConfig::builder("family-tmpl")
+        .memory_mib(4)
+        .max_clones(members)
+        .build();
+    let template = p
+        .launch_plain(&cfg, &KernelImage::minios("family-tmpl"))
+        .expect("template boot");
+    let mut made = 0;
+    while made < members {
+        let want = (members - made).min(250);
+        made += p.clone_domain(template, want).expect("clone batch").len() as u32;
+    }
+    (p, template)
+}
+
+/// The refcount of a COW frame a whole 1 000-member family shares is
+/// checked against the sum the per-template gather weights by holders:
+/// one reference too many or too few is flagged, and the frame named.
+#[test]
+fn family_shared_refcount_drift_is_detected_and_named() {
+    let (mut p, _) = family_platform(1_000);
+    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
+    let (victim, refcount) = p
+        .hv
+        .frames()
+        .iter_frames()
+        .filter(|(_, f)| f.owner() == FrameOwner::Cow)
+        .map(|(mfn, f)| (mfn, f.refcount()))
+        .max_by_key(|&(_, refcount)| refcount)
+        .expect("a clone leaves COW frames behind");
+    assert!(refcount > 1_000, "the whole family shares {victim} ({refcount} refs)");
+
+    for delta in [1, -1] {
+        p.hv.frames_mut().corrupt_refcount_for_test(victim, delta);
+        let report = p.audit();
+        assert!(
+            report.violations.iter().any(|v| v.invariant == "frame-refcount"
+                && v.detail.contains(&format!("cow {victim} refcount"))),
+            "a refcount off by {delta} must be named:\n{report}"
+        );
+        p.hv.frames_mut().corrupt_refcount_for_test(victim, -delta);
+        assert!(p.audit().is_clean(), "undoing the drift of {delta} must audit clean");
+    }
+}
+
+/// A sibling's overlay mapping a frame another clone owns outright gives
+/// that frame a second back-reference; the frame check must name the
+/// owner. Once the owner's own slot lets go of it, the sibling is its
+/// single referrer, and the check must name the sibling.
+#[test]
+fn sibling_overlay_onto_an_owned_frame_is_detected_and_named() {
+    let (mut p, template) = family_platform(2);
+    let kids: Vec<DomId> = p
+        .hv
+        .domains()
+        .map(|d| d.id)
+        .filter(|&d| d != template && !d.is_dom0())
+        .collect();
+    let (owner, sibling) = (kids[0], kids[1]);
+    let (owned_slot, owned) = p
+        .hv
+        .domain(owner)
+        .expect("owner")
+        .p2m
+        .iter_mapped()
+        .find(|&(_, mfn)| {
+            p.hv.frames().inspect(mfn).map(|f| f.owner()).ok() == Some(FrameOwner::Dom(owner))
+        })
+        .expect("a clone owns its private pages outright");
+    let sibling_slot = p.hv.domain(sibling).expect("sibling").p2m.len() as u64 - 1;
+
+    p.hv.domain_mut(sibling)
+        .expect("sibling")
+        .p2m
+        .corrupt_overlay_for_test(sibling_slot, Some(owned));
+    let report = p.audit();
+    assert!(
+        report.violations.iter().any(|v| v.invariant == "frame-refcount"
+            && v.detail.contains(&format!("{owned} owned by {owner} must"))
+            && v.detail.contains("found 2 p2m")),
+        "the doubly referenced frame and its owner must be named:\n{report}"
+    );
+
+    p.hv.domain_mut(owner)
+        .expect("owner")
+        .p2m
+        .corrupt_overlay_for_test(owned_slot.0, None);
+    let report = p.audit();
+    assert!(
+        report.violations.iter().any(|v| v.invariant == "frame-refcount"
+            && v.detail.contains(&format!("{owned} owned by {owner} must"))
+            && v.detail.contains("found 1 p2m + 0 aux")
+            && v.detail.contains(&format!("from domain {}", sibling.0))),
+        "the single referrer must be named:\n{report}"
+    );
+}
+
+/// An overlay entry past the p2m length is outside the merged view, so
+/// it must count toward no frame: the overlay invariant flags it, and
+/// every frame's refcount check still passes.
+#[test]
+fn overlay_entry_past_the_p2m_length_leaves_frame_counts_intact() {
+    let (mut p, template) = family_platform(1);
+    let child = p
+        .hv
+        .domains()
+        .map(|d| d.id)
+        .find(|&d| d != template && !d.is_dom0())
+        .expect("a clone");
+    let d = p.hv.domain(child).expect("clone");
+    let (_, mapped) = d.p2m.iter_mapped().next().expect("a clone maps pages");
+    let past = d.p2m.len() as u64 + 5;
+    p.hv.domain_mut(child)
+        .expect("clone")
+        .p2m
+        .corrupt_overlay_for_test(past, Some(mapped));
+
+    let report = p.audit();
+    assert!(
+        report.violations.iter().any(|v| v.invariant == "p2m-overlay"
+            && v.detail.contains(&format!("overlay slot {past} is past the p2m length"))),
+        "the stray overlay slot must be named:\n{report}"
+    );
+    assert!(
+        report.violations.iter().all(|v| v.invariant == "p2m-overlay"),
+        "no frame may count the stray slot:\n{report}"
+    );
+}
+
 /// A deliberately de-canonicalized p2m overlay (an entry redundantly
 /// storing the template's value) is invisible to the merged view and to
 /// every refcount, so only the overlay invariant can catch it — and the
@@ -382,6 +522,24 @@ fn corrupted_name_index_is_detected_and_named() {
     );
 
     p.xl.corrupt_name_index_for_test("ghost-name", 4242, false);
+    assert!(p.audit().is_clean());
+
+    // The other direction: a registered name the index lost.
+    p.xl.rename(&mut p.xs, parent, "ghost-name").expect("rename");
+    assert!(p.audit().is_clean(), "a rename keeps the index in step");
+    p.xl.corrupt_name_index_for_test("ghost-name", parent.0, false);
+    let report = p.audit();
+    assert!(!report.is_clean(), "a record missing from the index must fail the audit");
+    assert!(
+        report.violations.iter().all(|v| v.invariant == "index-consistency"),
+        "only the index invariant can see a dropped name entry:\n{report}"
+    );
+    assert!(
+        report.violations.iter().any(|v| v.detail.contains("ghost-name")),
+        "violation must name the unindexed record:\n{report}"
+    );
+
+    p.xl.corrupt_name_index_for_test("ghost-name", parent.0, true);
     assert!(p.audit().is_clean());
 }
 
@@ -547,6 +705,28 @@ fn audit_clean_clone(name: &str) -> (Platform, DomId) {
     let child = p.clone_domain(parent, 1).expect("clone")[0];
     assert!(p.audit().is_clean(), "pre-corruption state must be clean");
     (p, child)
+}
+
+/// A p2m entry naming a frame the table never handed out is corruption
+/// too: the frame check must count it against that free frame and name
+/// it, although the back-reference index holds a slot only for frames
+/// handed out.
+#[test]
+fn reference_to_a_never_used_frame_is_detected_and_named() {
+    let (mut p, child) = audit_clean_clone("never-used");
+    let fresh = Mfn(p.hv.frames().handed_out());
+    assert!(fresh.0 < p.hv.frames().total_frames(), "the pool has untouched frames");
+    p.hv.domain_mut(child)
+        .expect("clone")
+        .p2m
+        .corrupt_overlay_for_test(0, Some(fresh));
+
+    let report = p.audit();
+    assert!(
+        report.violations.iter().any(|v| v.invariant == "frame-refcount"
+            && v.detail.starts_with(&format!("free {fresh} still referenced (1 p2m"))),
+        "the never-used frame must be named:\n{report}"
+    );
 }
 
 /// A device node that no held device owns is an orphan — what a buggy
