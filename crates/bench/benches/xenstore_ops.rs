@@ -72,7 +72,7 @@ fn bench_xs_clone(c: &mut Bench) {
                 XsCloneOp::Device,
                 DomId(3),
                 DomId(9),
-                "/local/domain/3/device/vif/0",
+                &xs.subtree("/local/domain/3/device/vif/0"),
                 "/local/domain/9/device/vif/0",
             )
             .unwrap();
@@ -89,7 +89,7 @@ fn bench_xs_clone(c: &mut Bench) {
                 XsCloneOp::Device,
                 DomId(3),
                 DomId(child),
-                "/local/domain/3/device/vif/0",
+                &xs.subtree("/local/domain/3/device/vif/0"),
                 &format!("/local/domain/{child}/device/vif/0"),
             )
             .unwrap();

@@ -13,13 +13,13 @@
 //! lists a domain's devices from it in `(class, devid)` order, and
 //! [`DeviceManager::clone_device`](crate::DeviceManager::clone_device)
 //! clones one by a `match` on its class. The second stage is then a
-//! single loop:
+//! single loop over the parent's devices the policy clones, resolved
+//! once per run of its children:
 //!
 //! ```text
-//! for id in dm.devices(parent) {          // sorted: console, vifs, 9pfs, ...
-//!     if policy.clones(id.class) {
-//!         dm.clone_device(hv, xs, udev, parent, child, id, deep_copy)?;
-//!     }
+//! let sources = dm.clone_sources(xs, parent, &policy); // console, vifs, 9pfs, ...
+//! for src in &sources {
+//!     dm.clone_device(hv, xs, udev, src, child, deep_copy)?;
 //! }
 //! ```
 

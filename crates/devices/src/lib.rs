@@ -29,8 +29,10 @@
 //! [`DeviceManager::devices`] lists a domain's devices from it as
 //! [`bus::DeviceId`]s in `(class, devid)` order, and
 //! [`DeviceManager::clone_device`] clones one by its class's
-//! [`bus::CloneSemantics`]; the `xencloned` second stage loops over the
-//! one and calls the other.
+//! [`bus::CloneSemantics`]. The `xencloned` second stage takes a
+//! parent's [`DeviceManager::clone_sources`] once per run of its
+//! children, each device with handles on its Xenstore directories, and
+//! calls `clone_device` on every one for every child.
 //!
 //! The network side is event-driven, as netback is in Xen: the manager
 //! keeps the set of vifs with queued TX packets and the set with queued
@@ -63,10 +65,10 @@ use hypervisor::Hypervisor;
 use netmux::{CloneMux, IfaceId, MacAddr, Packet};
 use sim_core::{Clock, CostModel, DomId, Pfn, TraceSink};
 use xenstore::tree::DomidRewrite;
-use xenstore::{XsCloneOp, XsError, Xenstore};
+use xenstore::{Subtree, XsCloneOp, XsError, Xenstore};
 
 use crate::block::{Sector, Vbd, VbdSharing, SECTOR_SIZE};
-use crate::bus::{DeviceClass, DeviceId};
+use crate::bus::{ClonePolicy, DeviceClass, DeviceId};
 use crate::console::ConsoleBackend;
 use crate::memfs::MemFs;
 use crate::net::{Vif, RX_RING_SLOTS, TX_RING_SLOTS};
@@ -145,6 +147,35 @@ pub struct VifConfig {
     pub rx_buffers: Vec<Pfn>,
 }
 
+/// A device to clone from: its owner and id, plus handles on its
+/// Xenstore directories ([`Xenstore::subtree`]), taken once so that
+/// every child cloned from it grafts them without resolving the paths
+/// again. The handles hold while nothing writes under the owner's
+/// device directories, which no clone of it does.
+#[derive(Debug, Clone)]
+pub struct CloneSource {
+    /// The device's owner: the clones' parent.
+    pub owner: DomId,
+    /// The device.
+    pub id: DeviceId,
+    front: Subtree,
+    /// `None` for the console, which has no backend directory.
+    back: Option<Subtree>,
+}
+
+impl CloneSource {
+    /// Takes handles on `owner`'s directories of device `id`, charging
+    /// nothing.
+    pub fn new(xs: &Xenstore, owner: DomId, id: DeviceId) -> Self {
+        CloneSource {
+            owner,
+            id,
+            front: xs.subtree(id.frontend_dir(owner)),
+            back: id.backend_dir(owner).map(|b| xs.subtree(b)),
+        }
+    }
+}
+
 /// The Dom0 device registry and backend host.
 #[derive(Debug)]
 pub struct DeviceManager {
@@ -219,20 +250,38 @@ impl DeviceManager {
     /// The devices `owner` holds, in `(class, devid)` order — the
     /// second stage's dispatch order (console, vifs, 9pfs, vbds, vsock,
     /// USB) — read from the per-class state itself.
-    pub fn devices(&self, owner: DomId) -> Vec<DeviceId> {
+    pub fn devices(&self, owner: DomId) -> impl Iterator<Item = DeviceId> + '_ {
         let d = owner.0;
-        let one = |held: bool| if held { vec![(d, 0)] } else { Vec::new() };
-        [
-            (DeviceClass::Console, one(self.console.is_attached(owner))),
-            (DeviceClass::Vif, Self::owned_range(&self.vifs, owner)),
-            (DeviceClass::P9fs, one(self.served_by.contains_key(&d))),
-            (DeviceClass::Vbd, Self::owned_range(&self.vbds, owner)),
-            (DeviceClass::Vsock, one(self.vsocks.contains_key(&d))),
-            (DeviceClass::Usb, Self::owned_range(&self.usbs, owner)),
-        ]
-        .into_iter()
-        .flat_map(|(class, keys)| keys.into_iter().map(move |(_, i)| DeviceId::new(class, i)))
-        .collect()
+        let one = |class, held: bool| held.then_some(DeviceId::new(class, 0));
+        fn keyed<V>(
+            map: &BTreeMap<(u32, u32), V>,
+            class: DeviceClass,
+            d: u32,
+        ) -> impl Iterator<Item = DeviceId> + '_ {
+            map.range((d, 0)..=(d, u32::MAX)).map(move |(&(_, i), _)| DeviceId::new(class, i))
+        }
+        one(DeviceClass::Console, self.console.is_attached(owner))
+            .into_iter()
+            .chain(keyed(&self.vifs, DeviceClass::Vif, d))
+            .chain(one(DeviceClass::P9fs, self.served_by.contains_key(&d)))
+            .chain(keyed(&self.vbds, DeviceClass::Vbd, d))
+            .chain(one(DeviceClass::Vsock, self.vsocks.contains_key(&d)))
+            .chain(keyed(&self.usbs, DeviceClass::Usb, d))
+    }
+
+    /// The devices of `owner` that `policy` clones, in
+    /// [`devices`](Self::devices) order, each with its Xenstore
+    /// directories resolved ([`CloneSource`]). Charges nothing.
+    pub fn clone_sources(
+        &self,
+        xs: &Xenstore,
+        owner: DomId,
+        policy: &ClonePolicy,
+    ) -> Vec<CloneSource> {
+        self.devices(owner)
+            .filter(|id| policy.clones(id.class))
+            .map(|id| CloneSource::new(xs, owner, id))
+            .collect()
     }
 
     /// Every device on the host as `(owner, id)`, in `(owner, class,
@@ -306,37 +355,34 @@ impl DeviceManager {
         bad
     }
 
-    /// Clones `parent`'s device `id` for `child` by its class's clone
-    /// heuristic (§4.2), returning the host interface a cloned vif
-    /// brought up.
-    #[allow(clippy::too_many_arguments)]
+    /// Clones the device `src` names for `child`, a clone of its owner,
+    /// by its class's clone heuristic (§4.2), returning the host
+    /// interface a cloned vif brought up.
     pub fn clone_device(
         &mut self,
         hv: &mut Hypervisor,
         xs: &mut Xenstore,
         udev: &mut UdevBus,
-        parent: DomId,
+        src: &CloneSource,
         child: DomId,
-        id: DeviceId,
         deep_copy: bool,
     ) -> Result<Option<IfaceId>> {
-        match id.class {
-            DeviceClass::Console => self.clone_console_impl(hv, xs, parent, child, deep_copy)?,
+        match src.id.class {
+            DeviceClass::Console => self.clone_console_impl(hv, xs, src, child, deep_copy)?,
             DeviceClass::Vif => {
-                let iface =
-                    self.clone_vif_impl(hv, xs, udev, parent, child, id.devid, deep_copy)?;
+                let iface = self.clone_vif_impl(hv, xs, udev, src, child, deep_copy)?;
                 return Ok(Some(iface));
             }
             DeviceClass::P9fs => {
-                self.clone_9pfs_impl(xs, parent, child, deep_copy)?;
+                self.clone_9pfs_impl(xs, src, child, deep_copy)?;
             }
             DeviceClass::Vbd => {
-                self.clone_vbd_impl(xs, parent, child, id.devid, deep_copy)?;
+                self.clone_vbd_impl(xs, src, child, deep_copy)?;
             }
             DeviceClass::Vsock => {
-                self.clone_vsock_impl(hv, xs, parent, child, deep_copy)?;
+                self.clone_vsock_impl(hv, xs, src, child, deep_copy)?;
             }
-            DeviceClass::Usb => self.clone_usb_detach_impl(parent, child, id.devid)?,
+            DeviceClass::Usb => self.clone_usb_detach_impl(src, child)?,
         }
         Ok(None)
     }
@@ -390,16 +436,16 @@ impl DeviceManager {
         &mut self,
         hv: &mut Hypervisor,
         xs: &mut Xenstore,
-        parent: DomId,
+        src: &CloneSource,
         child: DomId,
         deep_copy: bool,
     ) -> Result<()> {
         let span = self.trace.span("dev.clone_console");
         span.attr("deep_copy", deep_copy);
-        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::Console, 0), deep_copy)?;
+        self.clone_dirs(xs, src, child, deep_copy)?;
         let ring_pfn = hv.domain(child)?.console_pfn;
         self.clock.advance(self.costs.console_attach);
-        self.console.attach_clone(parent, child, ring_pfn);
+        self.console.attach_clone(src.owner, child, ring_pfn);
         Ok(())
     }
 
@@ -483,21 +529,20 @@ impl DeviceManager {
     /// the backend shortcuts the negotiation and the rings are copied.
     /// Emits the udev event that prompts userspace to enslave the new
     /// interface.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn clone_vif_impl(
         &mut self,
         hv: &mut Hypervisor,
         xs: &mut Xenstore,
         udev: &mut UdevBus,
-        parent: DomId,
+        src: &CloneSource,
         child: DomId,
-        devid: u32,
         deep_copy: bool,
     ) -> Result<IfaceId> {
+        let (parent, devid) = (src.owner, src.id.devid);
         let span = self.trace.span("dev.clone_vif");
         span.attr("devid", devid);
         span.attr("deep_copy", deep_copy);
-        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::Vif, devid), deep_copy)?;
+        self.clone_dirs(xs, src, child, deep_copy)?;
 
         if !self.vifs.contains_key(&(parent.0, devid)) {
             return Err(DevError::NoSuchDevice(parent, devid));
@@ -796,13 +841,14 @@ impl DeviceManager {
     pub(crate) fn clone_9pfs_impl(
         &mut self,
         xs: &mut Xenstore,
-        parent: DomId,
+        src: &CloneSource,
         child: DomId,
         deep_copy: bool,
     ) -> Result<usize> {
+        let parent = src.owner;
         let span = self.trace.span("dev.clone_9pfs");
         span.attr("deep_copy", deep_copy);
-        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::P9fs, 0), deep_copy)?;
+        self.clone_dirs(xs, src, child, deep_copy)?;
         self.clock.advance(self.costs.qmp_request);
         let pid = *self.served_by.get(&parent.0).ok_or(DevError::NoBackend(parent))?;
         let q = self.qemus.get_mut(&pid).ok_or(DevError::NoBackend(parent))?;
@@ -875,15 +921,15 @@ impl DeviceManager {
     pub(crate) fn clone_vbd_impl(
         &mut self,
         xs: &mut Xenstore,
-        parent: DomId,
+        src: &CloneSource,
         child: DomId,
-        devid: u32,
         deep_copy: bool,
     ) -> Result<u64> {
+        let (parent, devid) = (src.owner, src.id.devid);
         let span = self.trace.span("dev.clone_vbd");
         span.attr("devid", devid);
         span.attr("deep_copy", deep_copy);
-        self.clone_dirs(xs, parent, child, DeviceId::new(DeviceClass::Vbd, devid), deep_copy)?;
+        self.clone_dirs(xs, src, child, deep_copy)?;
         let parent_vbd = self
             .vbds
             .get(&(parent.0, devid))
@@ -994,14 +1040,14 @@ impl DeviceManager {
         &mut self,
         hv: &mut Hypervisor,
         xs: &mut Xenstore,
-        parent: DomId,
+        src: &CloneSource,
         child: DomId,
         deep_copy: bool,
     ) -> Result<u32> {
+        let (parent, id) = (src.owner, src.id);
         let span = self.trace.span("dev.clone_vsock");
         span.attr("deep_copy", deep_copy);
-        let id = DeviceId::new(DeviceClass::Vsock, 0);
-        self.clone_dirs(xs, parent, child, id, deep_copy)?;
+        self.clone_dirs(xs, src, child, deep_copy)?;
         let parent_conn = self
             .vsocks
             .get(&parent.0)
@@ -1070,12 +1116,8 @@ impl DeviceManager {
     /// *without* it — no Xenstore state, no backend state —
     /// while the parent keeps it attached. This is the whole of
     /// [`bus::CloneSemantics::DetachOnClone`].
-    pub(crate) fn clone_usb_detach_impl(
-        &mut self,
-        parent: DomId,
-        child: DomId,
-        devid: u32,
-    ) -> Result<()> {
+    pub(crate) fn clone_usb_detach_impl(&mut self, src: &CloneSource, child: DomId) -> Result<()> {
+        let (parent, devid) = (src.owner, src.id.devid);
         let span = self.trace.span("dev.clone_usb");
         span.attr("devid", devid);
         span.attr("child", child.0);
@@ -1150,25 +1192,25 @@ impl DeviceManager {
         Ok(())
     }
 
-    /// Copies `parent`'s Xenstore directories of device `id` to `child`,
-    /// frontend first: one `xs_clone` request per directory, or, when
-    /// `deep_copy` is set, the per-entry copy Fig. 4's "clone + XS deep
-    /// copy" curve measures.
+    /// Copies the Xenstore directories of the device `src` names to
+    /// `child`, frontend first: one `xs_clone` request per directory, or,
+    /// when `deep_copy` is set, the per-entry copy Fig. 4's "clone + XS
+    /// deep copy" curve measures.
     fn clone_dirs(
         &mut self,
         xs: &mut Xenstore,
-        parent: DomId,
+        src: &CloneSource,
         child: DomId,
-        id: DeviceId,
         deep_copy: bool,
     ) -> Result<()> {
-        let front = (id.frontend_dir(parent), id.frontend_dir(child));
-        let back = id.backend_dir(parent).zip(id.backend_dir(child));
+        let (parent, id) = (src.owner, src.id);
+        let front = (&src.front, id.frontend_dir(child));
+        let back = src.back.as_ref().zip(id.backend_dir(child));
         for (from, to) in std::iter::once(front).chain(back) {
             if deep_copy {
-                self.deep_copy_dir(xs, &from, &to, parent, child)?;
+                self.deep_copy_dir(xs, from.path(), &to, parent, child)?;
             } else {
-                xs.xs_clone(DomId::DOM0, XsCloneOp::Device, parent, child, &from, &to)?;
+                xs.xs_clone(DomId::DOM0, XsCloneOp::Device, parent, child, from, &to)?;
             }
         }
         Ok(())
@@ -1374,8 +1416,9 @@ mod tests {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
         let child = hv.create_domain("child", 4, 1).unwrap();
+        let from = src(&xs, dom, DeviceClass::Vif);
         let ifc = dm
-            .clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, child, 0, false)
+            .clone_vif_impl(&mut hv, &mut xs, &mut udev, &from, child, false)
             .unwrap();
         let cv = dm.vif(child, 0).unwrap();
         let pv = dm.vif(dom, 0).unwrap();
@@ -1388,6 +1431,11 @@ mod tests {
             "cloned entries exist and are Connected"
         );
         assert_eq!(dm.iface_target(ifc), Some((child, 0)));
+    }
+
+    /// `dom`'s device 0 of `class` as a clone source.
+    fn src(xs: &Xenstore, dom: DomId, class: DeviceClass) -> CloneSource {
+        CloneSource::new(xs, dom, DeviceId::new(class, 0))
     }
 
     /// Every `(path below dir, value)` of the subtree at `dir`, read
@@ -1419,7 +1467,8 @@ mod tests {
                 }
                 .unwrap();
                 let child = hv.create_domain("child", 4, 1).unwrap();
-                dm.clone_device(&mut hv, &mut xs, &mut udev, dom, child, id, deep_copy)
+                let from = CloneSource::new(&xs, dom, id);
+                dm.clone_device(&mut hv, &mut xs, &mut udev, &from, child, deep_copy)
                     .unwrap();
                 let dirs: Vec<String> =
                     std::iter::once(id.frontend_dir(child)).chain(id.backend_dir(child)).collect();
@@ -1461,7 +1510,8 @@ mod tests {
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
         dm.guest_tx(dom, 0, pkt()).unwrap();
         let child = hv.create_domain("child", 4, 1).unwrap();
-        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, child, 0, false).unwrap();
+        let from = src(&xs, dom, DeviceClass::Vif);
+        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, &from, child, false).unwrap();
 
         // The copied ring (§4.2) holds the parent's in-flight packet, so
         // the child needs servicing without ever having transmitted.
@@ -1493,7 +1543,8 @@ mod tests {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
         let child = hv.create_domain("child", 4, 1).unwrap();
-        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, child, 0, false).unwrap();
+        let from = src(&xs, dom, DeviceClass::Vif);
+        dm.clone_vif_impl(&mut hv, &mut xs, &mut udev, &from, child, false).unwrap();
         let ip = vif_cfg().ip;
         assert_eq!(dm.vif_for_ip(ip).map(|v| v.dom), Some(dom));
         udev.drain();
@@ -1511,8 +1562,9 @@ mod tests {
         assert!(dm.enslave(parent_iface));
         let mac = dm.vif(dom, 0).unwrap().mac;
         let child = hv.create_domain("child", 4, 1).unwrap();
+        let from = src(&xs, dom, DeviceClass::Vif);
         let child_iface = dm
-            .clone_vif_impl(&mut hv, &mut xs, &mut udev, dom, child, 0, false)
+            .clone_vif_impl(&mut hv, &mut xs, &mut udev, &from, child, false)
             .unwrap();
         dm.enslave(child_iface);
         // The child shares the parent's MAC but does not displace it.
@@ -1536,7 +1588,8 @@ mod tests {
         assert_eq!(dm.console_output(dom), b"booted\n");
 
         let child = hv.create_domain("child", 4, 1).unwrap();
-        dm.clone_console_impl(&mut hv, &mut xs, dom, child, false).unwrap();
+        let from = src(&xs, dom, DeviceClass::Console);
+        dm.clone_console_impl(&mut hv, &mut xs, &from, child, false).unwrap();
         assert!(dm.console_attached(child));
         assert!(dm.console_output(child).is_empty(), "no parent output replay");
         assert!(xs.exists(&format!("{}/ring-ref", front(DeviceClass::Console, child))));
@@ -1556,7 +1609,8 @@ mod tests {
 
         // Clone: same process, fids duplicated.
         let child = hv.create_domain("child", 4, 1).unwrap();
-        let fids = dm.clone_9pfs_impl(&mut xs, dom, child, false).unwrap();
+        let from = src(&xs, dom, DeviceClass::P9fs);
+        let fids = dm.clone_9pfs_impl(&mut xs, &from, child, false).unwrap();
         assert_eq!(fids, 1);
         assert_eq!(dm.qemu_count(), 1, "no new backend process per clone");
         assert!(dm.p9_served(child));
@@ -1627,20 +1681,20 @@ mod tests {
         .into_iter()
         .map(|(class, devid)| DeviceId::new(class, devid))
         .collect();
-        assert_eq!(dm.devices(dom), every, "dispatch order is (class, devid)");
+        assert_eq!(dm.devices(dom).collect::<Vec<_>>(), every, "dispatch order is (class, devid)");
 
         // A child cloned device by device holds everything but the USB
         // device, which detaches on clone.
         let child = hv.create_domain("child", 4, 1).unwrap();
-        for id in dm.devices(dom) {
-            dm.clone_device(&mut hv, &mut xs, &mut udev, dom, child, id, false)
+        for from in dm.clone_sources(&xs, dom, &ClonePolicy::all()) {
+            dm.clone_device(&mut hv, &mut xs, &mut udev, &from, child, false)
                 .unwrap();
         }
-        assert_eq!(dm.devices(child), every[..every.len() - 1]);
+        assert_eq!(dm.devices(child).collect::<Vec<_>>(), every[..every.len() - 1]);
         let owned: Vec<(DomId, DeviceId)> = every
             .iter()
             .map(|&id| (dom, id))
-            .chain(dm.devices(child).into_iter().map(|id| (child, id)))
+            .chain(dm.devices(child).map(|id| (child, id)))
             .collect();
         assert_eq!(dm.all_devices(), owned);
 
@@ -1648,7 +1702,7 @@ mod tests {
         for d in [dom, child] {
             dm.forget_domain(&mut udev, d);
             assert!(
-                dm.devices(d).is_empty(),
+                dm.devices(d).next().is_none(),
                 "forget_domain leaves no device of {d}"
             );
         }
@@ -1664,7 +1718,8 @@ mod tests {
         assert!(dm.vbd_write(dom, 0, 3, &s).unwrap());
 
         let child = hv.create_domain("child", 4, 1).unwrap();
-        let inherited = dm.clone_vbd_impl(&mut xs, dom, child, 0, false).unwrap();
+        let from = src(&xs, dom, DeviceClass::Vbd);
+        let inherited = dm.clone_vbd_impl(&mut xs, &from, child, false).unwrap();
         assert_eq!(inherited, 1, "child inherits the parent's overlay");
         assert!(xs.exists(&format!("{}/state", front(DeviceClass::Vbd, child))));
         assert_eq!(dm.vbd_read(child, 0, 3).unwrap(), s);
@@ -1688,7 +1743,8 @@ mod tests {
         assert!(dm.vsock_send(dom, b"parent msg".to_vec()).unwrap());
 
         let child = hv.create_domain("child", 4, 1).unwrap();
-        let port = dm.clone_vsock_impl(&mut hv, &mut xs, dom, child, false).unwrap();
+        let from = src(&xs, dom, DeviceClass::Vsock);
+        let port = dm.clone_vsock_impl(&mut hv, &mut xs, &from, child, false).unwrap();
         assert_eq!(port, crate::vsock::vsock_port_for(child));
         assert_eq!(
             xs.read(DomId::DOM0, &format!("{}/port", front(DeviceClass::Vsock, child))).unwrap(),
@@ -1714,11 +1770,12 @@ mod tests {
         ));
 
         let child = hv.create_domain("child", 4, 1).unwrap();
-        dm.clone_usb_detach_impl(dom, child, 0).unwrap();
+        let from = src(&xs, dom, DeviceClass::Usb);
+        dm.clone_usb_detach_impl(&from, child).unwrap();
         assert!(dm.usb(child, 0).is_none(), "child comes up without the device");
         assert!(dm.usb(dom, 0).unwrap().attached, "parent keeps it");
         assert!(
-            dm.devices(child).is_empty(),
+            dm.devices(child).next().is_none(),
             "the child lists no USB device"
         );
         assert!(dm.usb_busid_exclusive("1-1.4", dom, 0));

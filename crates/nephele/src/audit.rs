@@ -82,7 +82,7 @@
 //! lifecycle operation under `NEPHELE_AUDIT=every-op`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
+use std::fmt::{self, Write};
 
 use devices::bus::{DeviceClass, DeviceId};
 use hypervisor::domain::DomainState;
@@ -92,6 +92,7 @@ use hypervisor::memory::FrameOwner;
 use hypervisor::p2m::P2m;
 use hypervisor::Hypervisor;
 use sim_core::{DomId, Mfn, Pfn};
+use xenstore::tree::Node;
 
 use crate::platform::Platform;
 
@@ -249,6 +250,19 @@ impl BackRefIndex {
         }
         index
     }
+}
+
+/// `n` in decimal, written into `buf`: a Xenstore node name, formatted
+/// without an allocation once `buf` has grown.
+fn decimal(buf: &mut String, n: u32) -> &str {
+    buf.clear();
+    write!(buf, "{n}").expect("formatting into a String cannot fail");
+    buf
+}
+
+/// The node `names` lead to from `base`, one child lookup per name.
+fn child_at<'a>(base: Option<&'a Node>, names: &[&str]) -> Option<&'a Node> {
+    names.iter().try_fold(base?, |node, name| node.child(name))
 }
 
 /// Whether a domain is past construction and expected to have toolstack
@@ -580,12 +594,12 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     }
 
     // 7b. Toolstack records vs hypervisor domains.
-    for (name, dom) in p.xl.list() {
+    for r in p.xl.records() {
         report.checks += 1;
-        if !hv.domain_exists(dom) {
+        if !hv.domain_exists(r.id) {
             report.violations.push(AuditViolation {
                 invariant: "toolstack-record",
-                detail: format!("xl record \"{name}\" names dead {dom}"),
+                detail: format!("xl record \"{}\" names dead {}", r.name, r.id),
             });
         }
     }
@@ -617,10 +631,15 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         report.violations.push(AuditViolation { invariant: "device-liveness", detail });
     }
 
-    // 11. Devices vs the Xenstore device tree. First pass: every device
-    // the device manager holds has a live owner, its nodes exist, and its
-    // own invariants hold.
+    // 11. Devices vs the Xenstore device tree. Both passes look nodes up
+    // below handles on `/local/domain` and on Dom0's backend directory,
+    // one child per level, and format a path only for a violation. First
+    // pass: every device the device manager holds has a live owner, its
+    // nodes exist, and its own invariants hold.
     let devices = p.dm.all_devices();
+    let homes = p.xs.subtree("/local/domain");
+    let backends = p.xs.subtree("/local/domain/0/backend");
+    let (mut owner_buf, mut devid_buf) = (String::new(), String::new());
     for &(owner, id) in &devices {
         report.checks += 1;
         let (class, devid) = (id.class.name(), id.devid);
@@ -631,15 +650,28 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
             });
             continue;
         }
-        for path in std::iter::once(id.frontend_dir(owner)).chain(id.backend_dir(owner)) {
+        // The nodes `DeviceId::frontend_dir` and `backend_dir` name.
+        let (o, i) = (decimal(&mut owner_buf, owner.0), decimal(&mut devid_buf, devid));
+        let (front, back) = match id.class {
+            DeviceClass::Console => (child_at(homes.node(), &[o, "console"]), None),
+            _ => (
+                child_at(homes.node(), &[o, "device", class, i]),
+                Some(child_at(backends.node(), &[class, o, i])),
+            ),
+        };
+        let missing = |path: String| AuditViolation {
+            invariant: "device-bus",
+            detail: format!("{class} {devid} of {owner} is missing its Xenstore node {path}"),
+        };
+        report.checks += 1;
+        if front.is_none() {
+            report.violations.push(missing(id.frontend_dir(owner)));
+        }
+        if let Some(back) = back {
             report.checks += 1;
-            if !p.xs.exists(&path) {
-                report.violations.push(AuditViolation {
-                    invariant: "device-bus",
-                    detail: format!(
-                        "{class} {devid} of {owner} is missing its Xenstore node {path}"
-                    ),
-                });
+            if back.is_none() {
+                let path = id.backend_dir(owner).expect("a split device has a backend");
+                report.violations.push(missing(path));
             }
         }
         for detail in p.dm.audit_device(owner, id) {
@@ -675,27 +707,26 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
         if d.id.is_dom0() {
             continue;
         }
-        let home = format!("/local/domain/{}", d.id.0);
-        let console = DeviceId::new(DeviceClass::Console, 0).frontend_dir(d.id);
-        if p.xs.exists(&console) {
+        let Some(home) = child_at(homes.node(), &[decimal(&mut owner_buf, d.id.0)]) else {
+            continue;
+        };
+        if home.child("console").is_some() {
             report.checks += 1;
             if !held(d.id, Some(DeviceClass::Console), "0") {
-                orphans.push(console);
+                orphans.push(DeviceId::new(DeviceClass::Console, 0).frontend_dir(d.id));
             }
         }
-        for class in p.xs.peek_directory(&format!("{home}/device")) {
-            for devid in p.xs.peek_directory(&format!("{home}/device/{class}")) {
+        for (class, dir) in home.child("device").into_iter().flat_map(Node::children) {
+            for (devid, _) in dir.children() {
                 report.checks += 1;
-                if !held(d.id, dir_class(&class), &devid) {
-                    orphans.push(format!("{home}/device/{class}/{devid}"));
+                if !held(d.id, dir_class(class), devid) {
+                    orphans.push(format!("/local/domain/{}/device/{class}/{devid}", d.id.0));
                 }
             }
         }
     }
-    for class in p.xs.peek_directory("/local/domain/0/backend") {
-        for domid in
-            p.xs.peek_directory(&format!("/local/domain/0/backend/{class}"))
-        {
+    for (class, dir) in backends.node().into_iter().flat_map(Node::children) {
+        for (domid, devs) in dir.children() {
             let Some(owner) = domid
                 .parse()
                 .ok()
@@ -704,11 +735,9 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
             else {
                 continue;
             };
-            for devid in
-                p.xs.peek_directory(&format!("/local/domain/0/backend/{class}/{domid}"))
-            {
+            for (devid, _) in devs.children() {
                 report.checks += 1;
-                if !held(owner, dir_class(&class), &devid) {
+                if !held(owner, dir_class(class), devid) {
                     orphans.push(format!("/local/domain/0/backend/{class}/{domid}/{devid}"));
                 }
             }

@@ -180,12 +180,9 @@ impl Xl {
         &self.trace
     }
 
-    /// Lists `(name, id)` of registered domains, in id order.
-    pub fn list(&self) -> Vec<(String, DomId)> {
-        self.records
-            .values()
-            .map(|r| (r.name.to_string(), r.id))
-            .collect()
+    /// The registered domains' records, in id order.
+    pub fn records(&self) -> impl Iterator<Item = &DomRecord> {
+        self.records.values()
     }
 
     /// Looks up a record by domain id.
@@ -723,7 +720,7 @@ mod tests {
         assert!(w.dm.vif(dom, 0).unwrap().is_connected());
         assert!(w.dm.console_attached(dom));
         assert_eq!(created.ifaces.len(), 1);
-        assert_eq!(w.xl.list().len(), 1);
+        assert_eq!(w.xl.records().count(), 1);
         // Clone policy flowed through.
         assert!(w.hv.domain(dom).unwrap().clone_policy.enabled);
     }
@@ -837,7 +834,7 @@ mod tests {
 
         w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, b).unwrap();
         assert!(w.xl.audit_name_index().is_empty());
-        assert_eq!(w.xl.list().len(), 2);
+        assert_eq!(w.xl.records().count(), 2);
     }
 
     #[test]

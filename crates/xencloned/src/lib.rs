@@ -20,7 +20,15 @@
 //!
 //! The daemon caches parent Xenstore information after the first clone,
 //! which is why the paper measures ~3 ms of userspace operations for the
-//! first clone and ~1.9 ms afterwards (§6.2).
+//! first clone and ~1.9 ms afterwards (§6.2). Across drains it keeps the
+//! parent's name. Within one drain, consecutive notifications from one
+//! parent form a run: its first child resolves the parent's clone
+//! sources once, with no virtual-time charge (the devices the policy
+//! clones and `Subtree` handles on the parent's `memory` and device
+//! directories), and every child of the run grafts from them. Each child
+//! still charges, traces and fails on its own, in its own home scope; a
+//! run of one is the whole path, and no child writes under its parent's
+//! entries, which debug builds of `xs_clone` check on every handle.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -29,7 +37,7 @@ use std::rc::Rc;
 
 use devices::bus::ClonePolicy;
 use devices::udev::{UdevBus, UdevEvent};
-use devices::{DevError, DeviceManager};
+use devices::{CloneSource, DevError, DeviceManager};
 use hypervisor::cloneop::CloneOp;
 use hypervisor::error::HvError;
 use hypervisor::notify::CloneNotification;
@@ -37,7 +45,7 @@ use hypervisor::Hypervisor;
 use netmux::IfaceId;
 use sim_core::{Clock, CostModel, DomId, TraceSink};
 use toolstack::Xl;
-use xenstore::{XsCloneOp, XsError, Xenstore};
+use xenstore::{Subtree, XsCloneOp, XsError, Xenstore};
 
 /// Errors from the cloning daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,6 +157,41 @@ struct ParentInfo {
     seq: u64,
 }
 
+/// The parent side of a run: consecutive ring notifications from one
+/// parent, with one creation serial. The run's first child resolves it,
+/// with no virtual-time charge, and every child of the run clones from
+/// it. A run lives for one drain at most: the parent's entries can
+/// change between drains, but not within one, because no child's second
+/// stage writes under its parent's entries (debug builds of `xs_clone`
+/// check every handle it is given against a fresh lookup).
+#[derive(Debug)]
+struct ParentRun {
+    parent: DomId,
+    serial: u64,
+    /// Handle on `/local/domain/<parent>/memory`.
+    memory: Subtree,
+    /// The parent's devices the clone policy clones, with handles on
+    /// their directories.
+    devices: Vec<CloneSource>,
+}
+
+impl ParentRun {
+    fn resolve(
+        xs: &Xenstore,
+        dm: &DeviceManager,
+        parent: DomId,
+        serial: u64,
+        policy: &ClonePolicy,
+    ) -> Self {
+        ParentRun {
+            parent,
+            serial,
+            memory: xs.subtree(format!("/local/domain/{}/memory", parent.0)),
+            devices: dm.clone_sources(xs, parent, policy),
+        }
+    }
+}
+
 /// The `xencloned` daemon state.
 #[derive(Debug)]
 pub struct Xencloned {
@@ -204,8 +247,11 @@ impl Xencloned {
 
     /// Drains and handles every pending clone notification, one at a time
     /// in ring order. Call this when `VIRQ_CLONED` fires (the platform
-    /// routes the event here). On an error, the failing notification has
-    /// been consumed and the ones behind it stay queued.
+    /// routes the event here). Consecutive notifications from one parent
+    /// form a run whose first child resolves the parent side once; each
+    /// child still charges and traces all of its own requests. On an
+    /// error, the failing notification has been consumed and the ones
+    /// behind it stay queued, for a drain that resolves afresh.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_pending(
         &mut self,
@@ -216,9 +262,10 @@ impl Xencloned {
         xl: &mut Xl,
     ) -> Result<Vec<CompletedClone>> {
         let mut done = Vec::new();
+        let mut run = None;
         while let Some(n) = hv.clone_ring_pop() {
             let start = self.clock.now();
-            match self.handle_one(hv, xs, dm, udev, xl, n) {
+            match self.handle_one(hv, xs, dm, udev, xl, n, &mut run) {
                 Ok(c) => {
                     self.trace
                         .record_ns("clone.stage2", self.clock.now().since(start).as_ns());
@@ -242,6 +289,7 @@ impl Xencloned {
         udev: &mut UdevBus,
         xl: &mut Xl,
         n: CloneNotification,
+        run: &mut Option<ParentRun>,
     ) -> Result<CompletedClone> {
         let CloneNotification {
             parent,
@@ -286,6 +334,12 @@ impl Xencloned {
             }
         };
 
+        // The parent side, resolved by the first child of a run.
+        let run = match run {
+            Some(r) if r.parent == parent && r.serial == parent_serial => r,
+            _ => run.insert(ParentRun::resolve(xs, dm, parent, parent_serial, &self.config.policy)),
+        };
+
         // Steps 2.1–2.3 are Xenstore requests on the child's home and on
         // the parent's entries: run them with the home resolved once.
         let mut ifaces = Vec::new();
@@ -307,14 +361,13 @@ impl Xencloned {
 
             // Basic (non-device) registry state.
             if self.config.use_xs_clone {
-                let pm = dom_path(src, parent, "memory");
-                if xs.exists(pm) {
+                if run.memory.exists() {
                     xs.xs_clone(
                         DomId::DOM0,
                         XsCloneOp::Basic,
                         parent,
                         child,
-                        pm,
+                        &run.memory,
                         dom_path(dst, child, "memory"),
                     )?;
                 }
@@ -326,15 +379,13 @@ impl Xencloned {
                 }
             }
 
-            // Devices: one loop over the parent's devices in (class,
-            // devid) order — consoles first, then vifs by device index,
-            // then 9pfs, vbds, vsock and USB — each cloned by its class's
-            // declared heuristic (steps 2.1–2.3).
+            // Devices: one loop over the parent's devices the policy
+            // clones, in (class, devid) order — consoles first, then vifs
+            // by device index, then 9pfs, vbds, vsock and USB — each
+            // cloned by its class's declared heuristic (steps 2.1–2.3).
             let deep_copy = !self.config.use_xs_clone;
-            for id in dm.devices(parent) {
-                if self.config.policy.clones(id.class) {
-                    ifaces.extend(dm.clone_device(hv, xs, udev, parent, child, id, deep_copy)?);
-                }
+            for src in &run.devices {
+                ifaces.extend(dm.clone_device(hv, xs, udev, src, child, deep_copy)?);
             }
             Ok(name)
         })?;
@@ -382,6 +433,7 @@ mod tests {
     use hypervisor::MachineConfig;
     use netmux::{Bond, XmitHashPolicy};
     use toolstack::{DomainConfig, KernelImage};
+    use xenstore::tree::DomidRewrite;
 
     use super::*;
 
@@ -423,8 +475,12 @@ mod tests {
     }
 
     fn boot(w: &mut World, name: &str, last_octet: u8) -> DomId {
+        boot_mib(w, name, last_octet, 4)
+    }
+
+    fn boot_mib(w: &mut World, name: &str, last_octet: u8, mib: u64) -> DomId {
         let cfg = DomainConfig::builder(name)
-            .memory_mib(4)
+            .memory_mib(mib)
             .vif(Ipv4Addr::new(10, 0, 0, last_octet))
             .max_clones(64)
             .build();
@@ -614,18 +670,40 @@ mod tests {
         assert!(first_fork > w.clock.now().since(t1), "the first fork scans the parent");
     }
 
+    /// Every `(path below dir, value)` under `dir`, read through the
+    /// uncharged introspection calls, with `rewrite` applied to values.
+    fn entries(
+        xs: &Xenstore,
+        dir: &str,
+        rewrite: Option<DomidRewrite>,
+    ) -> Vec<(String, Option<String>)> {
+        let mut out = Vec::new();
+        let mut stack = vec![String::new()];
+        while let Some(rel) = stack.pop() {
+            let path = format!("{dir}{rel}");
+            let value = xs.peek(&path).map(|v| match rewrite {
+                Some(r) => r.apply(&v),
+                None => v,
+            });
+            out.push((rel.clone(), value));
+            stack.extend(xs.peek_directory(&path).into_iter().map(|name| format!("{rel}/{name}")));
+        }
+        out
+    }
+
     #[test]
     fn interleaved_parents_complete_in_ring_order() {
         let mut w = world();
-        let a = boot(&mut w, "udp", 2);
-        let b = boot(&mut w, "echo", 3);
+        let a = boot_mib(&mut w, "udp", 2, 4);
+        let b = boot_mib(&mut w, "echo", 3, 8);
         let mut queued = Vec::new();
-        for parent in [a, b, a] {
+        for parent in [a, a, b, a] {
             queued.extend(queue(&mut w, parent, 1));
         }
 
-        // Neither parent is cached yet: B is first seen between two
-        // children of A, and the names still count up per parent.
+        // Three runs, A's twice: neither parent is cached yet, B is first
+        // seen between children of A, and the names still count up per
+        // parent.
         let done = drain(&mut w).unwrap();
         let got: Vec<(DomId, DomId, &str)> = done
             .iter()
@@ -635,13 +713,53 @@ mod tests {
             got,
             [
                 (a, queued[0], "udp-c1"),
-                (b, queued[1], "echo-c1"),
-                (a, queued[2], "udp-c2")
+                (a, queued[1], "udp-c2"),
+                (b, queued[2], "echo-c1"),
+                (a, queued[3], "udp-c3")
             ]
         );
         assert_eq!(w.hv.clone_ring_len(), 0);
         assert_eq!(w.hv.domain(a).unwrap().state, DomainState::Running);
         assert_eq!(w.hv.domain(b).unwrap().state, DomainState::Running);
+
+        // Each child holds its own parent's entries: `memory` as is, the
+        // console with the parent's domid rewritten to the child's.
+        let home = |d: DomId, key: &str| format!("/local/domain/{}/{key}", d.0);
+        assert_ne!(
+            entries(&w.xs, &home(a, "memory"), None),
+            entries(&w.xs, &home(b, "memory"), None),
+            "the parents' memory entries differ"
+        );
+        for c in &done {
+            let rewrite = DomidRewrite { old: c.parent.0, new: c.child.0 };
+            assert_eq!(
+                entries(&w.xs, &home(c.child, "memory"), None),
+                entries(&w.xs, &home(c.parent, "memory"), None),
+                "{}",
+                c.name
+            );
+            let console = entries(&w.xs, &home(c.child, "console"), None);
+            assert!(console.len() > 1, "{} has a console", c.name);
+            let parents = entries(&w.xs, &home(c.parent, "console"), Some(rewrite));
+            assert_eq!(console, parents, "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn a_run_does_not_outlive_its_drain() {
+        let mut w = world();
+        let parent = boot_parent(&mut w);
+        queue(&mut w, parent, 1);
+        drain(&mut w).unwrap();
+
+        // Between drains, the parent's entries may change: the next drain
+        // clones what is there now.
+        let target = |d: DomId| format!("/local/domain/{}/memory/target", d.0);
+        w.xs.write(DomId::DOM0, &target(parent), "1234").unwrap();
+        let kid = queue(&mut w, parent, 1)[0];
+        let done = drain(&mut w).unwrap();
+        assert_eq!(done[0].name, "udp-c2", "the name cache does outlive the drain");
+        assert_eq!(w.xs.read(DomId::DOM0, &target(kid)).unwrap(), "1234");
     }
 
     #[test]

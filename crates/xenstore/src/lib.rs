@@ -67,6 +67,40 @@ pub enum XsCloneOp {
     Device,
 }
 
+/// A handle on the subtree at a path, taken by [`Xenstore::subtree`]
+/// without a request: the node itself (an `Rc` handle carrying the
+/// rewrite overlay pending over it), or nothing when the path does not
+/// exist. [`Xenstore::xs_clone`] grafts it without descending to the
+/// source again, and a reader walks below it without resolving paths.
+///
+/// The handle is a snapshot: a write at or below its path replaces the
+/// node in the tree and leaves the handle on the old one, and while it
+/// is held, such a write copies the node first. Hold handles on small
+/// subtrees, for as long as nothing writes under them; debug builds of
+/// `xs_clone` check that its source is still the node at its path.
+#[derive(Debug, Clone)]
+pub struct Subtree {
+    path: String,
+    node: Option<Node>,
+}
+
+impl Subtree {
+    /// The path the handle was taken at.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    /// The node, or `None` when nothing was at the path.
+    pub fn node(&self) -> Option<&Node> {
+        self.node.as_ref()
+    }
+
+    /// Whether a node was at the path.
+    pub fn exists(&self) -> bool {
+        self.node.is_some()
+    }
+}
+
 /// The split of the modelled resident memory into structurally shared and
 /// unique entry bytes (see [`Xenstore::sharing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -354,6 +388,24 @@ impl Xenstore {
         self.lookup(path).and_then(|node| node.value())
     }
 
+    /// Introspection-only handle on the subtree at `path` (see
+    /// [`Subtree`]), taken without charging virtual time or logging an
+    /// access.
+    pub fn subtree(&self, path: impl Into<String>) -> Subtree {
+        let path = path.into();
+        let node = self.lookup(&path).map(|n| n.detach());
+        Subtree { path, node }
+    }
+
+    /// Whether `handle` still holds the node at its path: the same
+    /// allocation under the same overlay, or nothing on both sides.
+    fn is_current(&self, handle: &Subtree) -> bool {
+        match (self.lookup(&handle.path), &handle.node) {
+            (Some(now), Some(held)) => now.is(held),
+            (now, held) => now.is_none() && held.is_none(),
+        }
+    }
+
     /// Introspection-only resident bytes of the entries under `path`
     /// (the node itself included), at the same logical per-entry cost as
     /// [`Xenstore::resident_bytes`]. No virtual time is charged; the
@@ -516,20 +568,29 @@ impl Xenstore {
     // xs_clone (Nephele)
     // ------------------------------------------------------------------
 
-    /// Clones the directory at `parent_path` to `child_path` in a single
+    /// Clones the directory `src` holds to `child_path` in a single
     /// request (§5.2.1, Fig. 2). Depending on `op`, values referencing the
-    /// parent domain are rewritten to reference the child.
+    /// parent domain are rewritten to reference the child. The source is
+    /// a [`Subtree`] handle, so a caller cloning one directory for many
+    /// children resolves it once; the request validates its path, checks
+    /// the caller and charges exactly as one naming the path would, and
+    /// fails with [`XsError::NoEnt`] on a handle that holds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic when `src` no longer holds the node at its
+    /// path: something wrote there after the handle was taken.
     pub fn xs_clone(
         &mut self,
         who: DomId,
         op: XsCloneOp,
         parent_domid: DomId,
         child_domid: DomId,
-        parent_path: &str,
+        src: &Subtree,
         child_path: &str,
     ) -> Result<()> {
         let start = self.clock.now();
-        let r = self.xs_clone_impl(who, op, parent_domid, child_domid, parent_path, child_path);
+        let r = self.xs_clone_impl(who, op, parent_domid, child_domid, src, child_path);
         if r.is_ok() {
             self.trace
                 .record_ns("xs.xs_clone", self.clock.now().since(start).as_ns());
@@ -543,27 +604,32 @@ impl Xenstore {
         op: XsCloneOp,
         parent_domid: DomId,
         child_domid: DomId,
-        parent_path: &str,
+        src: &Subtree,
         child_path: &str,
     ) -> Result<()> {
-        validate(parent_path)?;
+        validate(&src.path)?;
         validate(child_path)?;
         if !who.is_dom0() {
-            return Err(XsError::Denied(parent_path.to_string()));
+            return Err(XsError::Denied(src.path.clone()));
         }
+        debug_assert!(
+            self.is_current(src),
+            "stale Subtree handle: {} changed after the handle was taken",
+            src.path
+        );
         let span = self.trace.span("xs.xs_clone");
         span.attr("op", if op == XsCloneOp::Basic { "basic" } else { "device" });
         // One request round-trip for the entire directory.
         self.charge_request();
 
-        // O(path-depth) on the host: detach a structurally-shared handle to
+        // O(path-depth) on the host: graft a structurally-shared handle to
         // the source subtree instead of deep-copying it. The *modelled*
         // daemon still walks every entry, so the virtual-time charge keeps
         // its per-entry term and the figure CSVs stay byte-identical.
-        let src = self
-            .lookup(parent_path)
-            .ok_or_else(|| XsError::NoEnt(parent_path.to_string()))?
-            .detach();
+        let src = src
+            .node
+            .clone()
+            .ok_or_else(|| XsError::NoEnt(src.path.clone()))?;
         let entries = src.count_entries();
         span.attr("entries", entries);
         self.clock
@@ -770,7 +836,7 @@ mod tests {
             XsCloneOp::Device,
             p,
             c,
-            "/local/domain/3/device/vif/0",
+            &xs.subtree("/local/domain/3/device/vif/0"),
             "/local/domain/8/device/vif/0",
         )
         .unwrap();
@@ -805,7 +871,7 @@ mod tests {
             XsCloneOp::Basic,
             DomId(3),
             DomId(8),
-            "/local/domain/3/data",
+            &xs.subtree("/local/domain/3/data"),
             "/local/domain/8/data",
         )
         .unwrap();
@@ -825,11 +891,66 @@ mod tests {
                 XsCloneOp::Basic,
                 DomId(3),
                 DomId(8),
-                "/local/domain/3/data",
+                &xs.subtree("/local/domain/3/data"),
                 "/local/domain/8/data",
             ),
             Err(XsError::Denied(_))
         ));
+    }
+
+    #[test]
+    fn a_subtree_handle_clones_to_many_children_and_charges_each_request() {
+        let clock = Clock::new();
+        let mut xs = Xenstore::new(clock.clone(), Rc::new(CostModel::calibrated()));
+        xs.write(DomId::DOM0, "/local/domain/3/device/vif/0/frontend-id", "3")
+            .unwrap();
+        let src = xs.subtree("/local/domain/3/device/vif/0");
+        let missing = xs.subtree("/local/domain/3/device/vif/1");
+        assert!(src.exists() && !missing.exists());
+        let mut gained = Vec::new();
+        for child in [8, 9] {
+            let entries = xs.entry_count();
+            let to = format!("/local/domain/{child}/device/vif/0");
+            xs.xs_clone(DomId::DOM0, XsCloneOp::Device, DomId(3), DomId(child), &src, &to)
+                .unwrap();
+            assert_eq!(xs.peek(&format!("{to}/frontend-id")), Some(child.to_string()));
+            gained.push(xs.entry_count() - entries);
+        }
+        assert_eq!(gained[0], gained[1], "each child gains the same entries");
+
+        // A handle on nothing is a request that fails like a missing
+        // path: charged, then ENOENT naming the path, and no entry made.
+        let (t0, entries) = (clock.now(), xs.entry_count());
+        let r = xs.xs_clone(
+            DomId::DOM0,
+            XsCloneOp::Device,
+            DomId(3),
+            DomId(10),
+            &missing,
+            "/local/domain/10/device/vif/1",
+        );
+        assert_eq!(r, Err(XsError::NoEnt("/local/domain/3/device/vif/1".into())));
+        assert!(clock.now() > t0);
+        assert_eq!(xs.entry_count(), entries);
+        xs.audit_tree().unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "stale Subtree handle: /local/domain/3/data changed")]
+    fn xs_clone_panics_on_a_handle_written_under() {
+        let mut xs = xs();
+        xs.write(DomId::DOM0, "/local/domain/3/data/x", "1").unwrap();
+        let src = xs.subtree("/local/domain/3/data");
+        xs.write(DomId::DOM0, "/local/domain/3/data/x", "2").unwrap();
+        let _ = xs.xs_clone(
+            DomId::DOM0,
+            XsCloneOp::Basic,
+            DomId(3),
+            DomId(8),
+            &src,
+            "/local/domain/8/data",
+        );
     }
 
     #[test]
@@ -906,7 +1027,7 @@ mod tests {
             XsCloneOp::Basic,
             DomId(3),
             DomId(9),
-            "/local/domain/3/data",
+            &xs.subtree("/local/domain/3/data"),
             "/local/domain/9/data",
         )
         .unwrap();
@@ -1038,7 +1159,7 @@ mod tests {
             XsCloneOp::Device,
             DomId(3),
             DomId(8),
-            "/local/domain/3/device/vif/0",
+            &xs.subtree("/local/domain/3/device/vif/0"),
             "/local/domain/8/device/vif/0",
         )
         .unwrap();
@@ -1048,7 +1169,7 @@ mod tests {
             XsCloneOp::Device,
             DomId(8),
             DomId(12),
-            "/local/domain/8/device/vif/0",
+            &xs.subtree("/local/domain/8/device/vif/0"),
             "/local/domain/12/device/vif/0",
         )
         .unwrap();

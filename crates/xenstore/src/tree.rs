@@ -217,6 +217,12 @@ impl NodeRef<'_> {
             rewrites: self.rewrites.clone(),
         }
     }
+
+    /// Whether `node` is a handle on this node under this overlay, as
+    /// [`NodeRef::detach`] would return it.
+    pub fn is(&self, node: &Node) -> bool {
+        Rc::ptr_eq(&self.node.data, &node.data) && self.rewrites == node.rewrites
+    }
 }
 
 /// Hashes a node's address with one multiply, folded so that the low
@@ -301,6 +307,19 @@ impl Node {
     /// one entry).
     pub fn count_entries(&self) -> u64 {
         self.data.entries
+    }
+
+    /// The child named `name`. Its handle carries only its own overlay,
+    /// not this node's: fit for names and existence, which rewrites never
+    /// touch; read values through [`Node::lookup`].
+    pub fn child(&self, name: &str) -> Option<&Node> {
+        self.data.children.get(name.as_bytes())
+    }
+
+    /// Child names and handles, in sorted name order (handles as
+    /// [`Node::child`] returns them).
+    pub fn children(&self) -> impl Iterator<Item = (&str, &Node)> {
+        self.data.children.iter().map(|(name, n)| (name.as_str(), n))
     }
 
     /// Pushes this handle's pending rewrites one level down: applies them

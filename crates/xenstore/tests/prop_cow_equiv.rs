@@ -383,7 +383,7 @@ fn apply(op: Op, xs: &mut Xenstore, rf: &mut RefStore, clocks: (&Clock, &Clock),
             let from = format!("/local/domain/{p}/device/vif/0");
             let to = format!("/local/domain/{c}/device/vif/0");
             let a = xs
-                .xs_clone(DomId::DOM0, cop, DomId(p), DomId(c), &from, &to)
+                .xs_clone(DomId::DOM0, cop, DomId(p), DomId(c), &xs.subtree(&from), &to)
                 .is_ok();
             let b = rf.xs_clone(cop, DomId(p), DomId(c), &from, &to);
             assert_eq!(a, b, "xs_clone {from} -> {to} at step {step}");

@@ -148,7 +148,7 @@ fn xs_clone_preserves_structure() {
             XsCloneOp::Device,
             parent,
             child,
-            "/local/domain/3/device/vif/0",
+            &xs.subtree("/local/domain/3/device/vif/0"),
             "/local/domain/9/device/vif/0",
         )
         .unwrap();
@@ -178,7 +178,7 @@ fn xs_clone_preserves_structure() {
             XsCloneOp::Device,
             parent,
             child,
-            "/local/domain/3/device/vif/0",
+            &xs.subtree("/local/domain/3/device/vif/0"),
             "/local/domain/9/device/vif/0",
         )
         .unwrap();
