@@ -1,11 +1,11 @@
-//! Device classes and their clone semantics: the paper's §4.2 table.
+//! Device classes and their clone heuristics: the paper's §4.2 table.
 //!
 //! The paper gives each device class one heuristic for what cloning a
 //! device means: consoles get fresh rings, network devices get their
 //! rings copied, 9pfs shares the parent's backend process. This module
 //! states that table as types: a device is a [`DeviceId`] (its class
-//! plus its per-domain device index), each [`DeviceClass`] declares its
-//! [`CloneSemantics`], and a [`ClonePolicy`] says which classes the
+//! plus its per-domain device index), each [`DeviceClass`] variant
+//! documents its heuristic, and a [`ClonePolicy`] says which classes the
 //! second stage clones.
 //!
 //! The device manager's per-class state is the one registry of live
@@ -17,7 +17,7 @@
 //! once per run of its children:
 //!
 //! ```text
-//! let sources = dm.clone_sources(xs, parent, &policy); // console, vifs, 9pfs, ...
+//! let sources = dm.clone_sources(xs, parent, &policy); // console, vifs, 9pfs
 //! for src in &sources {
 //!     dm.clone_device(hv, xs, udev, src, child, deep_copy)?;
 //! }
@@ -27,7 +27,8 @@ use std::collections::BTreeMap;
 
 use sim_core::DomId;
 
-/// The device classes the platform models, in dispatch order.
+/// The device classes the platform models, in dispatch order: the three
+/// the paper clones (§4.2), each with its own clone heuristic.
 ///
 /// The `Ord` derivation is load-bearing: device lists sort by `(class,
 /// devid)`, and `Console < Vif < P9fs` is the order the second stage
@@ -35,31 +36,24 @@ use sim_core::DomId;
 /// 9pfs), which the determinism-gated figures pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceClass {
-    /// The PV console (xenconsoled-managed).
+    /// The PV console (xenconsoled-managed). Cloning copies only its
+    /// Xenstore entries; the backend attaches the child on a fresh ring,
+    /// so the parent's output is not replayed.
     Console,
-    /// A PV network interface (netfront/netback).
+    /// A PV network interface (netfront/netback). Cloning copies its
+    /// rings verbatim, because they embed guest-owned allocator metadata
+    /// (the preallocated RX buffers), and connects the child's backend
+    /// without a Xenbus negotiation.
     Vif,
-    /// The 9pfs root filesystem (QEMU-hosted backend).
+    /// The 9pfs root filesystem (QEMU-hosted backend). The child keeps
+    /// using the parent's backend process: cloning is one QMP request
+    /// that duplicates the parent's fid table in that same process.
     P9fs,
-    /// A PV block device: shared read-only base image + per-clone COW
-    /// overlay.
-    Vbd,
-    /// A vsock-like host↔guest stream device.
-    Vsock,
-    /// USB/IP passthrough of an exclusively-assigned host device.
-    Usb,
 }
 
 impl DeviceClass {
     /// Every class, in dispatch order.
-    pub const ALL: [DeviceClass; 6] = [
-        DeviceClass::Console,
-        DeviceClass::Vif,
-        DeviceClass::P9fs,
-        DeviceClass::Vbd,
-        DeviceClass::Vsock,
-        DeviceClass::Usb,
-    ];
+    pub const ALL: [DeviceClass; 3] = [DeviceClass::Console, DeviceClass::Vif, DeviceClass::P9fs];
 
     /// The Xenstore directory name of this class (`device/<name>/...`).
     pub fn name(self) -> &'static str {
@@ -67,57 +61,6 @@ impl DeviceClass {
             DeviceClass::Console => "console",
             DeviceClass::Vif => "vif",
             DeviceClass::P9fs => "9pfs",
-            DeviceClass::Vbd => "vbd",
-            DeviceClass::Vsock => "vsock",
-            DeviceClass::Usb => "vusb",
-        }
-    }
-
-    /// The clone heuristic every device of this class declares (§4.2).
-    pub fn semantics(self) -> CloneSemantics {
-        match self {
-            DeviceClass::Console => CloneSemantics::Reconnect,
-            DeviceClass::Vif => CloneSemantics::DeepCopy,
-            DeviceClass::P9fs => CloneSemantics::ShareRing,
-            DeviceClass::Vbd => CloneSemantics::CowOverlay,
-            DeviceClass::Vsock => CloneSemantics::Reconnect,
-            DeviceClass::Usb => CloneSemantics::DetachOnClone,
-        }
-    }
-}
-
-/// How a device class reacts to its owner being cloned — the typed form
-/// of the paper's per-device heuristics (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CloneSemantics {
-    /// Only registry state is cloned; the backend builds fresh transport
-    /// state for the child (console: a new ring so the parent's output is
-    /// not replayed; vsock: a new connection on a reallocated port).
-    Reconnect,
-    /// The child keeps using the *parent's* backend instance; cloning is
-    /// a control-plane request to that backend (9pfs: one QMP fid-table
-    /// duplication against the same QEMU process).
-    ShareRing,
-    /// Transport state is copied verbatim because it embeds guest-owned
-    /// allocator metadata (vif rings + preallocated RX buffers).
-    DeepCopy,
-    /// The child shares the parent's read-only base and gets a thin
-    /// private overlay for its writes (block devices).
-    CowOverlay,
-    /// The device cannot be shared or duplicated (exclusive host
-    /// resource); the child comes up without it and the parent keeps it.
-    DetachOnClone,
-}
-
-impl CloneSemantics {
-    /// Short lower-case label (used in docs, traces and audits).
-    pub fn name(self) -> &'static str {
-        match self {
-            CloneSemantics::Reconnect => "reconnect",
-            CloneSemantics::ShareRing => "share-ring",
-            CloneSemantics::DeepCopy => "deep-copy",
-            CloneSemantics::CowOverlay => "cow-overlay",
-            CloneSemantics::DetachOnClone => "detach-on-clone",
         }
     }
 }
@@ -162,10 +105,7 @@ impl DeviceId {
 ///
 /// Every class defaults to enabled; §7.1's Redis experiment disables the
 /// network class ("the I/O cloning is optimized to clone only the devices
-/// that are needed by the clones"). Disabling
-/// [`DeviceClass::Usb`] is a no-op in spirit: its
-/// [`CloneSemantics::DetachOnClone`] already leaves the child without the
-/// device either way.
+/// that are needed by the clones").
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClonePolicy {
     /// Classes explicitly overridden away from the enabled default.
@@ -202,8 +142,7 @@ mod tests {
     fn device_class_order_matches_legacy_dispatch() {
         assert!(DeviceClass::Console < DeviceClass::Vif);
         assert!(DeviceClass::Vif < DeviceClass::P9fs);
-        assert!(DeviceClass::P9fs < DeviceClass::Vbd);
-        assert_eq!(DeviceClass::ALL.len(), 6);
+        assert_eq!(DeviceClass::ALL.len(), 3);
     }
 
     #[test]
@@ -221,7 +160,7 @@ mod tests {
 
     #[test]
     fn device_dirs_pin_the_xenstore_layout() {
-        use DeviceClass::{Console, P9fs, Usb, Vbd, Vif, Vsock};
+        use DeviceClass::{Console, P9fs, Vif};
         let owner = DomId(7);
         let split = |class: &str, devid: u32| {
             (
@@ -230,32 +169,18 @@ mod tests {
             )
         };
         let console = || ("/local/domain/7/console".to_string(), None);
-        // 9pfs and vsock are one per domain, always devid 0.
+        // 9pfs is one per domain, always devid 0.
         let cases = [
             (Console, 0, console()),
             (Console, 2, console()),
             (Vif, 0, split("vif", 0)),
             (Vif, 2, split("vif", 2)),
             (P9fs, 0, split("9pfs", 0)),
-            (Vbd, 0, split("vbd", 0)),
-            (Vbd, 2, split("vbd", 2)),
-            (Vsock, 0, split("vsock", 0)),
-            (Usb, 0, split("vusb", 0)),
-            (Usb, 2, split("vusb", 2)),
         ];
+        assert_eq!(DeviceClass::ALL.len(), 3);
         for (class, devid, want) in cases {
             let id = DeviceId::new(class, devid);
             assert_eq!((id.frontend_dir(owner), id.backend_dir(owner)), want, "{id:?}");
         }
-    }
-
-    #[test]
-    fn semantics_table_matches_the_paper() {
-        assert_eq!(DeviceClass::Console.semantics(), CloneSemantics::Reconnect);
-        assert_eq!(DeviceClass::Vif.semantics(), CloneSemantics::DeepCopy);
-        assert_eq!(DeviceClass::P9fs.semantics(), CloneSemantics::ShareRing);
-        assert_eq!(DeviceClass::Vbd.semantics(), CloneSemantics::CowOverlay);
-        assert_eq!(DeviceClass::Vsock.semantics(), CloneSemantics::Reconnect);
-        assert_eq!(DeviceClass::Usb.semantics(), CloneSemantics::DetachOnClone);
     }
 }

@@ -1,12 +1,10 @@
 //! Split-driver paravirtualized devices and their Dom0 management.
 //!
 //! This crate implements both halves of Xen's split-device model for the
-//! device types Nephele supports — console, network, 9pfs, COW block
-//! devices ([`block`]), vsock-like streams ([`vsock`]) and USB/IP
-//! passthrough ([`usb`]) — plus the plumbing around them: Xenbus
-//! negotiation ([`xenbus`]), shared rings ([`ring`]), the udev event bus
-//! ([`udev`]), the QEMU process model ([`qemu`]) and the Dom0 ramdisk
-//! ([`memfs`]).
+//! three device types Nephele clones (§4.2) — the console, network
+//! devices and 9pfs — plus the plumbing around them: Xenbus negotiation
+//! ([`xenbus`]), shared rings ([`ring`]), the udev event bus ([`udev`]),
+//! the QEMU process model ([`qemu`]) and the Dom0 ramdisk ([`memfs`]).
 //!
 //! [`DeviceManager`] is the Dom0-side registry gluing it together. It
 //! offers two setup paths per device, mirroring the paper:
@@ -23,13 +21,13 @@
 //! the one Xenstore layout, one handshake boots every split device and
 //! one routine copies every device's directories at clone time. Each
 //! class keeps only its keys, its backend state and its §4.2 clone
-//! semantics.
+//! heuristic.
 //!
 //! The manager's per-class state is the one registry of live devices.
 //! [`DeviceManager::devices`] lists a domain's devices from it as
 //! [`bus::DeviceId`]s in `(class, devid)` order, and
-//! [`DeviceManager::clone_device`] clones one by its class's
-//! [`bus::CloneSemantics`]. The `xencloned` second stage takes a
+//! [`DeviceManager::clone_device`] clones one by its class's heuristic
+//! (see [`bus::DeviceClass`]). The `xencloned` second stage takes a
 //! parent's [`DeviceManager::clone_sources`] once per run of its
 //! children, each device with handles on its Xenstore directories, and
 //! calls `clone_device` on every one for every child.
@@ -41,7 +39,6 @@
 //! also owns each vif's host-side attachments (the clone mux and the
 //! bridge's MAC table), so every destroy path detaches them.
 
-pub mod block;
 pub mod bus;
 pub mod console;
 pub mod memfs;
@@ -50,8 +47,6 @@ pub mod p9fs;
 pub mod qemu;
 pub mod ring;
 pub mod udev;
-pub mod usb;
-pub mod vsock;
 pub mod xenbus;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -67,7 +62,6 @@ use sim_core::{Clock, CostModel, DomId, Pfn, TraceSink};
 use xenstore::tree::DomidRewrite;
 use xenstore::{Subtree, XsCloneOp, XsError, Xenstore};
 
-use crate::block::{Sector, Vbd, VbdSharing, SECTOR_SIZE};
 use crate::bus::{ClonePolicy, DeviceClass, DeviceId};
 use crate::console::ConsoleBackend;
 use crate::memfs::MemFs;
@@ -76,8 +70,6 @@ use crate::p9fs::{P9Request, P9Response};
 use crate::qemu::{QemuProcess, QmpRequest};
 use crate::ring::SharedRing;
 use crate::udev::{UdevBus, UdevEvent};
-use crate::usb::UsbPassthrough;
-use crate::vsock::VsockConn;
 use crate::xenbus::{XenbusState, NEGOTIATION_STEPS};
 
 /// Errors from device management.
@@ -91,8 +83,6 @@ pub enum DevError {
     NoSuchDevice(DomId, u32),
     /// No backend process serves this domain.
     NoBackend(DomId),
-    /// The physical USB device is already passed through to a domain.
-    UsbBusy(String),
 }
 
 impl fmt::Display for DevError {
@@ -102,7 +92,6 @@ impl fmt::Display for DevError {
             DevError::Hv(e) => write!(f, "hypervisor: {e}"),
             DevError::NoSuchDevice(d, i) => write!(f, "no device {i} on {d}"),
             DevError::NoBackend(d) => write!(f, "no backend process for {d}"),
-            DevError::UsbBusy(busid) => write!(f, "usb device {busid} already assigned"),
         }
     }
 }
@@ -112,7 +101,7 @@ impl std::error::Error for DevError {
         match self {
             DevError::Xs(e) => Some(e),
             DevError::Hv(e) => Some(e),
-            DevError::NoSuchDevice(..) | DevError::NoBackend(_) | DevError::UsbBusy(_) => None,
+            DevError::NoSuchDevice(..) | DevError::NoBackend(_) => None,
         }
     }
 }
@@ -215,9 +204,6 @@ pub struct DeviceManager {
     /// their (family-sized) serve lists.
     served_by: HashMap<u32, u32>,
     next_pid: u32,
-    vbds: BTreeMap<(u32, u32), Vbd>,
-    vsocks: HashMap<u32, VsockConn>,
-    usbs: BTreeMap<(u32, u32), UsbPassthrough>,
     trace: TraceSink,
 }
 
@@ -240,33 +226,24 @@ impl DeviceManager {
             qemus: BTreeMap::new(),
             served_by: HashMap::new(),
             next_pid: 1000,
-            vbds: BTreeMap::new(),
-            vsocks: HashMap::new(),
-            usbs: BTreeMap::new(),
             trace: TraceSink::default(),
         }
     }
 
     /// The devices `owner` holds, in `(class, devid)` order — the
-    /// second stage's dispatch order (console, vifs, 9pfs, vbds, vsock,
-    /// USB) — read from the per-class state itself.
+    /// second stage's dispatch order (console, vifs, 9pfs) — read from
+    /// the per-class state itself.
     pub fn devices(&self, owner: DomId) -> impl Iterator<Item = DeviceId> + '_ {
         let d = owner.0;
         let one = |class, held: bool| held.then_some(DeviceId::new(class, 0));
-        fn keyed<V>(
-            map: &BTreeMap<(u32, u32), V>,
-            class: DeviceClass,
-            d: u32,
-        ) -> impl Iterator<Item = DeviceId> + '_ {
-            map.range((d, 0)..=(d, u32::MAX)).map(move |(&(_, i), _)| DeviceId::new(class, i))
-        }
         one(DeviceClass::Console, self.console.is_attached(owner))
             .into_iter()
-            .chain(keyed(&self.vifs, DeviceClass::Vif, d))
+            .chain(
+                self.vifs
+                    .range((d, 0)..=(d, u32::MAX))
+                    .map(|(&(_, i), _)| DeviceId::new(DeviceClass::Vif, i)),
+            )
             .chain(one(DeviceClass::P9fs, self.served_by.contains_key(&d)))
-            .chain(keyed(&self.vbds, DeviceClass::Vbd, d))
-            .chain(one(DeviceClass::Vsock, self.vsocks.contains_key(&d)))
-            .chain(keyed(&self.usbs, DeviceClass::Usb, d))
     }
 
     /// The devices of `owner` that `policy` clones, in
@@ -288,26 +265,27 @@ impl DeviceManager {
     /// devid)` order: each owner's run is its [`devices`](Self::devices)
     /// list.
     pub fn all_devices(&self) -> Vec<(DomId, DeviceId)> {
-        let single = |class| move |&d: &u32| (DomId(d), DeviceId::new(class, 0));
-        let keyed = |class| move |&(d, i): &(u32, u32)| (DomId(d), DeviceId::new(class, i));
         let mut all: Vec<_> = self
             .console
             .attached()
             .map(|d| (d, DeviceId::new(DeviceClass::Console, 0)))
-            .chain(self.vifs.keys().map(keyed(DeviceClass::Vif)))
-            .chain(self.served_by.keys().map(single(DeviceClass::P9fs)))
-            .chain(self.vbds.keys().map(keyed(DeviceClass::Vbd)))
-            .chain(self.vsocks.keys().map(single(DeviceClass::Vsock)))
-            .chain(self.usbs.keys().map(keyed(DeviceClass::Usb)))
+            .chain(
+                self.vifs
+                    .keys()
+                    .map(|&(d, i)| (DomId(d), DeviceId::new(DeviceClass::Vif, i))),
+            )
+            .chain(
+                self.served_by
+                    .keys()
+                    .map(|&d| (DomId(d), DeviceId::new(DeviceClass::P9fs, 0))),
+            )
             .collect();
         all.sort_unstable();
         all
     }
 
     /// The invariants `owner`'s device `id` keeps in its own state, one
-    /// line per violation (audit invariant 11): a vif stays connected, a
-    /// vbd's overlay canonical, a vsock connected on its deterministic
-    /// port, and a USB device attached and alone on its busid.
+    /// line per violation (audit invariant 11): a vif stays connected.
     pub fn audit_device(&self, owner: DomId, id: DeviceId) -> Vec<String> {
         let (dom, devid) = (owner, id.devid);
         let mut bad = Vec::new();
@@ -316,39 +294,6 @@ impl DeviceManager {
             DeviceClass::Vif => {
                 if self.vif(dom, devid).is_some_and(|v| !v.is_connected()) {
                     bad.push(format!("vif {dom}/{devid} is not connected"));
-                }
-            }
-            DeviceClass::Vbd => {
-                if self
-                    .vbd(dom, devid)
-                    .is_some_and(|v| !v.overlay_is_canonical())
-                {
-                    bad.push(format!(
-                        "vbd {dom}/{devid} overlay is not canonical (entry equal to the base image)"
-                    ));
-                }
-            }
-            DeviceClass::Vsock => match self.vsock(dom) {
-                Some(c) if !c.connected => bad.push(format!("vsock of {dom} is disconnected")),
-                Some(c) if c.port != crate::vsock::vsock_port_for(dom) => bad.push(format!(
-                    "vsock of {dom} on non-deterministic port {} (expected {})",
-                    c.port,
-                    crate::vsock::vsock_port_for(dom)
-                )),
-                _ => {}
-            },
-            DeviceClass::Usb => {
-                if let Some(u) = self.usb(dom, devid) {
-                    if !u.attached {
-                        bad.push(format!("usb {dom}/{devid} is detached"));
-                    }
-                    if !self.usb_busid_exclusive(&u.busid, dom, devid) {
-                        bad.push(format!(
-                            "usb busid {} held by more than one domain (exclusive assignment \
-                             violated)",
-                            u.busid
-                        ));
-                    }
                 }
             }
         }
@@ -376,13 +321,6 @@ impl DeviceManager {
             DeviceClass::P9fs => {
                 self.clone_9pfs_impl(xs, src, child, deep_copy)?;
             }
-            DeviceClass::Vbd => {
-                self.clone_vbd_impl(xs, src, child, deep_copy)?;
-            }
-            DeviceClass::Vsock => {
-                self.clone_vsock_impl(hv, xs, src, child, deep_copy)?;
-            }
-            DeviceClass::Usb => self.clone_usb_detach_impl(src, child)?,
         }
         Ok(None)
     }
@@ -885,276 +823,6 @@ impl DeviceManager {
     }
 
     // ------------------------------------------------------------------
-    // Block (vbd): shared base image + per-clone COW overlay
-    // ------------------------------------------------------------------
-
-    /// Boot-path vbd setup: Xenstore population, Xenbus negotiation and
-    /// backend creation over a fresh base image of `sectors` sectors.
-    pub fn setup_vbd_boot(
-        &mut self,
-        xs: &mut Xenstore,
-        dom: DomId,
-        devid: u32,
-        sectors: u64,
-    ) -> Result<()> {
-        self.xenbus_boot(
-            xs,
-            dom,
-            DeviceId::new(DeviceClass::Vbd, devid),
-            &[("virtual-device", &devid.to_string())],
-            &[
-                ("sectors", &sectors.to_string()),
-                ("sector-size", &SECTOR_SIZE.to_string()),
-                ("mode", "w"),
-            ],
-        )?;
-        self.clock.advance(self.costs.backend_create);
-        self.vbds.insert((dom.0, devid), Vbd::new(dom, devid, sectors));
-        Ok(())
-    }
-
-    /// The vbd clone implementation ([`clone_device`](Self::clone_device)
-    /// dispatches here): Xenstore state cloned, then an O(1) structural
-    /// snapshot of the parent's base image and current overlay — the
-    /// [`bus::CloneSemantics::CowOverlay`] heuristic. Returns the number
-    /// of overlay sectors the child inherits.
-    pub(crate) fn clone_vbd_impl(
-        &mut self,
-        xs: &mut Xenstore,
-        src: &CloneSource,
-        child: DomId,
-        deep_copy: bool,
-    ) -> Result<u64> {
-        let (parent, devid) = (src.owner, src.id.devid);
-        let span = self.trace.span("dev.clone_vbd");
-        span.attr("devid", devid);
-        span.attr("deep_copy", deep_copy);
-        self.clone_dirs(xs, src, child, deep_copy)?;
-        let parent_vbd = self
-            .vbds
-            .get(&(parent.0, devid))
-            .ok_or(DevError::NoSuchDevice(parent, devid))?;
-        self.clock.advance(self.costs.blk_clone_base);
-        let vbd = parent_vbd.clone_for_child(child);
-        let inherited = vbd.overlay_len() as u64;
-        span.attr("inherited", inherited);
-        self.vbds.insert((child.0, devid), vbd);
-        Ok(inherited)
-    }
-
-    /// Looks up a vbd.
-    pub fn vbd(&self, dom: DomId, devid: u32) -> Option<&Vbd> {
-        self.vbds.get(&(dom.0, devid))
-    }
-
-    /// Guest reads one sector through the merged base+overlay view.
-    pub fn vbd_read(&mut self, dom: DomId, devid: u32, sector: u64) -> Result<Sector> {
-        self.clock.advance(self.costs.blk_read_per_sector);
-        self.vbds
-            .get(&(dom.0, devid))
-            .ok_or(DevError::NoSuchDevice(dom, devid))?
-            .read_sector(sector)
-            .ok_or(DevError::NoSuchDevice(dom, devid))
-    }
-
-    /// Guest writes one sector into its private overlay; `false` past the
-    /// end of the image.
-    pub fn vbd_write(&mut self, dom: DomId, devid: u32, sector: u64, data: &Sector) -> Result<bool> {
-        self.clock.advance(self.costs.blk_write_per_sector);
-        Ok(self
-            .vbds
-            .get_mut(&(dom.0, devid))
-            .ok_or(DevError::NoSuchDevice(dom, devid))?
-            .write_sector(sector, data))
-    }
-
-    /// Resident-byte split of vbd storage between shared and unique, by
-    /// `Rc` pointer identity: a base image or overlay referenced by more
-    /// than one device counts as shared at every point of use (the same
-    /// convention as `P2mSharing`/`XsSharing`).
-    pub fn vbd_sharing(&self) -> VbdSharing {
-        let mut total = VbdSharing::default();
-        for (_, s) in self.vbd_sharing_by_dom() {
-            total.shared_bytes += s.shared_bytes;
-            total.unique_bytes += s.unique_bytes;
-        }
-        total
-    }
-
-    /// Per-domain split of [`vbd_sharing`](Self::vbd_sharing): each
-    /// domain's contribution, in domain-id order (domains without vbds are
-    /// absent). Summing the rows reproduces the global split, which is how
-    /// the family rollups attribute resident block bytes to clone families.
-    pub fn vbd_sharing_by_dom(&self) -> impl Iterator<Item = (DomId, VbdSharing)> + '_ {
-        let mut refs: HashMap<usize, u32> = HashMap::new();
-        for v in self.vbds.values() {
-            *refs.entry(v.base_addr()).or_insert(0) += 1;
-            *refs.entry(v.overlay_addr()).or_insert(0) += 1;
-        }
-        let mut vbds = self.vbds.iter().peekable();
-        std::iter::from_fn(move || {
-            let (&(dom, _), _) = vbds.peek()?;
-            let mut s = VbdSharing::default();
-            // A domain's vbds are one contiguous run of `(owner, devid)` keys.
-            while let Some((_, v)) = vbds.next_if(|((d, _), _)| *d == dom) {
-                for (addr, bytes) in [(v.base_addr(), v.base_bytes()), (v.overlay_addr(), v.overlay_bytes())] {
-                    if refs[&addr] > 1 {
-                        s.shared_bytes += bytes;
-                    } else {
-                        s.unique_bytes += bytes;
-                    }
-                }
-            }
-            Some((DomId(dom), s))
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Vsock-like stream device
-    // ------------------------------------------------------------------
-
-    /// Boot-path vsock setup: Xenstore population, Xenbus negotiation, an
-    /// event-channel pair and a fresh stream connection on the domain's
-    /// deterministic port.
-    pub fn setup_vsock_boot(
-        &mut self,
-        hv: &mut Hypervisor,
-        xs: &mut Xenstore,
-        dom: DomId,
-    ) -> Result<()> {
-        let port = crate::vsock::vsock_port_for(dom).to_string();
-        let keys = [("port", port.as_str())];
-        self.xenbus_boot(xs, dom, DeviceId::new(DeviceClass::Vsock, 0), &keys, &keys)?;
-        hv.evtchn_connect_pair(dom, DomId::DOM0)?;
-        self.clock.advance(self.costs.vsock_connect);
-        self.vsocks.insert(dom.0, VsockConn::connect(dom));
-        Ok(())
-    }
-
-    /// The vsock clone implementation ([`clone_device`](Self::clone_device)
-    /// dispatches here): registry state is cloned, but the transport is a
-    /// *fresh* connection on the child's deterministically reallocated
-    /// port — the [`bus::CloneSemantics::Reconnect`] heuristic. Returns
-    /// the child's port.
-    pub(crate) fn clone_vsock_impl(
-        &mut self,
-        hv: &mut Hypervisor,
-        xs: &mut Xenstore,
-        src: &CloneSource,
-        child: DomId,
-        deep_copy: bool,
-    ) -> Result<u32> {
-        let (parent, id) = (src.owner, src.id);
-        let span = self.trace.span("dev.clone_vsock");
-        span.attr("deep_copy", deep_copy);
-        self.clone_dirs(xs, src, child, deep_copy)?;
-        let parent_conn = self
-            .vsocks
-            .get(&parent.0)
-            .ok_or(DevError::NoSuchDevice(parent, 0))?;
-        let conn = parent_conn.reconnect_for_child(child);
-        let port = conn.port;
-        // The cloned entries carry the parent's port; the reconnect
-        // rewrites them to the child's deterministic allocation.
-        for dir in std::iter::once(id.frontend_dir(child)).chain(id.backend_dir(child)) {
-            xs.write(DomId::DOM0, &format!("{dir}/port"), &port.to_string())?;
-        }
-        hv.evtchn_connect_pair(child, DomId::DOM0)?;
-        self.clock.advance(self.costs.vsock_connect);
-        span.attr("port", port);
-        self.vsocks.insert(child.0, conn);
-        Ok(port)
-    }
-
-    /// Looks up a domain's vsock connection.
-    pub fn vsock(&self, dom: DomId) -> Option<&VsockConn> {
-        self.vsocks.get(&dom.0)
-    }
-
-    /// Guest sends one message on its vsock stream; `false` when
-    /// disconnected.
-    pub fn vsock_send(&mut self, dom: DomId, payload: Vec<u8>) -> Result<bool> {
-        self.clock.advance(self.costs.vsock_rpc);
-        Ok(self
-            .vsocks
-            .get_mut(&dom.0)
-            .ok_or(DevError::NoSuchDevice(dom, 0))?
-            .send(payload))
-    }
-
-    // ------------------------------------------------------------------
-    // USB/IP passthrough
-    // ------------------------------------------------------------------
-
-    /// Boot-path USB setup: claims the exclusive physical device `busid`
-    /// for `dom` and attaches it. Fails with [`DevError::UsbBusy`] if the
-    /// device is already assigned to a live domain.
-    pub fn setup_usb_boot(
-        &mut self,
-        xs: &mut Xenstore,
-        dom: DomId,
-        devid: u32,
-        busid: &str,
-    ) -> Result<()> {
-        if self.usbs.values().any(|u| u.attached && u.busid == busid) {
-            return Err(DevError::UsbBusy(busid.to_string()));
-        }
-        self.xenbus_boot(
-            xs,
-            dom,
-            DeviceId::new(DeviceClass::Usb, devid),
-            &[],
-            &[("busid", busid)],
-        )?;
-        self.clock.advance(self.costs.usb_attach);
-        self.usbs.insert((dom.0, devid), UsbPassthrough::attach(dom, devid, busid));
-        Ok(())
-    }
-
-    /// The USB clone step ([`clone_device`](Self::clone_device) dispatches
-    /// here): the physical device is exclusive, so the child comes up
-    /// *without* it — no Xenstore state, no backend state —
-    /// while the parent keeps it attached. This is the whole of
-    /// [`bus::CloneSemantics::DetachOnClone`].
-    pub(crate) fn clone_usb_detach_impl(&mut self, src: &CloneSource, child: DomId) -> Result<()> {
-        let (parent, devid) = (src.owner, src.id.devid);
-        let span = self.trace.span("dev.clone_usb");
-        span.attr("devid", devid);
-        span.attr("child", child.0);
-        if !self.usbs.contains_key(&(parent.0, devid)) {
-            return Err(DevError::NoSuchDevice(parent, devid));
-        }
-        // Charged for the backend's veto round-trip; deliberately no
-        // child-side state of any kind.
-        self.clock.advance(self.costs.usb_detach);
-        Ok(())
-    }
-
-    /// Looks up a USB passthrough device.
-    pub fn usb(&self, dom: DomId, devid: u32) -> Option<&UsbPassthrough> {
-        self.usbs.get(&(dom.0, devid))
-    }
-
-    /// Whether no *other* attached record holds `busid` — the exclusive
-    /// assignment invariant the auditor checks.
-    pub fn usb_busid_exclusive(&self, busid: &str, dom: DomId, devid: u32) -> bool {
-        !self
-            .usbs
-            .iter()
-            .any(|((d, i), u)| (*d, *i) != (dom.0, devid) && u.attached && u.busid == busid)
-    }
-
-    /// Guest submits one URB; `false` when the device is detached.
-    pub fn usb_submit(&mut self, dom: DomId, devid: u32) -> Result<bool> {
-        self.clock.advance(self.costs.usb_urb);
-        Ok(self
-            .usbs
-            .get_mut(&(dom.0, devid))
-            .ok_or(DevError::NoSuchDevice(dom, devid))?
-            .submit_urb())
-    }
-
-    // ------------------------------------------------------------------
     // The split-device protocol every class shares
     // ------------------------------------------------------------------
 
@@ -1248,7 +916,7 @@ impl DeviceManager {
 
     /// Releases every device of a destroyed domain. Every step is
     /// O(devices the domain owns), never O(devices on the host): the
-    /// `(owner, devid)` BTreeMap keys make each domain's devices one
+    /// `(owner, devid)` BTreeMap keys make each domain's vifs one
     /// contiguous range, and the `served_by` index names the one QEMU
     /// process whose serve set mentions the domain. The one exception is
     /// leaving the clone mux, which is O(mux members) to keep the
@@ -1256,7 +924,12 @@ impl DeviceManager {
     /// `xl save`, the platform's) ends here, so no mux member or MAC-table
     /// entry outlives its vif.
     pub fn forget_domain(&mut self, udev: &mut UdevBus, dom: DomId) {
-        for key in Self::owned_range(&self.vifs, dom) {
+        let owned: Vec<(u32, u32)> = self
+            .vifs
+            .range((dom.0, 0)..=(dom.0, u32::MAX))
+            .map(|(k, _)| *k)
+            .collect();
+        for key in owned {
             if self.remove_vif(key).is_some() {
                 udev.emit(UdevEvent::VifRemoved { dom, devid: key.1 });
             }
@@ -1270,19 +943,6 @@ impl DeviceManager {
                 }
             }
         }
-        for key in Self::owned_range(&self.vbds, dom) {
-            self.vbds.remove(&key);
-        }
-        self.vsocks.remove(&dom.0);
-        for key in Self::owned_range(&self.usbs, dom) {
-            self.usbs.remove(&key);
-        }
-    }
-
-    /// The `(owner, devid)` keys `dom` holds in a device map — one
-    /// contiguous BTreeMap range.
-    fn owned_range<V>(map: &BTreeMap<(u32, u32), V>, dom: DomId) -> Vec<(u32, u32)> {
-        map.range((dom.0, 0)..=(dom.0, u32::MAX)).map(|(k, _)| *k).collect()
     }
 
     /// Modelled Dom0 resident memory for backend state, in bytes (Fig. 5's
@@ -1293,26 +953,12 @@ impl DeviceManager {
         const PER_CONSOLE: u64 = 48 * 1024;
         const PER_QEMU: u64 = 9 * 1024 * 1024;
         const PER_SERVED: u64 = 128 * 1024;
-        const PER_VBD: u64 = 64 * 1024;
-        const PER_VSOCK: u64 = 16 * 1024;
-        const PER_USB: u64 = 32 * 1024;
         let served: u64 = self.qemus.values().map(|q| q.serves.len() as u64).sum();
-        // Vbd storage is resident once per distinct blob, however many
-        // devices share it.
-        let mut blobs: HashMap<usize, u64> = HashMap::new();
-        for v in self.vbds.values() {
-            blobs.insert(v.base_addr(), v.base_bytes());
-            blobs.insert(v.overlay_addr(), v.overlay_bytes());
-        }
         self.vifs.len() as u64 * PER_VIF
             + self.console.attached_count() as u64 * PER_CONSOLE
             + self.qemus.len() as u64 * PER_QEMU
             + served * PER_SERVED
             + self.fs.total_bytes() as u64
-            + self.vbds.len() as u64 * PER_VBD
-            + blobs.values().sum::<u64>()
-            + self.vsocks.len() as u64 * PER_VSOCK
-            + self.usbs.len() as u64 * PER_USB
     }
 }
 
@@ -1351,10 +997,6 @@ mod tests {
 
     fn front(class: DeviceClass, dom: DomId) -> String {
         DeviceId::new(class, 0).frontend_dir(dom)
-    }
-
-    fn back(class: DeviceClass, dom: DomId) -> String {
-        DeviceId::new(class, 0).backend_dir(dom).unwrap()
     }
 
     fn pkt() -> Packet {
@@ -1453,8 +1095,8 @@ mod tests {
 
     #[test]
     fn deep_copy_and_xs_clone_give_equal_subtrees_for_every_class() {
-        use bus::DeviceClass::{Console, P9fs, Vbd, Vif, Vsock};
-        for class in [Console, Vif, P9fs, Vbd, Vsock] {
+        use bus::DeviceClass::{Console, P9fs, Vif};
+        for class in DeviceClass::ALL {
             let id = DeviceId::new(class, 0);
             let [by_xs_clone, by_deep_copy] = [false, true].map(|deep_copy| {
                 let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
@@ -1462,8 +1104,6 @@ mod tests {
                     Console => dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom),
                     Vif => dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).map(drop),
                     P9fs => dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export"),
-                    Vbd => dm.setup_vbd_boot(&mut xs, dom, 0, 8),
-                    _ => dm.setup_vsock_boot(&mut hv, &mut xs, dom),
                 }
                 .unwrap();
                 let child = hv.create_domain("child", 4, 1).unwrap();
@@ -1647,11 +1287,8 @@ mod tests {
 
     #[test]
     fn device_list_follows_the_state_in_class_order() {
-        use bus::DeviceClass::{Console, P9fs, Usb, Vbd, Vif, Vsock};
+        use bus::DeviceClass::{Console, P9fs, Vif};
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_usb_boot(&mut xs, dom, 0, "1-1.4").unwrap();
-        dm.setup_vsock_boot(&mut hv, &mut xs, dom).unwrap();
-        dm.setup_vbd_boot(&mut xs, dom, 1, 8).unwrap();
         dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export")
             .unwrap();
         dm.setup_vif_boot(
@@ -1669,32 +1306,22 @@ mod tests {
             .unwrap();
         dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom)
             .unwrap();
-        let every: Vec<DeviceId> = [
-            (Console, 0),
-            (Vif, 0),
-            (Vif, 1),
-            (P9fs, 0),
-            (Vbd, 1),
-            (Vsock, 0),
-            (Usb, 0),
-        ]
-        .into_iter()
-        .map(|(class, devid)| DeviceId::new(class, devid))
-        .collect();
+        let every: Vec<DeviceId> = [(Console, 0), (Vif, 0), (Vif, 1), (P9fs, 0)]
+            .into_iter()
+            .map(|(class, devid)| DeviceId::new(class, devid))
+            .collect();
         assert_eq!(dm.devices(dom).collect::<Vec<_>>(), every, "dispatch order is (class, devid)");
 
-        // A child cloned device by device holds everything but the USB
-        // device, which detaches on clone.
+        // A child cloned device by device holds the parent's whole list.
         let child = hv.create_domain("child", 4, 1).unwrap();
         for from in dm.clone_sources(&xs, dom, &ClonePolicy::all()) {
             dm.clone_device(&mut hv, &mut xs, &mut udev, &from, child, false)
                 .unwrap();
         }
-        assert_eq!(dm.devices(child).collect::<Vec<_>>(), every[..every.len() - 1]);
-        let owned: Vec<(DomId, DeviceId)> = every
-            .iter()
-            .map(|&id| (dom, id))
-            .chain(dm.devices(child).map(|id| (child, id)))
+        assert_eq!(dm.devices(child).collect::<Vec<_>>(), every);
+        let owned: Vec<(DomId, DeviceId)> = [dom, child]
+            .into_iter()
+            .flat_map(|d| every.iter().map(move |&id| (d, id)))
             .collect();
         assert_eq!(dm.all_devices(), owned);
 
@@ -1707,77 +1334,5 @@ mod tests {
             );
         }
         assert!(dm.all_devices().is_empty());
-    }
-
-    #[test]
-    fn vbd_boot_clone_and_cow() {
-        let (mut hv, mut xs, mut dm, _udev, dom) = setup();
-        dm.setup_vbd_boot(&mut xs, dom, 0, 8).unwrap();
-        assert!(xs.exists(&format!("{}/sectors", back(DeviceClass::Vbd, dom))));
-        let s = [7u8; SECTOR_SIZE];
-        assert!(dm.vbd_write(dom, 0, 3, &s).unwrap());
-
-        let child = hv.create_domain("child", 4, 1).unwrap();
-        let from = src(&xs, dom, DeviceClass::Vbd);
-        let inherited = dm.clone_vbd_impl(&mut xs, &from, child, false).unwrap();
-        assert_eq!(inherited, 1, "child inherits the parent's overlay");
-        assert!(xs.exists(&format!("{}/state", front(DeviceClass::Vbd, child))));
-        assert_eq!(dm.vbd_read(child, 0, 3).unwrap(), s);
-
-        // Divergence is private in both directions.
-        assert!(dm.vbd_write(child, 0, 5, &[9u8; SECTOR_SIZE]).unwrap());
-        assert_eq!(dm.vbd_read(dom, 0, 5).unwrap(), [5u8; SECTOR_SIZE]);
-        let sh = dm.vbd_sharing();
-        assert!(sh.shared_bytes > 0, "base image shared across the family");
-
-        // A domain's second vbd joins its row.
-        dm.setup_vbd_boot(&mut xs, dom, 1, 8).unwrap();
-        let rows: Vec<DomId> = dm.vbd_sharing_by_dom().map(|(d, _)| d).collect();
-        assert_eq!(rows, [dom, child]);
-    }
-
-    #[test]
-    fn vsock_clone_reconnects_on_child_port() {
-        let (mut hv, mut xs, mut dm, _udev, dom) = setup();
-        dm.setup_vsock_boot(&mut hv, &mut xs, dom).unwrap();
-        assert!(dm.vsock_send(dom, b"parent msg".to_vec()).unwrap());
-
-        let child = hv.create_domain("child", 4, 1).unwrap();
-        let from = src(&xs, dom, DeviceClass::Vsock);
-        let port = dm.clone_vsock_impl(&mut hv, &mut xs, &from, child, false).unwrap();
-        assert_eq!(port, crate::vsock::vsock_port_for(child));
-        assert_eq!(
-            xs.read(DomId::DOM0, &format!("{}/port", front(DeviceClass::Vsock, child))).unwrap(),
-            port.to_string(),
-            "cloned entries rewritten to the child's port"
-        );
-        let c = dm.vsock(child).unwrap();
-        assert!(c.connected);
-        assert!(c.sent.is_empty(), "no buffered-data inheritance");
-    }
-
-    #[test]
-    fn usb_is_exclusive_and_detaches_on_clone() {
-        let (mut hv, mut xs, mut dm, _udev, dom) = setup();
-        dm.setup_usb_boot(&mut xs, dom, 0, "1-1.4").unwrap();
-        assert!(dm.usb_submit(dom, 0).unwrap());
-
-        // The same physical device cannot be attached twice.
-        let other = hv.create_domain("other", 4, 1).unwrap();
-        assert!(matches!(
-            dm.setup_usb_boot(&mut xs, other, 0, "1-1.4"),
-            Err(DevError::UsbBusy(_))
-        ));
-
-        let child = hv.create_domain("child", 4, 1).unwrap();
-        let from = src(&xs, dom, DeviceClass::Usb);
-        dm.clone_usb_detach_impl(&from, child).unwrap();
-        assert!(dm.usb(child, 0).is_none(), "child comes up without the device");
-        assert!(dm.usb(dom, 0).unwrap().attached, "parent keeps it");
-        assert!(
-            dm.devices(child).next().is_none(),
-            "the child lists no USB device"
-        );
-        assert!(dm.usb_busid_exclusive("1-1.4", dom, 0));
     }
 }

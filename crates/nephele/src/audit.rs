@@ -50,11 +50,12 @@
 //!     manager holds ([`all_devices`](devices::DeviceManager::all_devices))
 //!     has a live owner and all of its Xenstore nodes present, no live
 //!     domain's device node exists without a held device of its `(owner,
-//!     class, devid)` key (no orphan rings after detach-on-clone; dead
-//!     domains' stale backend entries are legacy destroy behavior pinned
-//!     by the determinism-gated figures), and each device's own
-//!     invariants ([`audit_device`](devices::DeviceManager::audit_device))
-//!     hold. The old invariant 8b, each vif's nodes, is part of this one.
+//!     class, devid)` key (no orphan nodes, including nodes of a class
+//!     the platform does not model; dead domains' stale backend entries
+//!     are legacy destroy behavior pinned by the determinism-gated
+//!     figures), and each device's own invariants
+//!     ([`audit_device`](devices::DeviceManager::audit_device)) hold. The
+//!     old invariant 8b, each vif's nodes, is part of this one.
 //! 12. *Retired.* It checked per-shard frame counters; the frame table
 //!     now keeps one COW/Xen counter pair, which invariant 2 covers.
 //! 13. **Scan-replacing indices vs the scans they replaced.** The hot
@@ -682,8 +683,8 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     // Second pass: walk the actual device nodes (frontends per live
     // domain, backends under Dom0) — each must name, by its `(owner,
     // class, devid)` key, a device the manager holds. An unheld node is
-    // an orphan: exactly what a buggy detach-on-clone would leave behind.
-    // The console keeps its one node at the top of the home, so a
+    // an orphan, and so is every node of a class the platform does not
+    // model. The console keeps its one node at the top of the home, so a
     // `console` directory among the device classes is an orphan too. The
     // backend walk is scoped to live domains: the legacy toolstack leaves
     // a destroyed domain's backend entries in place, and the

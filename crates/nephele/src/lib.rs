@@ -17,15 +17,15 @@
 //! ```
 //!
 //! Every device is a [`DeviceId`] — a [`DeviceClass`] plus a device
-//! index — and each class declares its clone heuristic
-//! ([`CloneSemantics`], paper §4.2). The device manager's per-class state
-//! is the one registry of live devices: the cloning daemon's second stage
-//! walks a parent's devices in `(class, devid)` order and clones each by
-//! its class, and which classes follow a clone is a per-class
-//! [`ClonePolicy`]:
+//! index. The three classes are the paper's (§4.2): the console, network
+//! devices (vifs) and 9pfs, each cloned by its own heuristic. The device
+//! manager's per-class state is the one registry of live devices: the
+//! cloning daemon's second stage walks a parent's devices in `(class,
+//! devid)` order and clones each by its class, and which classes follow
+//! a clone is a per-class [`ClonePolicy`]:
 //!
 //! ```
-//! use nephele::{ClonePolicy, CloneSemantics, DeviceClass, Platform, PlatformConfig};
+//! use nephele::{ClonePolicy, DeviceClass, Platform, PlatformConfig};
 //!
 //! // Redis-style clones: skip network-device cloning (§7.1).
 //! let p = Platform::new(
@@ -34,8 +34,6 @@
 //!         .build(),
 //! );
 //! assert!(!p.daemon.config.policy.clones(DeviceClass::Vif));
-//! assert_eq!(DeviceClass::Vbd.semantics(), CloneSemantics::CowOverlay);
-//! assert_eq!(DeviceClass::Usb.semantics(), CloneSemantics::DetachOnClone);
 //! ```
 //!
 //! To observe what a run did, enable tracing and export the recorded
@@ -78,11 +76,10 @@ pub use platform::{
     PlatformSnapshot, //
 };
 
-// The §4.2 device classes and their clone semantics (see the
+// The §4.2 device classes and the clone policy over them (see the
 // crate-level example).
 pub use devices::bus::{
     ClonePolicy,
-    CloneSemantics,
     DeviceClass,
     DeviceId, //
 };

@@ -381,11 +381,11 @@ pub struct PlatformSnapshot {
     /// templates plus every overlay entry. Grows as clones diverge
     /// through COW faults.
     pub p2m_unique_bytes: u64,
-    /// Vbd storage bytes referenced by more than one block device
-    /// (counted at every point of use): base images across a clone
-    /// family, plus overlays still structurally shared after a clone.
+    /// Always 0: the platform models no block device. The field stays
+    /// only because `hostbench`'s virtual-time digest folds it, and goes
+    /// at the next change to `hostbench`.
     pub blk_shared_bytes: u64,
-    /// Vbd storage bytes only a single block device references.
+    /// Always 0, and kept for the same reason as the field above.
     pub blk_unique_bytes: u64,
 }
 
@@ -557,8 +557,8 @@ impl Platform {
     /// Per-clone-family rollup rows: the sink's span/counter/gauge
     /// attributions (see [`TraceSink::family_rows`]) plus point-in-time
     /// `resident.*` rows splitting the platform's resident bytes (p2m
-    /// templates, Xenstore subtrees, block storage) across the live
-    /// members of each family.
+    /// templates and Xenstore subtrees) across the live members of each
+    /// family.
     pub fn family_rollup_rows(&self) -> Vec<FamilyRow> {
         let mut rows = self.trace.family_rows();
         if rows.is_empty() {
@@ -573,11 +573,6 @@ impl Platform {
             *resident.entry((root, "resident.p2m_unique_bytes")).or_default() += s.unique_bytes;
             *resident.entry((root, "resident.xs_entry_bytes")).or_default() +=
                 self.xs.subtree_entry_bytes(&format!("/local/domain/{}", dom.0));
-        }
-        for (dom, s) in self.dm.vbd_sharing_by_dom() {
-            let Some(root) = self.trace.family_root_of(dom) else { continue };
-            *resident.entry((root, "resident.blk_shared_bytes")).or_default() += s.shared_bytes;
-            *resident.entry((root, "resident.blk_unique_bytes")).or_default() += s.unique_bytes;
         }
         for ((family, metric), value) in resident {
             let Some(root_name) = names.get(&family) else { continue };
@@ -1225,7 +1220,6 @@ impl Platform {
         let mem = self.hv.memory_stats();
         let xs_sharing = self.xs.sharing();
         let p2m_sharing = self.hv.p2m_sharing();
-        let blk_sharing = self.dm.vbd_sharing();
         PlatformSnapshot {
             hyp_free_bytes: mem.free * sim_core::PAGE_SIZE as u64,
             dom0_free_bytes: self.dom0.free_bytes(&self.xs, &self.dm, &self.xl),
@@ -1239,8 +1233,8 @@ impl Platform {
             xs_unique_entry_bytes: xs_sharing.unique_entry_bytes,
             p2m_shared_bytes: p2m_sharing.shared_bytes,
             p2m_unique_bytes: p2m_sharing.unique_bytes,
-            blk_shared_bytes: blk_sharing.shared_bytes,
-            blk_unique_bytes: blk_sharing.unique_bytes,
+            blk_shared_bytes: 0,
+            blk_unique_bytes: 0,
         }
     }
 

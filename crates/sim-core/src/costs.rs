@@ -177,24 +177,6 @@ pub struct CostModel {
     pub p9fs_write_per_page: SimDuration,
     /// One 9pfs protocol round-trip (TOPEN/TWALK/... request + response).
     pub p9fs_rpc: SimDuration,
-    /// Reading one 512-byte sector through the PV block path.
-    pub blk_read_per_sector: SimDuration,
-    /// Writing one 512-byte sector into a block COW overlay.
-    pub blk_write_per_sector: SimDuration,
-    /// Snapshotting a block device's base+overlay handles at clone time
-    /// (O(1) — structural sharing, no data copied).
-    pub blk_clone_base: SimDuration,
-    /// Establishing one vsock stream (boot and clone-reconnect alike).
-    pub vsock_connect: SimDuration,
-    /// One message round-trip on an established vsock stream.
-    pub vsock_rpc: SimDuration,
-    /// Claiming and attaching a passed-through USB device (USB/IP import).
-    pub usb_attach: SimDuration,
-    /// One URB round-trip to a passed-through USB device.
-    pub usb_urb: SimDuration,
-    /// The backend's detach round-trip when a clone is denied the
-    /// exclusive USB device.
-    pub usb_detach: SimDuration,
 
     // ------------------------------------------------------------------
     // Fuzzing (KFX + AFL)
@@ -288,14 +270,6 @@ impl Default for CostModel {
             redis_serialize_per_key: SimDuration::from_ns(420),
             p9fs_write_per_page: SimDuration::from_us(11),
             p9fs_rpc: SimDuration::from_us(35),
-            blk_read_per_sector: SimDuration::from_us(4),
-            blk_write_per_sector: SimDuration::from_us(7),
-            blk_clone_base: SimDuration::from_us(55),
-            vsock_connect: SimDuration::from_us(180),
-            vsock_rpc: SimDuration::from_us(22),
-            usb_attach: SimDuration::from_ms(38),
-            usb_urb: SimDuration::from_us(125),
-            usb_detach: SimDuration::from_us(900),
 
             // Fuzzing.
             afl_overhead: SimDuration::from_us(210),
@@ -375,14 +349,6 @@ impl CostModel {
         m.redis_serialize_per_key = zero;
         m.p9fs_write_per_page = zero;
         m.p9fs_rpc = zero;
-        m.blk_read_per_sector = zero;
-        m.blk_write_per_sector = zero;
-        m.blk_clone_base = zero;
-        m.vsock_connect = zero;
-        m.vsock_rpc = zero;
-        m.usb_attach = zero;
-        m.usb_urb = zero;
-        m.usb_detach = zero;
         m.afl_overhead = zero;
         m.fuzz_exec_body = zero;
         m.kfx_breakpoint_insert = zero;

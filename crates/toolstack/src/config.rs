@@ -13,13 +13,6 @@ pub struct VifSpec {
     pub ip: Ipv4Addr,
 }
 
-/// A COW block device specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VbdSpec {
-    /// Base image size in 512-byte sectors.
-    pub sectors: u64,
-}
-
 /// Full domain configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainConfig {
@@ -33,12 +26,6 @@ pub struct DomainConfig {
     pub vifs: Vec<VifSpec>,
     /// 9pfs root filesystem export path in Dom0, if any.
     pub p9fs_export: Option<String>,
-    /// COW block devices.
-    pub vbds: Vec<VbdSpec>,
-    /// Whether the guest gets a vsock stream device.
-    pub vsock: bool,
-    /// Host bus ids of USB devices passed through exclusively.
-    pub usb_busids: Vec<String>,
     /// Maximum clones this domain may create (0 disables cloning).
     pub max_clones: u32,
     /// Whether clones resume immediately after their second stage.
@@ -56,9 +43,6 @@ impl DomainConfig {
                 vcpus: 1,
                 vifs: Vec::new(),
                 p9fs_export: None,
-                vbds: Vec::new(),
-                vsock: false,
-                usb_busids: Vec::new(),
                 max_clones: 0,
                 resume_clones: true,
             },
@@ -67,8 +51,7 @@ impl DomainConfig {
 
     /// Parses a minimal `xl`-style config: `key = value` lines, `#`
     /// comments; supported keys: `name`, `memory`, `vcpus`, `vif` (IP,
-    /// repeatable), `p9fs`, `vbd` (sector count, repeatable), `vsock`,
-    /// `usb` (host bus id, repeatable), `max_clones`, `resume_clones`.
+    /// repeatable), `p9fs`, `max_clones`, `resume_clones`.
     ///
     /// # Examples
     ///
@@ -120,16 +103,6 @@ impl DomainConfig {
                     b.cfg.vifs.push(VifSpec { ip });
                 }
                 "p9fs" => b.cfg.p9fs_export = Some(value.to_string()),
-                "vbd" => {
-                    let sectors: u64 = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad vbd sector count", lineno + 1))?;
-                    b.cfg.vbds.push(VbdSpec { sectors });
-                }
-                "vsock" => {
-                    b.cfg.vsock = matches!(value, "1" | "true" | "yes");
-                }
-                "usb" => b.cfg.usb_busids.push(value.to_string()),
                 "max_clones" => {
                     b.cfg.max_clones = value
                         .parse()
@@ -184,24 +157,6 @@ impl DomainConfigBuilder {
         self
     }
 
-    /// Adds a COW block device over a base image of `sectors` sectors.
-    pub fn vbd(mut self, sectors: u64) -> Self {
-        self.cfg.vbds.push(VbdSpec { sectors });
-        self
-    }
-
-    /// Gives the guest a vsock stream device.
-    pub fn vsock(mut self) -> Self {
-        self.cfg.vsock = true;
-        self
-    }
-
-    /// Passes through the USB device at host bus id `busid` exclusively.
-    pub fn usb(mut self, busid: &str) -> Self {
-        self.cfg.usb_busids.push(busid.to_string());
-        self
-    }
-
     /// Permits up to `n` clones.
     pub fn max_clones(mut self, n: u32) -> Self {
         self.cfg.max_clones = n;
@@ -242,9 +197,6 @@ mod tests {
             vcpus = 1
             vif = "10.0.0.2"
             p9fs = "/export/root"
-            vbd = 64
-            vsock = true
-            usb = "1-1.4"
             max_clones = 1000
             resume_clones = true
             "#,
@@ -253,16 +205,8 @@ mod tests {
         assert_eq!(cfg.name, "udp");
         assert_eq!(cfg.vifs[0].ip, Ipv4Addr::new(10, 0, 0, 2));
         assert_eq!(cfg.p9fs_export.as_deref(), Some("/export/root"));
-        assert_eq!(cfg.vbds, vec![VbdSpec { sectors: 64 }]);
-        assert!(cfg.vsock);
-        assert_eq!(cfg.usb_busids, vec!["1-1.4".to_string()]);
         assert_eq!(cfg.max_clones, 1000);
         assert!(cfg.cloning_enabled());
-    }
-
-    #[test]
-    fn parse_rejects_bad_vbd() {
-        assert!(DomainConfig::parse("name = \"x\"\nvbd = huge").is_err());
     }
 
     #[test]
@@ -271,5 +215,13 @@ mod tests {
         assert!(DomainConfig::parse("memory = 4").is_err(), "missing name");
         assert!(DomainConfig::parse("name = \"x\"\nmemory = lots").is_err());
         assert!(DomainConfig::parse("name = \"x\"\njust a line").is_err());
+        // Keys of device classes the platform does not model are
+        // unknown too.
+        for key in ["vbd = 64", "vsock = true", "usb = \"1-1.4\""] {
+            assert!(
+                DomainConfig::parse(&format!("name = \"x\"\n{key}")).is_err(),
+                "{key}"
+            );
+        }
     }
 }

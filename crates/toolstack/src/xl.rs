@@ -301,15 +301,6 @@ impl Xl {
         if let Some(export) = &cfg.p9fs_export {
             dm.setup_9pfs_boot(hv, xs, dom, export)?;
         }
-        for (i, vbd) in cfg.vbds.iter().enumerate() {
-            dm.setup_vbd_boot(xs, dom, i as u32, vbd.sectors)?;
-        }
-        if cfg.vsock {
-            dm.setup_vsock_boot(hv, xs, dom)?;
-        }
-        for (i, busid) in cfg.usb_busids.iter().enumerate() {
-            dm.setup_usb_boot(xs, dom, i as u32, busid)?;
-        }
         // Userspace follow-up: every created vif is added to the bridge.
         for e in udev.drain() {
             if let devices::udev::UdevEvent::VifCreated { .. } = e {

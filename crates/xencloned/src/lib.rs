@@ -380,9 +380,9 @@ impl Xencloned {
             }
 
             // Devices: one loop over the parent's devices the policy
-            // clones, in (class, devid) order — consoles first, then vifs
-            // by device index, then 9pfs, vbds, vsock and USB — each
-            // cloned by its class's declared heuristic (steps 2.1–2.3).
+            // clones, in (class, devid) order — the console first, then
+            // vifs by device index, then 9pfs — each cloned by its class's
+            // heuristic (steps 2.1–2.3).
             let deep_copy = !self.config.use_xs_clone;
             for src in &run.devices {
                 ifaces.extend(dm.clone_device(hv, xs, udev, src, child, deep_copy)?);

@@ -6,6 +6,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== scripts/bench_gate.sh on results/ as committed (every baseline row needs a result row)"
+# The benches below rewrite results/BENCH_*.json before the gate reads
+# them, so a committed results file that lacks a baseline row passes
+# verify and fails the gate on the tree as committed. This first step
+# runs the gate on results/ before any bench touches it, with a
+# tolerance no median ratio reaches, so only a MISSING or unparseable
+# record fails it.
+if ! committed_report="$(NEPHELE_BENCH_TOL=1e300 scripts/bench_gate.sh 2>&1)"; then
+    echo "verify.sh: the committed results/ lack rows that scripts/bench_baselines/ holds:"
+    grep -v ': ok ' <<<"$committed_report" | head -20
+    exit 1
+fi
+echo "   every baseline row has a committed result row"
+
 echo "== cargo build --release --offline"
 cargo build --release --offline
 

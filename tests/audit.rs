@@ -729,25 +729,36 @@ fn reference_to_a_never_used_frame_is_detected_and_named() {
     );
 }
 
-/// A device node that no held device owns is an orphan — what a buggy
-/// detach-on-clone would leave behind. A USB frontend written for a
-/// domain that holds no USB device must be named by the device
-/// invariant.
+/// A device node that no held device owns is an orphan, whether its
+/// class is one the platform does not model (a USB frontend) or one it
+/// does (a vif frontend and a vif backend at a device index the 1-vif
+/// child does not hold). The device invariant must name each node in
+/// its own violation.
 #[test]
 fn orphan_device_node_is_detected_and_named() {
     let (mut p, child) = audit_clean_clone("orphan-node");
 
-    let node = format!("/local/domain/{}/device/vusb/0", child.0);
-    p.xs.write(DomId::DOM0, &format!("{node}/state"), "4")
-        .unwrap();
+    let nodes = [
+        format!("/local/domain/{}/device/vusb/0", child.0),
+        format!("/local/domain/{}/device/vif/7", child.0),
+        format!("/local/domain/0/backend/vif/{}/7", child.0),
+    ];
+    for node in &nodes {
+        p.xs.write(DomId::DOM0, &format!("{node}/state"), "4")
+            .unwrap();
+    }
     let report = p.audit();
-    assert!(
-        report.violations.iter().any(|v| v.invariant == "device-bus"
-            && v.detail == format!("device node {node} has no held device (orphan)")),
-        "violation must name the orphan node:\n{report}"
-    );
+    for node in &nodes {
+        assert!(
+            report.violations.iter().any(|v| v.invariant == "device-bus"
+                && v.detail == format!("device node {node} has no held device (orphan)")),
+            "violation must name the orphan node {node}:\n{report}"
+        );
+    }
 
-    p.xs.rm(DomId::DOM0, &node).unwrap();
+    for node in &nodes {
+        p.xs.rm(DomId::DOM0, node).unwrap();
+    }
     assert!(p.audit().is_clean());
 }
 

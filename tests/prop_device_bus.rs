@@ -1,4 +1,4 @@
-//! Property suite for the §4.2 per-class device clone semantics, at
+//! Property suite for the §4.2 per-class device clone heuristics, at
 //! platform level (the audit runs on every op).
 //!
 //! 1. **Stage 2 clones every class like its parent.** For random mixes of
@@ -7,18 +7,9 @@
 //!    parent's vif devids connected, its 9pfs served by the parent's QEMU
 //!    process, and device Xenstore subtrees equal to the parent's with the
 //!    domid rewritten.
-//! 2. **COW block overlays.** Clone families share one base image;
-//!    writes diverge per clone and never leak across members.
-//! 3. **Vsock reconnect.** Every clone comes up on its own
-//!    deterministically reallocated port with an empty stream.
-//! 4. **Detach-on-clone (negative).** Cloning a domain holding an
-//!    exclusively passed-through USB device leaves the child detached
-//!    (no device state, no Xenstore nodes) and the parent attached, with
-//!    a clean audit throughout.
 
 use std::net::Ipv4Addr;
 
-use nephele::devices::block::SECTOR_SIZE;
 use nephele::devices::p9fs::{P9Request, P9Response};
 use nephele::sim_core::DomId;
 use nephele::toolstack::{DomainConfig, KernelImage};
@@ -134,115 +125,4 @@ fn stage2_clones_every_class_like_its_parent() {
         assert_eq!(p.dm.qemu_count(), usize::from(p9), "backend processes ({case})");
         assert!(p.audit().is_clean(), "audit after stage 2 ({case})");
     });
-}
-
-#[test]
-fn block_overlays_diverge_per_clone_and_share_the_base() {
-    check(12, |g| {
-        let sectors = g.draw(&ranges(4u64..32));
-        let writes = g.draw(&ranges(1u64..8));
-        let mut p = audited("target/test-prop-bus-blk");
-        let cfg = DomainConfig::builder("blk")
-            .memory_mib(4)
-            .vbd(sectors)
-            .max_clones(16)
-            .build();
-        let parent = p.launch_plain(&cfg, &KernelImage::unikraft("blk")).unwrap();
-
-        // Parent dirties a few sectors, then clones.
-        for s in 0..writes.min(sectors) {
-            p.dm.vbd_write(parent, 0, s, &[0xAA; SECTOR_SIZE]).unwrap();
-        }
-        let child = p.clone_domain(parent, 1).unwrap()[0];
-
-        // The child inherits the parent's view...
-        for s in 0..writes.min(sectors) {
-            assert_eq!(p.dm.vbd_read(child, 0, s).unwrap(), [0xAA; SECTOR_SIZE]);
-        }
-        // ...shares the base image by reference...
-        let (pa, ca) = (
-            p.dm.vbd(parent, 0).unwrap().base_addr(),
-            p.dm.vbd(child, 0).unwrap().base_addr(),
-        );
-        assert_eq!(pa, ca, "clone must share the parent's base image");
-        // ...and diverges privately.
-        let s = writes.min(sectors) - 1;
-        p.dm.vbd_write(child, 0, s, &[0xBB; SECTOR_SIZE]).unwrap();
-        assert_eq!(p.dm.vbd_read(child, 0, s).unwrap(), [0xBB; SECTOR_SIZE]);
-        assert_eq!(p.dm.vbd_read(parent, 0, s).unwrap(), [0xAA; SECTOR_SIZE]);
-
-        let snap = p.snapshot();
-        assert!(snap.blk_shared_bytes > 0, "family must report shared block bytes");
-        assert!(p.audit().is_clean(), "audit after block divergence");
-    });
-}
-
-#[test]
-fn vsock_clones_reconnect_on_deterministic_ports() {
-    let mut p = audited("target/test-prop-bus-vsock");
-    let cfg = DomainConfig::builder("vs")
-        .memory_mib(4)
-        .vsock()
-        .max_clones(16)
-        .build();
-    let parent = p.launch_plain(&cfg, &KernelImage::unikraft("vs")).unwrap();
-    p.dm.vsock_send(parent, b"parent-hello".to_vec()).unwrap();
-
-    let kids: Vec<DomId> = (0..3).map(|_| p.clone_domain(parent, 1).unwrap()[0]).collect();
-    for c in &kids {
-        let conn = p.dm.vsock(*c).expect("clone has a vsock");
-        assert!(conn.connected);
-        assert_eq!(conn.port, 52000 + c.0, "deterministic port reallocation");
-        assert!(conn.sent.is_empty(), "parent's stream must not leak into the clone");
-        assert_eq!(
-            p.xs.peek(&format!("/local/domain/{}/device/vsock/0/port", c.0)).unwrap(),
-            conn.port.to_string(),
-            "frontend port entry rewritten for the child"
-        );
-    }
-    // The parent's connection is untouched.
-    let pc = p.dm.vsock(parent).unwrap();
-    assert_eq!(pc.port, 52000 + parent.0);
-    assert_eq!(pc.sent.len(), 1);
-    assert!(p.audit().is_clean());
-}
-
-#[test]
-fn usb_detach_on_clone_leaves_child_detached_and_parent_attached() {
-    let mut p = audited("target/test-prop-bus-usb");
-    let cfg = DomainConfig::builder("usb")
-        .memory_mib(4)
-        .usb("3-4.1")
-        .max_clones(16)
-        .build();
-    let parent = p.launch_plain(&cfg, &KernelImage::unikraft("usb")).unwrap();
-    assert!(p.dm.usb_submit(parent, 0).unwrap());
-
-    let child = p.clone_domain(parent, 1).unwrap()[0];
-
-    // Negative: the exclusive device did NOT follow the clone.
-    assert!(p.dm.usb(child, 0).is_none(), "child must come up detached");
-    assert!(!p.dm.usb_submit(child, 0).unwrap_or(false));
-    assert!(
-        !p.xs.exists(&format!("/local/domain/{}/device/vusb/0", child.0)),
-        "no frontend node for the detached child"
-    );
-    assert!(
-        !p.xs.exists(&format!("/local/domain/0/backend/vusb/{}/0", child.0)),
-        "no backend node (orphan ring) for the detached child"
-    );
-    // The parent still holds the device and keeps working.
-    assert!(p.dm.usb(parent, 0).unwrap().attached);
-    assert!(p.dm.usb_submit(parent, 0).unwrap());
-    // And the audit — including the orphan-ring sweep — is clean.
-    assert!(p.audit().is_clean(), "audit after detach-on-clone");
-
-    // The busid stays exclusive: a second domain cannot attach it while
-    // the parent holds it.
-    let cfg2 = DomainConfig::builder("usb2")
-        .memory_mib(4)
-        .usb("3-4.1")
-        .max_clones(4)
-        .build();
-    assert!(p.launch_plain(&cfg2, &KernelImage::unikraft("usb2")).is_err());
 }
