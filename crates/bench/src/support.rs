@@ -21,14 +21,13 @@ pub fn platform_with_pool(pool_mib: u64) -> Platform {
     Platform::new(PlatformConfig::builder().guest_pool_mib(pool_mib).build())
 }
 
-/// Exports a figure run's trace: chrome-trace JSON (loadable in
-/// `about:tracing` / Perfetto), the span-aggregate CSV and the latency
-/// histogram CSV (per-operation p50/p90/p99/max) under `results/`, with
-/// the aggregates also printed to stdout next to the figure's series.
-/// Also writes the streaming exports — virtual-time timeline CSV,
-/// per-clone-family rollup CSV and the Prometheus-style text exposition —
-/// to files only (stdout stays byte-identical to earlier releases, which
-/// the determinism gate relies on). No-op when the sink is disabled.
+/// Exports a figure run's trace under `results/`: the span-aggregate CSV
+/// and the latency histogram CSV (per-operation p50/p90/p99/max), both
+/// also printed to stdout next to the figure's series, and the streaming
+/// exports — virtual-time timeline CSV, the sink's per-clone-family rollup
+/// CSV and the Prometheus-style text exposition — to files only (stdout
+/// stays byte-identical to earlier releases, which the determinism gate
+/// relies on). No-op when the sink is disabled.
 ///
 /// This is the one export path every figure runner goes through, so any
 /// figure run with `NEPHELE_TRACE=1` yields the same artifact set.
@@ -36,27 +35,24 @@ pub fn export_trace(trace: &TraceSink, fig: &str) {
     if !trace.is_enabled() {
         return;
     }
+    let spans = trace.span_aggregates_csv();
+    let hist = trace.histograms_csv();
     println!("# {fig}: span aggregates");
-    print!("{}", trace.span_aggregates_csv());
+    print!("{spans}");
     println!("# {fig}: latency histograms (us)");
-    print!("{}", trace.histograms_csv());
-    let dir = Path::new("results");
-    let export = |name: &str, r: std::io::Result<()>, path: &Path| match r {
-        Ok(()) => eprintln!("{fig}: wrote {}", path.display()),
-        Err(e) => eprintln!("{fig}: {name} export failed: {e}"),
+    print!("{hist}");
+    let write = |suffix: &str, content: &str| {
+        let path = Path::new("results").join(format!("{fig}_{suffix}"));
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, content)) {
+            Ok(()) => eprintln!("{fig}: wrote {}", path.display()),
+            Err(e) => eprintln!("{fig}: {suffix} export failed: {e}"),
+        }
     };
-    let json = dir.join(format!("{fig}_trace.json"));
-    let csv = dir.join(format!("{fig}_spans.csv"));
-    let hist = dir.join(format!("{fig}_hist.csv"));
-    let timeline = dir.join(format!("{fig}_timeline.csv"));
-    let families = dir.join(format!("{fig}_families.csv"));
-    let prom = dir.join(format!("{fig}_metrics.prom"));
-    export("chrome-trace", trace.write_chrome_trace(&json), &json);
-    export("span-aggregate", trace.write_span_aggregates(&csv), &csv);
-    export("histogram", trace.write_histograms(&hist), &hist);
-    export("timeline", trace.write_timeline(&timeline), &timeline);
-    export("family-rollup", trace.write_family_rollup(&families), &families);
-    export("metrics-text", trace.write_metrics_text(&prom), &prom);
+    write("spans.csv", &spans);
+    write("hist.csv", &hist);
+    write("timeline.csv", &trace.timeline_csv());
+    write("families.csv", &trace.family_rollup_csv());
+    write("metrics.prom", &trace.metrics_text());
 }
 
 /// Percentile summary of one measured curve (used for the figure

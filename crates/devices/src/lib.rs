@@ -378,8 +378,7 @@ impl DeviceManager {
         child: DomId,
         deep_copy: bool,
     ) -> Result<()> {
-        let span = self.trace.span("dev.clone_console");
-        span.attr("deep_copy", deep_copy);
+        let _span = self.trace.span("dev.clone_console");
         self.clone_dirs(xs, src, child, deep_copy)?;
         let ring_pfn = hv.domain(child)?.console_pfn;
         self.clock.advance(self.costs.console_attach);
@@ -477,9 +476,7 @@ impl DeviceManager {
         deep_copy: bool,
     ) -> Result<IfaceId> {
         let (parent, devid) = (src.owner, src.id.devid);
-        let span = self.trace.span("dev.clone_vif");
-        span.attr("devid", devid);
-        span.attr("deep_copy", deep_copy);
+        let _span = self.trace.span("dev.clone_vif");
         self.clone_dirs(xs, src, child, deep_copy)?;
 
         if !self.vifs.contains_key(&(parent.0, devid)) {
@@ -784,8 +781,7 @@ impl DeviceManager {
         deep_copy: bool,
     ) -> Result<usize> {
         let parent = src.owner;
-        let span = self.trace.span("dev.clone_9pfs");
-        span.attr("deep_copy", deep_copy);
+        let _span = self.trace.span("dev.clone_9pfs");
         self.clone_dirs(xs, src, child, deep_copy)?;
         self.clock.advance(self.costs.qmp_request);
         let pid = *self.served_by.get(&parent.0).ok_or(DevError::NoBackend(parent))?;
@@ -794,7 +790,6 @@ impl DeviceManager {
         self.served_by.insert(child.0, pid);
         self.clock
             .advance(self.costs.qmp_clone_per_fid.saturating_mul(fids as u64));
-        span.attr("fids", fids);
         Ok(fids)
     }
 
@@ -896,9 +891,8 @@ impl DeviceManager {
         parent: DomId,
         child: DomId,
     ) -> Result<()> {
-        let span = self.trace.span("dev.deep_copy");
+        let _span = self.trace.span("dev.deep_copy");
         let keys = xs.directory(DomId::DOM0, from)?;
-        span.attr("entries", keys.len());
         let rewrite = DomidRewrite {
             old: parent.0,
             new: child.0,

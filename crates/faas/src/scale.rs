@@ -7,11 +7,11 @@
 //! only its private frames and Xenstore subtree — no 1 MiB RX ring — and a
 //! 10^4-domain run fits a small guest pool.
 //!
-//! With the sink in [`TraceMode::Aggregate`](nephele::TraceMode), the run
-//! demonstrates the bounded-memory property: spans, counters and gauges
-//! are folded into histograms, timeline slices and family rollups as they
-//! are recorded, so peak retained raw records stay O(open spans), not
-//! O(events) — see [`ScaleReport::overhead`].
+//! The run traces, to demonstrate the bounded-memory property:
+//! spans, counters and gauges are folded into histograms, timeline slices
+//! and family rollups as they are recorded, so the sink holds at most the
+//! spans open at once, not O(events) records — see
+//! [`ScaleReport::overhead`].
 
 use nephele::sim_core::SimDuration;
 use nephele::toolstack::{DomainConfig, KernelImage};
@@ -29,8 +29,6 @@ pub struct ScaleConfig {
     pub pool_mib: u64,
     /// Master PRNG seed.
     pub seed: u64,
-    /// Observability knobs; Aggregate mode is the point of this driver.
-    pub tracing: TraceConfig,
 }
 
 impl Default for ScaleConfig {
@@ -40,7 +38,6 @@ impl Default for ScaleConfig {
             batch: 250,
             pool_mib: 1024,
             seed: 0x5ca1e,
-            tracing: TraceConfig::aggregate(),
         }
     }
 }
@@ -53,12 +50,14 @@ pub struct ScaleReport {
     /// Clones destroyed again by the driver (every 16th, to exercise
     /// family-membership retirement).
     pub domains_destroyed: u64,
-    /// The sink's self-accounting: host-side work done and peak raw
-    /// records retained.
+    /// The sink's self-accounting: host-side work done and peak open
+    /// spans held.
     pub overhead: SinkOverhead,
-    /// [`Platform::timeline_csv`] at the end of the run.
+    /// The sink's [`timeline_csv`](nephele::TraceSink::timeline_csv) at
+    /// the end of the run.
     pub timeline_csv: String,
-    /// [`Platform::metrics_text`] at the end of the run.
+    /// The sink's [`metrics_text`](nephele::TraceSink::metrics_text) at
+    /// the end of the run.
     pub metrics_text: String,
     /// [`Platform::family_rollup_csv`] at the end of the run (resident
     /// rows included).
@@ -75,7 +74,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             .ring_capacity((cfg.batch as usize).max(128))
             .mux(MuxKind::None)
             .seed(cfg.seed)
-            .tracing(cfg.tracing.clone())
+            .tracing(TraceConfig::aggregate())
             .audit(AuditMode::Off)
             .build(),
     );
@@ -117,8 +116,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         domains_created: created,
         domains_destroyed: destroyed,
         overhead: p.trace().overhead(),
-        timeline_csv: p.timeline_csv(),
-        metrics_text: p.metrics_text(),
+        timeline_csv: p.trace().timeline_csv(),
+        metrics_text: p.trace().metrics_text(),
         family_rollup_csv: p.family_rollup_csv(),
     }
 }
@@ -127,9 +126,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 mod tests {
     use super::*;
 
-    /// The headline scale property: 10^4 domains in Aggregate mode with
-    /// raw-record retention bounded by concurrently-open spans (a handful)
-    /// — not by the millions of span/counter/gauge events the run emits.
+    /// The headline scale property: 10^4 traced domains with the sink
+    /// holding at most the concurrently open spans (a handful) — not the
+    /// millions of span/counter/gauge events the run emits.
     #[test]
     fn ten_thousand_domains_bounded_sink() {
         let single = run_scale(&ScaleConfig::default());
@@ -137,7 +136,7 @@ mod tests {
         assert_eq!(single.domains_destroyed, 625);
 
         // Bounded memory: the run recorded work for >10^4 lifecycle spans
-        // and counters, but retained almost nothing.
+        // and counters, but held almost nothing.
         let o = &single.overhead;
         assert!(o.span_closes > 10_000, "span closes {}", o.span_closes);
         assert!(o.counter_bumps > 10_000, "counter bumps {}", o.counter_bumps);
@@ -147,8 +146,6 @@ mod tests {
             o.peak_retained_spans
         );
         assert_eq!(o.retained_spans, 0, "all spans folded and freed");
-        assert_eq!(o.peak_retained_counter_samples, 0, "no raw counter samples in Aggregate");
-        assert_eq!(o.peak_retained_gauge_samples, 0, "no raw gauge samples in Aggregate");
 
         // Exports exist and carry the family.
         assert!(single.timeline_csv.lines().count() > 1);
@@ -158,32 +155,5 @@ mod tests {
             "rollup:\n{}",
             single.family_rollup_csv.lines().take(5).collect::<Vec<_>>().join("\n")
         );
-    }
-
-    /// Full mode on a smaller run retains O(events) records — the contrast
-    /// that makes Aggregate's bound meaningful — while producing the same
-    /// aggregate exports.
-    #[test]
-    fn full_mode_retains_raw_records_but_matches_aggregate_exports() {
-        let base = ScaleConfig {
-            domains: 200,
-            batch: 50,
-            pool_mib: 256,
-            ..Default::default()
-        };
-        let agg = run_scale(&base);
-        let full = run_scale(&ScaleConfig {
-            tracing: TraceConfig::enabled(),
-            ..base
-        });
-        assert!(
-            full.overhead.retained_spans > 200,
-            "Full keeps raw spans, got {}",
-            full.overhead.retained_spans
-        );
-        assert_eq!(agg.overhead.retained_spans, 0);
-        assert_eq!(agg.timeline_csv, full.timeline_csv);
-        assert_eq!(agg.metrics_text, full.metrics_text);
-        assert_eq!(agg.family_rollup_csv, full.family_rollup_csv);
     }
 }

@@ -87,18 +87,6 @@ pub enum CloneOpResult {
     Done,
 }
 
-/// Static span-attribute name of a subcommand.
-fn op_name(op: &CloneOp) -> &'static str {
-    match op {
-        CloneOp::Clone { .. } => "clone",
-        CloneOp::Completion { .. } => "completion",
-        CloneOp::SetGlobalEnabled(_) => "set_global_enabled",
-        CloneOp::CloneCow { .. } => "clone_cow",
-        CloneOp::Checkpoint { .. } => "checkpoint",
-        CloneOp::CloneReset { .. } => "clone_reset",
-    }
-}
-
 /// The parent state every child of one batch is built from, snapshotted
 /// once by `clone_batch` before anything is mutated.
 struct ParentSnapshot {
@@ -144,9 +132,7 @@ impl Hypervisor {
     }
 
     fn cloneop_inner(&mut self, caller: DomId, op: CloneOp) -> Result<CloneOpResult> {
-        let span = self.trace().span("hv.cloneop");
-        span.attr("caller", caller.0);
-        span.attr("op", op_name(&op));
+        let _span = self.trace().span("hv.cloneop");
         self.clock().advance(self.costs().hypercall_base);
         match op {
             CloneOp::Clone { target, nr_clones } => {
@@ -243,8 +229,7 @@ impl Hypervisor {
     /// batch leaves the parent, the frame table and the ring untouched.
     fn clone_batch(&mut self, parent_id: DomId, nr: u32) -> Result<Vec<DomId>> {
         let span = self.trace().span("clone.batch");
-        span.attr("parent", parent_id.0);
-        span.attr("nr", nr);
+        span.dom(parent_id);
 
         // ---- Validation phase: nothing below this comment may mutate
         // hypervisor state until every check has passed. ----
@@ -354,8 +339,6 @@ impl Hypervisor {
         let slots = parent.p2m.len() as u64;
         let aux_count = Domain::pt_frames_needed(slots) + Domain::p2m_frames_needed(slots);
         let per_child = private_count + aux_count;
-        span.attr("mapped", mapped);
-        span.attr("private", private_count);
 
         // Frame budget for the whole batch, before the first allocation.
         if self.frames().free_frames() < per_child.saturating_mul(nr as u64) {
@@ -398,9 +381,7 @@ impl Hypervisor {
         // Shared pages: one refcount transition per frame for the whole
         // batch, charging exactly what N sequential walks would charge.
         {
-            let cspan = self.trace().span("clone.cow_convert");
-            cspan.attr("pages", shared_slots.len());
-            cspan.attr("nr", nr);
+            let _cspan = self.trace().span("clone.cow_convert");
             let (mut firsts, mut bumps) = (0u64, 0u64);
             for (mfn, kind) in &shared_slots {
                 match kind {
@@ -475,15 +456,14 @@ impl Hypervisor {
         mut fresh: Vec<Mfn>,
     ) -> CloneNotification {
         let child_span = self.trace().span("clone.child");
-        child_span.attr("child", child_id.0);
+        child_span.dom(child_id);
         let private_count = private_slots.len() as u64;
         let aux_frames = fresh.split_off(private_slots.len());
 
         // vCPUs: registers and affinity replicated; rax = 1 in the child.
         let vcpus: Vec<Vcpu> = parent.vcpus.iter().map(Vcpu::clone_for_child).collect();
         {
-            let vspan = self.trace().span("clone.vcpu_copy");
-            vspan.attr("vcpus", vcpus.len());
+            let _vspan = self.trace().span("clone.vcpu_copy");
             self.clock()
                 .advance(self.costs().vcpu_init.saturating_mul(vcpus.len() as u64));
         }
@@ -494,8 +474,7 @@ impl Hypervisor {
         let mut patches: Vec<(u64, Option<Mfn>)> = Vec::with_capacity(private_slots.len());
         let mut child_start_info = Mfn(0);
         {
-            let pspan = self.trace().span("clone.private_pages");
-            pspan.attr("pages", private_count);
+            let _pspan = self.trace().span("clone.private_pages");
             for (&(i, policy, mfn), &new) in private_slots.iter().zip(&fresh) {
                 let parent_image = || {
                     self.frames()
@@ -556,8 +535,7 @@ impl Hypervisor {
         // used and updated on cloning when building the child page
         // table").
         {
-            let tspan = self.trace().span("clone.pt_rebuild");
-            tspan.attr("mapped", mapped);
+            let _tspan = self.trace().span("clone.pt_rebuild");
             let p2m_frames = Domain::p2m_frames_needed(parent.p2m.len() as u64);
             self.clock()
                 .advance(self.costs().clone_pt_build_per_page.saturating_mul(mapped));
@@ -1026,7 +1004,7 @@ mod tests {
             },
         );
         hv.set_cloning_enabled(true);
-        let sink = sim_core::TraceSink::new(hv.clock().clone(), &sim_core::TraceConfig::enabled());
+        let sink = sim_core::TraceSink::new(hv.clock().clone(), &sim_core::TraceConfig::aggregate());
         hv.attach_trace(sink);
         let p = cloneable_guest(&mut hv, 4);
         hv.register_idc_pfn(p, Pfn(5)).unwrap();

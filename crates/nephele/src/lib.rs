@@ -36,17 +36,15 @@
 //! assert!(!p.daemon.config.policy.clones(DeviceClass::Vif));
 //! ```
 //!
-//! To observe what a run did, enable tracing and export the recorded
-//! spans ([`TraceConfig`], [`Platform::trace`], chrome-trace JSON and CSV
-//! exporters in [`sim_core::trace`]). Every enabled sink folds each
-//! observation into histograms, virtual-time timeline slices and
-//! per-clone-family rollups as it is recorded; Full mode additionally keeps
-//! the raw records for the chrome-trace export. Long or wide runs should
-//! use [`TraceMode::Aggregate`] (or `NEPHELE_TRACE=aggregate` at runtime),
-//! which drops them, so sink memory stays bounded by distinct metric keys
-//! rather than events. [`Platform::timeline_csv`],
-//! [`Platform::metrics_text`] and [`Platform::family_rollup_csv`] export
-//! identical bytes in either mode.
+//! To observe what a run did, turn tracing on
+//! ([`TraceConfig::aggregate`], or `NEPHELE_TRACE=1` at runtime) and read
+//! the exports of [`Platform::trace`]. The sink folds each observation
+//! into histograms, virtual-time timeline slices and per-clone-family
+//! rollups as it is recorded and keeps no raw records, so its memory
+//! stays bounded by distinct metric keys rather than events. Its CSV
+//! exporters, [`TraceSink::timeline_csv`], [`TraceSink::metrics_text`]
+//! and [`Platform::family_rollup_csv`] (the sink's rollup plus resident
+//! bytes per family) give identical bytes across same-seed runs.
 //!
 //! Re-exports give access to every subsystem (`nephele::hypervisor`,
 //! `nephele::xenstore`, ...).
@@ -92,7 +90,6 @@ pub use sim_core::{
     FamilyRow,
     SinkOverhead,
     TraceConfig,
-    TraceMode,
     TraceSink, //
 };
 pub use toolstack::XlError;

@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::rc::Rc;
 
 use devices::bus::ClonePolicy;
@@ -37,7 +37,6 @@ use sim_core::{
     SimDuration,
     SplitMix64,
     TraceConfig,
-    TraceMode,
     TraceSink, //
 };
 use toolstack::{CreatedDomain, Dom0Model, DomainConfig, KernelImage, Xl, XlError};
@@ -67,7 +66,8 @@ pub enum MuxKind {
 /// [`Platform::audit`] for the on-demand entry point).
 ///
 /// The default is resolved at [`Platform::new`] from the `NEPHELE_AUDIT`
-/// environment variable (`off`, `lifecycle`, `every-op`); an explicit
+/// environment variable (`off`/`0`, `lifecycle`/`debug`,
+/// `every-op`/`every_op`/`all`; any other value panics); an explicit
 /// [`PlatformConfigBuilder::audit`] choice wins over the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AuditMode {
@@ -83,15 +83,35 @@ pub enum AuditMode {
 }
 
 impl AuditMode {
-    /// Parses the `NEPHELE_AUDIT` environment variable; unknown values are
-    /// ignored (returns `None`).
-    fn from_env() -> Option<AuditMode> {
-        match std::env::var("NEPHELE_AUDIT").ok()?.as_str() {
-            "off" | "0" => Some(AuditMode::Off),
-            "lifecycle" | "debug" => Some(AuditMode::Lifecycle),
-            "every-op" | "every_op" | "all" => Some(AuditMode::EveryOp),
-            _ => None,
+    /// Reads a `NEPHELE_AUDIT` value: `off`/`0`, `lifecycle`/`debug` or
+    /// `every-op`/`every_op`/`all`.
+    ///
+    /// # Panics
+    ///
+    /// On any other value, naming the variable and the accepted values.
+    fn parse_env(value: &str) -> AuditMode {
+        match value {
+            "off" | "0" => AuditMode::Off,
+            "lifecycle" | "debug" => AuditMode::Lifecycle,
+            "every-op" | "every_op" | "all" => AuditMode::EveryOp,
+            _ => panic!(
+                "NEPHELE_AUDIT={value:?}: expected off, 0, lifecycle, debug, every-op, every_op or all"
+            ),
         }
+    }
+}
+
+/// Reads a `NEPHELE_TRACE` value: `1`/`on` turns tracing on, `0`/`off`
+/// turns it off.
+///
+/// # Panics
+///
+/// On any other value, naming the variable and the accepted values.
+fn parse_trace_env(value: &str) -> TraceConfig {
+    match value {
+        "1" | "on" => TraceConfig::aggregate(),
+        "0" | "off" => TraceConfig::default(),
+        _ => panic!("NEPHELE_TRACE={value:?}: expected 0, off, 1 or on"),
     }
 }
 
@@ -182,9 +202,9 @@ pub struct PlatformConfig {
     pub mux: MuxKind,
     /// Master PRNG seed.
     pub seed: u64,
-    /// Trace mode (off by default; when off, the instrumentation
-    /// throughout the platform does near-zero work). Overridable at
-    /// runtime with `NEPHELE_TRACE`.
+    /// Whether tracing is on (off by default; when off, the
+    /// instrumentation throughout the platform does near-zero work).
+    /// Overridable at runtime with `NEPHELE_TRACE`.
     pub tracing: TraceConfig,
     /// Directory flight-recorder dumps are written to on the first error
     /// or audit failure.
@@ -220,14 +240,14 @@ impl PlatformConfig {
     /// Starts a builder from the default (paper-calibrated) configuration.
     ///
     /// ```
-    /// use nephele::{MuxKind, PlatformConfig, TraceConfig, TraceMode};
+    /// use nephele::{MuxKind, PlatformConfig, TraceConfig};
     ///
     /// let cfg = PlatformConfig::builder()
     ///     .mux(MuxKind::Ovs)
     ///     .tracing(TraceConfig::aggregate())
     ///     .build();
     /// assert_eq!(cfg.mux, MuxKind::Ovs);
-    /// assert_eq!(cfg.tracing.mode, TraceMode::Aggregate);
+    /// assert_eq!(cfg.tracing, TraceConfig::aggregate());
     /// ```
     pub fn builder() -> PlatformConfigBuilder {
         PlatformConfigBuilder {
@@ -288,7 +308,7 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets the trace mode (see [`TraceConfig`]). `NEPHELE_TRACE`
+    /// Turns tracing on or off (see [`TraceConfig`]). `NEPHELE_TRACE`
     /// overrides it at runtime.
     pub fn tracing(mut self, tracing: TraceConfig) -> Self {
         self.config.tracing = tracing;
@@ -439,12 +459,11 @@ impl Platform {
     pub fn new(config: PlatformConfig) -> Self {
         let clock = Clock::new();
         let costs = Rc::new(config.costs);
-        // `NEPHELE_TRACE=off|full|aggregate` (or `0`/`1`) overrides the
-        // configured trace mode.
-        let tracing = std::env::var("NEPHELE_TRACE")
-            .ok()
-            .and_then(|v| TraceMode::parse(v.trim()))
-            .map_or_else(|| config.tracing.clone(), TraceConfig::with_mode);
+        // `NEPHELE_TRACE` overrides the configured switch. Here and for
+        // `NEPHELE_AUDIT` below, a value that is not UTF-8 reaches the
+        // parser lossily converted, so it is refused too.
+        let tracing = std::env::var_os("NEPHELE_TRACE")
+            .map_or_else(|| config.tracing.clone(), |v| parse_trace_env(&v.to_string_lossy()));
         let trace = TraceSink::new(clock.clone(), &tracing);
         let mut hv = Hypervisor::new(clock.clone(), costs.clone(), &config.machine);
         let mut xs = Xenstore::new(clock.clone(), costs.clone());
@@ -472,7 +491,9 @@ impl Platform {
             && !matches!(std::env::var("NEPHELE_FLIGHTREC").as_deref(), Ok("0" | "off"));
         let audit_mode = config
             .audit
-            .or_else(AuditMode::from_env)
+            .or_else(|| {
+                std::env::var_os("NEPHELE_AUDIT").map(|v| AuditMode::parse_env(&v.to_string_lossy()))
+            })
             .unwrap_or_default();
 
         Platform {
@@ -527,33 +548,6 @@ impl Platform {
     // Observability exports
     // ------------------------------------------------------------------
 
-    /// The virtual-time timeline as CSV (see
-    /// [`TraceSink::timeline_csv`]): counters, gauges and span closes
-    /// folded into fixed-width virtual-time slices. Identical in Full and
-    /// Aggregate mode; the header alone when tracing is off.
-    pub fn timeline_csv(&self) -> String {
-        self.trace.timeline_csv()
-    }
-
-    /// Writes [`timeline_csv`](Self::timeline_csv) to `path`, creating
-    /// parent directories as needed.
-    pub fn write_timeline(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.trace.write_timeline(path)
-    }
-
-    /// A Prometheus-style text exposition of the end-of-run metric state
-    /// (see [`TraceSink::metrics_text`]). Identical in Full and Aggregate
-    /// mode; empty when tracing is off.
-    pub fn metrics_text(&self) -> String {
-        self.trace.metrics_text()
-    }
-
-    /// Writes [`metrics_text`](Self::metrics_text) to `path`, creating
-    /// parent directories as needed.
-    pub fn write_metrics_text(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.trace.write_metrics_text(path)
-    }
-
     /// Per-clone-family rollup rows: the sink's span/counter/gauge
     /// attributions (see [`TraceSink::family_rows`]) plus point-in-time
     /// `resident.*` rows splitting the platform's resident bytes (p2m
@@ -590,18 +584,6 @@ impl Platform {
     /// `family,root,metric,value` CSV, sorted by `(family, metric)`.
     pub fn family_rollup_csv(&self) -> String {
         render_family_csv(self.family_rollup_rows())
-    }
-
-    /// Writes [`family_rollup_csv`](Self::family_rollup_csv) to `path`,
-    /// creating parent directories as needed.
-    pub fn write_family_rollup(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.family_rollup_csv())
     }
 
     /// Runs the state invariant auditor over the whole platform (frame
@@ -726,9 +708,8 @@ impl Platform {
 
     fn launch_plain_impl(&mut self, cfg: &DomainConfig, image: &KernelImage) -> Result<DomId> {
         let span = self.trace.span("platform.launch");
-        span.attr("name", cfg.name.as_str());
         let created = self.create_and_register(cfg, image, None)?;
-        span.attr("dom", created.id.0 as u64);
+        span.dom(created.id);
         drop(span);
         self.record_mem_gauges();
         Ok(created.id)
@@ -754,10 +735,9 @@ impl Platform {
         app: Box<dyn GuestApp>,
     ) -> Result<DomId> {
         let span = self.trace.span("platform.launch");
-        span.attr("name", cfg.name.as_str());
         let created = self.create_and_register(cfg, image, Some(app))?;
         let dom = created.id;
-        span.attr("dom", dom.0 as u64);
+        span.dom(dom);
         self.dispatch(dom, |app, env| app.on_boot(env));
         self.pump();
         drop(span);
@@ -816,8 +796,7 @@ impl Platform {
 
     fn clone_domain_impl(&mut self, dom: DomId, nr: u32) -> Result<Vec<DomId>> {
         let span = self.trace.span("platform.clone_domain");
-        span.attr("parent", dom.0 as u64);
-        span.attr("nr", nr as u64);
+        span.dom(dom);
         let r = self.hv.cloneop(
             DomId::DOM0,
             CloneOp::Clone {
@@ -974,8 +953,7 @@ impl Platform {
 
     fn guest_fork_impl(&mut self, dom: DomId, nr: u32) -> Result<Vec<DomId>> {
         let span = self.trace.span("platform.guest_fork");
-        span.attr("parent", dom.0 as u64);
-        span.attr("nr", nr as u64);
+        span.dom(dom);
         let r = self.hv.cloneop(
             dom,
             CloneOp::Clone {
@@ -1277,6 +1255,47 @@ mod tests {
 
     fn plat() -> Platform {
         Platform::new(PlatformConfig::small())
+    }
+
+    /// The message `parse` panics with on `value`.
+    fn panic_message<T>(parse: fn(&str) -> T, value: &str) -> String {
+        let payload = std::panic::catch_unwind(|| parse(value))
+            .err()
+            .unwrap_or_else(|| panic!("{value:?} was accepted"));
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn trace_env_accepts_two_spellings_each_way_and_refuses_the_rest() {
+        for on in ["1", "on"] {
+            assert_eq!(parse_trace_env(on), TraceConfig::aggregate());
+        }
+        for off in ["0", "off"] {
+            assert_eq!(parse_trace_env(off), TraceConfig::default());
+        }
+        for bad in ["yes", "full", "aggregate", "ON", ""] {
+            let msg = panic_message(parse_trace_env, bad);
+            assert!(msg.starts_with("NEPHELE_TRACE=") && msg.contains("0, off, 1 or on"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn audit_env_accepts_its_spellings_and_refuses_the_rest() {
+        for (value, mode) in [
+            ("off", AuditMode::Off),
+            ("0", AuditMode::Off),
+            ("lifecycle", AuditMode::Lifecycle),
+            ("debug", AuditMode::Lifecycle),
+            ("every-op", AuditMode::EveryOp),
+            ("every_op", AuditMode::EveryOp),
+            ("all", AuditMode::EveryOp),
+        ] {
+            assert_eq!(AuditMode::parse_env(value), mode);
+        }
+        for bad in ["on", "everyop", "Lifecycle", ""] {
+            let msg = panic_message(AuditMode::parse_env, bad);
+            assert!(msg.starts_with("NEPHELE_AUDIT=") && msg.contains("every-op"), "{msg}");
+        }
     }
 
     fn udp_cfg(name: &str, ip: Ipv4Addr) -> DomainConfig {
@@ -1597,9 +1616,9 @@ mod tests {
         };
         assert_eq!(sum_metric("resident.p2m_shared_bytes"), snap.p2m_shared_bytes);
         assert_eq!(sum_metric("resident.p2m_unique_bytes"), snap.p2m_unique_bytes);
-        // Timeline and exposition exports are non-empty in Aggregate mode.
-        assert!(p.timeline_csv().lines().count() > 1, "timeline has rows");
-        assert!(p.metrics_text().contains("nephele_"), "exposition has metrics");
+        // Timeline and exposition exports are non-empty with tracing on.
+        assert!(p.trace().timeline_csv().lines().count() > 1, "timeline has rows");
+        assert!(p.trace().metrics_text().contains("nephele_"), "exposition has metrics");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Always-on flight recorder: a fixed-size ring of compact structured
 //! events, kept even when tracing is disabled.
 //!
-//! Where the [`trace`](crate::trace) layer is an opt-in, unbounded recording
-//! meant for offline analysis, the [`FlightRecorder`] is the black box: it
+//! Where the [`trace`](crate::trace) layer is an opt-in fold of every
+//! observation into aggregates, the [`FlightRecorder`] is the black box: it
 //! is always on, costs O(1) per event (one slot write in a pre-allocated
 //! ring, no heap traffic), and retains only the last N events. When
 //! something goes wrong — a platform error surfaces, or a state audit finds
@@ -11,13 +11,11 @@
 //!
 //! Events are deliberately [`Copy`]-compact: a static operation name, a
 //! domain id, the virtual timestamp, a static outcome tag and one numeric
-//! argument. Anything richer belongs in a span attribute.
+//! argument. Anything richer belongs in the trace sink.
 
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
-
-use crate::trace::json_str;
 
 /// Ring capacity (events retained) of [`FlightRecorder::default`], the
 /// platform's recorder.
@@ -168,6 +166,25 @@ impl FlightRecorder {
         }
         std::fs::write(path, self.to_json(context))
     }
+}
+
+/// JSON string literal with the characters the taxonomy can contain escaped.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]

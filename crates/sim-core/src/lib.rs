@@ -15,9 +15,9 @@
 //!   layers do not need external crates.
 //! * [`stats`] — streaming statistics and series recording for experiments.
 //! * [`trace`] — deterministic observability: virtual-time spans, counters,
-//!   gauges and log-bucketed latency [`hist`]ograms with chrome-trace / CSV
-//!   exporters, streaming-aggregation modes, a Prometheus-style text
-//!   exposition, and per-clone-family rollups.
+//!   gauges and log-bucketed latency [`hist`]ograms, folded as they are
+//!   recorded into CSV exporters, a Prometheus-style text exposition and
+//!   per-clone-family rollups.
 //! * [`timeline`] — bounded virtual-time slice ring: counters, gauges and
 //!   span closes folded into fixed-width slices with a CSV exporter.
 //! * [`rollup`] — the clone-family provenance registry behind the
@@ -57,5 +57,5 @@ pub use ids::{DomId, Mfn, Pfn, PAGE_SIZE};
 pub use rng::SplitMix64;
 pub use rollup::{FamilyRegistry, FamilyRow, FamilyStats};
 pub use time::{SimDuration, SimTime};
-pub use timeline::{Timeline, TimelineConfig};
-pub use trace::{SinkOverhead, SpanGuard, TraceConfig, TraceMode, TraceSink};
+pub use timeline::Timeline;
+pub use trace::{SinkOverhead, SpanGuard, TraceConfig, TraceSink};

@@ -1,15 +1,14 @@
 //! Virtual-time time-series: counters, gauges and span closures folded
 //! into fixed-width virtual-time slices.
 //!
-//! A [`Timeline`] is a bounded ring of [slices](TimelineConfig::max_slices);
-//! each slice covers `[k·width, (k+1)·width)` of virtual time, so slice
-//! boundaries are a pure function of the virtual clock and never depend on
-//! host scheduling. The sink folds every counter bump, gauge observation
-//! and span close into the current slice in O(log keys); memory is bounded
-//! by `max_slices × distinct keys` regardless of how many events a run
-//! produces. Slices are created lazily (quiet periods cost nothing) and the
-//! oldest slices are evicted once the ring is full — [`Timeline::evicted`]
-//! reports how many fell off the front.
+//! A [`Timeline`] is a bounded ring of [`MAX_SLICES`] slices; each slice
+//! covers `[k·SLICE, (k+1)·SLICE)` of virtual time, so slice boundaries
+//! are a pure function of the virtual clock and never depend on host
+//! scheduling. The sink folds every counter bump, gauge observation and
+//! span close into the current slice in O(log keys); memory is bounded by
+//! `MAX_SLICES × distinct keys` regardless of how many events a run
+//! produces. Slices are created lazily (quiet periods cost nothing) and
+//! the oldest slices are evicted once the ring is full.
 //!
 //! [`Timeline::csv`] renders the ring as a flat table; because everything
 //! is keyed by virtual time and folded in program order, the bytes are
@@ -20,21 +19,12 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::time::SimDuration;
 use crate::time::SimTime;
 
-/// Slicing knobs for the [`Timeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineConfig {
-    /// Width of one virtual-time slice.
-    pub slice: SimDuration,
-    /// Maximum number of retained slices (oldest evicted first).
-    pub max_slices: usize,
-}
+/// Width of one virtual-time slice.
+pub const SLICE: SimDuration = SimDuration::from_ms(100);
 
-impl Default for TimelineConfig {
-    /// 100 ms slices, 512 retained — ~51 virtual seconds of history.
-    fn default() -> Self {
-        TimelineConfig { slice: SimDuration::from_ms(100), max_slices: 512 }
-    }
-}
+/// Slices the ring keeps, oldest evicted first: ~51 virtual seconds of
+/// history.
+pub const MAX_SLICES: usize = 512;
 
 /// Per-slice statistics of one counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -83,40 +73,26 @@ pub struct TimelineSlice {
 }
 
 /// Bounded ring of virtual-time slices; see the [module docs](self).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    width_ns: u64,
-    max_slices: usize,
     slices: VecDeque<TimelineSlice>,
-    evicted: u64,
 }
 
 impl Timeline {
-    /// An empty timeline with the given slicing config.
-    pub fn new(config: TimelineConfig) -> Self {
-        Timeline {
-            width_ns: config.slice.as_ns().max(1),
-            max_slices: config.max_slices.max(1),
-            slices: VecDeque::new(),
-            evicted: 0,
-        }
-    }
-
     /// The slice covering `at`, creating (and evicting) as needed. The
     /// virtual clock is monotonic, so the target index never precedes the
     /// newest slice; if it somehow did we fold into the newest slice
     /// rather than corrupt the ring order.
     fn slice_at(&mut self, at: SimTime) -> &mut TimelineSlice {
-        let index = at.as_ns() / self.width_ns;
+        let index = at.as_ns() / SLICE.as_ns();
         let need_new = match self.slices.back() {
             Some(s) => index > s.index,
             None => true,
         };
         if need_new {
             self.slices.push_back(TimelineSlice { index, ..Default::default() });
-            while self.slices.len() > self.max_slices {
+            if self.slices.len() > MAX_SLICES {
                 self.slices.pop_front();
-                self.evicted += 1;
             }
         }
         self.slices.back_mut().expect("ring is non-empty after push")
@@ -146,35 +122,9 @@ impl Timeline {
         s.max_ns = s.max_ns.max(dur_ns);
     }
 
-    /// Retained slices, oldest first.
-    pub fn slices(&self) -> impl Iterator<Item = &TimelineSlice> {
-        self.slices.iter()
-    }
-
-    /// Number of retained slices.
-    pub fn len(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Whether nothing has been folded yet.
-    pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
-    }
-
-    /// Slices evicted off the front of the ring so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Width of one slice in virtual nanoseconds.
-    pub fn width_ns(&self) -> u64 {
-        self.width_ns
-    }
-
-    /// Drops all slices (the config is kept).
+    /// Drops all slices.
     pub fn clear(&mut self) {
         self.slices.clear();
-        self.evicted = 0;
     }
 
     /// The retained ring as CSV:
@@ -193,7 +143,7 @@ impl Timeline {
     pub fn csv(&self) -> String {
         let mut out = String::from("slice,start_us,kind,key,dom,n,sum,max,last\n");
         for s in &self.slices {
-            let start_ns = s.index * self.width_ns;
+            let start_ns = s.index * SLICE.as_ns();
             let start_us = format!("{}.{:03}", start_ns / 1_000, start_ns % 1_000);
             for (name, c) in &s.counters {
                 out.push_str(&format!(
@@ -218,12 +168,6 @@ impl Timeline {
     }
 }
 
-impl Default for Timeline {
-    fn default() -> Self {
-        Timeline::new(TimelineConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,12 +178,12 @@ mod tests {
 
     #[test]
     fn slices_are_fixed_width_and_sparse() {
-        let mut tl = Timeline::new(TimelineConfig::default());
+        let mut tl = Timeline::default();
         tl.fold_count(t(10), "c", 1, 1);
         tl.fold_count(t(20), "c", 2, 3); // same 100 ms slice
         tl.fold_count(t(950), "c", 1, 4); // slice 9; 1..9 never created
-        assert_eq!(tl.len(), 2);
-        let s: Vec<_> = tl.slices().collect();
+        let s = &tl.slices;
+        assert_eq!(s.len(), 2);
         assert_eq!(s[0].index, 0);
         assert_eq!(s[0].counters["c"], CounterSlice { bumps: 2, delta: 3, last_total: 3 });
         assert_eq!(s[1].index, 9);
@@ -248,16 +192,12 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest() {
-        let mut tl = Timeline::new(TimelineConfig {
-            slice: SimDuration::from_ms(1),
-            max_slices: 3,
-        });
-        for ms in 0..5 {
-            tl.fold_gauge(t(ms), "g", 7, ms);
+        let mut tl = Timeline::default();
+        for k in 0..=MAX_SLICES as u64 {
+            tl.fold_gauge(t(k * 100), "g", 7, k);
         }
-        assert_eq!(tl.len(), 3);
-        assert_eq!(tl.evicted(), 2);
-        assert_eq!(tl.slices().next().unwrap().index, 2);
+        assert_eq!(tl.slices.len(), MAX_SLICES);
+        assert_eq!(tl.slices[0].index, 1, "slice 0 is evicted");
     }
 
     #[test]
@@ -276,18 +216,5 @@ mod tests {
              0,0.000,span,clone.child,,2,2000,1500,\n"
         );
         assert_eq!(csv, tl.clone().csv());
-    }
-
-    #[test]
-    fn clear_keeps_config() {
-        let mut tl = Timeline::new(TimelineConfig {
-            slice: SimDuration::from_ms(1),
-            max_slices: 3,
-        });
-        tl.fold_count(t(0), "c", 1, 1);
-        tl.clear();
-        assert!(tl.is_empty());
-        assert_eq!(tl.evicted(), 0);
-        assert_eq!(tl.width_ns(), 1_000_000);
     }
 }

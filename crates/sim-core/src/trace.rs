@@ -12,44 +12,31 @@
 //! operation on a disabled sink is a single `Option` check, so leaving the
 //! instrumentation in place costs effectively nothing when tracing is off.
 //!
-//! # Trace modes
+//! # Folding
 //!
-//! Every enabled sink aggregates one way: each span is folded into a
+//! An enabled sink keeps no raw records. Each span is folded into a
 //! per-name log-bucketed [`Histogram`] *when it closes*, and every
 //! observation is folded into the counter totals, the last gauge values,
 //! a bounded virtual-time [`Timeline`] and the clone-family rollups of the
-//! [`FamilyRegistry`] fed by the hypervisor. Every aggregate export
-//! ([`span_aggregates_csv`](TraceSink::span_aggregates_csv),
-//! [`timeline_csv`](TraceSink::timeline_csv),
-//! [`metrics_text`](TraceSink::metrics_text),
-//! [`family_rollup_csv`](TraceSink::family_rollup_csv)) reads those folds,
-//! so it is byte-identical across modes and same-seed runs. The two
-//! enabled [`TraceMode`]s differ only in retention:
+//! [`FamilyRegistry`] fed by the hypervisor. The sink holds only the spans
+//! still open, so its memory stays at O(distinct metric keys × timeline
+//! slices) no matter how many events a run produces, which is what lets
+//! tracing follow 10^5-domain experiments. A span carries at most one
+//! domain ([`SpanGuard::dom`]), the one whose clone family its time goes
+//! to.
 //!
-//! * [`TraceMode::Full`] also keeps every raw span, counter sample and
-//!   gauge sample — O(events) memory — for the Chrome trace exporter.
-//! * [`TraceMode::Aggregate`] drops each raw record once it is folded, so
-//!   memory stays at O(distinct metric keys × timeline slices) no matter
-//!   how many events a run produces — the mode that scales to
-//!   10^5-domain experiments.
+//! Exporters, each reading those folds:
 //!
-//! Exporters:
-//!
-//! * [`TraceSink::chrome_trace_json`] — the Chrome trace-event format
-//!   (loadable in `about:tracing` or [Perfetto](https://ui.perfetto.dev)),
-//!   with spans as complete (`"ph":"X"`) events and counters as `"ph":"C"`
-//!   events (Full mode only — Aggregate drops the raw events);
 //! * [`TraceSink::span_aggregates_csv`] — a flat `span,count,total_ms,mean_ms`
 //!   table, sorted by span name, for printing next to experiment series;
+//! * [`TraceSink::histograms_csv`] — per-operation latency percentiles;
 //! * [`TraceSink::timeline_csv`] — the virtual-time slice ring;
 //! * [`TraceSink::metrics_text`] — Prometheus-style text exposition of the
 //!   end-of-run state;
 //! * [`TraceSink::family_rollup_csv`] — per-clone-family rollups.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::path::Path;
 use std::rc::Rc;
 
 use crate::clock::Clock;
@@ -59,183 +46,19 @@ use crate::rollup::{render_family_csv, FamilyRegistry, FamilyRow};
 use crate::time::SimTime;
 use crate::timeline::Timeline;
 
-/// How much raw data an enabled sink retains; see the [module docs](self).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TraceMode {
-    /// No tracing at all (the sink is disabled).
-    #[default]
-    Off,
-    /// Also retain every raw record — O(events) memory.
-    Full,
-    /// Drop raw records once folded — O(keys) memory.
-    Aggregate,
-}
-
-impl TraceMode {
-    /// Parses the `NEPHELE_TRACE` spellings (case-insensitive):
-    /// `off`/`0`/`none`, `full`/`1`/`on`, `aggregate`/`agg`.
-    pub fn parse(s: &str) -> Option<TraceMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(TraceMode::Off),
-            "full" | "1" | "on" => Some(TraceMode::Full),
-            "aggregate" | "agg" => Some(TraceMode::Aggregate),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for TraceMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TraceMode::Off => "off",
-            TraceMode::Full => "full",
-            TraceMode::Aggregate => "aggregate",
-        })
-    }
-}
-
-/// Tracing knob for a platform (off by default).
+/// Tracing switch for a platform: off by default, on with
+/// [`TraceConfig::aggregate`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Retention mode; [`TraceMode::Off`] (the default) keeps a disabled
-    /// sink, whose instrumentation does near-zero work.
-    pub mode: TraceMode,
+    on: bool,
 }
 
 impl TraceConfig {
-    /// A config with tracing switched on (Full mode).
-    pub fn enabled() -> Self {
-        TraceConfig::with_mode(TraceMode::Full)
-    }
-
-    /// A config with Aggregate-mode tracing switched on.
+    /// A config with tracing on: the sink folds every observation as it
+    /// is recorded (see the [module docs](self)).
     pub fn aggregate() -> Self {
-        TraceConfig::with_mode(TraceMode::Aggregate)
+        TraceConfig { on: true }
     }
-
-    /// A config for the given mode ([`TraceMode::Off`] yields a disabled
-    /// config).
-    pub fn with_mode(mode: TraceMode) -> Self {
-        TraceConfig { mode }
-    }
-}
-
-/// A typed span attribute value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttrValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Owned string.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl From<u64> for AttrValue {
-    fn from(v: u64) -> Self {
-        AttrValue::U64(v)
-    }
-}
-impl From<u32> for AttrValue {
-    fn from(v: u32) -> Self {
-        AttrValue::U64(v as u64)
-    }
-}
-impl From<usize> for AttrValue {
-    fn from(v: usize) -> Self {
-        AttrValue::U64(v as u64)
-    }
-}
-impl From<i64> for AttrValue {
-    fn from(v: i64) -> Self {
-        AttrValue::I64(v)
-    }
-}
-impl From<f64> for AttrValue {
-    fn from(v: f64) -> Self {
-        AttrValue::F64(v)
-    }
-}
-impl From<&str> for AttrValue {
-    fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_string())
-    }
-}
-impl From<String> for AttrValue {
-    fn from(v: String) -> Self {
-        AttrValue::Str(v)
-    }
-}
-impl From<bool> for AttrValue {
-    fn from(v: bool) -> Self {
-        AttrValue::Bool(v)
-    }
-}
-
-impl fmt::Display for AttrValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttrValue::U64(v) => write!(f, "{v}"),
-            AttrValue::I64(v) => write!(f, "{v}"),
-            AttrValue::F64(v) => write!(f, "{v}"),
-            AttrValue::Str(v) => write!(f, "{v}"),
-            AttrValue::Bool(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-/// One recorded span (finished once `end` is set).
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Span name (static taxonomy, e.g. `hv.cloneop`).
-    pub name: &'static str,
-    /// Index of the enclosing span in the sink's span list, if nested.
-    pub parent: Option<usize>,
-    /// Nesting depth (roots are 0).
-    pub depth: usize,
-    /// Virtual time at entry.
-    pub start: SimTime,
-    /// Virtual time at exit (`None` while the span is open).
-    pub end: Option<SimTime>,
-    /// Typed attributes attached via [`SpanGuard::attr`].
-    pub attrs: Vec<(&'static str, AttrValue)>,
-}
-
-impl SpanRecord {
-    /// Span duration in virtual nanoseconds (0 while still open).
-    pub fn duration_ns(&self) -> u64 {
-        self.end.map(|e| e.since(self.start).as_ns()).unwrap_or(0)
-    }
-}
-
-/// One timestamped counter observation (the running total after the bump).
-#[derive(Debug, Clone)]
-pub struct CounterSample {
-    /// Counter name.
-    pub name: &'static str,
-    /// Virtual time of the bump.
-    pub at: SimTime,
-    /// The bump itself.
-    pub delta: u64,
-    /// Running total after the bump.
-    pub total: u64,
-}
-
-/// One timestamped per-domain gauge observation.
-#[derive(Debug, Clone)]
-pub struct GaugeSample {
-    /// Gauge name.
-    pub name: &'static str,
-    /// Domain the observation belongs to (Dom0 for host-wide gauges).
-    pub dom: DomId,
-    /// Virtual time of the observation.
-    pub at: SimTime,
-    /// Observed value.
-    pub value: u64,
 }
 
 /// Aggregate statistics for all spans sharing a name.
@@ -251,9 +74,8 @@ pub struct SpanAggregate {
     pub mean_ns: u64,
 }
 
-/// The sink's accounting of its own host-side work and retention — the
-/// numbers behind the "Aggregate mode is O(keys), not O(events)" claim.
-/// All counts are cumulative since construction (or the last
+/// The sink's accounting of its own host-side work and of the spans it
+/// holds. All counts are cumulative since construction (or the last
 /// [`TraceSink::clear`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkOverhead {
@@ -267,37 +89,24 @@ pub struct SinkOverhead {
     pub gauge_records: u64,
     /// Explicit histogram records ([`TraceSink::record_ns`]).
     pub hist_records: u64,
-    /// Span records currently held (open spans plus, in Full mode, every
-    /// closed one).
+    /// Spans currently open, the only span records the sink holds.
     pub retained_spans: u64,
     /// High-water mark of `retained_spans`.
     pub peak_retained_spans: u64,
-    /// Raw counter samples currently held (always 0 in Aggregate mode).
-    pub retained_counter_samples: u64,
-    /// High-water mark of `retained_counter_samples`.
-    pub peak_retained_counter_samples: u64,
-    /// Raw gauge samples currently held (always 0 in Aggregate mode).
-    pub retained_gauge_samples: u64,
-    /// High-water mark of `retained_gauge_samples`.
-    pub peak_retained_gauge_samples: u64,
 }
 
 #[derive(Debug)]
 struct TraceBuf {
     clock: Clock,
-    mode: TraceMode,
-    spans: Vec<SpanRecord>,
-    /// Free slots of the span slab (Aggregate mode reuses closed slots so
-    /// open-span indices stay stable while memory stays bounded).
-    free: Vec<usize>,
-    stack: Vec<usize>,
+    /// Open spans, innermost last: each span's open number and name.
+    stack: Vec<(u64, &'static str)>,
+    /// Spans opened so far, which numbers the next one.
+    opened: u64,
     /// Spans closed while a span opened after them was still open, and
     /// the name of the first one — the nesting violations
     /// [`TraceSink::validate_well_nested`] reports.
     misnested: (u64, Option<&'static str>),
     counters: BTreeMap<&'static str, u64>,
-    counter_samples: Vec<CounterSample>,
-    gauges: Vec<GaugeSample>,
     /// Last value per `(gauge, domain)` — the end-of-run state
     /// [`TraceSink::metrics_text`] exposes.
     gauge_last: BTreeMap<(&'static str, u32), u64>,
@@ -310,27 +119,6 @@ struct TraceBuf {
     overhead: SinkOverhead,
 }
 
-impl TraceBuf {
-    /// The family root for a span's attrs: the first of `dom`, `parent`,
-    /// `child` that names a domain in a registered family.
-    fn family_of_attrs(&self, attrs: &[(&'static str, AttrValue)]) -> Option<u32> {
-        for key in ["dom", "parent", "child"] {
-            if let Some((_, AttrValue::U64(v))) = attrs.iter().find(|(k, _)| *k == key) {
-                if let Ok(d) = u32::try_from(*v) {
-                    return self.families.root_of(DomId(d));
-                }
-            }
-        }
-        None
-    }
-
-    fn note_span_retention(&mut self) {
-        let retained = (self.spans.len() - self.free.len()) as u64;
-        self.overhead.retained_spans = retained;
-        self.overhead.peak_retained_spans = self.overhead.peak_retained_spans.max(retained);
-    }
-}
-
 /// A shareable handle onto a trace buffer; see the [module docs](self).
 ///
 /// Cloning yields another handle onto the same buffer. The default sink is
@@ -340,64 +128,58 @@ pub struct TraceSink {
     inner: Option<Rc<RefCell<TraceBuf>>>,
 }
 
-/// RAII guard for an open span: records the exit timestamp (from the shared
-/// virtual clock) when dropped, which makes spans robust to `?`-style early
-/// returns.
+/// RAII guard for an open span: folds the span, stamped from the shared
+/// virtual clock, when dropped, which makes spans robust to `?`-style
+/// early returns.
 #[must_use = "a span ends when its guard drops; binding to _ ends it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    inner: Option<(Rc<RefCell<TraceBuf>>, usize)>,
+    inner: Option<OpenSpan>,
+}
+
+#[derive(Debug)]
+struct OpenSpan {
+    buf: Rc<RefCell<TraceBuf>>,
+    /// Open number, which tells the span apart on the sink's stack.
+    id: u64,
+    name: &'static str,
+    start: SimTime,
+    dom: Cell<Option<DomId>>,
 }
 
 impl SpanGuard {
-    /// Attaches a typed attribute to the span.
-    pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
-        if let Some((buf, idx)) = &self.inner {
-            buf.borrow_mut().spans[*idx].attrs.push((key, value.into()));
+    /// Attributes the span's time to `dom`'s clone family in the family
+    /// rollups. The family is looked up when the span closes, so a span
+    /// whose domain is destroyed before then attributes nothing.
+    pub fn dom(&self, dom: DomId) {
+        if let Some(s) = &self.inner {
+            s.dom.set(Some(dom));
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((buf, idx)) = self.inner.take() {
-            let mut b = buf.borrow_mut();
-            let end = b.clock.now();
-            let family = b.family_of_attrs(&b.spans[idx].attrs);
-            let rec = &mut b.spans[idx];
-            rec.end = Some(end);
-            let name = rec.name;
-            let dur = end.since(rec.start).as_ns();
-            // Parents are fixed at open and the clock never runs back, so
-            // a child escapes its parent exactly when the parent closes
-            // first, i.e. when a span closes while not on top of the stack.
-            if b.stack.last() == Some(&idx) {
-                b.stack.pop();
-            } else {
-                b.stack.retain(|&i| i != idx);
-                b.misnested.0 += 1;
-                b.misnested.1.get_or_insert(name);
-            }
-            b.overhead.span_closes += 1;
-            b.timeline.fold_span(end, name, dur);
-            b.span_hists.entry(name).or_default().record(dur);
-            if let Some(root) = family {
-                b.families.record_span(root, name, dur);
-            }
-            if b.mode == TraceMode::Aggregate {
-                // Tombstone the slot and hand it back to the slab: the
-                // raw record (and its attr allocations) die here.
-                b.spans[idx] = SpanRecord {
-                    name: "",
-                    parent: None,
-                    depth: 0,
-                    start: end,
-                    end: Some(end),
-                    attrs: Vec::new(),
-                };
-                b.free.push(idx);
-                b.note_span_retention();
-            }
+        let Some(s) = self.inner.take() else { return };
+        let mut b = s.buf.borrow_mut();
+        let end = b.clock.now();
+        let dur = end.since(s.start).as_ns();
+        // Parents are fixed at open and the clock never runs back, so a
+        // child escapes its parent exactly when the parent closes first,
+        // i.e. when a span closes while not on top of the stack.
+        if b.stack.last().map(|&(id, _)| id) == Some(s.id) {
+            b.stack.pop();
+        } else {
+            b.stack.retain(|&(id, _)| id != s.id);
+            b.misnested.0 += 1;
+            b.misnested.1.get_or_insert(s.name);
+        }
+        b.overhead.span_closes += 1;
+        b.overhead.retained_spans = b.stack.len() as u64;
+        b.timeline.fold_span(end, s.name, dur);
+        b.span_hists.entry(s.name).or_default().record(dur);
+        if let Some(root) = s.dom.get().and_then(|d| b.families.root_of(d)) {
+            b.families.record_span(root, s.name, dur);
         }
     }
 }
@@ -409,23 +191,18 @@ impl TraceSink {
     }
 
     /// Builds a sink from the shared clock and a config; returns a disabled
-    /// sink when the config's mode is [`TraceMode::Off`].
+    /// sink unless the config turns tracing on.
     pub fn new(clock: Clock, config: &TraceConfig) -> Self {
-        let mode = config.mode;
-        if mode == TraceMode::Off {
+        if !config.on {
             return TraceSink::disabled();
         }
         TraceSink {
             inner: Some(Rc::new(RefCell::new(TraceBuf {
                 clock,
-                mode,
-                spans: Vec::new(),
-                free: Vec::new(),
                 stack: Vec::new(),
+                opened: 0,
                 misnested: (0, None),
                 counters: BTreeMap::new(),
-                counter_samples: Vec::new(),
-                gauges: Vec::new(),
                 gauge_last: BTreeMap::new(),
                 hists: BTreeMap::new(),
                 span_hists: BTreeMap::new(),
@@ -441,50 +218,34 @@ impl TraceSink {
         self.inner.is_some()
     }
 
-    /// The mode this sink runs in ([`TraceMode::Off`] when disabled).
-    pub fn mode(&self) -> TraceMode {
-        self.inner.as_ref().map(|b| b.borrow().mode).unwrap_or(TraceMode::Off)
-    }
-
     /// Opens a span named `name`, stamped at the current virtual instant.
-    /// The span closes (and its exit is stamped) when the returned guard
-    /// drops. Spans opened while another is open become its children.
+    /// The span closes (and is folded) when the returned guard drops.
+    /// Spans opened while another is open nest inside it.
     pub fn span(&self, name: &'static str) -> SpanGuard {
         let Some(buf) = &self.inner else {
             return SpanGuard { inner: None };
         };
         let mut b = buf.borrow_mut();
-        let start = b.clock.now();
-        let parent = b.stack.last().copied();
-        let depth = parent.map(|p| b.spans[p].depth + 1).unwrap_or(0);
-        let rec = SpanRecord {
-            name,
-            parent,
-            depth,
-            start,
-            end: None,
-            attrs: Vec::new(),
-        };
-        let idx = match b.free.pop() {
-            Some(i) => {
-                b.spans[i] = rec;
-                i
-            }
-            None => {
-                b.spans.push(rec);
-                b.spans.len() - 1
-            }
-        };
-        b.stack.push(idx);
-        b.overhead.span_opens += 1;
-        b.note_span_retention();
+        let id = b.opened;
+        b.opened += 1;
+        b.stack.push((id, name));
+        let open = b.stack.len() as u64;
+        let o = &mut b.overhead;
+        o.span_opens += 1;
+        o.retained_spans = open;
+        o.peak_retained_spans = o.peak_retained_spans.max(open);
         SpanGuard {
-            inner: Some((buf.clone(), idx)),
+            inner: Some(OpenSpan {
+                buf: buf.clone(),
+                id,
+                name,
+                start: b.clock.now(),
+                dom: Cell::new(None),
+            }),
         }
     }
 
-    /// Bumps the named monotonic counter by `delta`; in Full mode a
-    /// timestamped sample of the new total is retained.
+    /// Bumps the named monotonic counter by `delta`.
     pub fn count(&self, name: &'static str, delta: u64) {
         self.count_inner(name, None, delta);
     }
@@ -509,19 +270,12 @@ impl TraceSink {
         if let Some(root) = dom.and_then(|d| b.families.root_of(d)) {
             b.families.record_counter(root, name, delta);
         }
-        if b.mode == TraceMode::Full {
-            b.counter_samples.push(CounterSample { name, at, delta, total });
-            let retained = b.counter_samples.len() as u64;
-            b.overhead.retained_counter_samples = retained;
-            b.overhead.peak_retained_counter_samples =
-                b.overhead.peak_retained_counter_samples.max(retained);
-        }
     }
 
-    /// Records a timestamped per-domain gauge observation. The last value
-    /// per `(name, dom)` is kept; Full mode also retains every sample.
-    /// Gauges of domains in a registered clone family also update the
-    /// family rollup (last value per member, dying with the member).
+    /// Records a per-domain gauge observation; the last value per
+    /// `(name, dom)` is kept. Gauges of domains in a registered clone
+    /// family also update the family rollup (last value per member, dying
+    /// with the member).
     pub fn gauge(&self, name: &'static str, dom: DomId, value: u64) {
         let Some(buf) = &self.inner else { return };
         let mut b = buf.borrow_mut();
@@ -531,13 +285,6 @@ impl TraceSink {
         b.timeline.fold_gauge(at, name, dom.0, value);
         if let Some(root) = b.families.root_of(dom) {
             b.families.record_gauge(root, name, dom.0, value);
-        }
-        if b.mode == TraceMode::Full {
-            b.gauges.push(GaugeSample { name, dom, at, value });
-            let retained = b.gauges.len() as u64;
-            b.overhead.retained_gauge_samples = retained;
-            b.overhead.peak_retained_gauge_samples =
-                b.overhead.peak_retained_gauge_samples.max(retained);
         }
     }
 
@@ -597,12 +344,6 @@ impl TraceSink {
         out
     }
 
-    /// Writes [`histograms_csv`](Self::histograms_csv) to `path`, creating
-    /// parent directories as needed.
-    pub fn write_histograms(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_creating_dirs(path.as_ref(), &self.histograms_csv())
-    }
-
     /// Current total of a counter (0 when unknown or disabled).
     pub fn counter_total(&self, name: &str) -> u64 {
         self.inner
@@ -611,44 +352,11 @@ impl TraceSink {
             .unwrap_or(0)
     }
 
-    /// Snapshot of all recorded spans, in open order. Aggregate mode
-    /// returns an empty list: raw records are dropped at close time.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner
-            .as_ref()
-            .map(|b| {
-                let b = b.borrow();
-                match b.mode {
-                    TraceMode::Aggregate => Vec::new(),
-                    _ => b.spans.clone(),
-                }
-            })
-            .unwrap_or_default()
-    }
-
     /// Snapshot of all counter totals.
     pub fn counters(&self) -> BTreeMap<&'static str, u64> {
         self.inner
             .as_ref()
             .map(|b| b.borrow().counters.clone())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot of the retained raw counter samples, in record order
-    /// (empty in Aggregate mode).
-    pub fn counter_samples(&self) -> Vec<CounterSample> {
-        self.inner
-            .as_ref()
-            .map(|b| b.borrow().counter_samples.clone())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot of all gauge samples, in record order (empty in Aggregate
-    /// mode).
-    pub fn gauges(&self) -> Vec<GaugeSample> {
-        self.inner
-            .as_ref()
-            .map(|b| b.borrow().gauges.clone())
             .unwrap_or_default()
     }
 
@@ -668,21 +376,18 @@ impl TraceSink {
             .unwrap_or_default()
     }
 
-    /// Clears all recorded metric data (spans, counters, gauges, timeline,
-    /// aggregates, overhead); the sink stays enabled and the clone-family
-    /// *lineage* is kept — lineage is structural state fed by lifecycle
-    /// events that will not be replayed — while per-family metric stats
-    /// reset. Useful for scoping an export to one phase of an experiment.
+    /// Clears all recorded metric data (counters, gauges, timeline,
+    /// aggregates, overhead) and the open-span stack; the sink stays
+    /// enabled and the clone-family *lineage* is kept — lineage is
+    /// structural state fed by lifecycle events that will not be replayed
+    /// — while per-family metric stats reset. Useful for scoping an export
+    /// to one phase of an experiment.
     pub fn clear(&self) {
         if let Some(buf) = &self.inner {
             let mut b = buf.borrow_mut();
-            b.spans.clear();
-            b.free.clear();
             b.stack.clear();
             b.misnested = (0, None);
             b.counters.clear();
-            b.counter_samples.clear();
-            b.gauges.clear();
             b.gauge_last.clear();
             b.hists.clear();
             b.span_hists.clear();
@@ -695,15 +400,14 @@ impl TraceSink {
     /// Checks that the recorded spans nest: every span is finished, and
     /// none closed before a span opened inside it (which would escape its
     /// parent's interval). Returns a description of the first violation.
-    /// The check is the same in both modes: it is made as spans close.
+    /// The check is made as spans close.
     pub fn validate_well_nested(&self) -> Result<(), String> {
         let Some(buf) = &self.inner else { return Ok(()) };
         let b = buf.borrow();
-        if let Some(&top) = b.stack.last() {
+        if let Some(&(_, innermost)) = b.stack.last() {
             return Err(format!(
-                "{} span(s) still open, innermost {:?}",
-                b.stack.len(),
-                b.spans[top].name
+                "{} span(s) still open, innermost {innermost:?}",
+                b.stack.len()
             ));
         }
         if let (n, Some(first)) = b.misnested {
@@ -789,12 +493,6 @@ impl TraceSink {
         render_family_csv(self.family_rows())
     }
 
-    /// Writes [`family_rollup_csv`](Self::family_rollup_csv) to `path`,
-    /// creating parent directories as needed.
-    pub fn write_family_rollup(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_creating_dirs(path.as_ref(), &self.family_rollup_csv())
-    }
-
     // ------------------------------------------------------------------
     // Timeline + Prometheus-style exposition
     // ------------------------------------------------------------------
@@ -808,29 +506,11 @@ impl TraceSink {
             .unwrap_or_else(|| Timeline::default().csv())
     }
 
-    /// Retained timeline slices and slices evicted off the ring so far:
-    /// `(len, evicted)`.
-    pub fn timeline_stats(&self) -> (usize, u64) {
-        self.inner
-            .as_ref()
-            .map(|b| {
-                let b = b.borrow();
-                (b.timeline.len(), b.timeline.evicted())
-            })
-            .unwrap_or((0, 0))
-    }
-
-    /// Writes [`timeline_csv`](Self::timeline_csv) to `path`, creating
-    /// parent directories as needed.
-    pub fn write_timeline(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_creating_dirs(path.as_ref(), &self.timeline_csv())
-    }
-
     /// Prometheus-style text exposition of the end-of-run state: counter
     /// totals, last gauge values per domain, explicit latency histograms
     /// and span-duration histograms as summaries (ns quantiles), and span
     /// totals. Metric names are `nephele_`-prefixed with `.` mapped to
-    /// `_`. Identical across modes, seeds and thread widths.
+    /// `_`. Identical across same-seed runs; empty when disabled.
     pub fn metrics_text(&self) -> String {
         let mut out = String::new();
         for (name, total) in self.counters() {
@@ -861,79 +541,6 @@ impl TraceSink {
         }
         out
     }
-
-    /// Writes [`metrics_text`](Self::metrics_text) to `path`, creating
-    /// parent directories as needed.
-    pub fn write_metrics_text(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_creating_dirs(path.as_ref(), &self.metrics_text())
-    }
-
-    /// Exports everything recorded so far in the Chrome trace-event JSON
-    /// format. Spans become complete (`"ph":"X"`) events on one track,
-    /// counters become `"ph":"C"` events, gauges become per-domain counter
-    /// tracks. Timestamps are virtual microseconds with nanosecond
-    /// precision; the output is byte-stable for identical recordings.
-    /// Aggregate mode yields an empty event list (raw events are dropped);
-    /// use the timeline / metrics exporters there instead.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut events: Vec<String> = Vec::new();
-        for s in &self.spans() {
-            let Some(end) = s.end else { continue };
-            let mut args = String::new();
-            for (k, v) in &s.attrs {
-                if !args.is_empty() {
-                    args.push(',');
-                }
-                args.push_str(&format!("{}:{}", json_str(k), json_attr(v)));
-            }
-            events.push(format!(
-                "{{\"name\":{},\"cat\":\"sim\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":0,\"args\":{{{}}}}}",
-                json_str(s.name),
-                fmt_us(s.start.as_ns()),
-                fmt_us(end.since(s.start).as_ns()),
-                args
-            ));
-        }
-        for c in &self.counter_samples() {
-            events.push(format!(
-                "{{\"name\":{},\"ph\":\"C\",\"ts\":{},\"pid\":0,\"args\":{{\"value\":{}}}}}",
-                json_str(c.name),
-                fmt_us(c.at.as_ns()),
-                c.total
-            ));
-        }
-        for g in &self.gauges() {
-            events.push(format!(
-                "{{\"name\":{},\"ph\":\"C\",\"ts\":{},\"pid\":{},\"args\":{{\"value\":{}}}}}",
-                json_str(g.name),
-                fmt_us(g.at.as_ns()),
-                g.dom.0,
-                g.value
-            ));
-        }
-        format!("{{\"traceEvents\":[{}]}}\n", events.join(","))
-    }
-
-    /// Writes [`chrome_trace_json`](Self::chrome_trace_json) to `path`,
-    /// creating parent directories as needed.
-    pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_creating_dirs(path.as_ref(), &self.chrome_trace_json())
-    }
-
-    /// Writes [`span_aggregates_csv`](Self::span_aggregates_csv) to `path`,
-    /// creating parent directories as needed.
-    pub fn write_span_aggregates(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_creating_dirs(path.as_ref(), &self.span_aggregates_csv())
-    }
-}
-
-fn write_creating_dirs(path: &Path, content: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, content)
 }
 
 /// One Prometheus summary block: p50/p90/p99 quantiles plus `_sum` and
@@ -955,8 +562,8 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Formats nanoseconds as fixed-point microseconds (`123.456`), the unit of
-/// Chrome trace timestamps. Integer math only, so the output is stable.
+/// Formats nanoseconds as fixed-point microseconds (`123.456`). Integer
+/// math only, so the output is stable.
 fn fmt_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
@@ -966,48 +573,12 @@ fn fmt_ms(ns: u64) -> String {
     format!("{}.{:06}", ns / 1_000_000, ns % 1_000_000)
 }
 
-/// JSON string literal with the characters the taxonomy can contain escaped.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_attr(v: &AttrValue) -> String {
-    match v {
-        AttrValue::U64(n) => n.to_string(),
-        AttrValue::I64(n) => n.to_string(),
-        AttrValue::F64(n) if n.is_finite() => n.to_string(),
-        AttrValue::F64(_) => "null".to_string(),
-        AttrValue::Str(s) => json_str(s),
-        AttrValue::Bool(b) => b.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    fn enabled_sink() -> (Clock, TraceSink) {
-        let clock = Clock::new();
-        let sink = TraceSink::new(clock.clone(), &TraceConfig::enabled());
-        (clock, sink)
-    }
-
-    fn aggregate_sink() -> (Clock, TraceSink) {
+    fn sink() -> (Clock, TraceSink) {
         let clock = Clock::new();
         let sink = TraceSink::new(clock.clone(), &TraceConfig::aggregate());
         (clock, sink)
@@ -1017,69 +588,45 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let sink = TraceSink::default();
         assert!(!sink.is_enabled());
-        assert_eq!(sink.mode(), TraceMode::Off);
         {
             let g = sink.span("noop");
-            g.attr("k", 1u64);
+            g.dom(DomId(1));
             sink.count("c", 5);
             sink.gauge("g", DomId::DOM0, 7);
             sink.record_ns("h", 123);
         }
-        assert!(sink.spans().is_empty());
+        assert!(sink.span_aggregates().is_empty());
         assert_eq!(sink.counter_total("c"), 0);
-        assert!(sink.gauges().is_empty());
+        assert!(sink.gauge_last().is_empty());
         assert!(sink.histogram("h").is_none());
         assert_eq!(sink.histograms_csv(), "op,count,p50_us,p90_us,p99_us,max_us\n");
-        assert_eq!(sink.chrome_trace_json(), "{\"traceEvents\":[]}\n");
         assert_eq!(sink.overhead(), SinkOverhead::default());
     }
 
     #[test]
-    fn off_mode_config_builds_a_disabled_sink() {
-        let clock = Clock::new();
-        let sink = TraceSink::new(clock, &TraceConfig::with_mode(TraceMode::Off));
-        assert!(!sink.is_enabled());
-        assert_eq!(TraceConfig::enabled().mode, TraceMode::Full);
-        assert_eq!(TraceConfig::aggregate().mode, TraceMode::Aggregate);
-        assert_eq!(TraceConfig::default().mode, TraceMode::Off);
-    }
-
-    #[test]
-    fn trace_mode_parses_env_spellings() {
-        assert_eq!(TraceMode::parse("off"), Some(TraceMode::Off));
-        assert_eq!(TraceMode::parse("FULL"), Some(TraceMode::Full));
-        assert_eq!(TraceMode::parse("agg"), Some(TraceMode::Aggregate));
-        assert_eq!(TraceMode::parse("aggregate"), Some(TraceMode::Aggregate));
-        assert_eq!(TraceMode::parse("bogus"), None);
-        assert_eq!(TraceMode::Aggregate.to_string(), "aggregate");
+    fn only_an_aggregate_config_builds_an_enabled_sink() {
+        let off = TraceSink::new(Clock::new(), &TraceConfig::default());
+        assert!(!off.is_enabled());
+        assert!(sink().1.is_enabled());
     }
 
     #[test]
     fn spans_nest_and_stamp_virtual_time() {
-        let (clock, sink) = enabled_sink();
+        let (clock, sink) = sink();
         {
             let root = sink.span("root");
             clock.advance(SimDuration::from_us(10));
             {
-                let child = sink.span("child");
-                child.attr("pages", 42u64);
+                let _child = sink.span("child");
                 clock.advance(SimDuration::from_us(5));
             }
             clock.advance(SimDuration::from_us(1));
             drop(root);
         }
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "root");
-        assert_eq!(spans[0].depth, 0);
-        assert_eq!(spans[0].parent, None);
-        assert_eq!(spans[0].duration_ns(), 16_000);
-        assert_eq!(spans[1].name, "child");
-        assert_eq!(spans[1].parent, Some(0));
-        assert_eq!(spans[1].depth, 1);
-        assert_eq!(spans[1].start.as_ns(), 10_000);
-        assert_eq!(spans[1].duration_ns(), 5_000);
-        assert_eq!(spans[1].attrs, vec![("pages", AttrValue::U64(42))]);
+        let agg = sink.span_aggregates();
+        assert_eq!((agg[0].name, agg[0].total_ns), ("child", 5_000));
+        assert_eq!((agg[1].name, agg[1].total_ns), ("root", 16_000));
+        assert_eq!(sink.overhead().peak_retained_spans, 2);
         sink.validate_well_nested().unwrap();
     }
 
@@ -1090,17 +637,16 @@ mod tests {
             clock.advance(SimDuration::from_ns(3));
             Err(())
         }
-        let (clock, sink) = enabled_sink();
+        let (clock, sink) = sink();
         let _ = inner(&sink, &clock);
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].duration_ns(), 3);
+        let agg = sink.span_aggregates();
+        assert_eq!((agg[0].count, agg[0].total_ns), (1, 3));
         sink.validate_well_nested().unwrap();
     }
 
     #[test]
-    fn counters_accumulate_with_samples() {
-        let (clock, sink) = enabled_sink();
+    fn counters_accumulate() {
+        let (clock, sink) = sink();
         sink.count("ring.tx", 1);
         clock.advance(SimDuration::from_us(2));
         sink.count("ring.tx", 2);
@@ -1110,27 +656,19 @@ mod tests {
         assert_eq!(sink.counter_total("missing"), 0);
         let counters = sink.counters();
         assert_eq!(counters.get("ring.tx"), Some(&3));
-        let samples = sink.counter_samples();
-        assert_eq!(samples.len(), 3);
-        assert_eq!(samples[1].delta, 2);
-        assert_eq!(samples[1].total, 3);
     }
 
     #[test]
-    fn aggregate_mode_drops_raw_records_but_keeps_aggregates() {
-        let (clock, sink) = aggregate_sink();
-        assert_eq!(sink.mode(), TraceMode::Aggregate);
+    fn sink_holds_only_open_spans_but_keeps_aggregates() {
+        let (clock, sink) = sink();
         for i in 0..100u64 {
             let g = sink.span("work");
-            g.attr("i", i);
+            g.dom(DomId(3));
             clock.advance(SimDuration::from_us(2));
             drop(g);
             sink.count("ticks", 1);
             sink.gauge("level", DomId(3), i);
         }
-        assert!(sink.spans().is_empty(), "raw spans are folded away");
-        assert!(sink.counter_samples().is_empty());
-        assert!(sink.gauges().is_empty());
         assert_eq!(sink.counter_total("ticks"), 100);
         assert_eq!(sink.gauge_last()[&("level", 3)], 99);
         let agg = sink.span_aggregates();
@@ -1140,72 +678,49 @@ mod tests {
         assert_eq!(sink.span_hists()["work"].count(), 100);
         let o = sink.overhead();
         assert_eq!(o.span_opens, 100);
-        assert_eq!(o.peak_retained_spans, 1, "slab reuses the closed slot");
-        assert_eq!(o.retained_counter_samples, 0);
+        assert_eq!(o.peak_retained_spans, 1, "one span open at a time");
+        assert_eq!(o.retained_spans, 0);
         sink.validate_well_nested().unwrap();
     }
 
     #[test]
-    fn aggregate_matches_full_for_same_recording() {
-        fn drive(sink: &TraceSink, clock: &Clock) {
-            for i in 0..10u64 {
-                let g = sink.span("op.a");
-                clock.advance(SimDuration::from_us(1 + i));
-                drop(g);
-                sink.count("n", 2);
-                sink.record_ns("h", 10 * i);
-                sink.gauge("lvl", DomId(2), i);
-            }
-        }
-        let (c1, full) = enabled_sink();
-        let (c2, agg) = aggregate_sink();
-        drive(&full, &c1);
-        drive(&agg, &c2);
-        assert_eq!(full.span_aggregates(), agg.span_aggregates());
-        assert_eq!(full.span_hists(), agg.span_hists());
-        assert_eq!(full.histograms(), agg.histograms());
-        assert_eq!(full.timeline_csv(), agg.timeline_csv());
-        assert_eq!(full.metrics_text(), agg.metrics_text());
-    }
-
-    #[test]
     fn family_rollups_attribute_spans_and_counters_to_roots() {
-        for cfg in [TraceConfig::enabled(), TraceConfig::aggregate()] {
-            let clock = Clock::new();
-            let sink = TraceSink::new(clock.clone(), &cfg);
-            sink.family_root_created(DomId(1), "web");
-            sink.family_cloned(DomId(2), Some(DomId(1)));
-            {
-                let g = sink.span("clone.child");
-                g.attr("child", 2u32);
-                clock.advance(SimDuration::from_us(3));
-            }
-            sink.count_dom("cow.fault", DomId(2), 4);
-            sink.gauge("bytes", DomId(2), 77);
-            let csv = sink.family_rollup_csv();
-            assert_eq!(
-                csv,
-                "family,root,metric,value\n\
-                 1,web,counter.cow.fault,4\n\
-                 1,web,gauge.bytes.dom2,77\n\
-                 1,web,members_live,2\n\
-                 1,web,members_total,2\n\
-                 1,web,span.clone.child.count,1\n\
-                 1,web,span.clone.child.total_ns,3000\n",
-                "mode {:?}",
-                cfg.mode
-            );
-            sink.family_destroyed(DomId(2));
-            assert!(
-                !sink.family_rollup_csv().contains("gauge.bytes"),
-                "dead members hold no bytes"
-            );
+        let (clock, sink) = sink();
+        sink.family_root_created(DomId(1), "web");
+        sink.family_cloned(DomId(2), Some(DomId(1)));
+        {
+            let g = sink.span("clone.child");
+            g.dom(DomId(2));
+            clock.advance(SimDuration::from_us(3));
         }
+        sink.count_dom("cow.fault", DomId(2), 4);
+        sink.gauge("bytes", DomId(2), 77);
+        let csv = sink.family_rollup_csv();
+        assert_eq!(
+            csv,
+            "family,root,metric,value\n\
+             1,web,counter.cow.fault,4\n\
+             1,web,gauge.bytes.dom2,77\n\
+             1,web,members_live,2\n\
+             1,web,members_total,2\n\
+             1,web,span.clone.child.count,1\n\
+             1,web,span.clone.child.total_ns,3000\n"
+        );
+        // The family is looked up at close: a span whose domain dies
+        // while it is open attributes nothing.
+        {
+            let g = sink.span("xl.save");
+            g.dom(DomId(2));
+            sink.family_destroyed(DomId(2));
+        }
+        let csv = sink.family_rollup_csv();
+        assert!(!csv.contains("gauge.bytes"), "dead members hold no bytes");
+        assert!(!csv.contains("xl.save"), "{csv}");
     }
 
     #[test]
     fn aggregates_group_by_name_sorted() {
-        let (clock, sink) = enabled_sink();
+        let (clock, sink) = sink();
         for _ in 0..3 {
             let _g = sink.span("b.work");
             clock.advance(SimDuration::from_ms(2));
@@ -1232,38 +747,8 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_valid_and_deterministic() {
-        fn run() -> String {
-            let (clock, sink) = enabled_sink();
-            {
-                let g = sink.span("hv.cloneop");
-                g.attr("children", 2u64);
-                g.attr("mode", "xs_clone");
-                clock.advance(SimDuration::from_us(7));
-                sink.count("cache.miss", 1);
-                sink.gauge("hyp_free", DomId(1), 4096);
-            }
-            sink.chrome_trace_json()
-        }
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same recording must serialize identically");
-        assert!(a.starts_with("{\"traceEvents\":["));
-        assert!(a.contains("\"name\":\"hv.cloneop\""));
-        assert!(a.contains("\"ph\":\"X\""));
-        assert!(a.contains("\"dur\":7.000"));
-        assert!(a.contains("\"mode\":\"xs_clone\""));
-        assert!(a.contains("\"ph\":\"C\""));
-        assert!(a.contains("\"value\":4096"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        let opens = a.matches('{').count();
-        let closes = a.matches('}').count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
     fn clear_resets_but_keeps_enabled_and_lineage() {
-        let (clock, sink) = enabled_sink();
+        let (clock, sink) = sink();
         sink.family_root_created(DomId(1), "web");
         {
             let _g = sink.span("x");
@@ -1273,17 +758,17 @@ mod tests {
         sink.record_ns("h", 5);
         sink.clear();
         assert!(sink.is_enabled());
-        assert!(sink.spans().is_empty());
+        assert!(sink.span_aggregates().is_empty());
         assert_eq!(sink.counter_total("c"), 0);
         assert!(sink.histogram("h").is_none());
         assert_eq!(sink.overhead(), SinkOverhead::default());
-        assert_eq!(sink.timeline_stats(), (0, 0));
+        assert_eq!(sink.timeline_csv(), Timeline::default().csv());
         assert_eq!(sink.family_root_of(DomId(1)), Some(1), "lineage survives clear");
     }
 
     #[test]
     fn histograms_export_fixed_point_csv() {
-        let (_clock, sink) = enabled_sink();
+        let (_clock, sink) = sink();
         // Small values land in exact unit buckets, so the CSV is exact.
         for ns in [10u64, 20, 30, 40, 50] {
             sink.record_ns("b.op", ns);
@@ -1306,7 +791,7 @@ mod tests {
 
     #[test]
     fn metrics_text_exposes_end_of_run_state() {
-        let (clock, sink) = enabled_sink();
+        let (clock, sink) = sink();
         sink.count("xs.commits", 3);
         sink.gauge("mem.free", DomId(0), 1024);
         sink.record_ns("op", 50);
@@ -1327,52 +812,46 @@ mod tests {
 
     #[test]
     fn validate_catches_open_span() {
-        let (_clock, sink) = enabled_sink();
+        let (_clock, sink) = sink();
         let g = sink.span("open");
-        assert!(sink.validate_well_nested().is_err());
+        let err = sink.validate_well_nested().unwrap_err();
+        assert!(err.contains("\"open\""), "{err}");
         drop(g);
         sink.validate_well_nested().unwrap();
-
-        let (_c2, agg) = aggregate_sink();
-        let g2 = agg.span("open");
-        assert!(agg.validate_well_nested().is_err());
-        drop(g2);
-        agg.validate_well_nested().unwrap();
     }
 
     #[test]
-    fn validate_catches_parent_closed_before_child_in_both_modes() {
-        for (clock, sink) in [enabled_sink(), aggregate_sink()] {
-            let parent = sink.span("parent");
-            let child = sink.span("child");
-            clock.advance(SimDuration::from_us(1));
-            drop(parent);
-            clock.advance(SimDuration::from_us(1));
-            drop(child);
-            let err = sink.validate_well_nested().unwrap_err();
-            assert!(err.contains("\"parent\""), "mode {:?}: {err}", sink.mode());
-            sink.clear();
-            sink.validate_well_nested().unwrap();
-        }
+    fn validate_catches_parent_closed_before_child() {
+        let (clock, sink) = sink();
+        let parent = sink.span("parent");
+        let child = sink.span("child");
+        clock.advance(SimDuration::from_us(1));
+        drop(parent);
+        clock.advance(SimDuration::from_us(1));
+        drop(child);
+        let err = sink.validate_well_nested().unwrap_err();
+        assert!(err.contains("\"parent\""), "{err}");
+        sink.clear();
+        sink.validate_well_nested().unwrap();
     }
 
     #[test]
     fn shared_handles_write_one_buffer() {
-        let (clock, sink) = enabled_sink();
+        let (clock, sink) = sink();
         let other = sink.clone();
         {
             let _g = sink.span("outer");
             clock.advance(SimDuration::from_ns(5));
             let _h = other.span("inner");
         }
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[1].parent, Some(0), "handles share the span stack");
+        assert_eq!(sink.span_aggregates().len(), 2);
+        assert_eq!(sink.overhead().peak_retained_spans, 2, "handles share the span stack");
+        sink.validate_well_nested().unwrap();
     }
 
     #[test]
     fn timeline_counts_each_span_close_once() {
-        let (clock, sink) = enabled_sink();
+        let (clock, sink) = sink();
         {
             let _g = sink.span("xs.xs_clone");
             clock.advance(SimDuration::from_ns(300));

@@ -361,9 +361,7 @@ impl Xl {
         cfg: &DomainConfig,
         image: &KernelImage,
     ) -> Result<CreatedDomain> {
-        let span = self.trace.span("xl.create");
-        span.attr("name", cfg.name.as_str());
-        span.attr("memory_mib", cfg.memory_mib);
+        let _span = self.trace.span("xl.create");
         self.clock.advance(self.costs.xl_create_base);
         self.check_name(&cfg.name)?;
 
@@ -379,12 +377,10 @@ impl Xl {
                 self.write_base_entries(xs, dom, cfg)?;
             }
             {
-                let s = self.trace.span("xl.image_load");
-                s.attr("pages", image.total_pages());
+                let _s = self.trace.span("xl.image_load");
                 self.populate_image(hv, dom, image)?;
             }
-            let s = self.trace.span("xl.device_setup");
-            s.attr("vifs", cfg.vifs.len());
+            let _s = self.trace.span("xl.device_setup");
             self.setup_devices(hv, xs, dm, udev, dom, cfg, &layout)
         })?;
 
@@ -485,7 +481,7 @@ impl Xl {
         image: &KernelImage,
     ) -> Result<()> {
         let span = self.trace.span("xl.save");
-        span.attr("dom", dom.0);
+        span.dom(dom);
         let config = self
             .records
             .get(&dom.0)
@@ -523,8 +519,7 @@ impl Xl {
         slot: &str,
         new_name: Option<&str>,
     ) -> Result<CreatedDomain> {
-        let span = self.trace.span("xl.restore");
-        span.attr("slot", slot);
+        let _span = self.trace.span("xl.restore");
         let saved = self
             .saved
             .get(slot)

@@ -298,8 +298,7 @@ impl Xencloned {
             ..
         } = n;
         let span = self.trace.span("xencloned.stage2");
-        span.attr("parent", parent.0);
-        span.attr("child", child.0);
+        span.dom(parent);
         self.clock.advance(self.costs.xencloned_dispatch);
 
         // Read and cache the parent's Xenstore information on first use

@@ -617,8 +617,7 @@ impl Xenstore {
             "stale Subtree handle: {} changed after the handle was taken",
             src.path
         );
-        let span = self.trace.span("xs.xs_clone");
-        span.attr("op", if op == XsCloneOp::Basic { "basic" } else { "device" });
+        let _span = self.trace.span("xs.xs_clone");
         // One request round-trip for the entire directory.
         self.charge_request();
 
@@ -631,7 +630,6 @@ impl Xenstore {
             .clone()
             .ok_or_else(|| XsError::NoEnt(src.path.clone()))?;
         let entries = src.count_entries();
-        span.attr("entries", entries);
         self.clock
             .advance(self.costs.xs_clone_per_entry.saturating_mul(entries));
 

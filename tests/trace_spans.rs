@@ -1,9 +1,10 @@
-//! The observability layer end-to-end: span tree shape of a clone run,
-//! virtual-time accounting, and deterministic chrome-trace export.
+//! The observability layer end-to-end: span counts of a clone run, their
+//! clone-family attribution, virtual-time accounting, and deterministic
+//! export.
 
 use std::net::Ipv4Addr;
 
-use nephele::sim_core::trace::SpanRecord;
+use nephele::sim_core::DomId;
 use nephele::toolstack::{DomainConfig, KernelImage};
 use nephele::{Platform, PlatformConfig, TraceConfig};
 
@@ -19,30 +20,29 @@ fn traced_platform() -> Platform {
     Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(256)
-            .tracing(TraceConfig::enabled())
+            .tracing(TraceConfig::aggregate())
             .build(),
     )
 }
 
-/// Boots a parent and clones it twice; returns the platform.
-fn run_two_clones() -> Platform {
+/// Boots a parent and clones it twice; returns the platform and the
+/// parent.
+fn run_two_clones() -> (Platform, DomId) {
     let mut p = traced_platform();
     let parent = p
         .launch_plain(&cfg("traced"), &KernelImage::minios("traced"))
         .expect("boot");
     p.clone_domain(parent, 2).expect("clone");
-    p
+    (p, parent)
 }
 
-fn children_of<'a>(spans: &'a [SpanRecord], parent_idx: usize) -> Vec<&'a SpanRecord> {
-    spans.iter().filter(|s| s.parent == Some(parent_idx)).collect()
-}
-
-fn index_of(spans: &[SpanRecord], name: &str) -> usize {
-    spans
+/// The aggregate of the spans named `name`: `(count, total_ns)`.
+fn span_totals(p: &Platform, name: &str) -> (u64, u64) {
+    p.trace()
+        .span_aggregates()
         .iter()
-        .position(|s| s.name == name)
-        .unwrap_or_else(|| panic!("missing span {name}"))
+        .find(|a| a.name == name)
+        .map_or((0, 0), |a| (a.count, a.total_ns))
 }
 
 #[test]
@@ -53,69 +53,46 @@ fn tracing_is_off_by_default_and_records_nothing() {
         .launch_plain(&cfg("dark"), &KernelImage::minios("dark"))
         .unwrap();
     p.clone_domain(parent, 1).unwrap();
-    assert!(p.trace().spans().is_empty());
+    assert!(p.trace().span_aggregates().is_empty());
     assert!(p.trace().counters().is_empty());
 }
 
 #[test]
-fn two_clone_run_emits_expected_span_tree() {
-    let p = run_two_clones();
-    let trace = p.trace();
-    trace.validate_well_nested().expect("all spans closed, well nested");
+fn two_clone_run_emits_expected_span_counts() {
+    let (p, parent) = run_two_clones();
+    p.trace().validate_well_nested().expect("all spans closed, well nested");
 
-    let spans = trace.spans();
-
-    // The Dom0-triggered clone: one platform root, one hypercall under it.
-    // (Earlier hv.cloneop spans exist — the daemon's global-enable at
-    // platform construction — so look specifically under the clone root.)
-    let clone_root = index_of(&spans, "platform.clone_domain");
-    let cloneop = spans
-        .iter()
-        .position(|s| s.name == "hv.cloneop" && s.parent == Some(clone_root))
-        .expect("clone hypercall nested under platform.clone_domain");
-
-    // One batch span for the whole call, carrying the shared COW
-    // conversion, plus one per-child span with the per-child phases.
-    let batch = spans
-        .iter()
-        .position(|s| s.name == "clone.batch" && s.parent == Some(cloneop))
-        .expect("clone.batch nested under hv.cloneop");
-    let batch_children: Vec<&str> = children_of(&spans, batch).iter().map(|s| s.name).collect();
-    assert_eq!(
-        batch_children.iter().filter(|n| **n == "clone.cow_convert").count(),
-        1,
-        "shared pages are converted once for the whole batch: {batch_children:?}"
-    );
-
-    let clone_children: Vec<usize> = spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.name == "clone.child")
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(clone_children.len(), 2, "one clone.child per child");
-    for &ci in &clone_children {
-        assert_eq!(spans[ci].parent, Some(batch));
-        let phases: Vec<&str> = children_of(&spans, ci).iter().map(|s| s.name).collect();
-        for phase in ["clone.vcpu_copy", "clone.private_pages", "clone.pt_rebuild"] {
-            assert!(phases.contains(&phase), "{phase} missing from {phases:?}");
-        }
+    // One Dom0-triggered clone call and one batch for it, whose shared
+    // pages are converted once; then each child's first-stage phases and
+    // second stage, which clones its console and vif.
+    for (name, count) in [
+        ("platform.clone_domain", 1),
+        ("clone.batch", 1),
+        ("clone.cow_convert", 1),
+        ("clone.child", 2),
+        ("clone.vcpu_copy", 2),
+        ("clone.private_pages", 2),
+        ("clone.pt_rebuild", 2),
+        ("xencloned.stage2", 2),
+        ("dev.clone_console", 2),
+        ("dev.clone_vif", 2),
+    ] {
+        assert_eq!(span_totals(&p, name).0, count, "{name}");
     }
 
-    // Two second stages, one per child, each cloning the devices.
-    let stage2s: Vec<usize> = spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.name == "xencloned.stage2")
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(stage2s.len(), 2, "one second stage per child");
-    for &si in &stage2s {
-        let names: Vec<&str> = children_of(&spans, si).iter().map(|s| s.name).collect();
-        assert!(names.contains(&"xs.xs_clone"), "xenstore clone under stage2: {names:?}");
-        assert!(names.contains(&"dev.clone_console"), "console clone under stage2: {names:?}");
-        assert!(names.contains(&"dev.clone_vif"), "vif clone under stage2: {names:?}");
-    }
+    // Both children's first and second stages go to the parent's family:
+    // `xencloned.stage2` through its parent, `clone.child` through the
+    // child, which joined the family when it was cloned.
+    let family = p.trace().family_root_of(parent).expect("parent has a family");
+    let row = |metric: &str| {
+        p.trace()
+            .family_rows()
+            .into_iter()
+            .find(|r| r.family == family && r.metric == metric)
+            .map(|r| r.value)
+    };
+    assert_eq!(row("span.xencloned.stage2.count"), Some(2));
+    assert_eq!(row("span.clone.child.count"), Some(2));
 }
 
 #[test]
@@ -129,39 +106,20 @@ fn platform_span_durations_match_virtual_time() {
     p.clone_domain(parent, 2).unwrap();
     let observed_ns = p.clock.now().since(t0).as_ns();
 
-    let spans = p.trace().spans();
-    let clone_root = &spans[index_of(&spans, "platform.clone_domain")];
     assert_eq!(
-        clone_root.duration_ns(),
-        observed_ns,
+        span_totals(&p, "platform.clone_domain"),
+        (1, observed_ns),
         "the platform.clone_domain span must cover exactly the observed virtual-time delta"
     );
-
-    // Children never outlive their parent, and each parent's direct
-    // children account for no more time than the parent charged.
-    for (i, s) in spans.iter().enumerate() {
-        let child_sum: u64 = children_of(&spans, i).iter().map(|c| c.duration_ns()).sum();
-        assert!(
-            child_sum <= s.duration_ns(),
-            "children of {} sum to {child_sum} ns > parent {} ns",
-            s.name,
-            s.duration_ns()
-        );
-    }
 }
 
 #[test]
-fn chrome_trace_export_is_deterministic_across_runs() {
-    let a = run_two_clones();
-    let b = run_two_clones();
-    let json_a = a.trace().chrome_trace_json();
-    let json_b = b.trace().chrome_trace_json();
-    assert!(!json_a.is_empty());
-    assert_eq!(json_a, json_b, "same seed must produce byte-identical chrome traces");
-
+fn span_aggregate_export_is_deterministic_across_runs() {
+    let (a, _) = run_two_clones();
+    let (b, _) = run_two_clones();
     let csv_a = a.trace().span_aggregates_csv();
     let csv_b = b.trace().span_aggregates_csv();
-    assert_eq!(csv_a, csv_b, "span aggregates must be deterministic too");
+    assert_eq!(csv_a, csv_b, "same seed must produce byte-identical span aggregates");
     assert!(csv_a.starts_with("span,count,total_ms,mean_ms\n"));
     assert!(csv_a.contains("clone.child,2,"), "aggregate counts both clones:\n{csv_a}");
     assert!(csv_a.contains("clone.batch,1,"), "one batch for the two-child call:\n{csv_a}");
@@ -172,7 +130,7 @@ fn forced_clone_failure_increments_failure_counters() {
     let mut p = Platform::new(
         PlatformConfig::builder()
             .guest_pool_mib(256)
-            .tracing(TraceConfig::enabled())
+            .tracing(TraceConfig::aggregate())
             .flightrec_dir("target/test-flightrec")
             .build(),
     );
@@ -194,7 +152,6 @@ fn forced_clone_failure_increments_failure_counters() {
 
     // A failing Xenstore request ticks xs.fail the same way.
     assert_eq!(p.trace().counter_total("xs.fail"), 0);
-    use nephele::sim_core::DomId;
     p.xs.read(DomId::DOM0, "/no/such/path").expect_err("missing path");
     assert_eq!(p.trace().counter_total("xs.fail"), 1);
 
@@ -208,8 +165,8 @@ fn forced_clone_failure_increments_failure_counters() {
 
 #[test]
 fn latency_histograms_are_recorded_and_deterministic() {
-    let a = run_two_clones();
-    let b = run_two_clones();
+    let (a, _) = run_two_clones();
+    let (b, _) = run_two_clones();
 
     let csv_a = a.trace().histograms_csv();
     let csv_b = b.trace().histograms_csv();
@@ -231,7 +188,7 @@ fn latency_histograms_are_recorded_and_deterministic() {
 
 #[test]
 fn counters_track_clone_mechanics() {
-    let p = run_two_clones();
+    let (p, _) = run_two_clones();
     let total = p.trace().counter_total("xencloned.parent_cache.miss")
         + p.trace().counter_total("xencloned.parent_cache.hit");
     assert_eq!(total, 2, "both second stages consulted the parent-info cache");
