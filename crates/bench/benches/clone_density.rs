@@ -4,9 +4,11 @@
 //! Before the index work, each create/clone/destroy walked structures
 //! sized by the number of live domains — the xl name-uniqueness scan and
 //! the hypervisor's all-domains peer sweep — so per-clone host cost grew
-//! linearly with density. With the name index, the per-table peer/grantee
-//! indexes and the hypervisor-level referrer index, the hot path is
-//! O(refs actually held), so a clone into a 10^4-domain platform must
+//! linearly with density. The name scan now runs only for a create with
+//! `Xl::validate_names` on (off, as in the paper's §6.1, and never for a
+//! clone), and with the per-table peer/grantee indexes and the
+//! hypervisor-level referrer index the hot path is O(refs actually
+//! held), so a clone into a 10^4-domain platform must
 //! cost the same as a clone into a 10^2-domain one. `scripts/verify.sh`
 //! asserts the 10^4 median stays within 2x of the 10^2 median.
 //!

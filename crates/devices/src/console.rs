@@ -13,11 +13,19 @@ use sim_core::{DomId, Pfn};
 
 use crate::ring::SharedRing;
 
-/// Dom0-side console state for all domains.
+/// Dom0-side console state for all domains: one map, so attach costs
+/// one insert and detach one remove.
 #[derive(Debug, Default)]
 pub struct ConsoleBackend {
-    rings: BTreeMap<u32, SharedRing<u8>>,
-    outputs: BTreeMap<u32, Vec<u8>>,
+    consoles: BTreeMap<u32, Console>,
+}
+
+/// One domain's console: the ring the guest writes and the log Dom0
+/// drains it into.
+#[derive(Debug)]
+struct Console {
+    ring: SharedRing<u8>,
+    output: Vec<u8>,
 }
 
 /// Ring capacity in bytes (one page of output buffer).
@@ -29,30 +37,35 @@ impl ConsoleBackend {
         ConsoleBackend::default()
     }
 
-    /// Creates console state for a domain whose ring lives at `ring_pfn`.
+    /// Creates console state for a domain whose ring lives at `ring_pfn`,
+    /// with an empty output log.
     pub fn attach(&mut self, dom: DomId, ring_pfn: Pfn) {
-        self.rings
-            .insert(dom.0, SharedRing::new(ring_pfn, CONSOLE_RING_BYTES));
-        self.outputs.entry(dom.0).or_default();
+        self.consoles.insert(
+            dom.0,
+            Console {
+                ring: SharedRing::new(ring_pfn, CONSOLE_RING_BYTES),
+                output: Vec::new(),
+            },
+        );
     }
 
     /// Creates console state for a clone: a fresh ring (never a copy of the
     /// parent's) and an empty output log.
     pub fn attach_clone(&mut self, parent: DomId, child: DomId, ring_pfn: Pfn) {
-        debug_assert!(self.rings.contains_key(&parent.0), "parent console missing");
+        debug_assert!(self.consoles.contains_key(&parent.0), "parent console missing");
         self.attach(child, ring_pfn);
     }
 
     /// Whether a domain has console state.
     pub fn is_attached(&self, dom: DomId) -> bool {
-        self.rings.contains_key(&dom.0)
+        self.consoles.contains_key(&dom.0)
     }
 
     /// Guest writes bytes into its console ring.
     pub fn guest_write(&mut self, dom: DomId, bytes: &[u8]) {
-        if let Some(ring) = self.rings.get_mut(&dom.0) {
+        if let Some(console) = self.consoles.get_mut(&dom.0) {
             for b in bytes {
-                ring.push(*b);
+                console.ring.push(*b);
             }
         }
     }
@@ -60,34 +73,31 @@ impl ConsoleBackend {
     /// Dom0 drains the ring into the per-domain log (normally triggered by
     /// the console event channel).
     pub fn drain(&mut self, dom: DomId) {
-        let Some(ring) = self.rings.get_mut(&dom.0) else {
-            return;
-        };
-        let out = self.outputs.entry(dom.0).or_default();
-        while let Some(b) = ring.pop() {
-            out.push(b);
+        if let Some(Console { ring, output }) = self.consoles.get_mut(&dom.0) {
+            while let Some(b) = ring.pop() {
+                output.push(b);
+            }
         }
     }
 
     /// The accumulated output of a domain.
     pub fn output(&self, dom: DomId) -> &[u8] {
-        self.outputs.get(&dom.0).map(Vec::as_slice).unwrap_or(&[])
+        self.consoles.get(&dom.0).map_or(&[], |c| c.output.as_slice())
     }
 
     /// Drops state for a destroyed domain.
     pub fn detach(&mut self, dom: DomId) {
-        self.rings.remove(&dom.0);
-        self.outputs.remove(&dom.0);
+        self.consoles.remove(&dom.0);
     }
 
     /// The domains with console state, in id order.
     pub fn attached(&self) -> impl Iterator<Item = DomId> + '_ {
-        self.rings.keys().map(|&d| DomId(d))
+        self.consoles.keys().map(|&d| DomId(d))
     }
 
     /// Number of attached consoles.
     pub fn attached_count(&self) -> usize {
-        self.rings.len()
+        self.consoles.len()
     }
 }
 

@@ -62,11 +62,11 @@
 //!     paths look up maintained indices instead of scanning: the
 //!     per-table event-channel peer and grant grantee indices, the
 //!     hypervisor's referrer index (which domains' tables name which),
-//!     the toolstack's name index, the device manager's vif indices (the
-//!     TX/RX pending sets the event loop visits instead of every vif, and
-//!     the IP index host sends resolve through), and the clone-family
-//!     links (each `parent` link names a live domain holding the child
-//!     under its birth key, and each `children` entry links back). Each
+//!     the device manager's vif indices (the TX/RX pending sets the event
+//!     loop visits instead of every vif, and the IP index host sends
+//!     resolve through), and the clone-family links (each `parent` link
+//!     names a live domain holding the child under its birth key, and
+//!     each `children` entry links back). Each
 //!     must agree exactly with a fresh recount over the ground-truth
 //!     state — any divergence means a destroy or create would tear down
 //!     the wrong (or miss the right) references, or a packet would wait
@@ -763,14 +763,10 @@ pub(crate) fn run(p: &Platform) -> AuditReport {
     }
 
     // 13. Scan-replacing indices vs the scans they replaced: the
-    // hypervisor's per-table and referrer indices, the toolstack's name
-    // index, and the device manager's pending sets and IP index.
+    // hypervisor's per-table and referrer indices, and the device
+    // manager's pending sets and IP index.
     report.checks += 1;
     for detail in hv.audit_ref_indices() {
-        report.violations.push(AuditViolation { invariant: "index-consistency", detail });
-    }
-    report.checks += 1;
-    for detail in p.xl.audit_name_index() {
         report.violations.push(AuditViolation { invariant: "index-consistency", detail });
     }
     report.checks += 1;

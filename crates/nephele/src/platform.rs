@@ -115,6 +115,20 @@ fn parse_trace_env(value: &str) -> TraceConfig {
     }
 }
 
+/// Reads a `NEPHELE_FLIGHTREC` value: `1`/`on` turns flight-recorder
+/// dump files on, `0`/`off` turns them off.
+///
+/// # Panics
+///
+/// On any other value, naming the variable and the accepted values.
+fn parse_flightrec_env(value: &str) -> bool {
+    match value {
+        "1" | "on" => true,
+        "0" | "off" => false,
+        _ => panic!("NEPHELE_FLIGHTREC={value:?}: expected 0, off, 1 or on"),
+    }
+}
+
 /// Platform-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlatformError {
@@ -209,8 +223,9 @@ pub struct PlatformConfig {
     /// Directory flight-recorder dumps are written to on the first error
     /// or audit failure.
     pub flightrec_dir: PathBuf,
-    /// Whether error/audit-failure dumps are written at all. Setting
-    /// `NEPHELE_FLIGHTREC=0` (or `off`) disables them at runtime.
+    /// Whether error/audit-failure dumps are written at all.
+    /// `NEPHELE_FLIGHTREC` overrides it at runtime: `0`/`off` or
+    /// `1`/`on`, and any other value makes [`Platform::new`] panic.
     pub flightrec_dumps: bool,
     /// Automatic-audit policy. `None` defers to `NEPHELE_AUDIT` (falling
     /// back to [`AuditMode::Lifecycle`]); `Some` pins it.
@@ -321,7 +336,8 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Enables or disables flight-recorder dump files.
+    /// Enables or disables flight-recorder dump files
+    /// (`NEPHELE_FLIGHTREC` overrides it).
     pub fn flightrec_dumps(mut self, dumps: bool) -> Self {
         self.config.flightrec_dumps = dumps;
         self
@@ -460,8 +476,9 @@ impl Platform {
         let clock = Clock::new();
         let costs = Rc::new(config.costs);
         // `NEPHELE_TRACE` overrides the configured switch. Here and for
-        // `NEPHELE_AUDIT` below, a value that is not UTF-8 reaches the
-        // parser lossily converted, so it is refused too.
+        // `NEPHELE_FLIGHTREC` and `NEPHELE_AUDIT` below, a value that is
+        // not UTF-8 reaches the parser lossily converted, so it is
+        // refused too.
         let tracing = std::env::var_os("NEPHELE_TRACE")
             .map_or_else(|| config.tracing.clone(), |v| parse_trace_env(&v.to_string_lossy()));
         let trace = TraceSink::new(clock.clone(), &tracing);
@@ -485,10 +502,10 @@ impl Platform {
             MuxKind::Ovs => dm.set_mux(Box::new(SelectGroup::hashed())),
         }
 
-        // `NEPHELE_FLIGHTREC=0`/`off` disables dump files. The ring itself
-        // is always on.
-        let flightrec_dumps = config.flightrec_dumps
-            && !matches!(std::env::var("NEPHELE_FLIGHTREC").as_deref(), Ok("0" | "off"));
+        // `NEPHELE_FLIGHTREC` overrides the configured dump switch, either
+        // way. The ring itself is always on.
+        let flightrec_dumps = std::env::var_os("NEPHELE_FLIGHTREC")
+            .map_or(config.flightrec_dumps, |v| parse_flightrec_env(&v.to_string_lossy()));
         let audit_mode = config
             .audit
             .or_else(|| {
@@ -1276,6 +1293,22 @@ mod tests {
         for bad in ["yes", "full", "aggregate", "ON", ""] {
             let msg = panic_message(parse_trace_env, bad);
             assert!(msg.starts_with("NEPHELE_TRACE=") && msg.contains("0, off, 1 or on"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn flightrec_env_accepts_two_spellings_each_way_and_refuses_the_rest() {
+        for on in ["1", "on"] {
+            assert!(parse_flightrec_env(on));
+        }
+        for off in ["0", "off"] {
+            assert!(!parse_flightrec_env(off));
+        }
+        let not_utf8 = String::from_utf8_lossy(b"o\xffn");
+        for bad in ["false", "OFF", "no", "", &not_utf8] {
+            let msg = panic_message(parse_flightrec_env, bad);
+            let named = msg.starts_with("NEPHELE_FLIGHTREC=");
+            assert!(named && msg.contains("0, off, 1 or on"), "{msg}");
         }
     }
 

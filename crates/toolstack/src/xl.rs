@@ -99,8 +99,8 @@ pub type Result<T> = std::result::Result<T, XlError>;
 pub struct DomRecord {
     /// Domain id.
     pub id: DomId,
-    /// Domain name, shared with the toolstack's name index.
-    pub name: Rc<str>,
+    /// Domain name.
+    pub name: Box<str>,
     /// Configuration it was created from, shared by a clone family.
     pub config: Rc<DomainConfig>,
     /// Memory layout handed to the guest.
@@ -141,16 +141,6 @@ pub struct Xl {
     pub validate_names: bool,
     /// Records by domain id, in id order.
     records: BTreeMap<u32, DomRecord>,
-    /// Name → registered domain ids. Maintained on create, clone
-    /// registration, restore, rename and destroy so the uniqueness
-    /// check is an O(1) lookup on the host, not a registry scan — the
-    /// §5 scan's *virtual-time* cost is still charged when
-    /// `validate_names` is on (that is vanilla `xl`'s modelled
-    /// behavior), but the simulator itself no longer pays O(live
-    /// domains) per create. Duplicate names are legal while validation
-    /// is off, hence the id list (unordered, without repeats). Keys share
-    /// the records' name allocations.
-    names: HashMap<Rc<str>, Vec<u32>>,
     saved: HashMap<String, SavedGuest>,
     trace: TraceSink,
 }
@@ -163,7 +153,6 @@ impl Xl {
             costs,
             validate_names: false,
             records: BTreeMap::new(),
-            names: HashMap::new(),
             saved: HashMap::new(),
             trace: TraceSink::default(),
         }
@@ -195,60 +184,21 @@ impl Xl {
         self.records.len()
     }
 
+    /// Vanilla `xl`'s name-uniqueness check: with `validate_names` on, a
+    /// scan of every registered name, charged per record. Off, names may
+    /// repeat and nothing is checked.
     fn check_name(&self, name: &str) -> Result<()> {
         if self.validate_names {
-            // Vanilla xl iterates every running VM's name; that modelled
-            // virtual-time cost is preserved. The host-side answer comes
-            // from the name index in O(1), debug-asserted against the
-            // scan it replaced.
             self.clock.advance(
                 self.costs
                     .xl_name_check_per_domain
                     .saturating_mul(self.records.len() as u64),
             );
-            let taken = self.names.get(name).is_some_and(|ids| !ids.is_empty());
-            debug_assert_eq!(
-                taken,
-                self.records.values().any(|r| &*r.name == name),
-                "name index disagrees with the registry scan for {name:?}"
-            );
-            if taken {
+            if self.records.values().any(|r| &*r.name == name) {
                 return Err(XlError::NameExists(name.to_string()));
             }
         }
         Ok(())
-    }
-
-    /// Removes one id from a name's index entry, dropping the entry when
-    /// it empties.
-    fn unindex_name(&mut self, name: &str, id: u32) {
-        if let Some(ids) = self.names.get_mut(name) {
-            ids.retain(|&i| i != id);
-            if ids.is_empty() {
-                self.names.remove(name);
-            }
-        }
-    }
-
-    /// Adds `id` to `name`'s index entry.
-    fn index_name(&mut self, name: &Rc<str>, id: u32) {
-        let ids = self.names.entry(Rc::clone(name)).or_default();
-        if !ids.contains(&id) {
-            ids.push(id);
-        }
-    }
-
-    /// Registers a record, keeping the name index in lockstep (including
-    /// when an id is re-registered under a different name).
-    fn insert_record(&mut self, rec: DomRecord) {
-        let id = rec.id.0;
-        let name = Rc::clone(&rec.name);
-        if let Some(old) = self.records.insert(id, rec) {
-            if old.name != name {
-                self.unindex_name(&old.name, id);
-            }
-        }
-        self.index_name(&name, id);
     }
 
     fn write_base_entries(
@@ -395,7 +345,7 @@ impl Xl {
 
         self.clock.advance(self.costs.guest_boot_fixed);
         hv.unpause(dom)?;
-        self.insert_record(DomRecord {
+        self.records.insert(dom.0, DomRecord {
             id: dom,
             name: cfg.name.as_str().into(),
             config: Rc::new(cfg.clone()),
@@ -416,12 +366,12 @@ impl Xl {
                 layout: p.layout,
                 ifaces,
             };
-            self.insert_record(record);
+            self.records.insert(child.0, record);
         }
     }
 
-    /// `xl rename`: renames a live domain, updating the registry, the
-    /// name index and the domain's Xenstore name node. Renaming to the
+    /// `xl rename`: renames a live domain, updating the registry and the
+    /// domain's Xenstore name node. Renaming to the
     /// current name is a no-op; with `validate_names` on, the target
     /// name is checked for uniqueness exactly like a create.
     pub fn rename(&mut self, xs: &mut Xenstore, dom: DomId, new_name: &str) -> Result<()> {
@@ -437,11 +387,7 @@ impl Xl {
             &format!("/local/domain/{}/name", dom.0),
             new_name,
         )?;
-        let name: Rc<str> = new_name.into();
-        let rec = self.records.get_mut(&dom.0).expect("checked above");
-        let old = std::mem::replace(&mut rec.name, Rc::clone(&name));
-        self.unindex_name(&old, dom.0);
-        self.index_name(&name, dom.0);
+        self.records.get_mut(&dom.0).expect("checked above").name = new_name.into();
         Ok(())
     }
 
@@ -461,9 +407,7 @@ impl Xl {
         dm.forget_domain(udev, dom);
         xs.forget_domain(dom);
         hv.destroy_domain(dom)?;
-        if let Some(rec) = self.records.remove(&dom.0) {
-            self.unindex_name(&rec.name, dom.0);
-        }
+        self.records.remove(&dom.0);
         udev.drain();
         Ok(())
     }
@@ -556,7 +500,7 @@ impl Xl {
             },
         )?;
         hv.unpause(dom)?;
-        self.insert_record(DomRecord {
+        self.records.insert(dom.0, DomRecord {
             id: dom,
             name: config.name.as_str().into(),
             config,
@@ -576,67 +520,6 @@ impl Xl {
     pub fn resident_bytes(&self) -> u64 {
         const PER_DOMAIN: u64 = 24 * 1024;
         self.records.len() as u64 * PER_DOMAIN
-    }
-
-    /// Cross-checks the name index against the registry in both
-    /// directions: every record is in its name's list, and every indexed
-    /// `(name, id)` is a record of that name. One detail string per
-    /// divergence (empty when consistent). The state auditor surfaces
-    /// these as its index-consistency invariant.
-    ///
-    /// The first direction is one lookup per record. Distinct records
-    /// give distinct entries, so when it holds, no list is empty and the
-    /// index holds exactly one entry per record, no other entry exists
-    /// and the second direction holds too. Only otherwise is each entry
-    /// looked up, to name the bad ones. Nothing is allocated per entry.
-    pub fn audit_name_index(&self) -> Vec<String> {
-        let mut bad = Vec::new();
-        for r in self.records.values() {
-            if !self.names.get(&r.name).is_some_and(|ids| ids.contains(&r.id.0)) {
-                bad.push(format!(
-                    "registry name {:?} -> {} missing from the name index",
-                    r.name, r.id.0
-                ));
-            }
-        }
-        let indexed: usize = self.names.values().map(Vec::len).sum();
-        let none_empty = self.names.values().all(|ids| !ids.is_empty());
-        if bad.is_empty() && none_empty && indexed == self.records.len() {
-            return bad;
-        }
-        for (name, ids) in &self.names {
-            if ids.is_empty() {
-                bad.push(format!("name index {name:?} holds an empty id list"));
-            }
-            for (i, &id) in ids.iter().enumerate() {
-                if ids[..i].contains(&id) {
-                    bad.push(format!("name index {name:?} -> {ids:?} repeats {id}"));
-                    continue;
-                }
-                match self.records.get(&id) {
-                    Some(r) if r.name == *name => {}
-                    Some(r) => bad.push(format!(
-                        "name index {name:?} -> {id}, but the registry names {id} {:?}",
-                        r.name
-                    )),
-                    None => bad.push(format!(
-                        "name index {name:?} -> {id}, which has no registry record"
-                    )),
-                }
-            }
-        }
-        bad
-    }
-
-    /// Test-only: plants (or removes) a name-index entry without touching
-    /// the registry, so the index-consistency audit can prove it detects
-    /// drift between the index and the scan it replaced.
-    pub fn corrupt_name_index_for_test(&mut self, name: &str, id: u32, insert: bool) {
-        if insert {
-            self.index_name(&name.into(), id);
-        } else {
-            self.unindex_name(name, id);
-        }
     }
 }
 
@@ -741,47 +624,11 @@ mod tests {
         DomainConfig::builder(name).memory_mib(4).build()
     }
 
-    /// Index drift that keeps every record findable (a repeated id, an
-    /// empty list, an entry naming another record's id) still fails the
-    /// name-index audit, each entry named.
+    /// The uniqueness scan across destroy-then-recreate under the same
+    /// name (with domid reuse), rename chains and duplicate rejection:
+    /// destroy and rename free the old name, and a taken name is refused.
     #[test]
-    fn name_index_audit_names_entries_that_no_record_explains() {
-        let mut w = world();
-        let img = KernelImage::unikraft("fn");
-        let mut create = |name: &str| {
-            w.xl
-                .create(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, &plain_cfg(name), &img)
-                .unwrap()
-                .id
-        };
-        let (a, b) = (create("alpha"), create("beta"));
-        assert!(w.xl.audit_name_index().is_empty());
-
-        w.xl.names.get_mut("alpha").unwrap().push(a.0);
-        let bad = w.xl.audit_name_index();
-        assert!(bad.iter().any(|d| d.contains("\"alpha\"") && d.contains("repeats")), "{bad:?}");
-        w.xl.names.get_mut("alpha").unwrap().pop();
-
-        w.xl.names.insert("gamma".into(), Vec::new());
-        let bad = w.xl.audit_name_index();
-        assert!(bad.iter().any(|d| d.contains("\"gamma\" holds an empty")), "{bad:?}");
-        w.xl.names.remove("gamma");
-
-        w.xl.names.get_mut("alpha").unwrap().push(b.0);
-        let bad = w.xl.audit_name_index();
-        assert!(
-            bad.iter().any(|d| d.contains(&format!("\"alpha\" -> {}, but the registry", b.0))),
-            "{bad:?}"
-        );
-        w.xl.names.get_mut("alpha").unwrap().pop();
-        assert!(w.xl.audit_name_index().is_empty());
-    }
-
-    /// Pins the name index across the sequences that historically break
-    /// maintained indexes: destroy-then-recreate under the same name
-    /// (with domid reuse), rename chains, and duplicate rejection.
-    #[test]
-    fn name_index_survives_create_destroy_reuse_and_rename() {
+    fn name_check_follows_create_destroy_reuse_and_rename() {
         let mut w = world();
         w.xl.validate_names = true;
         let img = KernelImage::unikraft("fn");
@@ -799,7 +646,6 @@ mod tests {
         w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, a).unwrap();
         let a2 = create(&mut w, "one").unwrap();
         assert_eq!(a2, a, "lowest freed domid is reused");
-        assert!(w.xl.audit_name_index().is_empty());
 
         // Rename frees the old name and claims the new one.
         w.xl.rename(&mut w.xs, a2, "three").unwrap();
@@ -807,6 +653,7 @@ mod tests {
             w.xs.read(DomId::DOM0, &format!("/local/domain/{}/name", a2.0)).unwrap(),
             "three"
         );
+        assert!(matches!(create(&mut w, "three"), Err(XlError::NameExists(_))));
         let c = create(&mut w, "one").unwrap();
         assert!(matches!(
             w.xl.rename(&mut w.xs, c, "two"),
@@ -819,8 +666,8 @@ mod tests {
         ));
 
         w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, b).unwrap();
-        assert!(w.xl.audit_name_index().is_empty());
-        assert_eq!(w.xl.records().count(), 2);
+        assert!(create(&mut w, "two").is_ok(), "destroy frees the name");
+        assert_eq!(w.xl.records().count(), 3);
     }
 
     #[test]

@@ -97,11 +97,16 @@ impl From<DevError> for CloneDaemonError {
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, CloneDaemonError>;
 
-/// Formats `/local/domain/<dom>/<key>` into `buf`, reusing its
-/// allocation, and returns it.
-fn dom_path<'b>(buf: &'b mut String, dom: DomId, key: &str) -> &'b str {
+/// The directory holding every domain's home.
+const DOMAIN_DIR: &str = "/local/domain";
+
+/// Formats `<home>/<key>` into `buf`, reusing its allocation, and
+/// returns it.
+fn home_path<'b>(buf: &'b mut String, home: &str, key: &str) -> &'b str {
     buf.clear();
-    write!(buf, "/local/domain/{}/{key}", dom.0).expect("formatting into a String cannot fail");
+    buf.push_str(home);
+    buf.push('/');
+    buf.push_str(key);
     buf
 }
 
@@ -201,9 +206,10 @@ pub struct Xencloned {
     pub config: XenclonedConfig,
     /// Per-parent cache, by domid.
     parents: HashMap<u32, ParentInfo>,
-    /// Reused buffers stage 2 formats its paths and the child's domid
-    /// into, so a clone's requests allocate no strings of their own.
-    bufs: [String; 3],
+    /// Reused buffers stage 2 formats the child's home and its paths
+    /// into, so an `xs_clone` child's requests allocate no paths of their
+    /// own.
+    bufs: [String; 2],
     clones_completed: u64,
     trace: TraceSink,
 }
@@ -346,14 +352,17 @@ impl Xencloned {
             // Introduce the child with the parent id (step 2.1).
             xs.introduce_domain(child, Some(parent))?;
 
-            // Unique name — no validation scan needed.
+            // Unique name — no validation scan needed. The child's id is
+            // formatted once, into its home, whose last component is the
+            // `domid` value.
             parent_info.seq += 1;
             let name = format!("{}-c{}", parent_info.name, parent_info.seq);
-            let [src, dst, domid] = &mut self.bufs;
-            domid.clear();
-            write!(domid, "{}", child.0).expect("formatting into a String cannot fail");
-            xs.write(DomId::DOM0, dom_path(dst, child, "name"), &name)?;
-            xs.write(DomId::DOM0, dom_path(dst, child, "domid"), domid)?;
+            let [home, dst] = &mut self.bufs;
+            home.clear();
+            write!(home, "{DOMAIN_DIR}/{}", child.0).expect("formatting into a String cannot fail");
+            let domid = &home[DOMAIN_DIR.len() + 1..];
+            xs.write(DomId::DOM0, home_path(dst, home, "name"), &name)?;
+            xs.write(DomId::DOM0, home_path(dst, home, "domid"), domid)?;
             if self.config.minimal {
                 return Ok(name);
             }
@@ -367,13 +376,14 @@ impl Xencloned {
                         parent,
                         child,
                         &run.memory,
-                        dom_path(dst, child, "memory"),
+                        home_path(dst, home, "memory"),
                     )?;
                 }
             } else {
                 for key in ["memory/target", "memory/static-max"] {
-                    if let Ok(v) = xs.read(DomId::DOM0, dom_path(src, parent, key)) {
-                        xs.write(DomId::DOM0, dom_path(dst, child, key), &v)?;
+                    let src = format!("{DOMAIN_DIR}/{}/{key}", parent.0);
+                    if let Ok(v) = xs.read(DomId::DOM0, &src) {
+                        xs.write(DomId::DOM0, home_path(dst, home, key), &v)?;
                     }
                 }
             }

@@ -8,7 +8,13 @@
 //! * [`Node::clone`] is O(1);
 //! * grafting a subtree ([`Node::graft`]) is O(path-depth), not O(subtree);
 //! * per-node cached entry counts make [`Node::count_entries`] and the
-//!   add/remove accounting of `graft`/`remove` O(1) per level.
+//!   add/remove accounting of `graft`/`remove` O(1) per level;
+//! * names and values of up to 22 bytes are stored in place, and two
+//!   such keys compare as three big-endian 8-byte words and then their
+//!   lengths (byte order, since the bytes past the length are zero): a
+//!   search of `/local/domain`, one child per live domain, compares
+//!   words, not byte slices, and builds its probe key without
+//!   allocating.
 //!
 //! The domain-id rewriting `xs_clone` performs on device directories
 //! is *lazy*: a grafted handle carries a [`DomidRewrite`] overlay that
@@ -76,7 +82,10 @@ impl DomidRewrite {
 /// name and most values the simulator writes among them, are stored in
 /// place: a descent through `/local/domain`, which holds one child per
 /// live domain, compares keys without a heap dereference per key, and
-/// creating a node allocates no string. Ordered by bytes, like `String`.
+/// creating a node allocates no string. Ordered by bytes, like `String`:
+/// two inline texts compare as three big-endian 8-byte words and then
+/// their lengths, which is byte order because [`Text::inline`] zero-fills
+/// past the length; any pair with a heap text compares its bytes.
 #[derive(Debug, Clone)]
 enum Text {
     Inline(u8, [u8; Text::INLINE]),
@@ -87,14 +96,15 @@ impl Text {
     const INLINE: usize = 22;
 
     fn new(s: &str) -> Self {
+        Text::inline(s).unwrap_or_else(|| Text::Heap(s.into()))
+    }
+
+    /// `s` stored in place, or `None` when it is longer than
+    /// [`Text::INLINE`] bytes.
+    fn inline(s: &str) -> Option<Self> {
         let mut bytes = [0; Text::INLINE];
-        match bytes.get_mut(..s.len()) {
-            Some(prefix) => {
-                prefix.copy_from_slice(s.as_bytes());
-                Text::Inline(s.len() as u8, bytes)
-            }
-            None => Text::Heap(s.into()),
-        }
+        bytes.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
+        Some(Text::Inline(s.len() as u8, bytes))
     }
 
     fn as_bytes(&self) -> &[u8] {
@@ -113,9 +123,24 @@ impl Text {
     }
 }
 
+/// An inline text's bytes as three big-endian words, the last one padded
+/// with zeros: compared in order, they compare like the bytes.
+fn words(bytes: &[u8; Text::INLINE]) -> [u64; 3] {
+    let word = |at: usize| {
+        let mut w = [0; 8];
+        let end = Text::INLINE.min(at + 8);
+        w[..end - at].copy_from_slice(&bytes[at..end]);
+        u64::from_be_bytes(w)
+    };
+    [word(0), word(8), word(16)]
+}
+
 impl PartialEq for Text {
     fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
+        match (self, other) {
+            (Text::Inline(a_len, a), Text::Inline(b_len, b)) => a_len == b_len && a == b,
+            _ => self.as_bytes() == other.as_bytes(),
+        }
     }
 }
 
@@ -129,7 +154,12 @@ impl PartialOrd for Text {
 
 impl Ord for Text {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_bytes().cmp(other.as_bytes())
+        match (self, other) {
+            (Text::Inline(a_len, a), Text::Inline(b_len, b)) => {
+                words(a).cmp(&words(b)).then(a_len.cmp(b_len))
+            }
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
     }
 }
 
@@ -150,6 +180,33 @@ struct NodeData {
     owner: DomId,
     /// Cached number of entries in this subtree, this node included.
     entries: u64,
+}
+
+impl NodeData {
+    // Child lookups go by an inline key when the name fits one, which
+    // compares by words; a longer name can only match a heap key and
+    // compares by bytes. Neither allocates.
+
+    fn child(&self, name: &str) -> Option<&Node> {
+        match Text::inline(name) {
+            Some(key) => self.children.get(&key),
+            None => self.children.get(name.as_bytes()),
+        }
+    }
+
+    fn child_mut(&mut self, name: &str) -> Option<&mut Node> {
+        match Text::inline(name) {
+            Some(key) => self.children.get_mut(&key),
+            None => self.children.get_mut(name.as_bytes()),
+        }
+    }
+
+    fn remove_child(&mut self, name: &str) -> Option<Node> {
+        match Text::inline(name) {
+            Some(key) => self.children.remove(&key),
+            None => self.children.remove(name.as_bytes()),
+        }
+    }
 }
 
 /// A handle to a (possibly shared) subtree, plus the rewrite overlay
@@ -291,7 +348,7 @@ impl Node {
         let mut rewrites = self.rewrites.clone();
         let mut cur = self;
         for c in components(path) {
-            cur = cur.data.children.get(c.as_bytes())?;
+            cur = cur.data.child(c)?;
             if !cur.rewrites.is_empty() {
                 // The child's own overlay applies before the accumulated
                 // outer ones.
@@ -313,7 +370,7 @@ impl Node {
     /// not this node's: fit for names and existence, which rewrites never
     /// touch; read values through [`Node::lookup`].
     pub fn child(&self, name: &str) -> Option<&Node> {
-        self.data.children.get(name.as_bytes())
+        self.data.child(name)
     }
 
     /// Child names and handles, in sorted name order (handles as
@@ -425,11 +482,8 @@ impl Node {
         self.materialize_level();
         let data = Rc::make_mut(&mut self.data);
         let taken = match dirs.next() {
-            None => data.children.remove(last.as_bytes())?,
-            Some(name) => data
-                .children
-                .get_mut(name.as_bytes())?
-                .take_at(dirs, last)?,
+            None => data.remove_child(last)?,
+            Some(name) => data.child_mut(name)?.take_at(dirs, last)?,
         };
         data.entries -= taken.data.entries;
         Some(taken)
@@ -580,17 +634,75 @@ mod tests {
         r.lookup(path).and_then(|n| n.value())
     }
 
+    /// `Text`'s order and equality agree with byte order on every pair,
+    /// and a tree keyed by the names finds each and lists them sorted.
     #[test]
     fn text_sorts_like_strings_inline_or_not() {
         assert_eq!(std::mem::size_of::<Text>(), std::mem::size_of::<String>());
         let long = "a-name-longer-than-the-inline-capacity";
-        let mut names = ["10", "9", "", "100", long, "static-max", "1", "a"];
-        let mut keys: Vec<Text> = names.iter().map(|n| Text::new(n)).collect();
         assert!(matches!(Text::new(long), Text::Heap(_)));
-        names.sort();
-        keys.sort();
-        let sorted: Vec<&str> = keys.iter().map(Text::as_str).collect();
-        assert_eq!(sorted, names);
+        assert!(matches!(Text::new(&"x".repeat(Text::INLINE)), Text::Inline(..)));
+        let around = || (21..=23).map(|n| "x".repeat(n));
+        let fixed: Vec<String> = [
+            // Short names, a long one, and the empty name.
+            vec!["10", "9", "", "100", long, "static-max", "1", "a"],
+            // NUL bytes, which the inline padding also holds.
+            vec!["a\0", "a", "a\0\0", "\0", "", "a\0b", "\0\0"],
+            // Shared 8- and 16-byte prefixes, split in each word.
+            vec!["prefix08", "prefix08a", "prefix08\0", "prefix08-16bytes"],
+            vec!["prefix08-16bytes+", "prefix08-16bytes\0", "prefix08-16bytes-tail"],
+            vec!["prefix08-16bytes-tail\0", "prefix08-16bytes-tailz", "prefix08-16bytes-tai"],
+        ]
+        .concat()
+        .into_iter()
+        .map(str::to_string)
+        // Lengths 21, 22 and 23, around the inline capacity.
+        .chain(around())
+        .chain(around().map(|s| s + "\0"))
+        .chain(around().map(|s| s.replacen('x', "y", 1)))
+        .chain(around().map(|mut s| {
+            s.pop();
+            s + "w"
+        }))
+        .collect();
+        let mut rng = sim_core::SplitMix64::new(0x7e47);
+        let alphabet = ["\0", "a", "b", "0", "9", "-", "\u{e9}", "\u{7f}"];
+        let random = (0..300).map(|_| {
+            let len = rng.next_u64() % 28;
+            (0..len)
+                .map(|_| alphabet[(rng.next_u64() % alphabet.len() as u64) as usize])
+                .collect::<String>()
+        });
+
+        for set in [fixed, random.collect()] {
+            let keys: Vec<Text> = set.iter().map(|n| Text::new(n)).collect();
+            for (a, ka) in set.iter().zip(&keys) {
+                for (b, kb) in set.iter().zip(&keys) {
+                    assert_eq!(ka.cmp(kb), a.as_bytes().cmp(b.as_bytes()), "{a:?} vs {b:?}");
+                    assert_eq!(ka == kb, a == b, "{a:?} == {b:?}");
+                }
+            }
+            let mut by_text = keys.clone();
+            by_text.sort();
+            let mut by_bytes = set.clone();
+            by_bytes.sort();
+            let sorted: Vec<&str> = by_text.iter().map(Text::as_str).collect();
+            assert_eq!(sorted, by_bytes);
+
+            let mut r = root();
+            for name in set.iter().filter(|n| !n.is_empty()) {
+                r.insert(&format!("/{name}"), name, DomId::DOM0);
+            }
+            by_bytes.retain(|n| !n.is_empty());
+            by_bytes.dedup();
+            let listed: Vec<&str> = r.children().map(|(name, _)| name).collect();
+            assert_eq!(listed, by_bytes);
+            for name in &by_bytes {
+                assert!(r.child(name).is_some(), "{name:?} not found");
+                assert_eq!(value_at(&r, &format!("/{name}")).as_deref(), Some(name.as_str()));
+            }
+            assert!(r.child("absent").is_none() && r.child(&long.repeat(2)).is_none());
+        }
     }
 
     #[test]
@@ -748,7 +860,7 @@ mod tests {
 
         // Privatizing /a for the corruption leaves /c the only holder of
         // the old node; the root, checked first, no longer adds up.
-        let a = Rc::make_mut(&mut r.data).children.get_mut("a".as_bytes()).unwrap();
+        let a = Rc::make_mut(&mut r.data).child_mut("a").unwrap();
         Rc::make_mut(&mut a.data).entries += 1;
         let err = r.audit().expect_err("a drifted count must fail the audit");
         assert_eq!(err, "cached entries 5 != 1 + children 5");

@@ -444,11 +444,12 @@ fn name_ops_gen() -> impl Gen<Value = Vec<NameOp>> {
     )
 }
 
-/// The scan-replacing indices (xl's name index, the hypervisor's
-/// referrer and fan-out indices) must equal the scans they replaced
-/// after any random create/clone/destroy/rename tape — checked both
-/// directly and through the full audit (which runs the same comparison
-/// as invariant 13, at every op under `AuditMode::EveryOp`).
+/// After any random create/clone/destroy/rename tape, the hypervisor's
+/// scan-replacing indices (referrer and fan-out) must equal the scans
+/// they replaced — checked both directly and through the full audit
+/// (which runs the same comparison as invariant 13, at every op under
+/// `AuditMode::EveryOp`) — and xl's uniqueness scan, on throughout,
+/// must have kept every `n<tag>`/`r<tag>` name on one live record.
 #[test]
 fn indices_match_scans_after_random_name_lifecycle_tapes() {
     let img = KernelImage::minios("indexed");
@@ -485,62 +486,18 @@ fn indices_match_scans_after_random_name_lifecycle_tapes() {
             }
         }
         assert_eq!(p.hv.audit_ref_indices(), Vec::<String>::new(), "after {ops:?}");
-        assert_eq!(p.xl.audit_name_index(), Vec::<String>::new(), "after {ops:?}");
+        let tagged = |n: &&str| match n.strip_prefix(['n', 'r']) {
+            Some(tag) => !tag.is_empty() && tag.bytes().all(|b| b.is_ascii_digit()),
+            None => false,
+        };
+        let mut checked: Vec<&str> = p.xl.records().map(|r| &*r.name).filter(tagged).collect();
+        let count = checked.len();
+        checked.sort_unstable();
+        checked.dedup();
+        assert_eq!(checked.len(), count, "a checked name is on two records after {ops:?}");
         let report = p.audit();
         assert!(report.is_clean(), "after {ops:?}:\n{report}");
     });
-}
-
-/// A name-index entry planted without a registry record is invisible to
-/// every lookup that happens to probe other names, so only the
-/// index-consistency invariant can catch it — and the report must name
-/// the ghost entry.
-#[test]
-fn corrupted_name_index_is_detected_and_named() {
-    let mut p = Platform::new(
-        PlatformConfig::builder()
-            .guest_pool_mib(256)
-            .audit(AuditMode::Off)
-            .flightrec_dir("target/test-flightrec")
-            .build(),
-    );
-    let img = KernelImage::minios("ghost");
-    let parent = p.launch_plain(&guest_cfg("ghost"), &img).expect("boot");
-    p.clone_domain(parent, 1).expect("clone");
-    assert!(p.audit().is_clean(), "pre-corruption state must be clean");
-
-    p.xl.corrupt_name_index_for_test("ghost-name", 4242, true);
-    let report = p.audit();
-    assert!(!report.is_clean(), "index drift must fail the audit");
-    assert!(
-        report.violations.iter().all(|v| v.invariant == "index-consistency"),
-        "only the index invariant can see a planted name entry:\n{report}"
-    );
-    assert!(
-        report.violations.iter().any(|v| v.detail.contains("ghost-name")),
-        "violation must name the ghost entry:\n{report}"
-    );
-
-    p.xl.corrupt_name_index_for_test("ghost-name", 4242, false);
-    assert!(p.audit().is_clean());
-
-    // The other direction: a registered name the index lost.
-    p.xl.rename(&mut p.xs, parent, "ghost-name").expect("rename");
-    assert!(p.audit().is_clean(), "a rename keeps the index in step");
-    p.xl.corrupt_name_index_for_test("ghost-name", parent.0, false);
-    let report = p.audit();
-    assert!(!report.is_clean(), "a record missing from the index must fail the audit");
-    assert!(
-        report.violations.iter().all(|v| v.invariant == "index-consistency"),
-        "only the index invariant can see a dropped name entry:\n{report}"
-    );
-    assert!(
-        report.violations.iter().any(|v| v.detail.contains("ghost-name")),
-        "violation must name the unindexed record:\n{report}"
-    );
-
-    p.xl.corrupt_name_index_for_test("ghost-name", parent.0, true);
-    assert!(p.audit().is_clean());
 }
 
 /// A drifted referrer-index count (one extra reference charged to Dom0)
