@@ -15,8 +15,7 @@ use nephele::netmux::{
     MacAddr,
     NetStack,
     Packet,
-    SelectGroup,
-    XmitHashPolicy, //
+    SelectGroup, //
 };
 use nephele::sim_core::Pfn;
 
@@ -35,7 +34,7 @@ fn pkt(port: u16) -> Packet {
 fn bench_mux(c: &mut Bench) {
     let mut g = c.benchmark_group("mux");
     g.bench_function("bond_select_1000_slaves", |b| {
-        let mut bond = Bond::new(XmitHashPolicy::Layer34);
+        let mut bond = Bond::new();
         for i in 0..1000 {
             bond.add_member(IfaceId(i));
         }
@@ -46,7 +45,7 @@ fn bench_mux(c: &mut Bench) {
         });
     });
     g.bench_function("ovs_select_1000_buckets", |b| {
-        let mut grp = SelectGroup::hashed();
+        let mut grp = SelectGroup::new();
         for i in 0..1000 {
             grp.add_member(IfaceId(i));
         }

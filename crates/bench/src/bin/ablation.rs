@@ -117,16 +117,10 @@ fn ablate_device_cloning() {
         ("no_network", false, true),
         ("minimal", false, false),
     ] {
-        let mut p = Platform::new(
-            PlatformConfig::builder()
-                .mux(MuxKind::None)
-                .clone_policy(
-                    ClonePolicy::all()
-                        .set(DeviceClass::Vif, network)
-                        .set(DeviceClass::P9fs, p9),
-                )
-                .build(),
-        );
+        let mut p = Platform::new(PlatformConfig::builder().mux(MuxKind::None).build());
+        p.daemon.config.policy = ClonePolicy::all()
+            .set(DeviceClass::Vif, network)
+            .set(DeviceClass::P9fs, p9);
         p.daemon.config.minimal = !network && !p9;
         let cfg = DomainConfig::builder("redis")
             .memory_mib(16)

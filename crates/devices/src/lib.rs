@@ -351,10 +351,8 @@ impl DeviceManager {
         &mut self,
         hv: &mut Hypervisor,
         xs: &mut Xenstore,
-        udev: &mut UdevBus,
         dom: DomId,
     ) -> Result<()> {
-        let _ = udev;
         let ring_pfn = hv.domain(dom)?.console_pfn;
         let dir = DeviceId::new(DeviceClass::Console, 0).frontend_dir(dom);
         xs.write(DomId::DOM0, &format!("{dir}/ring-ref"), &ring_pfn.0.to_string())?;
@@ -1095,7 +1093,7 @@ mod tests {
             let [by_xs_clone, by_deep_copy] = [false, true].map(|deep_copy| {
                 let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
                 match class {
-                    Console => dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom),
+                    Console => dm.setup_console_boot(&mut hv, &mut xs, dom),
                     Vif => dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).map(drop),
                     P9fs => dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export"),
                 }
@@ -1190,7 +1188,7 @@ mod tests {
     #[test]
     fn destroy_detaches_the_vif_from_the_mux_and_the_mac_table() {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.set_mux(Box::new(netmux::Bond::new(netmux::XmitHashPolicy::Layer34)));
+        dm.set_mux(Box::new(netmux::Bond::new()));
         let parent_iface = dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
         dm.register_mac(parent_iface);
         assert!(dm.enslave(parent_iface));
@@ -1216,8 +1214,8 @@ mod tests {
 
     #[test]
     fn console_boot_and_clone() {
-        let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
+        let (mut hv, mut xs, mut dm, _udev, dom) = setup();
+        dm.setup_console_boot(&mut hv, &mut xs, dom).unwrap();
         dm.console_write(dom, b"booted\n");
         assert_eq!(dm.console_output(dom), b"booted\n");
 
@@ -1260,7 +1258,7 @@ mod tests {
     fn forget_domain_cleans_everything() {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
+        dm.setup_console_boot(&mut hv, &mut xs, dom).unwrap();
         dm.setup_9pfs_boot(&mut hv, &mut xs, dom, "/export").unwrap();
         udev.drain();
         dm.forget_domain(&mut udev, dom);
@@ -1275,7 +1273,7 @@ mod tests {
         let (mut hv, mut xs, mut dm, mut udev, dom) = setup();
         let before = dm.dom0_backend_bytes();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg()).unwrap();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom).unwrap();
+        dm.setup_console_boot(&mut hv, &mut xs, dom).unwrap();
         assert!(dm.dom0_backend_bytes() > before);
     }
 
@@ -1298,7 +1296,7 @@ mod tests {
         .unwrap();
         dm.setup_vif_boot(&mut hv, &mut xs, &mut udev, dom, vif_cfg())
             .unwrap();
-        dm.setup_console_boot(&mut hv, &mut xs, &mut udev, dom)
+        dm.setup_console_boot(&mut hv, &mut xs, dom)
             .unwrap();
         let every: Vec<DeviceId> = [(Console, 0), (Vif, 0), (Vif, 1), (P9fs, 0)]
             .into_iter()

@@ -162,45 +162,12 @@ impl MemFs {
         }
     }
 
-    /// Truncates a file to zero length.
-    pub fn truncate(&mut self, path: &str) -> Result<()> {
-        let comps = components(path);
-        let (name, dirs) = comps.split_last().ok_or_else(|| FsError::WrongType(path.into()))?;
-        let dir = self.lookup_dir_mut(dirs, path)?;
-        match dir.get_mut(*name) {
-            Some(Entry::File(buf)) => {
-                buf.clear();
-                Ok(())
-            }
-            Some(Entry::Dir(_)) => Err(FsError::WrongType(path.into())),
-            None => Err(FsError::NotFound(path.into())),
-        }
-    }
-
     /// Size of a file in bytes.
     pub fn size(&self, path: &str) -> Result<usize> {
         match self.lookup(path)? {
             Entry::File(data) => Ok(data.len()),
             Entry::Dir(_) => Err(FsError::WrongType(path.into())),
         }
-    }
-
-    /// Lists directory entry names.
-    pub fn readdir(&self, path: &str) -> Result<Vec<String>> {
-        match self.lookup(path)? {
-            Entry::Dir(children) => Ok(children.keys().cloned().collect()),
-            Entry::File(_) => Err(FsError::WrongType(path.into())),
-        }
-    }
-
-    /// Removes a file or (recursively) a directory.
-    pub fn remove(&mut self, path: &str) -> Result<()> {
-        let comps = components(path);
-        let (name, dirs) = comps.split_last().ok_or_else(|| FsError::WrongType(path.into()))?;
-        let dir = self.lookup_dir_mut(dirs, path)?;
-        dir.remove(*name)
-            .map(|_| ())
-            .ok_or_else(|| FsError::NotFound(path.into()))
     }
 
     /// Total bytes stored in files (Dom0 memory accounting).
@@ -254,34 +221,26 @@ mod tests {
     }
 
     #[test]
-    fn readdir_and_remove() {
-        let mut fs = MemFs::new();
-        fs.mkdir_p("/d").unwrap();
-        fs.create("/d/a").unwrap();
-        fs.create("/d/b").unwrap();
-        assert_eq!(fs.readdir("/d").unwrap(), vec!["a", "b"]);
-        fs.remove("/d/a").unwrap();
-        assert_eq!(fs.readdir("/d").unwrap(), vec!["b"]);
-        fs.remove("/d").unwrap();
-        assert!(!fs.exists("/d"));
-    }
-
-    #[test]
     fn type_errors() {
         let mut fs = MemFs::new();
         fs.create("/f").unwrap();
-        assert!(matches!(fs.readdir("/f"), Err(FsError::WrongType(_))));
+        assert!(matches!(fs.size("/"), Err(FsError::WrongType(_))));
+        assert!(matches!(fs.create("/f/g"), Err(FsError::WrongType(_))));
         assert!(matches!(fs.read("/", 0, 1), Err(FsError::WrongType(_))));
         assert!(matches!(fs.mkdir_p("/f/sub"), Err(FsError::WrongType(_))));
     }
 
     #[test]
-    fn truncate_and_totals() {
+    fn totals_count_every_files_bytes_once() {
         let mut fs = MemFs::new();
         fs.create("/f").unwrap();
         fs.write("/f", 0, &[1; 100]).unwrap();
         assert_eq!(fs.total_bytes(), 100);
-        fs.truncate("/f").unwrap();
-        assert_eq!(fs.total_bytes(), 0);
+        fs.mkdir_p("/d/e").unwrap();
+        fs.create("/d/e/g").unwrap();
+        fs.write("/d/e/g", 10, &[2; 20]).unwrap();
+        assert_eq!(fs.total_bytes(), 130, "a gap before an offset write counts");
+        fs.write("/f", 50, &[3; 50]).unwrap();
+        assert_eq!(fs.total_bytes(), 130, "an overwrite adds nothing");
     }
 }

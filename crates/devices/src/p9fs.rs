@@ -85,11 +85,6 @@ pub enum P9Request {
         /// Fid to release.
         fid: Fid,
     },
-    /// Remove the file behind `fid` and clunk it.
-    Remove {
-        /// Fid to remove.
-        fid: Fid,
-    },
 }
 
 /// 9p protocol responses.
@@ -252,12 +247,6 @@ impl P9Backend {
                     .ok_or_else(|| FsError::NotFound(format!("fid {fid}")))?;
                 Ok(P9Response::Ok)
             }
-            P9Request::Remove { fid } => {
-                let path = self.abs(&self.fid(dom, fid)?.path.clone());
-                fs.remove(&path)?;
-                self.fids.remove(&(dom.0, fid));
-                Ok(P9Response::Ok)
-            }
         }
     }
 
@@ -407,19 +396,5 @@ mod tests {
         be.forget_domain(D);
         assert_eq!(be.fid_count(D), 0);
         assert_eq!(be.fid_count(C), 1, "family members unaffected");
-    }
-
-    #[test]
-    fn remove_deletes_file() {
-        let (mut fs, mut be) = setup();
-        be.handle(&mut fs, D, P9Request::Attach { fid: 0 });
-        be.handle(
-            &mut fs,
-            D,
-            P9Request::Walk { fid: 0, newfid: 1, names: vec!["data".into(), "file".into()] },
-        );
-        assert_eq!(be.handle(&mut fs, D, P9Request::Remove { fid: 1 }), P9Response::Ok);
-        assert!(!fs.exists("/export/data/file"));
-        assert_eq!(be.fid_count(D), 1);
     }
 }

@@ -10,8 +10,8 @@
 //! **copied** (their contents are tied to in-flight guest state and the RX
 //! entries are guest-preallocated buffers carrying allocator metadata),
 //! while the console ring is **not** (duplicating the parent's console
-//! output would hinder debugging). [`SharedRing::clone_copy`] and
-//! [`SharedRing::clone_fresh`] implement the two policies.
+//! output would hinder debugging). [`SharedRing::clone_copy`] implements
+//! the copy; a clone's console gets a new ring.
 
 use sim_core::Pfn;
 
@@ -114,12 +114,6 @@ impl<T: Clone> SharedRing<T> {
         r.pfn = child_pfn;
         r
     }
-
-    /// Clone policy for console-style rings: a fresh, empty ring so the
-    /// child's output does not replay the parent's.
-    pub fn clone_fresh(&self, child_pfn: Pfn) -> SharedRing<T> {
-        SharedRing::new(child_pfn, self.capacity)
-    }
 }
 
 #[cfg(test)]
@@ -156,16 +150,6 @@ mod tests {
         assert_eq!(c.pop(), Some("inflight"));
         // Parent untouched.
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn clone_fresh_is_empty() {
-        let mut r = SharedRing::new(Pfn(1), 4);
-        r.push("parent console output");
-        let c = r.clone_fresh(Pfn(9));
-        assert!(c.is_empty());
-        assert_eq!(c.capacity(), 4);
-        assert_eq!(c.produced(), 0);
     }
 
     #[test]

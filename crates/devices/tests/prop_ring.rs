@@ -63,23 +63,29 @@ fn ring_is_a_bounded_fifo() {
     });
 }
 
-/// Ring cloning policies: `clone_copy` preserves exact content and
-/// order; `clone_fresh` is empty; neither disturbs the parent.
+/// The ring clone policy: `clone_copy` preserves exact content, order
+/// and counters on the child's page, and does not disturb the parent.
 #[test]
 fn ring_clone_policies() {
     check(256, |g| {
         let values = g.draw(&vecs(u32s(), 0..32));
+        let pops = g.draw(&ranges(0usize..8));
 
         let mut parent = SharedRing::new(Pfn(1), 64);
         for v in &values {
             parent.push(*v);
         }
+        let popped: Vec<u32> = std::iter::from_fn(|| parent.pop()).take(pops).collect();
         let mut copy = parent.clone_copy(Pfn(2));
-        let fresh = parent.clone_fresh(Pfn(3));
-        assert!(fresh.is_empty());
+        assert_eq!(copy.pfn(), Pfn(2));
+        assert_eq!(copy.capacity(), parent.capacity());
+        assert_eq!(copy.produced(), parent.produced());
+        assert_eq!(copy.consumed(), parent.consumed());
         let drained: Vec<u32> = std::iter::from_fn(|| copy.pop()).collect();
-        assert_eq!(drained, values.clone());
-        assert_eq!(parent.len(), values.len(), "parent untouched");
+        let queued = &values[popped.len()..];
+        assert_eq!(drained, queued);
+        assert_eq!(parent.len(), queued.len(), "parent untouched");
+        assert_eq!(parent.pfn(), Pfn(1));
     });
 }
 

@@ -13,7 +13,7 @@ use devices::DeviceManager;
 use hypervisor::Hypervisor;
 use netmux::stack::NetStack;
 use netmux::{MacAddr, Packet};
-use sim_core::{DomId, SimDuration, SimTime};
+use sim_core::{DomId, SimTime};
 
 use crate::heap::GuestHeap;
 
@@ -44,13 +44,6 @@ pub enum GuestAction {
         /// Number of clones.
         nr: u32,
     },
-    /// Request a timer callback after `delay` with a caller-chosen tag.
-    Timer {
-        /// Delay from now.
-        delay: SimDuration,
-        /// Returned in [`GuestApp::on_timer`].
-        tag: u64,
-    },
     /// Shut the domain down.
     Shutdown,
 }
@@ -79,11 +72,6 @@ impl GuestEnv<'_> {
     /// [`GuestApp::on_fork`].
     pub fn fork(&mut self, nr: u32) {
         self.actions.push(GuestAction::Fork { nr });
-    }
-
-    /// Requests a timer callback.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        self.actions.push(GuestAction::Timer { delay, tag });
     }
 
     /// Requests shutdown of this guest.
@@ -141,11 +129,6 @@ pub trait GuestApp {
     /// parent and each child.
     fn on_fork(&mut self, env: &mut GuestEnv, outcome: ForkOutcome) {
         let _ = (env, outcome);
-    }
-
-    /// Called when a requested timer fires.
-    fn on_timer(&mut self, env: &mut GuestEnv, tag: u64) {
-        let _ = (env, tag);
     }
 
     /// Called when an IDC event-channel notification arrives on `port`.

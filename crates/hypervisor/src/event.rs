@@ -20,15 +20,9 @@ use crate::error::{HvError, Result};
 /// A local event-channel port number.
 pub type Port = u32;
 
-/// Virtual interrupt lines.
+/// Virtual interrupt lines. The model raises one: Nephele's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Virq {
-    /// Timer tick.
-    Timer,
-    /// Xenstore update pending (used by the Xenstore ring).
-    Xenstore,
-    /// Console activity.
-    Console,
     /// Nephele: a clone notification was queued (wakes `xencloned`).
     Cloned,
 }
@@ -38,11 +32,6 @@ pub enum Virq {
 pub enum Channel {
     /// Unallocated.
     Free,
-    /// Allocated, waiting for the remote side to bind.
-    Unbound {
-        /// Domain allowed to bind the other end (may be [`DomId::CHILD`]).
-        remote_allowed: DomId,
-    },
     /// Connected to a remote domain's port.
     Interdomain {
         /// The peer domain (may be [`DomId::CHILD`] for parent-side IDC
@@ -115,11 +104,6 @@ impl EventChannels {
         port
     }
 
-    /// Allocates an unbound channel that `remote_allowed` may later bind.
-    pub fn alloc_unbound(&mut self, remote_allowed: DomId) -> Port {
-        self.alloc_slot(Channel::Unbound { remote_allowed })
-    }
-
     /// Installs a fully connected interdomain channel (used by the platform
     /// when wiring both ends at once, e.g. device setup).
     pub fn bind_interdomain(&mut self, remote_dom: DomId, remote_port: Port) -> Port {
@@ -156,21 +140,6 @@ impl EventChannels {
         self.channels[port as usize] = ch;
         self.index_add(port);
         Ok(())
-    }
-
-    /// Completes an unbound channel once the peer is known.
-    pub fn connect(&mut self, port: Port, remote_dom: DomId, remote_port: Port) -> Result<()> {
-        match self.channels.get_mut(port as usize) {
-            Some(c @ Channel::Unbound { .. }) => {
-                *c = Channel::Interdomain {
-                    remote_dom,
-                    remote_port,
-                };
-                self.index_add(port);
-                Ok(())
-            }
-            _ => Err(HvError::BadPort(port)),
-        }
     }
 
     /// Returns the channel state behind `port`.
@@ -296,22 +265,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unbound_then_connect() {
-        let mut t = EventChannels::new();
-        let p = t.alloc_unbound(DomId(5));
-        assert!(matches!(
-            t.channel(p).unwrap(),
-            Channel::Unbound { remote_allowed } if *remote_allowed == DomId(5)
-        ));
-        t.connect(p, DomId(5), 7).unwrap();
-        assert!(matches!(
-            t.channel(p).unwrap(),
-            Channel::Interdomain { remote_dom, remote_port }
-                if *remote_dom == DomId(5) && *remote_port == 7
-        ));
-    }
-
-    #[test]
     fn virq_binding_lookup() {
         let mut t = EventChannels::new();
         assert_eq!(t.virq_port(Virq::Cloned), None);
@@ -322,7 +275,7 @@ mod tests {
     #[test]
     fn pending_flag_semantics() {
         let mut t = EventChannels::new();
-        let p = t.bind_virq(Virq::Timer);
+        let p = t.bind_virq(Virq::Cloned);
         assert!(t.set_pending(p), "first set should request an upcall");
         assert!(!t.set_pending(p), "second set is coalesced");
         assert!(t.take_pending(p));
@@ -332,9 +285,10 @@ mod tests {
     #[test]
     fn close_frees_slot_for_reuse() {
         let mut t = EventChannels::new();
-        let a = t.bind_virq(Virq::Timer);
+        let a = t.bind_virq(Virq::Cloned);
         t.close(a).unwrap();
-        let b = t.alloc_unbound(DomId::CHILD);
+        assert_eq!(t.virq_port(Virq::Cloned), None);
+        let b = t.bind_interdomain(DomId::CHILD, 0);
         assert_eq!(a, b);
         assert!(t.close(99).is_err());
     }
@@ -343,8 +297,15 @@ mod tests {
     fn peer_index_tracks_every_transition() {
         let mut t = EventChannels::new();
         let a = t.bind_interdomain(DomId(3), 0);
-        let b = t.alloc_unbound(DomId(3));
-        t.connect(b, DomId(3), 1).unwrap();
+        let b = t.bind_virq(Virq::Cloned);
+        t.replace(
+            b,
+            Channel::Interdomain {
+                remote_dom: DomId(3),
+                remote_port: 1,
+            },
+        )
+        .unwrap();
         let c = t.bind_interdomain(DomId(4), 0);
         t.replace(
             c,
@@ -355,8 +316,8 @@ mod tests {
         )
         .unwrap();
         t.close(a).unwrap();
-        // a closed, b and c still name DomId(3); the replace moved c off
-        // DomId(4)'s index entry.
+        // a closed; b and c name DomId(3): the replace indexed b's
+        // former VIRQ slot and moved c off DomId(4)'s index entry.
         assert_eq!(t.close_peer(DomId(4)), 0);
         assert_eq!(t.close_peer(DomId(3)), 2);
         assert_eq!(t.close_peer(DomId(3)), 0);

@@ -73,8 +73,6 @@ pub struct PendingEvent {
     pub dom: DomId,
     /// Target port within the domain.
     pub port: Port,
-    /// Set when the port is bound to a VIRQ.
-    pub virq: Option<Virq>,
 }
 
 /// A serialized snapshot of a domain's memory, used by save/restore.
@@ -295,16 +293,6 @@ impl Hypervisor {
             return Err(HvError::BadDomainState(id));
         }
         d.state = DomainState::Running;
-        Ok(())
-    }
-
-    /// Pauses a domain.
-    pub fn pause(&mut self, id: DomId) -> Result<()> {
-        let d = self.domain_mut(id)?;
-        if d.state == DomainState::Dying {
-            return Err(HvError::BadDomainState(id));
-        }
-        d.state = DomainState::Paused;
         Ok(())
     }
 
@@ -811,11 +799,6 @@ impl Hypervisor {
     // Event channels
     // ------------------------------------------------------------------
 
-    /// Allocates an unbound channel in `dom` that `remote_allowed` may bind.
-    pub fn evtchn_alloc_unbound(&mut self, dom: DomId, remote_allowed: DomId) -> Result<Port> {
-        Ok(self.domain_mut(dom)?.evtchn.alloc_unbound(remote_allowed))
-    }
-
     /// Wires a fully connected interdomain channel pair between two domains
     /// and returns `(port_in_a, port_in_b)`.
     pub fn evtchn_connect_pair(&mut self, a: DomId, b: DomId) -> Result<(Port, Port)> {
@@ -891,20 +874,14 @@ impl Hypervisor {
                     Ok(())
                 }
             }
-            Channel::Unbound { .. } | Channel::VirqBound(_) | Channel::Free => {
-                Err(HvError::BadPort(port))
-            }
+            Channel::VirqBound(_) | Channel::Free => Err(HvError::BadPort(port)),
         }
     }
 
     fn deliver(&mut self, dom: DomId, port: Port) {
         let Ok(d) = self.domain_mut(dom) else { return };
-        let virq = match d.evtchn.channel(port) {
-            Ok(Channel::VirqBound(v)) => Some(*v),
-            _ => None,
-        };
         if d.evtchn.set_pending(port) {
-            self.pending_events.push_back(PendingEvent { dom, port, virq });
+            self.pending_events.push_back(PendingEvent { dom, port });
         }
     }
 
@@ -1255,8 +1232,7 @@ mod tests {
         hv.raise_virq(DomId::DOM0, Virq::Cloned);
         let evts = hv.drain_events();
         assert_eq!(evts.len(), 1);
-        assert_eq!(evts[0].port, port);
-        assert_eq!(evts[0].virq, Some(Virq::Cloned));
+        assert_eq!((evts[0].dom, evts[0].port), (DomId::DOM0, port));
     }
 
     #[test]

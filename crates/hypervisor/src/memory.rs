@@ -612,14 +612,6 @@ impl FrameTable {
         Ok(())
     }
 
-    /// Copies the full contents of `src` into `dst`.
-    pub fn copy_page(&mut self, src: Mfn, dst: Mfn) -> Result<()> {
-        let content = self.frame(src)?.content.clone();
-        let f = self.frame_mut(dst)?;
-        f.content = content;
-        Ok(())
-    }
-
     /// Iterates over every frame with its number, in frame order. The state
     /// auditor uses this to cross-check per-frame metadata against the p2m
     /// back-references; it is O(total frames), so not for hot paths.
@@ -827,18 +819,6 @@ mod tests {
         ft.write(m, 2, &[0xAA]).unwrap();
         ft.read(m, 0, &mut buf).unwrap();
         assert_eq!(buf, [0x08, 0x07, 0xAA, 0x05]);
-    }
-
-    #[test]
-    fn copy_page_copies_content() {
-        let mut ft = FrameTable::new(2);
-        let a = ft.alloc(FrameOwner::Dom(D1)).unwrap();
-        let b = ft.alloc(FrameOwner::Dom(D2)).unwrap();
-        ft.write(a, 0, b"hello").unwrap();
-        ft.copy_page(a, b).unwrap();
-        let mut buf = [0u8; 5];
-        ft.read(b, 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"hello");
     }
 
     #[test]

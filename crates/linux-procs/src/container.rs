@@ -87,19 +87,9 @@ impl ContainerRuntime {
         c
     }
 
-    /// Stops an instance.
-    pub fn stop(&mut self, id: u32) {
-        self.containers.retain(|c| c.id != id);
-    }
-
     /// All running instances.
     pub fn containers(&self) -> &[Container] {
         &self.containers
-    }
-
-    /// Instances Ready at `now`.
-    pub fn ready_count(&self, now: SimTime) -> usize {
-        self.containers.iter().filter(|c| c.is_ready(now)).count()
     }
 
     /// Total resident memory of all instances, bytes.
@@ -126,7 +116,8 @@ mod tests {
         assert!(!c.is_ready(clock.now()));
         let wait = c.ready_at.since(SimTime::ZERO);
         assert!(wait >= SimDuration::from_secs(5), "pod readiness = {wait}");
-        assert_eq!(rt.ready_count(c.ready_at), 1);
+        assert!(c.is_ready(c.ready_at));
+        assert_eq!(rt.containers().len(), 1);
     }
 
     #[test]
@@ -138,15 +129,5 @@ mod tests {
         assert!(a.mem_bytes < b.mem_bytes);
         assert_eq!(b.mem_bytes, c.mem_bytes);
         assert_eq!(rt.total_mem_bytes(), a.mem_bytes + 2 * b.mem_bytes);
-    }
-
-    #[test]
-    fn stop_releases_memory() {
-        let (_, mut rt) = rt();
-        let a = rt.launch();
-        let before = rt.total_mem_bytes();
-        rt.stop(a.id);
-        assert!(rt.total_mem_bytes() < before);
-        assert_eq!(rt.containers().len(), 0);
     }
 }

@@ -22,17 +22,14 @@
 //! manager's per-class state is the one registry of live devices: the
 //! cloning daemon's second stage walks a parent's devices in `(class,
 //! devid)` order and clones each by its class, and which classes follow
-//! a clone is a per-class [`ClonePolicy`]:
+//! a clone is a per-class [`ClonePolicy`] in the daemon's configuration:
 //!
 //! ```
 //! use nephele::{ClonePolicy, DeviceClass, Platform, PlatformConfig};
 //!
 //! // Redis-style clones: skip network-device cloning (§7.1).
-//! let p = Platform::new(
-//!     PlatformConfig::builder()
-//!         .clone_policy(ClonePolicy::all().set(DeviceClass::Vif, false))
-//!         .build(),
-//! );
+//! let mut p = Platform::new(PlatformConfig::default());
+//! p.daemon.config.policy = ClonePolicy::all().set(DeviceClass::Vif, false);
 //! assert!(!p.daemon.config.policy.clones(DeviceClass::Vif));
 //! ```
 //!

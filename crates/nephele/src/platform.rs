@@ -7,13 +7,11 @@ use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use devices::bus::ClonePolicy;
 use devices::udev::UdevBus;
 use devices::{DevError, DeviceManager};
 use guest::{ForkOutcome, GuestAction, GuestApp, GuestEnv, GuestHeap, HOST_MAC};
 use hypervisor::cloneop::{CloneOp, CloneOpResult};
 use hypervisor::error::HvError;
-use hypervisor::event::Virq;
 use hypervisor::{Hypervisor, MachineConfig, PendingEvent};
 use netmux::{
     Bond,
@@ -22,15 +20,13 @@ use netmux::{
     NetStack,
     Packet,
     SelectGroup,
-    SockEvent,
-    XmitHashPolicy, //
+    SockEvent, //
 };
 use sim_core::rollup::render_family_csv;
 use sim_core::{
     Clock,
     CostModel,
     DomId,
-    EventQueue,
     FamilyRow,
     FlightEvent,
     FlightRecorder,
@@ -230,9 +226,6 @@ pub struct PlatformConfig {
     /// Automatic-audit policy. `None` defers to `NEPHELE_AUDIT` (falling
     /// back to [`AuditMode::Lifecycle`]); `Some` pins it.
     pub audit: Option<AuditMode>,
-    /// Per-device-class clone policy handed to `xencloned` (defaults to
-    /// cloning every class).
-    pub clone_policy: ClonePolicy,
 }
 
 impl Default for PlatformConfig {
@@ -246,7 +239,6 @@ impl Default for PlatformConfig {
             flightrec_dir: PathBuf::from("results"),
             flightrec_dumps: true,
             audit: None,
-            clone_policy: ClonePolicy::all(),
         }
     }
 }
@@ -357,21 +349,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets the per-device-class clone policy.
-    ///
-    /// ```
-    /// use nephele::{ClonePolicy, DeviceClass, PlatformConfig};
-    ///
-    /// let cfg = PlatformConfig::builder()
-    ///     .clone_policy(ClonePolicy::all().set(DeviceClass::Vif, false))
-    ///     .build();
-    /// assert!(!cfg.clone_policy.clones(DeviceClass::Vif));
-    /// ```
-    pub fn clone_policy(mut self, policy: ClonePolicy) -> Self {
-        self.config.clone_policy = policy;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> PlatformConfig {
         self.config
@@ -458,7 +435,6 @@ pub struct Platform {
     host_stack: NetStack,
     host_events: Vec<SockEvent>,
     guests: HashMap<u32, GuestSlot>,
-    timers: EventQueue<(u32, u64)>,
     packets_routed: u64,
     seed: u64,
     trace: TraceSink,
@@ -494,12 +470,11 @@ impl Platform {
         daemon.attach_trace(trace.clone());
 
         daemon.start(&mut hv).expect("daemon start on fresh hypervisor");
-        daemon.config.policy = config.clone_policy.clone();
 
         match config.mux {
             MuxKind::None => {}
-            MuxKind::Bond => dm.set_mux(Box::new(Bond::new(XmitHashPolicy::Layer34))),
-            MuxKind::Ovs => dm.set_mux(Box::new(SelectGroup::hashed())),
+            MuxKind::Bond => dm.set_mux(Box::new(Bond::new())),
+            MuxKind::Ovs => dm.set_mux(Box::new(SelectGroup::new())),
         }
 
         // `NEPHELE_FLIGHTREC` overrides the configured dump switch, either
@@ -528,7 +503,6 @@ impl Platform {
             host_stack: NetStack::new(HOST_MAC, HOST_IP),
             host_events: Vec::new(),
             guests: HashMap::new(),
-            timers: EventQueue::new(),
             packets_routed: 0,
             seed: config.seed,
             trace,
@@ -950,9 +924,6 @@ impl Platform {
                     // experiments check domain counts.
                     let _ = self.guest_fork(dom, nr);
                 }
-                GuestAction::Timer { delay, tag } => {
-                    self.timers.push(self.clock.now() + delay, (dom.0, tag));
-                }
                 GuestAction::Shutdown => {
                     let _ = self.destroy(dom);
                 }
@@ -1035,7 +1006,7 @@ impl Platform {
     }
 
     /// Drives the platform to quiescence: drains vif TX rings, delivers RX
-    /// packets into guest stacks, fires guest network callbacks, routes
+    /// packets into guest stacks, fires guest network callbacks, drains
     /// hypervisor events (IDC notifications, `VIRQ_CLONED`) — until no
     /// component makes progress.
     ///
@@ -1097,43 +1068,19 @@ impl Platform {
         }
     }
 
+    /// Delivers a guest's IDC notification. Dom0's one event source is
+    /// `VIRQ_CLONED`, and it dispatches nothing: every `CLONEOP` caller
+    /// runs the second stage itself ([`Platform::finish_pending_clones`]).
     fn route_hv_event(&mut self, e: PendingEvent) {
-        match e.virq {
-            Some(Virq::Cloned) => {
-                // Externally triggered clones (no parent slot known): run
-                // second stages for whatever is queued. Parents are read
-                // from the ring entries by the daemon itself.
-                let _ = self.daemon.handle_pending(
-                    &mut self.hv,
-                    &mut self.xs,
-                    &mut self.dm,
-                    &mut self.udev,
-                    &mut self.xl,
-                );
-            }
-            _ => {
-                if !e.dom.is_dom0() {
-                    self.dispatch(e.dom, |app, env| app.on_idc_event(env, e.port));
-                }
-            }
+        if !e.dom.is_dom0() {
+            self.dispatch(e.dom, |app, env| app.on_idc_event(env, e.port));
         }
     }
 
-    /// Advances virtual time by `d`, firing due guest timers and pumping
-    /// between them.
+    /// Advances virtual time by `d`, pumping before and after.
     pub fn run_for(&mut self, d: SimDuration) {
         let horizon = self.clock.now() + d;
-        loop {
-            self.pump();
-            match self.timers.peek_time() {
-                Some(t) if t <= horizon => {
-                    let (at, (dom, tag)) = self.timers.pop().expect("peeked");
-                    self.clock.advance_to(at);
-                    self.dispatch(DomId(dom), |app, env| app.on_timer(env, tag));
-                }
-                _ => break,
-            }
-        }
+        self.pump();
         self.clock.advance_to(horizon);
         self.pump();
         // Periodic audit from the sim loop (under `every-op` only; the
@@ -1470,38 +1417,34 @@ mod tests {
         assert_eq!(replies, 32, "every flow answered despite identical MAC/IP");
     }
 
+    /// A raw Dom0 `CLONEOP` raises `VIRQ_CLONED`, and the event loop
+    /// drains it without running the second stage: only
+    /// `finish_pending_clones` completes the child, and it gives the
+    /// child a copy of its parent's guest.
     #[test]
-    fn timers_fire_in_order() {
-        #[derive(Clone)]
-        struct Timed {
-            fired: Vec<u64>,
-        }
-        impl GuestApp for Timed {
-            fn boxed_clone(&self) -> Box<dyn GuestApp> {
-                Box::new(self.clone())
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn on_boot(&mut self, env: &mut GuestEnv) {
-                env.set_timer(SimDuration::from_ms(20), 2);
-                env.set_timer(SimDuration::from_ms(10), 1);
-            }
-            fn on_timer(&mut self, env: &mut GuestEnv, tag: u64) {
-                self.fired.push(tag);
-                env.console_log(&format!("t{tag}\n"));
-            }
-        }
+    fn only_finish_pending_clones_completes_a_raw_cloneop() {
         let mut p = plat();
         let dom = p
             .launch(
-                &udp_cfg("timed", Ipv4Addr::new(10, 0, 0, 4)),
-                &KernelImage::minios("timed"),
-                Box::new(Timed { fired: vec![] }),
+                &udp_cfg("raw", Ipv4Addr::new(10, 0, 0, 4)),
+                &KernelImage::minios("raw"),
+                Box::new(UdpEcho { port: 7, seen: 0 }),
             )
             .unwrap();
-        p.run_for(SimDuration::from_ms(50));
-        assert_eq!(p.dm.console_output(dom), b"t1\nt2\n");
+        let op = CloneOp::Clone {
+            target: Some(dom),
+            nr_clones: 1,
+        };
+        let r = p.hv.cloneop(DomId::DOM0, op).unwrap();
+        let CloneOpResult::Cloned(children) = r else {
+            panic!("a Dom0 clone returns its children: {r:?}");
+        };
+        p.run_for(SimDuration::from_ms(10));
+        assert_eq!(p.hv.clone_ring_len(), 1, "no second stage ran");
+        assert!(!p.has_guest(children[0]));
+        assert_eq!(p.finish_pending_clones(dom).unwrap(), children);
+        let port = p.with_app::<UdpEcho, _>(children[0], |app, _| app.port);
+        assert_eq!(port, Some(7), "the child runs a copy of its parent's app");
     }
 
     #[test]

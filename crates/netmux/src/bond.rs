@@ -16,58 +16,31 @@ use sim_core::{CostModel, SimDuration};
 use crate::packet::Packet;
 use crate::{CloneMux, IfaceId};
 
-/// Transmit hash policy (a subset of the Linux bonding options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XmitHashPolicy {
-    /// Hash on source/destination MAC (layer2).
-    Layer2,
-    /// Hash on IP addresses and ports (layer3+4) — the paper's choice.
-    Layer34,
-}
-
-/// A bond interface aggregating clone vifs.
-#[derive(Debug)]
+/// A bond interface aggregating clone vifs, hashing with the `layer3+4`
+/// transmit policy.
+#[derive(Debug, Default)]
 pub struct Bond {
     slaves: Vec<IfaceId>,
-    policy: XmitHashPolicy,
 }
 
 impl Bond {
-    /// Creates an empty bond with the given transmit hash policy.
-    pub fn new(policy: XmitHashPolicy) -> Self {
-        Bond {
-            slaves: Vec::new(),
-            policy,
-        }
+    /// Creates an empty bond.
+    pub fn new() -> Self {
+        Bond::default()
     }
 
     /// The slave index a packet hashes to (exposed for tests and for the
     /// collision-avoidance logic in the experiments).
     pub fn hash_index(&self, pkt: &Packet, n: usize) -> usize {
         debug_assert!(n > 0);
-        let h = match self.policy {
-            XmitHashPolicy::Layer2 => {
-                let s = pkt.src_mac.0;
-                let d = pkt.dst_mac.0;
-                (s[5] ^ d[5]) as u64
-            }
-            XmitHashPolicy::Layer34 => {
-                let sip = u32::from(pkt.src_ip) as u64;
-                let dip = u32::from(pkt.dst_ip) as u64;
-                let ports = (pkt.src_port() ^ pkt.dst_port()) as u64;
-                // Fold IPs and ports the way bond_xmit_hash does.
-                let mut h = sip ^ dip;
-                h ^= h >> 16;
-                h ^= ports;
-                h
-            }
-        };
+        let sip = u32::from(pkt.src_ip) as u64;
+        let dip = u32::from(pkt.dst_ip) as u64;
+        let ports = (pkt.src_port() ^ pkt.dst_port()) as u64;
+        // Fold IPs and ports the way bond_xmit_hash does.
+        let mut h = sip ^ dip;
+        h ^= h >> 16;
+        h ^= ports;
         (h % n as u64) as usize
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> XmitHashPolicy {
-        self.policy
     }
 }
 
@@ -120,7 +93,7 @@ mod tests {
     }
 
     fn bond_with(n: u32) -> Bond {
-        let mut b = Bond::new(XmitHashPolicy::Layer34);
+        let mut b = Bond::new();
         for i in 0..n {
             b.add_member(IfaceId(i));
         }
@@ -129,7 +102,7 @@ mod tests {
 
     #[test]
     fn empty_bond_selects_nothing() {
-        let mut b = Bond::new(XmitHashPolicy::Layer34);
+        let mut b = Bond::new();
         assert_eq!(b.select(&pkt(1)), None);
     }
 
@@ -190,15 +163,5 @@ mod tests {
         assert_eq!(b.member_count(), 1);
         assert_eq!(b.members(), [IfaceId(1)]);
         assert_eq!(b.select(&pkt(5)).unwrap(), IfaceId(1));
-    }
-
-    #[test]
-    fn layer2_policy_hashes_macs() {
-        let mut b = Bond::new(XmitHashPolicy::Layer2);
-        b.add_member(IfaceId(0));
-        b.add_member(IfaceId(1));
-        let p = pkt(1);
-        let first = b.select(&p).unwrap();
-        assert_eq!(b.select(&p).unwrap(), first);
     }
 }

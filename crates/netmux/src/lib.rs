@@ -8,16 +8,16 @@
 //! * [`bond::Bond`] — a Linux bonding interface in `balance-xor` mode with
 //!   the `layer3+4` transmit hash policy: the slave is chosen by hashing IP
 //!   addresses and ports, keeping no per-flow state;
-//! * [`ovs::SelectGroup`] — an Open vSwitch select group, hash-based by
-//!   default but extensible with flow-aware selection strategies.
+//! * [`ovs::SelectGroup`] — an Open vSwitch select group whose bucket is
+//!   chosen by hashing the flow 4-tuple, also keeping no per-flow state.
 
 pub mod bond;
 pub mod ovs;
 pub mod packet;
 pub mod stack;
 
-pub use bond::{Bond, XmitHashPolicy};
-pub use ovs::{FlowAwareSelect, HashSelect, SelectGroup, SelectionStrategy};
+pub use bond::Bond;
+pub use ovs::SelectGroup;
 pub use packet::{FlowKey, L4, MacAddr, Packet, TcpFlags};
 pub use stack::{ConnId, NetStack, SockEvent};
 

@@ -8,12 +8,10 @@ use testkit::prop::{check, ranges, u16s, u32s, u64s, vecs};
 use netmux::{
     Bond,
     CloneMux,
-    FlowAwareSelect,
     IfaceId,
     MacAddr,
     Packet,
-    SelectGroup,
-    XmitHashPolicy, //
+    SelectGroup, //
 };
 
 fn pkt(src_ip: u32, src_port: u16, dst_port: u16) -> Packet {
@@ -36,7 +34,7 @@ fn bond_selection_is_consistent() {
         let members = g.draw(&ranges(1u32..32));
         let flows = g.draw(&vecs((u32s(), u16s(), u16s()), 1..64));
 
-        let mut bond = Bond::new(XmitHashPolicy::Layer34);
+        let mut bond = Bond::new();
         for i in 0..members {
             bond.add_member(IfaceId(i));
         }
@@ -53,7 +51,8 @@ fn bond_selection_is_consistent() {
     });
 }
 
-/// Removing a member never leaves it selectable, for both mux kinds.
+/// Removing a member never leaves it selectable and keeps the survivors
+/// in enslavement order, for both mux kinds.
 #[test]
 fn removed_members_are_never_selected() {
     check(128, |g| {
@@ -62,21 +61,20 @@ fn removed_members_are_never_selected() {
         let flows = g.draw(&vecs((u32s(), u16s()), 1..64));
 
         let victim = IfaceId(victim % members);
-        let mut bond = Bond::new(XmitHashPolicy::Layer34);
-        let mut ovs: SelectGroup<FlowAwareSelect> = SelectGroup::flow_aware();
+        let mut bond = Bond::new();
+        let mut ovs = SelectGroup::new();
         for i in 0..members {
             bond.add_member(IfaceId(i));
             ovs.add_member(IfaceId(i));
         }
-        // Touch some flows first so the flow-aware group holds state.
-        for (ip, sp) in &flows {
-            ovs.select(&pkt(*ip, *sp, 80)).unwrap();
-        }
         bond.remove_member(victim);
         ovs.remove_member(victim);
-        for (ip, sp) in &flows {
-            assert_ne!(bond.select(&pkt(*ip, *sp, 80)).unwrap(), victim);
-            assert_ne!(ovs.select(&pkt(*ip, *sp, 80)).unwrap(), victim);
+        let survivors: Vec<IfaceId> = (0..members).map(IfaceId).filter(|i| *i != victim).collect();
+        for mux in [&mut bond as &mut dyn CloneMux, &mut ovs] {
+            assert_eq!(mux.members(), survivors);
+            for (ip, sp) in &flows {
+                assert_ne!(mux.select(&pkt(*ip, *sp, 80)).unwrap(), victim);
+            }
         }
     });
 }
@@ -89,7 +87,7 @@ fn bond_balance_bound() {
         let members = g.draw(&ranges(2u32..9));
         let seed = g.draw(&u64s());
 
-        let mut bond = Bond::new(XmitHashPolicy::Layer34);
+        let mut bond = Bond::new();
         for i in 0..members {
             bond.add_member(IfaceId(i));
         }

@@ -139,28 +139,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 #[cfg(test)]
@@ -220,20 +198,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0);
         assert_eq!(h.percentile(99.0), 0);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extrema() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        a.record(20);
-        b.record(5);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.min(), 5);
-        assert_eq!(a.max(), 1_000_000);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! * [`clock`] — a shareable monotonic [`Clock`] advanced by charging costs.
 //! * [`costs`] — the single calibrated [`CostModel`] from which every
 //!   modelled operation derives its virtual duration.
-//! * [`events`] — a deterministic discrete-event queue.
 //! * [`rng`] — a small deterministic PRNG ([`SplitMix64`]) so the lower
 //!   layers do not need external crates.
 //! * [`stats`] — streaming statistics and series recording for experiments.
@@ -37,7 +36,6 @@
 
 pub mod clock;
 pub mod costs;
-pub mod events;
 pub mod flightrec;
 pub mod hist;
 pub mod ids;
@@ -50,7 +48,6 @@ pub mod trace;
 
 pub use clock::Clock;
 pub use costs::CostModel;
-pub use events::EventQueue;
 pub use flightrec::{FlightEvent, FlightRecorder, DEFAULT_FLIGHTREC_CAPACITY};
 pub use hist::Histogram;
 pub use ids::{DomId, Mfn, Pfn, PAGE_SIZE};

@@ -229,7 +229,7 @@ impl Xl {
         cfg: &DomainConfig,
         layout: &GuestLayout,
     ) -> Result<Vec<IfaceId>> {
-        dm.setup_console_boot(hv, xs, udev, dom)?;
+        dm.setup_console_boot(hv, xs, dom)?;
         let mut ifaces = Vec::new();
         for (i, vif) in cfg.vifs.iter().enumerate() {
             let base = layout.dev_region_start.0 + i as u64 * PAGES_PER_VIF;
@@ -368,27 +368,6 @@ impl Xl {
             };
             self.records.insert(child.0, record);
         }
-    }
-
-    /// `xl rename`: renames a live domain, updating the registry and the
-    /// domain's Xenstore name node. Renaming to the
-    /// current name is a no-op; with `validate_names` on, the target
-    /// name is checked for uniqueness exactly like a create.
-    pub fn rename(&mut self, xs: &mut Xenstore, dom: DomId, new_name: &str) -> Result<()> {
-        let Some(rec) = self.records.get(&dom.0) else {
-            return Err(XlError::NoSuchDomain(dom));
-        };
-        if &*rec.name == new_name {
-            return Ok(());
-        }
-        self.check_name(new_name)?;
-        xs.write(
-            DomId::DOM0,
-            &format!("/local/domain/{}/name", dom.0),
-            new_name,
-        )?;
-        self.records.get_mut(&dom.0).expect("checked above").name = new_name.into();
-        Ok(())
     }
 
     /// `xl destroy`: tears down a domain across all components.
@@ -625,10 +604,10 @@ mod tests {
     }
 
     /// The uniqueness scan across destroy-then-recreate under the same
-    /// name (with domid reuse), rename chains and duplicate rejection:
-    /// destroy and rename free the old name, and a taken name is refused.
+    /// name (with domid reuse) and duplicate rejection: destroy frees
+    /// the name, and a taken name is refused.
     #[test]
-    fn name_check_follows_create_destroy_reuse_and_rename() {
+    fn name_check_follows_create_destroy_and_reuse() {
         let mut w = world();
         w.xl.validate_names = true;
         let img = KernelImage::unikraft("fn");
@@ -646,28 +625,16 @@ mod tests {
         w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, a).unwrap();
         let a2 = create(&mut w, "one").unwrap();
         assert_eq!(a2, a, "lowest freed domid is reused");
-
-        // Rename frees the old name and claims the new one.
-        w.xl.rename(&mut w.xs, a2, "three").unwrap();
         assert_eq!(
             w.xs.read(DomId::DOM0, &format!("/local/domain/{}/name", a2.0)).unwrap(),
-            "three"
+            "one"
         );
-        assert!(matches!(create(&mut w, "three"), Err(XlError::NameExists(_))));
-        let c = create(&mut w, "one").unwrap();
-        assert!(matches!(
-            w.xl.rename(&mut w.xs, c, "two"),
-            Err(XlError::NameExists(_))
-        ));
-        w.xl.rename(&mut w.xs, c, "one").unwrap(); // same-name no-op
-        assert!(matches!(
-            w.xl.rename(&mut w.xs, DomId(999), "x"),
-            Err(XlError::NoSuchDomain(_))
-        ));
+        assert!(matches!(create(&mut w, "one"), Err(XlError::NameExists(_))));
+        assert!(matches!(create(&mut w, "two"), Err(XlError::NameExists(_))));
 
         w.xl.destroy(&mut w.hv, &mut w.xs, &mut w.dm, &mut w.udev, b).unwrap();
         assert!(create(&mut w, "two").is_ok(), "destroy frees the name");
-        assert_eq!(w.xl.records().count(), 3);
+        assert_eq!(w.xl.records().count(), 2);
     }
 
     #[test]

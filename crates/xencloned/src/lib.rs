@@ -1,8 +1,10 @@
 //! `xencloned`: the Nephele cloning daemon (second stage).
 //!
 //! `xencloned` runs in Dom0 and completes what the hypervisor's first stage
-//! started (§4.2, §5). Woken by `VIRQ_CLONED`, it drains the clone
-//! notification ring and, for each new child:
+//! started (§4.2, §5). In the paper `VIRQ_CLONED` wakes it; here the
+//! platform runs it right after each `CLONEOP` (the hypervisor still
+//! raises and charges the VIRQ). It drains the clone notification ring
+//! and, for each new child:
 //!
 //! 1. introduces the child to the Xenstore daemon (introduction augmented
 //!    with the parent id);
@@ -252,8 +254,8 @@ impl Xencloned {
     }
 
     /// Drains and handles every pending clone notification, one at a time
-    /// in ring order. Call this when `VIRQ_CLONED` fires (the platform
-    /// routes the event here). Consecutive notifications from one parent
+    /// in ring order. The platform calls this right after each `CLONEOP`
+    /// that queued clones. Consecutive notifications from one parent
     /// form a run whose first child resolves the parent side once; each
     /// child still charges and traces all of its own requests. On an
     /// error, the failing notification has been consumed and the ones
@@ -440,7 +442,7 @@ mod tests {
     use devices::udev::UdevBus;
     use hypervisor::domain::DomainState;
     use hypervisor::MachineConfig;
-    use netmux::{Bond, XmitHashPolicy};
+    use netmux::Bond;
     use toolstack::{DomainConfig, KernelImage};
     use xenstore::tree::DomidRewrite;
 
@@ -541,7 +543,7 @@ mod tests {
     fn full_clone_second_stage() {
         let mut w = world();
         let parent = boot_parent(&mut w);
-        w.dm.set_mux(Box::new(Bond::new(XmitHashPolicy::Layer34)));
+        w.dm.set_mux(Box::new(Bond::new()));
         let c = fork(&mut w, parent);
 
         // Parent and child both run again.

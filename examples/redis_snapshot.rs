@@ -15,11 +15,8 @@ use nephele::{ClonePolicy, DeviceClass, Platform, PlatformConfig};
 fn main() {
     // Redis clones do not need network devices — xencloned clones only
     // what is needed (the paper's I/O-cloning optimization).
-    let mut platform = Platform::new(
-        PlatformConfig::builder()
-            .clone_policy(ClonePolicy::all().set(DeviceClass::Vif, false))
-            .build(),
-    );
+    let mut platform = Platform::new(PlatformConfig::default());
+    platform.daemon.config.policy = ClonePolicy::all().set(DeviceClass::Vif, false);
 
     let config = DomainConfig::builder("redis")
         .memory_mib(64)

@@ -35,6 +35,37 @@ cargo test -q --workspace --offline
 echo "== cargo bench --no-run --offline"
 cargo bench --no-run --offline
 
+# The ratio gates below read medians from testkit bench JSON (one record
+# per line). A record is named <file>:<group>:<name>.
+bench_median() {
+    local file="${1%%:*}" rest="${1#*:}"
+    sed -n 's/.*"group": "'"${rest%%:*}"'", "name": "'"${rest#*:}"'".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
+        "$file"
+}
+
+# ratio_gate <what> <record> <record> <op> <bound>: passes when the first
+# record's median over the second's is <= (or >=) the bound, and fails
+# otherwise or when either median is missing.
+ratio_gate() {
+    awk -v what="$1" -v a="$(bench_median "$2")" -v b="$(bench_median "$3")" \
+        -v a_rec="$2" -v b_rec="$3" -v op="$4" -v bound="$5" 'BEGIN {
+        if (a + 0 <= 0 || b + 0 <= 0) {
+            print "verify.sh: " what ": missing median (" a_rec "=" a ", " b_rec "=" b ")"
+            exit 1
+        }
+        if (op != "<=" && op != ">=") {
+            print "verify.sh: " what ": unknown comparison " op
+            exit 1
+        }
+        ratio = a / b
+        printf "   %s: %.0f ns / %.0f ns = %.2fx (gate: %s %s)\n", what, a, b, ratio, op, bound
+        if (op == "<=" ? (ratio > bound + 0) : (ratio < bound + 0)) {
+            print "verify.sh: " what ": " ratio "x fails the " op " " bound "x gate"
+            exit 1
+        }
+    }'
+}
+
 echo "== cargo bench -p bench --bench clone_fanout --offline (batched vs sequential fan-out)"
 cargo bench -p bench --bench clone_fanout --offline
 
@@ -52,22 +83,9 @@ echo "== clone density gate (10^4-domain clone+destroy median <= 2x the 10^2-dom
 # not scale with the number of concurrently live domains. Before the
 # name index, the referrer index and the range-keyed device maps, the
 # 10^4 median sat at ~3.5x the 10^2 one.
-density_median() {
-    sed -n 's/.*"group": "density_'"$1"'", "name": "clone_destroy_batch16".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
-        results/BENCH_clone_density.json
-}
-awk -v d100="$(density_median 100)" -v d10k="$(density_median 10000)" 'BEGIN {
-    if (d100 + 0 <= 0 || d10k + 0 <= 0) {
-        print "verify.sh: missing clone_density medians (d100=" d100 ", d10k=" d10k ")"
-        exit 1
-    }
-    ratio = d10k / d100
-    printf "   clone+destroy batch16 median: %.0f ns at 100 domains vs %.0f ns at 10000 (%.2fx)\n", d100, d10k, ratio
-    if (ratio > 2.0) {
-        print "verify.sh: per-clone cost grows " ratio "x from 10^2 to 10^4 live domains (gate: 2x)"
-        exit 1
-    }
-}'
+density=results/BENCH_clone_density.json
+ratio_gate "clone+destroy batch16, 10^4 over 10^2 live domains" \
+    "$density:density_10000:clone_destroy_batch16" "$density:density_100:clone_destroy_batch16" '<=' 2
 
 echo "== clone density gate (10^5-member family clone+destroy median <= 2x the 10^2-domain median)"
 # Stage 2 and destroy must cost time proportional to the clone's own
@@ -76,18 +94,8 @@ echo "== clone density gate (10^5-member family clone+destroy median <= 2x the 1
 # parent by birth key. When destroy filtered the family's child list and
 # every stage-2 request descended from the Xenstore root, the 10^5
 # median sat at 2.9x the 10^2 one (856 vs 300 us).
-awk -v d100="$(density_median 100)" -v d100k="$(density_median 100000)" 'BEGIN {
-    if (d100 + 0 <= 0 || d100k + 0 <= 0) {
-        print "verify.sh: missing clone_density medians (d100=" d100 ", d100k=" d100k ")"
-        exit 1
-    }
-    ratio = d100k / d100
-    printf "   clone+destroy batch16 median: %.0f ns at 100 domains vs %.0f ns in a 100000-member family (%.2fx)\n", d100, d100k, ratio
-    if (ratio > 2.0) {
-        print "verify.sh: per-clone cost grows " ratio "x from 10^2 domains to a 10^5-member family (gate: 2x)"
-        exit 1
-    }
-}'
+ratio_gate "clone+destroy batch16, a 10^5-member family over 10^2 domains" \
+    "$density:density_100000:clone_destroy_batch16" "$density:density_100:clone_destroy_batch16" '<=' 2
 
 echo "== cargo bench -p bench --bench net_density --offline (request round trip vs family size)"
 cargo bench -p bench --bench net_density --offline
@@ -98,22 +106,9 @@ echo "== net density gate (10^3-member round-trip median <= 3x the 10^2-member m
 # the IP index, so its host cost must not scale with the number of live
 # vifs. When every pump round walked every vif, the 10^3 median sat at
 # ~14x the 10^2 one.
-net_median() {
-    sed -n 's/.*"group": "family_'"$1"'", "name": "udp_round_trip".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
-        results/BENCH_net_density.json
-}
-awk -v f100="$(net_median 100)" -v f1k="$(net_median 1000)" 'BEGIN {
-    if (f100 + 0 <= 0 || f1k + 0 <= 0) {
-        print "verify.sh: missing net_density medians (f100=" f100 ", f1k=" f1k ")"
-        exit 1
-    }
-    ratio = f1k / f100
-    printf "   udp round-trip median: %.0f ns at 100 members vs %.0f ns at 1000 (%.2fx)\n", f100, f1k, ratio
-    if (ratio > 3.0) {
-        print "verify.sh: request round trip grows " ratio "x from 10^2 to 10^3 family members (gate: 3x)"
-        exit 1
-    }
-}'
+net=results/BENCH_net_density.json
+ratio_gate "udp round trip, 10^3 over 10^2 family members" \
+    "$net:family_1000:udp_round_trip" "$net:family_100:udp_round_trip" '<=' 3
 
 echo "== cargo bench -p bench --bench clone_single --offline (one Dom0 clone of a 2 000-member family)"
 cargo bench -p bench --bench clone_single --offline
@@ -127,64 +122,26 @@ echo "== clone_single speedup gate (1-vif first stage >= 1.6x faster than the se
 # host, the old code's median ranged 36.3-66.5 us and the new code's
 # 14.5-24.8 us, so against the committed 52.1 us baseline every old
 # run reads below 1.44x and every new run above 2.10x.
-single_median() {
-    sed -n 's/.*"group": "vifs_1", "name": "stage1".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' "$1"
-}
-awk -v base="$(single_median scripts/bench_baselines/BENCH_clone_single.json)" \
-    -v cur="$(single_median results/BENCH_clone_single.json)" 'BEGIN {
-    if (base + 0 <= 0 || cur + 0 <= 0) {
-        print "verify.sh: missing clone_single medians (base=" base ", cur=" cur ")"
-        exit 1
-    }
-    ratio = base / cur
-    printf "   1-vif first-stage median %.0f ns vs baseline %.0f ns (%.2fx)\n", cur, base, ratio
-    if (ratio < 1.6) {
-        print "verify.sh: clone_single first-stage speedup " ratio "x is below the 1.6x gate"
-        exit 1
-    }
-}'
+ratio_gate "1-vif first stage, seeded baseline over this run" \
+    scripts/bench_baselines/BENCH_clone_single.json:vifs_1:stage1 \
+    results/BENCH_clone_single.json:vifs_1:stage1 '>=' 1.6
 
 echo "== trace overhead budget gate (enabled vs disabled sink)"
 # An enabled sink folds each observation into its aggregates as it is
 # recorded. This gate holds that one path to its host-cost budget: an
 # enabled sink's instrumentation tick must cost at most 30x a disabled
 # sink's (the mixed batch is ~1k ops).
-trace_median() {
-    sed -n 's/.*"group": "trace_overhead", "name": "'"$1"'".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
-        results/BENCH_trace_overhead.json
-}
-awk -v off="$(trace_median mixed_off)" -v agg="$(trace_median mixed_agg)" 'BEGIN {
-    if (off + 0 <= 0 || agg + 0 <= 0) {
-        print "verify.sh: missing trace_overhead medians (off=" off ", agg=" agg ")"
-        exit 1
-    }
-    printf "   mixed tick medians: off %.0f ns, enabled %.0f ns (%.1fx)\n", off, agg, agg / off
-    if (agg > 30.0 * off) {
-        print "verify.sh: the enabled tick exceeds the 30x budget over a disabled sink"
-        exit 1
-    }
-}'
+trace=results/BENCH_trace_overhead.json
+ratio_gate "mixed tick, enabled over disabled sink" \
+    "$trace:trace_overhead:mixed_agg" "$trace:trace_overhead:mixed_off" '<=' 30
 
 echo "== clone_reset speedup gate (>= 5x vs the seeded pre-overlay baseline)"
 # The general bench gate only catches regressions; this one asserts the
 # tentpole win itself: restoring 16 dirty pages in a 4096-page clone
 # must beat the stamped-p2m baseline (which walked all of them) by 5x.
-reset_median() {
-    sed -n 's/.*"group": "clone_reset", "name": "dirty16_reset_4k".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' "$1"
-}
-awk -v base="$(reset_median scripts/bench_baselines/BENCH_clone_reset.json)" \
-    -v cur="$(reset_median results/BENCH_clone_reset.json)" 'BEGIN {
-    if (base + 0 <= 0 || cur + 0 <= 0) {
-        print "verify.sh: missing clone_reset medians (base=" base ", cur=" cur ")"
-        exit 1
-    }
-    ratio = base / cur
-    printf "   clone_reset median %.0f ns vs baseline %.0f ns (%.1fx)\n", cur, base, ratio
-    if (ratio < 5.0) {
-        print "verify.sh: clone_reset speedup " ratio "x is below the 5x gate"
-        exit 1
-    }
-}'
+ratio_gate "clone_reset of 16 dirty pages, seeded baseline over this run" \
+    scripts/bench_baselines/BENCH_clone_reset.json:clone_reset:dirty16_reset_4k \
+    results/BENCH_clone_reset.json:clone_reset:dirty16_reset_4k '>=' 5
 
 echo "== cargo bench -p bench --bench xenstore_ops --offline (Xenstore requests and xs_clone)"
 # Run before the gate so that BENCH_xenstore_ops.json holds fresh
@@ -202,22 +159,9 @@ echo "== audit gate (64 MiB-template family median <= 2x the 4 MiB-template medi
 # must audit about as fast as one of a 4 MiB template. When every
 # domain's merged p2m was walked into a hash map, the 64 MiB median sat
 # at 19-29x the 4 MiB one (10.0-11.5 s vs 0.36-0.60 s) over four runs.
-audit_median() {
-    sed -n 's/.*"group": "'"$1"'", "name": "audit".*"median_ns": \([0-9.eE+-]*\),.*/\1/p' \
-        results/BENCH_audit.json
-}
-awk -v t4="$(audit_median template_4mib)" -v t64="$(audit_median template_64mib)" 'BEGIN {
-    if (t4 + 0 <= 0 || t64 + 0 <= 0) {
-        print "verify.sh: missing audit medians (t4=" t4 ", t64=" t64 ")"
-        exit 1
-    }
-    ratio = t64 / t4
-    printf "   audit median: %.0f ns for a 4 MiB template vs %.0f ns for a 64 MiB one (%.2fx)\n", t4, t64, ratio
-    if (ratio > 2.0) {
-        print "verify.sh: audit time grows " ratio "x from a 4 MiB to a 64 MiB template (gate: 2x)"
-        exit 1
-    }
-}'
+audit=results/BENCH_audit.json
+ratio_gate "full audit, 64 MiB over 4 MiB template family" \
+    "$audit:template_64mib:audit" "$audit:template_4mib:audit" '<=' 2
 
 echo "== cargo build -p bench --release --offline --bins (so the timed runs below exclude compile time)"
 cargo build -q -p bench --release --offline --bins
